@@ -26,147 +26,199 @@ let equal a b = Imap.equal entry_equal a.f_final b.f_final
 
 let compile graph ~engine_of ~cls =
   let prefix = cls.Eq_class.cls_prefix in
-  let devices =
-    List.sort Int.compare
-      (List.map (fun n -> n.Topology.Node.id) (G.nodes graph))
+  let ids =
+    Array.of_list
+      (List.sort Int.compare
+         (List.map (fun n -> n.Topology.Node.id) (G.nodes graph)))
   in
+  let n = Array.length ids in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i d -> Hashtbl.replace index d i) ids;
   let origin_attr =
     List.fold_left
       (fun acc (d, attr) -> Imap.add d attr acc)
       Imap.empty cls.Eq_class.cls_origins
   in
-  let asn d = (G.node graph d).Topology.Node.asn in
   let layer_of d =
     Option.map (fun n -> n.Topology.Node.layer) (G.node_opt graph d)
   in
-  let rpa_of d = Option.map Engine.rpa (engine_of d) in
-  let filters_allow d direction ~peer =
-    match rpa_of d with
+  (* Everything a decision reads besides the neighbours' adverts is fixed
+     for the whole compile, so it is computed once here: the engine, the
+     ctx, and each device's importable neighbours (route-filter verdicts
+     in both directions applied) with the session count of the link. *)
+  let engines = Array.map engine_of ids in
+  let filters_allow i direction ~peer =
+    match engines.(i) with
     | None -> true
-    | Some rpa ->
+    | Some eng ->
       let layer = layer_of peer in
       List.for_all
         (fun rf -> Route_filter.allows rf direction ~peer ~layer prefix)
-        rpa.Rpa.route_filter
+        (Engine.rpa eng).Rpa.route_filter
   in
-  let ctx_of d : Bgp.Rib_policy.ctx =
-    {
-      Bgp.Rib_policy.device = d;
-      prefix;
-      now = 0.0;
-      peer_layer = layer_of;
-      live_peers_in_layer =
-        (fun layer ->
-          List.length
-            (List.filter
-               (fun (n, _) ->
-                 Topology.Node.layer_equal n.Topology.Node.layer layer)
-               (G.neighbors graph d)));
-    }
+  let origin = Array.map (fun d -> Imap.find_opt d origin_attr) ids in
+  let asns = Array.map (fun d -> (G.node graph d).Topology.Node.asn) ids in
+  let neighbors = Array.map (G.neighbors graph) ids in
+  let ctxs =
+    Array.mapi
+      (fun i d ->
+        Option.map
+          (fun _ ->
+            let layers =
+              List.map (fun (m, _) -> m.Topology.Node.layer) neighbors.(i)
+            in
+            {
+              Bgp.Rib_policy.device = d;
+              prefix;
+              now = 0.0;
+              peer_layer = layer_of;
+              live_peers_in_layer =
+                (fun layer ->
+                  List.length
+                    (List.filter (Topology.Node.layer_equal layer) layers));
+            })
+          engines.(i))
+      ids
   in
+  let imports =
+    Array.mapi
+      (fun i d ->
+        List.filter_map
+          (fun (m, (link : G.link)) ->
+            let j = Hashtbl.find index m.Topology.Node.id in
+            if
+              filters_allow j Route_filter.Egress ~peer:d
+              && filters_allow i Route_filter.Ingress ~peer:ids.(j)
+            then Some (j, max 1 link.G.sessions)
+            else None)
+          neighbors.(i))
+      ids
+  in
+  (* dependents.(j): the devices that import from [j], i.e. the ones whose
+     next decision can change when [j]'s advertisement does. *)
+  let dependents = Array.make n [] in
+  for i = n - 1 downto 0 do
+    List.iter (fun (j, _) -> dependents.(j) <- i :: dependents.(j)) imports.(i)
+  done;
+  let max_sessions = Array.make n 1 in
+  Array.iter
+    (List.iter (fun (j, s) -> max_sessions.(j) <- max max_sessions.(j) s))
+    imports;
   (* Per-device state: what the device offers peers (its advertised
-     attributes, pre-prepend) and its forwarding entry. Origins are
-     terminal: constant advertisement, no next hops. *)
-  let adv = ref Imap.empty in
-  let ent = ref Imap.empty in
-  Imap.iter
-    (fun d attr ->
-      if Option.is_some (G.node_opt graph d) then begin
-        adv := Imap.add d attr !adv;
-        ent :=
-          Imap.add d
-            { e_next_hops = []; e_origin = true; e_kept_warm = false }
-            !ent
-      end)
-    origin_attr;
+     attributes, pre-prepend), the candidate paths that advertisement
+     yields at every importer (one per session, prepended once), and its
+     forwarding entry. Origins are terminal: constant advertisement, no
+     next hops. *)
+  let origin_entry = { e_next_hops = []; e_origin = true; e_kept_warm = false } in
+  let adv = Array.copy origin in
+  let offers = Array.make n [||] in
+  let offer j =
+    offers.(j) <-
+      (match adv.(j) with
+       | None -> [||]
+       | Some a ->
+         let a' = Net.Attr.with_prepended asns.(j) a in
+         Array.init max_sessions.(j) (fun s ->
+             Bgp.Path.make ~peer:ids.(j) ~session:s ~attr:a'))
+  in
+  for j = 0 to n - 1 do
+    offer j
+  done;
+  let ent = Array.map (Option.map (fun _ -> origin_entry)) origin in
+  let decide i =
+    match origin.(i) with
+    | Some attr -> (Some attr, Some origin_entry)
+    | None ->
+      let d_asn = asns.(i) in
+      let candidates =
+        List.concat_map
+          (fun (j, sessions) ->
+            let paths = offers.(j) in
+            if
+              Array.length paths = 0
+              || Net.As_path.mem d_asn paths.(0).Bgp.Path.attr.Net.Attr.as_path
+            then []
+            else List.init sessions (Array.get paths))
+          imports.(i)
+      in
+      let native = Bgp.Decision.select ~multipath:true candidates in
+      let selection =
+        match engines.(i), ctxs.(i) with
+        | Some eng, Some ctx ->
+          Engine.evaluate_selection eng ~ctx ~candidates ~native
+        | _ ->
+          let selected, advertise = native in
+          { Bgp.Rib_policy.selected; advertise; keep_fib_warm = false }
+      in
+      let next_hops =
+        List.sort_uniq Int.compare
+          (List.map
+             (fun p -> p.Bgp.Path.peer)
+             selection.Bgp.Rib_policy.selected)
+      in
+      ( Option.map
+          (fun p -> p.Bgp.Path.attr)
+          selection.Bgp.Rib_policy.advertise,
+        if next_hops <> [] || selection.Bgp.Rib_policy.keep_fib_warm then
+          Some
+            {
+              e_next_hops = next_hops;
+              e_origin = false;
+              e_kept_warm = selection.Bgp.Rib_policy.keep_fib_warm;
+            }
+        else None )
+  in
   let snapshot () =
-    List.rev
-      (Imap.fold
-         (fun d e acc ->
-           if e.e_origin || e.e_next_hops = [] then acc
-           else (d, e.e_next_hops) :: acc)
-         !ent [])
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      match ent.(i) with
+      | Some e when not (e.e_origin || e.e_next_hops = []) ->
+        acc := (ids.(i), e.e_next_hops) :: !acc
+      | _ -> ()
+    done;
+    !acc
   in
+  let current = ref (snapshot ()) in
+  (* Semi-naive synchronous rounds. A device's decision reads nothing but
+     its importers' previous-round advertisements (graph, filter verdicts,
+     ctx and engines are fixed), so round 1 decides every device and each
+     later round re-decides only the dependents of devices whose
+     advertisement changed; everyone else would reproduce its previous
+     adv and entry. Every round therefore equals the all-devices round. *)
+  let dirty = Array.make n true in
   let step () =
-    (* Synchronous round: every device re-decides from the neighbours'
-       previous-round advertisements, through the same decision code the
-       simulated speakers run. *)
-    let prev_adv = !adv in
-    let next_adv = ref Imap.empty in
-    let next_ent = ref Imap.empty in
+    let decided = ref [] in
+    for i = 0 to n - 1 do
+      if dirty.(i) then begin
+        dirty.(i) <- false;
+        decided := (i, decide i) :: !decided
+      end
+    done;
+    let adv_changed = ref [] and ent_changed = ref false in
     List.iter
-      (fun d ->
-        match Imap.find_opt d origin_attr with
-        | Some attr ->
-          next_adv := Imap.add d attr !next_adv;
-          next_ent :=
-            Imap.add d
-              { e_next_hops = []; e_origin = true; e_kept_warm = false }
-              !next_ent
-        | None ->
-          let d_asn = asn d in
-          let candidates =
-            List.concat_map
-              (fun (n, (link : G.link)) ->
-                let nid = n.Topology.Node.id in
-                match Imap.find_opt nid prev_adv with
-                | None -> []
-                | Some a ->
-                  let a' = Net.Attr.with_prepended (asn nid) a in
-                  if Net.As_path.mem d_asn a'.Net.Attr.as_path then []
-                  else if
-                    filters_allow nid Route_filter.Egress ~peer:d
-                    && filters_allow d Route_filter.Ingress ~peer:nid
-                  then
-                    List.init (max 1 link.G.sessions) (fun s ->
-                        Bgp.Path.make ~peer:nid ~session:s ~attr:a')
-                  else [])
-              (G.neighbors graph d)
-          in
-          let native = Bgp.Decision.select ~multipath:true candidates in
-          let selection =
-            match engine_of d with
-            | Some eng ->
-              Engine.evaluate_selection eng ~ctx:(ctx_of d) ~candidates
-                ~native
-            | None ->
-              let selected, advertise = native in
-              { Bgp.Rib_policy.selected; advertise; keep_fib_warm = false }
-          in
-          (match selection.Bgp.Rib_policy.advertise with
-           | Some p ->
-             next_adv := Imap.add d p.Bgp.Path.attr !next_adv
-           | None -> ());
-          let next_hops =
-            List.sort_uniq Int.compare
-              (List.map
-                 (fun p -> p.Bgp.Path.peer)
-                 selection.Bgp.Rib_policy.selected)
-          in
-          if next_hops <> [] || selection.Bgp.Rib_policy.keep_fib_warm then
-            next_ent :=
-              Imap.add d
-                {
-                  e_next_hops = next_hops;
-                  e_origin = false;
-                  e_kept_warm = selection.Bgp.Rib_policy.keep_fib_warm;
-                }
-                !next_ent)
-      devices;
-    let changed =
-      not
-        (Imap.equal Net.Attr.equal prev_adv !next_adv
-        && Imap.equal entry_equal !ent !next_ent)
-    in
-    adv := !next_adv;
-    ent := !next_ent;
-    changed
+      (fun (i, (a, e)) ->
+        if not (Option.equal Net.Attr.equal adv.(i) a) then begin
+          adv.(i) <- a;
+          adv_changed := i :: !adv_changed
+        end;
+        if not (Option.equal entry_equal ent.(i) e) then begin
+          ent.(i) <- e;
+          ent_changed := true
+        end)
+      !decided;
+    List.iter
+      (fun j ->
+        offer j;
+        List.iter (fun i -> dirty.(i) <- true) dependents.(j))
+      !adv_changed;
+    if !ent_changed then current := snapshot ();
+    !adv_changed <> [] || !ent_changed
   in
-  let max_rounds = (2 * List.length devices) + 8 in
+  let max_rounds = (2 * n) + 8 in
   let rec run rounds snaps =
     if rounds >= max_rounds then (rounds, List.rev snaps, false)
     else if step () then begin
-      let s = snapshot () in
+      let s = !current in
       let snaps =
         match snaps with last :: _ when last = s -> snaps | _ -> s :: snaps
       in
@@ -176,10 +228,14 @@ let compile graph ~engine_of ~cls =
   in
   let rounds, snaps, converged = run 0 [] in
   let snaps =
-    let final_snap = snapshot () in
+    let final_snap = !current in
     match List.rev snaps with
     | last :: _ when last = final_snap -> snaps
     | _ -> snaps @ [ final_snap ]
   in
-  { f_final = !ent; f_snapshots = snaps; f_converged = converged;
+  let final = ref Imap.empty in
+  Array.iteri
+    (fun i e -> Option.iter (fun e -> final := Imap.add ids.(i) e !final) e)
+    ent;
+  { f_final = !final; f_snapshots = snaps; f_converged = converged;
     f_rounds = rounds }

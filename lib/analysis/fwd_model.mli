@@ -12,6 +12,17 @@
     snapshot of an asynchronous convergence, and the final round (if the
     iteration converges) is the steady state.
 
+    The rounds are evaluated semi-naively: round 1 decides every device,
+    and round [r+1] re-decides only the devices importing from one whose
+    advertisement changed in round [r]; the rest keep their advertisement
+    and entry. This is exact — a decision reads only the importers'
+    previous-round advertisements, while the graph, the route-filter
+    verdicts, the ctx ([now = 0.0]) and the engines are fixed for the
+    compile — so every round, {!round_edges}, {!rounds_run} and
+    {!converged} match re-deciding all devices every round. Engines
+    passed in must not carry an [on_withdraw] callback, which would
+    observe the skipped decisions.
+
     The verifier checks loop-freedom on {e every} round — transient
     forwarding loops (the Figure 9 hazard) appear as FIB cycles in
     intermediate rounds even when the iteration oscillates — and

@@ -16,43 +16,48 @@ type t = {
   sig_cache : (int * Net.Attr.t, bool) Hashtbl.t;
   (* signatures indexed by physical identity *)
   signatures : Signature.t array;
+  (* the RPA's statements flattened across its policies, in order; the
+     RPA is immutable, so this is done once per engine *)
+  ps_statements : Path_selection.statement list;
+  ra_statements : Route_attribute.statement list;
   m_stats : mutable_stats;
   mutable on_withdraw : (prefix:Net.Prefix.t -> statement:string -> unit) option;
 }
 
-(* Collect every signature mentioned by the RPA set, in a stable order, so
-   each gets a cache id. *)
-let collect_signatures (rpa : Rpa.t) =
-  let path_selection_sigs =
+let create ?(cache = true) rpa =
+  let ps_statements =
     List.concat_map
-      (fun (ps : Path_selection.t) ->
-        List.concat_map
-          (fun st ->
-            List.map
-              (fun set -> set.Path_selection.ps_signature)
-              st.Path_selection.path_sets)
-          ps.Path_selection.statements)
+      (fun (ps : Path_selection.t) -> ps.Path_selection.statements)
       rpa.Rpa.path_selection
   in
-  let route_attribute_sigs =
+  let ra_statements =
     List.concat_map
-      (fun (ra : Route_attribute.t) ->
-        List.concat_map
-          (fun st ->
-            List.map
-              (fun w -> w.Route_attribute.w_signature)
-              st.Route_attribute.next_hop_weights)
-          ra.Route_attribute.statements)
+      (fun (ra : Route_attribute.t) -> ra.Route_attribute.statements)
       rpa.Rpa.route_attribute
   in
-  Array.of_list (path_selection_sigs @ route_attribute_sigs)
-
-let create ?(cache = true) rpa =
+  (* Every signature the RPA mentions, in a stable order, so each gets a
+     cache id. *)
+  let signatures =
+    List.concat_map
+      (fun st ->
+        List.map
+          (fun set -> set.Path_selection.ps_signature)
+          st.Path_selection.path_sets)
+      ps_statements
+    @ List.concat_map
+        (fun st ->
+          List.map
+            (fun w -> w.Route_attribute.w_signature)
+            st.Route_attribute.next_hop_weights)
+        ra_statements
+  in
   {
     rpa;
     cache_enabled = cache;
     sig_cache = Hashtbl.create 256;
-    signatures = collect_signatures rpa;
+    signatures = Array.of_list signatures;
+    ps_statements;
+    ra_statements;
     m_stats = { hit_count = 0; miss_count = 0; selection_count = 0 };
     on_withdraw = None;
   }
@@ -140,11 +145,6 @@ let find_statement (type a) (statements : a list) ~destination_of ctx candidates
         ~route_attrs:attrs)
     statements
 
-let all_path_selection_statements (rpa : Rpa.t) =
-  List.concat_map
-    (fun (ps : Path_selection.t) -> ps.Path_selection.statements)
-    rpa.Rpa.path_selection
-
 let native_fallback t ctx (st : Path_selection.statement)
     ~native:(nat_selected, nat_best) : Bgp.Rib_policy.selection =
   match st.Path_selection.bgp_native_min_next_hop with
@@ -185,7 +185,7 @@ let evaluate_selection t ~(ctx : Bgp.Rib_policy.ctx) ~candidates ~native :
   @@ fun () ->
   match
     find_statement
-      (all_path_selection_statements t.rpa)
+      t.ps_statements
       ~destination_of:(fun st -> st.Path_selection.destination)
       ctx candidates
   with
@@ -228,16 +228,11 @@ let evaluate_selection t ~(ctx : Bgp.Rib_policy.ctx) ~candidates ~native :
 
 (* ---------------- Weights ---------------- *)
 
-let all_route_attribute_statements (rpa : Rpa.t) =
-  List.concat_map
-    (fun (ra : Route_attribute.t) -> ra.Route_attribute.statements)
-    rpa.Rpa.route_attribute
-
 let evaluate_weights t ~(ctx : Bgp.Rib_policy.ctx) ~selected =
   let live =
     List.filter
       (fun st -> not (Route_attribute.expired st ~now:ctx.Bgp.Rib_policy.now))
-      (all_route_attribute_statements t.rpa)
+      t.ra_statements
   in
   match
     find_statement live

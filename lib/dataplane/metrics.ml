@@ -88,9 +88,14 @@ type loss_segment = {
 
 let loss_segments ~initial ~timeline ~demands ~from_time ~until =
   let total = Traffic.total_demand demands in
+  (* Same arithmetic as [blackholed_fraction] / [loss_fraction], over the
+     loss-only propagation. *)
   let fractions snapshot =
-    let result = Traffic.route_snapshot snapshot ~demands in
-    (blackholed_fraction result ~total, loss_fraction result ~total)
+    if total <= 0.0 then (0.0, 0.0)
+    else
+      let l = Traffic.loss_snapshot snapshot ~demands in
+      ( l.Traffic.loss_dropped /. total,
+        (l.Traffic.loss_dropped +. l.Traffic.loss_looped) /. total )
   in
   let initial_snapshot = Hashtbl.create 16 in
   List.iter

@@ -46,4 +46,19 @@ val route_snapshot :
 (** Propagation over a historical FIB snapshot from {!Bgp.Trace.fib_timeline}
     (single-prefix, exact match). *)
 
+(** The loss totals of {!route_snapshot}, without its per-device and
+    per-link accounting. *)
+type loss = {
+  loss_dropped : float;  (** = [(route_snapshot ...).dropped] *)
+  loss_looped : float;  (** = [(route_snapshot ...).looped] *)
+}
+
+val loss_snapshot :
+  (int, Bgp.Speaker.fib_state) Hashtbl.t -> demands:(int * float) list -> loss
+(** {!route_snapshot} (default round budget) reduced to what a loss
+    integral reads. Both run the
+    same propagation in the same order, so the two totals are
+    bit-identical to [route_snapshot]'s; only the [transit], [link_load]
+    and [delivered_at] bookkeeping is skipped. *)
+
 val total_demand : (int * float) list -> float

@@ -241,6 +241,184 @@ let test_flowsim_partial_loop_loses_bouncers () =
     (r.Dataplane.Flowsim.delivered + r.Dataplane.Flowsim.dropped_ttl
      + r.Dataplane.Flowsim.dropped_no_route)
 
+(* ---------------- Loss-only propagation: bit identity ---------------- *)
+
+(* The propagation loop as [route] ran it before the loss-only path
+   existed, kept verbatim minus the bookkeeping the totals never read: the
+   oracle for "same insertion and iteration order, same float sums". *)
+let reference_totals ?(max_rounds = 64) snapshot ~demands =
+  let add table key v =
+    let current = Option.value (Hashtbl.find_opt table key) ~default:0.0 in
+    Hashtbl.replace table key (current +. v)
+  in
+  let dropped = ref 0.0 in
+  let inflow = Hashtbl.create 64 in
+  List.iter (fun (device, volume) -> add inflow device volume) demands;
+  let rounds = ref 0 in
+  while Hashtbl.length inflow > 0 && !rounds < max_rounds do
+    incr rounds;
+    let next = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun device volume ->
+        if volume > 0.0 then
+          match Hashtbl.find_opt snapshot device with
+          | Some Bgp.Speaker.Local -> ()
+          | None -> dropped := !dropped +. volume
+          | Some (Bgp.Speaker.Entries es) ->
+            let sum = List.fold_left (fun a e -> a + e.Bgp.Speaker.weight) 0 es in
+            List.iter
+              (fun e ->
+                add next e.Bgp.Speaker.next_hop
+                  (volume *. float_of_int e.Bgp.Speaker.weight /. float_of_int sum))
+              es)
+      inflow;
+    Hashtbl.reset inflow;
+    Hashtbl.iter (fun d v -> Hashtbl.replace inflow d v) next
+  done;
+  (!dropped, Hashtbl.fold (fun _ v acc -> acc +. v) inflow 0.0)
+
+(* [loss_segments] as it was defined on the full [route_snapshot]. *)
+let reference_segments ~initial ~timeline ~demands ~from_time ~until =
+  let module M = Dataplane.Metrics in
+  let total = Dataplane.Traffic.total_demand demands in
+  let initial_snapshot = Hashtbl.create 16 in
+  List.iter (fun (d, s) -> Hashtbl.replace initial_snapshot d s) initial;
+  let rec segments snapshot start = function
+    | [] -> [ (snapshot, start, until) ]
+    | (time, next) :: rest -> (snapshot, start, time) :: segments next time rest
+  in
+  List.filter_map
+    (fun (snapshot, start, stop) ->
+      let seg_from = Float.max start from_time in
+      let seg_until = Float.min stop until in
+      if seg_until -. seg_from <= 0.0 then None
+      else
+        let r = Dataplane.Traffic.route_snapshot snapshot ~demands in
+        Some
+          { M.seg_from; seg_until;
+            seg_blackholed = M.blackholed_fraction r ~total;
+            seg_lost = M.loss_fraction r ~total })
+    (segments initial_snapshot from_time timeline)
+
+(* A random timeline over [n] devices: absent entries black-hole, entries
+   carry UCMP weights, and exit-free cycles keep volume circulating until
+   the 64-round cap. Some fabrics are large enough for hash-bucket
+   collisions and table resizes, where insertion order shows in the sums. *)
+let random_loss_case seed =
+  let rng = Random.State.make [| seed |] in
+  let n =
+    if Random.State.int rng 4 = 0 then 100 + Random.State.int rng 200
+    else 2 + Random.State.int rng 8
+  in
+  let snapshot () =
+    List.filter_map
+      (fun d ->
+        match Random.State.int rng 10 with
+        | 0 | 1 -> None
+        | 2 -> Some (d, Bgp.Speaker.Local)
+        | _ ->
+          let picked =
+            List.init (1 + Random.State.int rng 3) (fun _ ->
+                (d + 1 + Random.State.int rng (n - 1)) mod n)
+            |> List.sort_uniq Int.compare
+          in
+          Some
+            (d, entries (List.map (fun h -> (h, 1 + Random.State.int rng 4)) picked)))
+      (List.init n Fun.id)
+  in
+  let table assoc =
+    let t = Hashtbl.create 16 in
+    List.iter (fun (d, s) -> Hashtbl.replace t d s) assoc;
+    t
+  in
+  let demands =
+    match Random.State.int rng 8 with
+    | 0 -> []
+    | 1 -> [ (Random.State.int rng n, 0.0) ]
+    | _ ->
+      List.init (1 + Random.State.int rng 40) (fun _ ->
+          (Random.State.int rng n, Random.State.float rng 10.0))
+  in
+  let times =
+    List.sort Float.compare
+      (List.init (Random.State.int rng 6) (fun _ -> Random.State.float rng 10.0))
+  in
+  let timeline = List.map (fun t -> (t, table (snapshot ()))) times in
+  let from_time = Random.State.float rng 4.0 in
+  let until = from_time +. Random.State.float rng 8.0 in
+  (snapshot (), timeline, demands, from_time, until)
+
+let test_loss_only_bit_identical () =
+  let module M = Dataplane.Metrics in
+  let bits = Int64.bits_of_float in
+  let same msg a b =
+    if bits a <> bits b then Alcotest.failf "%s: %h <> %h" msg a b
+  in
+  let capped = ref 0 and holes = ref 0 and ucmp = ref 0 and zero = ref 0 in
+  for seed = 0 to 299 do
+    let initial, timeline, demands, from_time, until = random_loss_case seed in
+    if Dataplane.Traffic.total_demand demands <= 0.0 then incr zero;
+    let snaps =
+      let t = Hashtbl.create 16 in
+      List.iter (fun (d, s) -> Hashtbl.replace t d s) initial;
+      t :: List.map snd timeline
+    in
+    List.iter
+      (fun snap ->
+        let dropped, looped = reference_totals snap ~demands in
+        let l = Dataplane.Traffic.loss_snapshot snap ~demands in
+        let r = Dataplane.Traffic.route_snapshot snap ~demands in
+        same "loss-only dropped" dropped l.Dataplane.Traffic.loss_dropped;
+        same "loss-only looped" looped l.Dataplane.Traffic.loss_looped;
+        same "route dropped" dropped r.Dataplane.Traffic.dropped;
+        same "route looped" looped r.Dataplane.Traffic.looped;
+        if looped > 0.0 then incr capped;
+        if dropped > 0.0 then incr holes;
+        Hashtbl.iter
+          (fun _ s ->
+            match s with
+            | Bgp.Speaker.Entries es
+              when List.exists (fun e -> e.Bgp.Speaker.weight > 1) es ->
+              incr ucmp
+            | _ -> ())
+          snap)
+      snaps;
+    let got = M.loss_segments ~initial ~timeline ~demands ~from_time ~until in
+    let want = reference_segments ~initial ~timeline ~demands ~from_time ~until in
+    check_int "segment count" (List.length want) (List.length got);
+    List.iter2
+      (fun (g : M.loss_segment) (w : M.loss_segment) ->
+        same "seg_from" w.seg_from g.seg_from;
+        same "seg_until" w.seg_until g.seg_until;
+        same "seg_blackholed" w.seg_blackholed g.seg_blackholed;
+        same "seg_lost" w.seg_lost g.seg_lost)
+      got want;
+    let i = M.loss_integrals ~initial ~timeline ~demands ~from_time ~until in
+    let ref_integral (f : M.loss_segment -> float) =
+      List.fold_left
+        (fun acc (s : M.loss_segment) -> acc +. (f s *. (s.seg_until -. s.seg_from)))
+        0.0 want
+    in
+    same "blackhole_seconds" (ref_integral (fun s -> s.seg_blackholed))
+      i.M.blackhole_seconds;
+    same "loss_seconds" (ref_integral (fun s -> s.seg_lost)) i.M.loss_seconds;
+    (* the causal attribution still accounts for every blackhole-second *)
+    let attributed =
+      Obs.Causal.attribute (Obs.Causal.create ()) ~prefix:0
+        ~segments:
+          (List.map
+             (fun (s : M.loss_segment) -> (s.seg_from, s.seg_until, s.seg_blackholed))
+             got)
+    in
+    same "attribution sum"
+      (List.fold_left (fun acc a -> acc +. a.Obs.Causal.a_seconds) 0.0 attributed)
+      i.M.blackhole_seconds
+  done;
+  check_bool "loops ran into the round cap" true (!capped > 0);
+  check_bool "blackholes covered" true (!holes > 0);
+  check_bool "UCMP weights covered" true (!ucmp > 0);
+  check_bool "zero total demand covered" true (!zero > 0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dataplane"
@@ -260,6 +438,7 @@ let () =
           quick "loss fractions" test_loss_fractions;
           quick "find loops" test_find_loops;
           quick "max link utilization" test_max_link_utilization;
+          quick "loss-only routing bit-identical" test_loss_only_bit_identical;
         ] );
       ( "flowsim",
         [

@@ -412,6 +412,213 @@ let trie_qcheck =
                  entries);
   ]
 
+(* ---------------- semi-naive fixpoint vs the naive stepper ------------ *)
+
+module G = Topology.Graph
+module Imap = Map.Make (Int)
+
+(* The all-devices synchronous stepper the semi-naive compile must agree
+   with: every round re-decides every device from the neighbours'
+   previous-round advertisements. Returns (final, round_edges,
+   rounds_run, converged). *)
+let naive_compile graph ~engine_of ~(cls : Eq.t) =
+  let prefix = cls.Eq.cls_prefix in
+  let devices = List.map (fun n -> n.Topology.Node.id) (G.nodes graph) in
+  let origin_attr =
+    List.fold_left (fun acc (d, a) -> Imap.add d a acc) Imap.empty
+      cls.Eq.cls_origins
+  in
+  let asn d = (G.node graph d).Topology.Node.asn in
+  let layer_of d = Option.map (fun n -> n.Topology.Node.layer) (G.node_opt graph d) in
+  let filters_allow d direction ~peer =
+    match engine_of d with
+    | None -> true
+    | Some eng ->
+      List.for_all
+        (fun rf -> Route_filter.allows rf direction ~peer ~layer:(layer_of peer) prefix)
+        (Engine.rpa eng).Rpa.route_filter
+  in
+  let ctx_of d : Bgp.Rib_policy.ctx =
+    { Bgp.Rib_policy.device = d; prefix; now = 0.0; peer_layer = layer_of;
+      live_peers_in_layer =
+        (fun layer ->
+          List.length
+            (List.filter
+               (fun (n, _) -> Topology.Node.layer_equal n.Topology.Node.layer layer)
+               (G.neighbors graph d))) }
+  in
+  let origin_entry = { FM.e_next_hops = []; e_origin = true; e_kept_warm = false } in
+  let in_graph = Imap.filter (fun d _ -> G.node_opt graph d <> None) origin_attr in
+  let adv = ref in_graph and ent = ref (Imap.map (fun _ -> origin_entry) in_graph) in
+  let snapshot () =
+    List.filter_map
+      (fun (d, e) ->
+        if e.FM.e_origin || e.FM.e_next_hops = [] then None
+        else Some (d, e.FM.e_next_hops))
+      (Imap.bindings !ent)
+  in
+  let step () =
+    let prev = !adv in
+    let next_adv = ref Imap.empty and next_ent = ref Imap.empty in
+    List.iter
+      (fun d ->
+        match Imap.find_opt d origin_attr with
+        | Some a ->
+          next_adv := Imap.add d a !next_adv;
+          next_ent := Imap.add d origin_entry !next_ent
+        | None ->
+          let candidates =
+            List.concat_map
+              (fun (n, (link : G.link)) ->
+                let nid = n.Topology.Node.id in
+                match Imap.find_opt nid prev with
+                | None -> []
+                | Some a ->
+                  let a' = Net.Attr.with_prepended (asn nid) a in
+                  if Net.As_path.mem (asn d) a'.Net.Attr.as_path then []
+                  else if
+                    filters_allow nid Route_filter.Egress ~peer:d
+                    && filters_allow d Route_filter.Ingress ~peer:nid
+                  then
+                    List.init (max 1 link.G.sessions) (fun s ->
+                        Bgp.Path.make ~peer:nid ~session:s ~attr:a')
+                  else [])
+              (G.neighbors graph d)
+          in
+          let native = Bgp.Decision.select ~multipath:true candidates in
+          let sel =
+            match engine_of d with
+            | Some eng -> Engine.evaluate_selection eng ~ctx:(ctx_of d) ~candidates ~native
+            | None ->
+              let selected, advertise = native in
+              { Bgp.Rib_policy.selected; advertise; keep_fib_warm = false }
+          in
+          Option.iter
+            (fun p -> next_adv := Imap.add d p.Bgp.Path.attr !next_adv)
+            sel.Bgp.Rib_policy.advertise;
+          let hops =
+            List.sort_uniq Int.compare
+              (List.map (fun p -> p.Bgp.Path.peer) sel.Bgp.Rib_policy.selected)
+          in
+          if hops <> [] || sel.Bgp.Rib_policy.keep_fib_warm then
+            next_ent :=
+              Imap.add d
+                { FM.e_next_hops = hops; e_origin = false;
+                  e_kept_warm = sel.Bgp.Rib_policy.keep_fib_warm }
+                !next_ent)
+      devices;
+    let changed =
+      not (Imap.equal Net.Attr.equal prev !next_adv && Imap.equal ( = ) !ent !next_ent)
+    in
+    adv := !next_adv;
+    ent := !next_ent;
+    changed
+  in
+  let max_rounds = (2 * List.length devices) + 8 in
+  let rec run rounds snaps =
+    if rounds >= max_rounds then (rounds, List.rev snaps, false)
+    else if step () then
+      let s = snapshot () in
+      run (rounds + 1) (match snaps with last :: _ when last = s -> snaps | _ -> s :: snaps)
+    else (rounds + 1, List.rev snaps, true)
+  in
+  let rounds, snaps, converged = run 0 [] in
+  let snaps =
+    let last = snapshot () in
+    match List.rev snaps with l :: _ when l = last -> snaps | _ -> snaps @ [ last ]
+  in
+  (Imap.bindings !ent, snaps, rounds, converged)
+
+(* A random small fabric slice: a few links down, the backbone default
+   (sometimes anycast from two EBs) plus a rack prefix, and every device
+   independently native, path-equalized or minimum-next-hop guarded. *)
+type fm_case = {
+  fc_graph : G.t;
+  fc_rpas : (int * Rpa.t) list;
+  fc_classes : Eq.t list;
+}
+
+let fm_case (pods, fsws, ssws, grids, ebs, seed) =
+  let f =
+    Topology.Clos.fabric ~pods ~rsws_per_pod:2 ~fsws_per_pod:fsws
+      ~ssws_per_plane:ssws ~grids ~fauus_per_grid:2 ~ebs ()
+  in
+  let g = f.Topology.Clos.graph in
+  let rng = Random.State.make [| seed |] in
+  List.iter
+    (fun (l : G.link) ->
+      if Random.State.int rng 100 < 12 then G.set_link_up g l.G.a l.G.b false)
+    (G.links g);
+  let eb0 = List.hd f.Topology.Clos.ebs in
+  let targets =
+    f.Topology.Clos.rsws @ f.Topology.Clos.fsws @ f.Topology.Clos.ssws
+    @ f.Topology.Clos.fadus @ f.Topology.Clos.fauus
+  in
+  let bb = Net.Community.Well_known.backbone_default_route in
+  let pe =
+    Apps.Path_equalize.plan g ~destination:(Destination.Tagged bb)
+      ~origin_asn:(G.node g eb0).Topology.Node.asn ~targets
+      ~origination_layer:Topology.Node.Eb
+  in
+  let mnh () =
+    let threshold =
+      if Random.State.bool rng then Path_selection.Count (1 + Random.State.int rng 3)
+      else Path_selection.Fraction (0.25 *. float_of_int (1 + Random.State.int rng 4))
+    in
+    Apps.Min_next_hop_guard.rpa ~destination:(Destination.Tagged bb) ~threshold
+      ~keep_fib_warm:(Random.State.bool rng)
+  in
+  let rpas =
+    List.filter_map
+      (fun (d, rpa) ->
+        match Random.State.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (d, rpa)
+        | _ -> Some (d, mnh ()))
+      pe.Controller.rpas
+  in
+  let origins =
+    (eb0, Net.Prefix.default_v4, tagged_attr ())
+    :: (match f.Topology.Clos.ebs with
+        | _ :: eb1 :: _ when Random.State.bool rng ->
+          [ (eb1, Net.Prefix.default_v4, tagged_attr ()) ]
+        | _ -> [])
+    @ [ (List.hd f.Topology.Clos.rsws, p4 10 1 0 0 24, Net.Attr.make ()) ]
+  in
+  { fc_graph = g; fc_rpas = rpas; fc_classes = Eq.classes origins }
+
+let fm_case_arb =
+  QCheck.make
+    ~print:(fun (p, f, s, g, e, seed) ->
+      Printf.sprintf "pods=%d fsws=%d ssws=%d grids=%d ebs=%d seed=%d" p f s g e seed)
+    QCheck.Gen.(
+      map
+        (fun ((p, f, s), (g, e, seed)) -> (p, f, s, g, e, seed))
+        (pair
+           (triple (int_range 1 2) (int_range 1 3) (int_range 1 2))
+           (triple (int_range 1 2) (int_range 1 2) (int_bound 1_000_000))))
+
+let fm_qcheck =
+  QCheck.Test.make ~name:"semi-naive compile = naive stepper" ~count:250
+    fm_case_arb (fun shape ->
+      let c = fm_case shape in
+      let engines_of () =
+        let tbl = Hashtbl.create 16 in
+        List.iter (fun (d, rpa) -> Hashtbl.replace tbl d (Engine.create rpa)) c.fc_rpas;
+        Hashtbl.find_opt tbl
+      in
+      List.for_all
+        (fun cls ->
+          let m = FM.compile c.fc_graph ~engine_of:(engines_of ()) ~cls in
+          let final, edges, rounds, converged =
+            naive_compile c.fc_graph ~engine_of:(engines_of ()) ~cls
+          in
+          FM.final m = final
+          && FM.round_edges m = edges
+          && FM.rounds_run m = rounds
+          && FM.converged m = converged)
+        c.fc_classes)
+
 (* ---------------- wiring ---------------- *)
 
 let test_controller_enforce_gate () =
@@ -510,6 +717,7 @@ let () =
       ( "prefix-trie",
         List.map (QCheck_alcotest.to_alcotest ~long:false) trie_qcheck );
       ( "incremental", [ quick "delta-net reuse" test_incremental_reuse ] );
+      ( "fwd-model", [ QCheck_alcotest.to_alcotest ~long:false fm_qcheck ] );
       ( "wiring",
         [
           quick "controller enforce gate" test_controller_enforce_gate;
