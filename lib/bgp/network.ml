@@ -47,18 +47,6 @@ type t = {
   (* (device, peer, session) -> last time the device heard anything —
      keepalive or routing message — from the peer over the session. *)
   last_heard : (int * int * int, float) Hashtbl.t;
-  (* Per-instant advertisement batching, opt-in via [set_advert_batching]:
-     outboxes produced at one simulation instant are coalesced — last
-     message wins per (src, dst, session, prefix) — and sent in one flush
-     at the end of the instant, instead of one wire message per transition.
-     Changes message count (and hence the fault model's draw stream), never
-     converged state: the survivor of each coalesced chain is exactly the
-     message whose content the receiver would have ended the instant with. *)
-  mutable batching : bool;
-  (* (src, dst, session, msg, causal cause id) — the cause is captured at
-     enqueue time so causality survives the end-of-instant flush. *)
-  pending : (int * int * int * Msg.t * int) Queue.t;
-  mutable flush_scheduled : bool;
 }
 
 let graph t = t.topo
@@ -97,9 +85,6 @@ let create ?(seed = 42) ?(config = Speaker.default_config)
       liveness = None;
       liveness_until = 0.0;
       last_heard = Hashtbl.create 256;
-      batching = false;
-      pending = Queue.create ();
-      flush_scheduled = false;
     }
   in
   List.iter
@@ -186,7 +171,7 @@ let close_connection t a b session =
   Hashtbl.replace t.epochs (conn_key a b session)
     (connection_epoch t a b session + 1)
 
-let rec send_one ?(cause = -1) t src (dst, session, msg) =
+let rec send_one t src (dst, session, msg) =
   Obs.Metrics.incr m_messages_sent;
       Trace.record t.trace_log
         (Trace.Message_sent { time = now t; src; dst; session; msg });
@@ -199,9 +184,7 @@ let rec send_one ?(cause = -1) t src (dst, session, msg) =
         | None -> Dsim.Fault.pass
         | Some f -> Dsim.Fault.fate f
       in
-      (* [cause] is the causal context carried through the batching queue;
-         outside batching the ambient cursor is the context. *)
-      let parent_hint = if cause >= 0 then cause else Obs.Causal.cause () in
+      let parent_hint = Obs.Causal.cause () in
       if fate.Dsim.Fault.dropped then begin
         Obs.Metrics.incr m_messages_dropped;
         (if Obs.Causal.on () && causal_msg msg then
@@ -242,50 +225,8 @@ let rec send_one ?(cause = -1) t src (dst, session, msg) =
                    ~parent:cid))
       end
 
-(* End-of-instant flush: coalesce the instant's pending messages so each
-   (src, dst, session, prefix) carries only its final content — earlier
-   same-instant messages were already superseded before they could be sent.
-   Keepalive and End-of-RIB markers are never coalesced. The survivor keeps
-   its position (that of the last occurrence), so ordering relative to Eor
-   markers is preserved. *)
-and flush_pending t () =
-  t.flush_scheduled <- false;
-  let msgs = List.rev (Queue.fold (fun acc m -> m :: acc) [] t.pending) in
-  Queue.clear t.pending;
-  let seen = Hashtbl.create 16 in
-  let coalesced =
-    List.rev msgs
-    |> List.filter (fun (src, dst, session, msg, _cause) ->
-           match msg with
-           | Msg.Keepalive | Msg.Eor -> true
-           | Msg.Update { prefix; _ } | Msg.Withdraw { prefix } ->
-             let key = (src, dst, session, Net.Intern.Prefix_id.id prefix) in
-             if Hashtbl.mem seen key then false
-             else begin
-               Hashtbl.replace seen key ();
-               true
-             end)
-    |> List.rev
-  in
-  List.iter
-    (fun (src, dst, session, msg, cause) ->
-      send_one ~cause t src (dst, session, msg))
-    coalesced
-
 and dispatch t src (outbox : Speaker.outbox) =
-  if t.batching then
-    List.iter
-      (fun (dst, session, msg) ->
-        let cause = if Obs.Causal.on () then Obs.Causal.cause () else -1 in
-        Queue.add (src, dst, session, msg, cause) t.pending;
-        if not t.flush_scheduled then begin
-          t.flush_scheduled <- true;
-          (* A zero-delay event runs after everything already queued at this
-             instant — i.e. at the end of the instant's causal cascade. *)
-          Dsim.Event_queue.schedule t.event_queue ~delay:0.0 (flush_pending t)
-        end)
-      outbox
-  else List.iter (send_one t src) outbox
+  List.iter (send_one t src) outbox
 
 and deliver t ~src ~dst ~session ~cause msg =
   let causal_drop note =
@@ -327,13 +268,6 @@ let transition t device f =
 
 let schedule ?(delay = 0.0) t f =
   Dsim.Event_queue.schedule t.event_queue ~delay f
-
-let set_advert_batching t enabled =
-  t.batching <- enabled;
-  (* Disabling must not strand queued messages: flush them synchronously. *)
-  if (not enabled) && not (Queue.is_empty t.pending) then flush_pending t ()
-
-let advert_batching t = t.batching
 
 let set_eval_mode t mode =
   Hashtbl.iter (fun _ sp -> Speaker.set_eval_mode sp mode) t.speakers
@@ -733,3 +667,9 @@ let known_prefixes t =
     t.speakers;
   Hashtbl.fold (fun p () acc -> p :: acc) set []
   |> List.sort Net.Prefix.compare
+
+(* Next hops and weights are plain ints, so Marshal is
+   representation-stable. *)
+let fib_digest t =
+  let snapshot = List.map (fun p -> (p, fib_snapshot t p)) (known_prefixes t) in
+  Digest.to_hex (Digest.string (Marshal.to_string snapshot []))

@@ -53,7 +53,7 @@ val drain_device : ?delay:float -> t -> int -> unit
 
 val undrain_device : ?delay:float -> t -> int -> unit
 
-(** {1 Evaluation mode & batching} *)
+(** {1 Evaluation mode} *)
 
 val set_eval_mode : t -> Speaker.eval_mode -> unit
 (** Switches every speaker between the incremental dirty-set decision
@@ -62,18 +62,6 @@ val set_eval_mode : t -> Speaker.eval_mode -> unit
     sequences at every quiescent point (enforced by the test suite); only
     the decision count differs. Switch before scheduling work — an
     in-flight dirty set is not migrated. *)
-
-val set_advert_batching : t -> bool -> unit
-(** Opt-in per-instant advertisement coalescing: messages produced at one
-    simulation instant are queued and flushed at the end of the instant,
-    keeping only the final message per (src, dst, session, prefix) — a
-    transient advert superseded within the same instant is never sent.
-    Converged state is unchanged; the message count (and therefore the
-    per-message latency/fault draw streams, i.e. the exact trace) differs
-    from the unbatched run. Off by default. Disabling flushes any queued
-    messages synchronously. *)
-
-val advert_batching : t -> bool
 
 (** {1 Session liveness & graceful restart}
 
@@ -150,6 +138,11 @@ val fib_snapshot : t -> Net.Prefix.t -> (int * Speaker.fib_state) list
 
 val known_prefixes : t -> Net.Prefix.t list
 (** Union of every speaker's known prefixes, sorted. *)
+
+val fib_digest : t -> string
+(** One digest over every speaker's installed FIB for every known prefix:
+    two runs converged to bit-identical forwarding state iff their digests
+    match. *)
 
 val env : t -> Speaker.env
 (** The environment handed to speakers (for direct speaker manipulation in

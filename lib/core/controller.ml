@@ -77,6 +77,13 @@ type outcome =
   | Fenced of { partial : report; completed_phases : int }
   | Aborted of string list
 
+let outcome_name = function
+  | Completed _ -> "completed"
+  | Rolled_back _ -> "rolled-back"
+  | Crashed _ -> "crashed"
+  | Fenced _ -> "fenced"
+  | Aborted _ -> "aborted"
+
 type fence_status = Fence_held of int | Fence_lost | Fence_crashed
 
 type retry_policy = {
@@ -166,65 +173,51 @@ let validate_plan t plan =
                   plan.plan_name d)
        | None -> Ok ())
 
-(* Pre-flight lint pass. [`Warn] logs findings; [`Enforce] refuses plans
-   with error-severity findings. With no engine registered (binary not
-   linked against lib/analysis) the gate is a no-op. *)
-let lint_gate ~lint t plan =
-  match (lint, !linter_ref) with
+(* {1 Pre-flight gates} *)
+
+let ( let* ) = Result.bind
+
+let fmt_failures kind failures =
+  List.map (fun (name, e) -> Printf.sprintf "%s %s: %s" kind name e) failures
+
+(* The lint pass and the symbolic verification pass share one contract:
+   [`Warn] logs findings, [`Enforce] refuses plans with error-severity
+   findings, and with no engine registered (binary not linked against
+   lib/analysis) the gate is a no-op. [input] is what the engine reads
+   besides the plan: the graph for lint; the network for the phase
+   verifier, which proves the plan loop- and blackhole-free across every
+   phase boundary and mixed frontier before anything touches a device. *)
+let gate ~label mode engine input plan =
+  match (mode, engine) with
   | `Off, _ | _, None -> Ok ()
   | ((`Warn | `Enforce) as mode), Some engine ->
-    let findings = engine (Bgp.Network.graph t.net) plan in
+    let findings = engine input plan in
     let errors = List.filter (fun f -> f.lint_error) findings in
     (match mode with
      | `Enforce when errors <> [] ->
        Error
          (List.map
-            (fun f -> Printf.sprintf "lint %s: %s" f.lint_code f.lint_message)
+            (fun f ->
+              Printf.sprintf "%s %s: %s" label f.lint_code f.lint_message)
             errors)
      | _ ->
        List.iter
          (fun f ->
            if f.lint_error then
              Logs.warn (fun m ->
-                 m "plan %s: lint %s: %s" plan.plan_name f.lint_code
+                 m "plan %s: %s %s: %s" plan.plan_name label f.lint_code
                    f.lint_message)
            else
              Logs.info (fun m ->
-                 m "plan %s: lint %s: %s" plan.plan_name f.lint_code
+                 m "plan %s: %s %s: %s" plan.plan_name label f.lint_code
                    f.lint_message))
          findings;
        Ok ())
 
-(* Pre-flight symbolic verification pass: the phase verifier proves the
-   plan loop- and blackhole-free across every phase boundary and mixed
-   frontier before anything touches a device. Same contract as the lint
-   gate — [`Warn] logs findings, [`Enforce] refuses plans with
-   error-severity findings, no registered engine means no-op. *)
-let verify_gate ~verify t plan =
-  match (verify, !verifier_ref) with
-  | `Off, _ | _, None -> Ok ()
-  | ((`Warn | `Enforce) as mode), Some engine ->
-    let findings = engine t.net plan in
-    let errors = List.filter (fun f -> f.lint_error) findings in
-    (match mode with
-     | `Enforce when errors <> [] ->
-       Error
-         (List.map
-            (fun f -> Printf.sprintf "verify %s: %s" f.lint_code f.lint_message)
-            errors)
-     | _ ->
-       List.iter
-         (fun f ->
-           if f.lint_error then
-             Logs.warn (fun m ->
-                 m "plan %s: verify %s: %s" plan.plan_name f.lint_code
-                   f.lint_message)
-           else
-             Logs.info (fun m ->
-                 m "plan %s: verify %s: %s" plan.plan_name f.lint_code
-                   f.lint_message))
-         findings;
-       Ok ())
+let run_pre_checks plan =
+  match Health.failures plan.pre_checks with
+  | [] -> Ok ()
+  | failures -> Error (fmt_failures "pre-check" failures)
 
 (* {1 Retry machinery} *)
 
@@ -277,8 +270,35 @@ let report_of_progress t prog ~resumed_from_phase =
     resumed_from_phase;
   }
 
-let check_crash fault =
-  match fault with
+(* Everything one rollout threads through its retry, journal and phase
+   machinery, built once per rollout. *)
+type ctx = {
+  ctl : t;
+  policy : retry_policy;
+  fault : Dsim.Mgmt_fault.t option;
+  fence : (unit -> fence_status) option;
+  jrng : Dsim.Rng.t;  (* backoff jitter, seeded by [policy.jitter_seed] *)
+  prog : progress;
+  between_phases : int -> unit;
+  watchdog : int -> [ `Ok | `Breach of string list ];
+}
+
+(* No fault model, no fence and no phase hooks: what {!remove} runs with.
+   A rollout overrides those four from its arguments. *)
+let context t policy =
+  {
+    ctl = t;
+    policy;
+    fault = None;
+    fence = None;
+    jrng = Dsim.Rng.create policy.jitter_seed;
+    prog = fresh_progress ();
+    between_phases = (fun _ -> ());
+    watchdog = (fun _ -> `Ok);
+  }
+
+let check_crash c =
+  match c.fault with
   | Some f when Dsim.Mgmt_fault.crashed f -> raise Crash_signal
   | Some _ | None -> ()
 
@@ -286,18 +306,19 @@ let check_crash fault =
    stream: identical seeds yield identical retry schedules. The wait is
    spent in {e virtual} time — BGP keeps converging while the controller
    sleeps, which is exactly the fail-static story. *)
-let backoff t ~policy ~jrng ~prog ~attempt =
+let backoff c ~attempt =
+  let policy = c.policy and net = c.ctl.net in
   let base =
     policy.base_backoff_s
     *. (policy.backoff_multiplier ** float_of_int (attempt - 1))
   in
   let capped = Float.min base policy.max_backoff_s in
-  let wait = capped +. (capped *. policy.jitter *. Dsim.Rng.float jrng 1.0) in
-  prog.p_retries <- prog.p_retries + 1;
-  prog.p_backoffs <- wait :: prog.p_backoffs;
+  let wait = capped +. (capped *. policy.jitter *. Dsim.Rng.float c.jrng 1.0) in
+  c.prog.p_retries <- c.prog.p_retries + 1;
+  c.prog.p_backoffs <- wait :: c.prog.p_backoffs;
   Obs.Metrics.incr m_retries;
   Obs.Metrics.observe h_backoff_ms (wait *. 1000.0);
-  ignore (Bgp.Network.run_until t.net ~time:(Bgp.Network.now t.net +. wait))
+  ignore (Bgp.Network.run_until net ~time:(Bgp.Network.now net +. wait))
 
 (* The NSDB side of fencing: the HA layer records the maximum granted
    epoch at ha/epoch; a write stamped below it comes from a deposed leader
@@ -318,48 +339,55 @@ let record_epoch_write t ~epoch =
   | Some e -> t.epoch_writes <- (Bgp.Network.now t.net, e) :: t.epoch_writes
 
 (* NSDB writes go through the same fate model and retry loop as agent
-   RPCs. A write that exhausts its attempts is dropped (and counted): the
-   journal may then lag reality, which resume tolerates because re-running
-   a phase is a no-op for in-sync devices. *)
-let nsdb_set t ~policy ~fault ~fence ~jrng ~prog ~path value =
+   RPCs: fence, epoch guard, write fate, then the write itself or a
+   backoff. [write] reports whether it took effect (a status CAS can
+   lose); only writes that did enter the epoch audit trail. A write that
+   exhausts its attempts is dropped (and counted): the journal may then
+   lag reality, which resume tolerates because re-running a phase is a
+   no-op for in-sync devices. *)
+let nsdb_attempt c write =
   let rec attempt n =
-    let epoch = fence_epoch fence in
-    nsdb_fence_guard t ~epoch;
+    let epoch = fence_epoch c.fence in
+    nsdb_fence_guard c.ctl ~epoch;
     let ok =
-      match fault with
+      match c.fault with
       | None -> true
       | Some f -> Dsim.Mgmt_fault.nsdb_write_ok f
     in
     if ok then begin
-      Service.with_work t.nsdb_service (fun () ->
-          Nsdb.Replicated.set t.state_db ~path value);
-      record_epoch_write t ~epoch
+      let took_effect = Service.with_work c.ctl.nsdb_service write in
+      if took_effect then record_epoch_write c.ctl ~epoch;
+      took_effect
     end
-    else if n >= policy.max_attempts then
-      Obs.Metrics.incr m_nsdb_write_failures
+    else if n >= c.policy.max_attempts then begin
+      Obs.Metrics.incr m_nsdb_write_failures;
+      false
+    end
     else begin
-      backoff t ~policy ~jrng ~prog ~attempt:n;
+      backoff c ~attempt:n;
       attempt (n + 1)
     end
   in
   attempt 1
 
-let record_plan t ~policy ~fault ~fence ~jrng ~prog plan =
-  (* The replicated NSDB keeps the fleet-wide intent for audit/consistency. *)
+let nsdb_set c ~path value =
+  ignore
+    (nsdb_attempt c (fun () ->
+         Nsdb.Replicated.set c.ctl.state_db ~path value;
+         true))
+
+(* The replicated NSDB keeps the fleet-wide intent for audit/consistency. *)
+let record_plan c plan =
   List.iter
     (fun (device, rpa) ->
-      nsdb_set t ~policy ~fault ~fence ~jrng ~prog
+      nsdb_set c
         ~path:(Printf.sprintf "plans/%s/devices/%d" plan.plan_name device)
         (Nsdb.Rpa rpa))
     plan.rpas
 
-let clear_plan_record t ~policy ~fault ~fence ~jrng ~prog plan =
-  List.iter
-    (fun (device, _) ->
-      nsdb_set t ~policy ~fault ~fence ~jrng ~prog
-        ~path:(Printf.sprintf "plans/%s/devices/%d" plan.plan_name device)
-        (Nsdb.Rpa Rpa.empty))
-    plan.rpas
+let clear_plan_record c plan =
+  record_plan c
+    { plan with rpas = List.map (fun (device, _) -> (device, Rpa.empty)) plan.rpas }
 
 (* {1 Deployment journal}
 
@@ -378,48 +406,25 @@ let clear_plan_record t ~policy ~fault ~fence ~jrng ~prog plan =
 let journal_path plan what =
   Printf.sprintf "journal/%s/%s" plan.plan_name what
 
-let journal_write t ~policy ~fault ~fence ~jrng ~prog plan what value =
+let journal_write c plan what value =
   Obs.Metrics.incr m_journal_writes;
-  nsdb_set t ~policy ~fault ~fence ~jrng ~prog ~path:(journal_path plan what)
-    value
+  nsdb_set c ~path:(journal_path plan what) value
 
 (* Status transitions go through compare-and-set: the terminal states
    (completed / rolled-back) are only reachable from "in-progress", so two
    controllers racing the same plan cannot both claim the transition — the
    loser observes the conflict instead of silently overwriting. *)
-let journal_transition t ~policy ~fault ~fence ~jrng ~prog plan ~expected
-    status =
+let journal_transition c plan ~expected status =
   Obs.Metrics.incr m_journal_writes;
-  let rec attempt n =
-    let epoch = fence_epoch fence in
-    nsdb_fence_guard t ~epoch;
-    let ok =
-      match fault with
-      | None -> true
-      | Some f -> Dsim.Mgmt_fault.nsdb_write_ok f
-    in
-    if ok then begin
+  nsdb_attempt c (fun () ->
       let won =
-        Service.with_work t.nsdb_service (fun () ->
-            Nsdb.Replicated.compare_and_set t.state_db
-              ~path:(journal_path plan "status")
-              ~expected:(Some (Nsdb.String expected))
-              (Nsdb.String status))
+        Nsdb.Replicated.compare_and_set c.ctl.state_db
+          ~path:(journal_path plan "status")
+          ~expected:(Some (Nsdb.String expected))
+          (Nsdb.String status)
       in
-      if won then record_epoch_write t ~epoch
-      else Obs.Metrics.incr m_status_conflicts;
-      won
-    end
-    else if n >= policy.max_attempts then begin
-      Obs.Metrics.incr m_nsdb_write_failures;
-      false
-    end
-    else begin
-      backoff t ~policy ~jrng ~prog ~attempt:n;
-      attempt (n + 1)
-    end
-  in
-  attempt 1
+      if not won then Obs.Metrics.incr m_status_conflicts;
+      won)
 
 let journal_status t plan =
   match Nsdb.Replicated.get_one t.state_db ~path:(journal_path plan "status") with
@@ -533,20 +538,21 @@ let journal_gc ?retain t =
    not budgeted — its installed RPA keeps running and distributed BGP
    keeps routing); exhausted RPC failures count against the phase's
    failure budget. *)
-let reconcile_with_retries t ~policy ~fault ~fence ~jrng ~prog device =
+let reconcile_with_retries c device =
+  let prog = c.prog in
   let give_up ~attempts ~last_error =
     Obs.Metrics.incr m_gave_up;
     prog.p_gave_up <-
       { failed_device = device; attempts; last_error } :: prog.p_gave_up
   in
   let rec go attempt =
-    check_crash fault;
-    let epoch = fence_epoch fence in
-    match Switch_agent.reconcile_device ?epoch t.switch_agent device with
+    check_crash c;
+    let epoch = fence_epoch c.fence in
+    match Switch_agent.reconcile_device ?epoch c.ctl.switch_agent device with
     | `Applied -> prog.p_applied <- prog.p_applied + 1
     | `In_sync -> prog.p_in_sync <- prog.p_in_sync + 1
     | `Unreachable ->
-      if attempt < policy.max_attempts then retry attempt
+      if attempt < c.policy.max_attempts then retry attempt
       else prog.p_unreachable <- device :: prog.p_unreachable
     | `Fenced ->
       (* The agent has already accepted a newer epoch: this controller is
@@ -556,10 +562,10 @@ let reconcile_with_retries t ~policy ~fault ~fence ~jrng ~prog device =
     | `Rpc_timeout -> retry_or_give_up attempt "rpc timeout"
     | `Transient reason -> retry_or_give_up attempt reason
   and retry attempt =
-    backoff t ~policy ~jrng ~prog ~attempt;
+    backoff c ~attempt;
     go (attempt + 1)
   and retry_or_give_up attempt last_error =
-    if attempt < policy.max_attempts then retry attempt
+    if attempt < c.policy.max_attempts then retry attempt
     else give_up ~attempts:attempt ~last_error
   in
   go 1
@@ -568,33 +574,33 @@ let reconcile_with_retries t ~policy ~fault ~fence ~jrng ~prog device =
    controller crash and [Budget_exceeded phase] when a phase accumulates
    more hard failures than the budget. [journal_cursor] persists the
    phase cursor after each completed phase. *)
-let run_phases_resilient t ~policy ~fault ~fence ~jrng ~prog ~intent_of
-    ~phases ~from_phase ~between_phases ~watchdog ~journal_cursor =
+let run_phases_resilient c ~intent_of ~phases ~from_phase ~journal_cursor =
+  let agent = c.ctl.switch_agent in
   List.iteri
     (fun idx phase ->
       if idx >= from_phase then begin
-        let gave_up_before = List.length prog.p_gave_up in
+        let gave_up_before = List.length c.prog.p_gave_up in
         List.iter
           (fun device ->
-            check_crash fault;
-            ignore (fence_epoch fence);
+            check_crash c;
+            ignore (fence_epoch c.fence);
             (match intent_of device with
-             | Some rpa -> Switch_agent.set_intended t.switch_agent ~device rpa
-             | None -> Switch_agent.clear_intended t.switch_agent ~device);
-            reconcile_with_retries t ~policy ~fault ~fence ~jrng ~prog device)
+             | Some rpa -> Switch_agent.set_intended agent ~device rpa
+             | None -> Switch_agent.clear_intended agent ~device);
+            reconcile_with_retries c device)
           phase;
         (* Let BGP converge before the next phase picks up the RPA
            (Section 5.3.2: every layer must receive the new RPA after all
            their downstream peers have). *)
-        ignore (Bgp.Network.converge t.net);
-        let phase_failures = List.length prog.p_gave_up - gave_up_before in
-        if phase_failures > policy.failure_budget then
+        ignore (Bgp.Network.converge c.ctl.net);
+        let phase_failures = List.length c.prog.p_gave_up - gave_up_before in
+        if phase_failures > c.policy.failure_budget then
           raise (Budget_exceeded idx);
-        between_phases idx;
+        c.between_phases idx;
         (* The runtime watchdog samples the converged network against its
            SLO budget at every phase boundary; a breach aborts the rollout
            into the same reverse-order rollback as a blown failure budget. *)
-        (match watchdog idx with
+        (match c.watchdog idx with
          | `Ok -> ()
          | `Breach reasons -> raise (Watchdog_breach (idx, reasons)));
         journal_cursor (idx + 1)
@@ -606,9 +612,9 @@ let run_phases_resilient t ~policy ~fault ~fence ~jrng ~prog ~intent_of
    clear the recorded intent so NSDB matches device state. Uses a scratch
    progress: the caller's report describes the deployment, not its
    undoing. *)
-let rollback t plan ~policy ~fault ~fence ~jrng ~through_phase =
+let rollback c plan ~through_phase =
   Obs.Metrics.incr m_rollbacks;
-  let scratch = fresh_progress () in
+  let scratch = { c with prog = fresh_progress () } in
   let touched =
     List.filteri (fun idx _ -> idx <= through_phase) plan.phases
   in
@@ -616,219 +622,193 @@ let rollback t plan ~policy ~fault ~fence ~jrng ~through_phase =
     (fun phase ->
       List.iter
         (fun device ->
-          Switch_agent.clear_intended t.switch_agent ~device;
-          reconcile_with_retries t ~policy ~fault ~fence ~jrng ~prog:scratch
-            device;
+          Switch_agent.clear_intended c.ctl.switch_agent ~device;
+          reconcile_with_retries scratch device;
           Obs.Metrics.incr m_rollback_devices)
         phase;
-      ignore (Bgp.Network.converge t.net))
+      ignore (Bgp.Network.converge c.ctl.net))
     (Deployment.rollback_order touched);
-  clear_plan_record t ~policy ~fault ~fence ~jrng ~prog:scratch plan;
+  clear_plan_record scratch plan;
   ignore
-    (journal_transition t ~policy ~fault ~fence ~jrng ~prog:scratch plan
-       ~expected:"in-progress" "rolled-back")
+    (journal_transition scratch plan ~expected:"in-progress" "rolled-back")
 
-let fmt_failures kind failures =
-  List.map (fun (name, e) -> Printf.sprintf "%s %s: %s" kind name e) failures
+(* The controller stops here — crashed, or deposed mid-rollout. Devices
+   keep whatever RPA they already run (fail static); the journal still
+   says "in-progress", so the next leader can {!resume}.
+   [completed_phases] is read once the controller has stopped. *)
+let interruptible c ~resumed_from_phase ~completed_phases f =
+  let partial () = report_of_progress c.ctl c.prog ~resumed_from_phase in
+  try f () with
+  | Crash_signal ->
+    Crashed { partial = partial (); completed_phases = completed_phases () }
+  | Fenced_signal ->
+    Fenced { partial = partial (); completed_phases = completed_phases () }
 
-(* Shared tail of deploy and resume: run phases from [from_phase], handle
-   crash/budget/fencing, post-check, roll back on failure. *)
-let execute_deploy t plan ~policy ~fault ~fence ~jrng ~prog ~between_phases
-    ~watchdog ~from_phase ~resumed_from_phase =
-  let intent_of device = List.assoc_opt device plan.rpas in
-  let journal_cursor n =
-    journal_write t ~policy ~fault ~fence ~jrng ~prog plan "next_phase"
-      (Nsdb.Int n)
-  in
-  let total = List.length plan.phases in
-  let interrupted kind =
-    (* The controller stops here — crashed, or deposed mid-phase. Devices
-       keep whatever RPA they already run (fail static); the journal still
-       says "in-progress", so the next leader can {!resume}. *)
-    let completed_phases =
-      Option.value (journal_next_phase t plan) ~default:from_phase
-    in
-    let partial = report_of_progress t prog ~resumed_from_phase in
-    match kind with
-    | `Crash -> Crashed { partial; completed_phases }
-    | `Fence -> Fenced { partial; completed_phases }
-  in
-  try
-    match
-      run_phases_resilient t ~policy ~fault ~fence ~jrng ~prog ~intent_of
-        ~phases:plan.phases ~from_phase ~between_phases ~watchdog
-        ~journal_cursor
-    with
-    | () -> (
-      match Health.failures plan.post_checks with
-      | [] ->
-        if
-          journal_transition t ~policy ~fault ~fence ~jrng ~prog plan
-            ~expected:"in-progress" "completed"
-        then begin
-          (* completed_seq is the GC-eligibility stamp. While a queued
-             resubmission of this plan exists, defer it: the journal must
-             outlive the queue entry so a takeover still sees history. *)
-          if not (queued_in_ops t plan.plan_name) then
-            journal_write t ~policy ~fault ~fence ~jrng ~prog plan
-              "completed_seq"
-              (Nsdb.Int (next_journal_seq t));
-          ignore (journal_gc t)
-        end;
-        Completed (report_of_progress t prog ~resumed_from_phase)
-      | failures ->
-        (* Post-checks failed: undo everything so the recorded intent and
-           the device state agree that this plan is not deployed. *)
-        rollback t plan ~policy ~fault ~fence ~jrng
-          ~through_phase:(total - 1);
-        Rolled_back
-          {
-            partial = report_of_progress t prog ~resumed_from_phase;
-            reasons = fmt_failures "post-check" failures;
-          })
-    | exception Budget_exceeded idx ->
-      let reasons =
-        Printf.sprintf
-          "phase %d exceeded its failure budget (%d failures > budget %d)" idx
-          (List.length prog.p_gave_up) policy.failure_budget
-        :: List.rev_map
-             (fun f ->
-               Printf.sprintf "device %d: gave up after %d attempts (%s)"
-                 f.failed_device f.attempts f.last_error)
-             prog.p_gave_up
-      in
-      rollback t plan ~policy ~fault ~fence ~jrng ~through_phase:idx;
-      Rolled_back
-        { partial = report_of_progress t prog ~resumed_from_phase; reasons }
-    | exception Watchdog_breach (idx, breach_reasons) ->
-      (* Automatic remediation: record the event in the journal first —
-         rolled-back journals are never pruned, so the remediation trail
-         survives as audit — then run the same reverse-order rollback a
-         blown failure budget triggers. *)
-      Obs.Metrics.incr m_watchdog_rollbacks;
-      journal_write t ~policy ~fault ~fence ~jrng ~prog plan "remediation"
-        (Nsdb.String
-           (Printf.sprintf "watchdog phase %d: %s" idx
-              (String.concat "; " breach_reasons)));
-      rollback t plan ~policy ~fault ~fence ~jrng ~through_phase:idx;
-      Rolled_back
-        {
-          partial = report_of_progress t prog ~resumed_from_phase;
-          reasons =
-            List.map (fun r -> "watchdog: " ^ r) breach_reasons
-            @ [ Printf.sprintf "SLO breach at phase %d; auto-rolled-back" idx ];
-        }
+(* Run phases from [from_phase], handle budget/watchdog/interruption,
+   post-check, roll back on failure. An interruption reports the
+   journalled cursor. *)
+let execute_deploy c plan ~from_phase ~resumed_from_phase =
+  let t = c.ctl in
+  let report () = report_of_progress t c.prog ~resumed_from_phase in
+  interruptible c ~resumed_from_phase
+    ~completed_phases:(fun () ->
+      Option.value (journal_next_phase t plan) ~default:from_phase)
+  @@ fun () ->
+  match
+    run_phases_resilient c
+      ~intent_of:(fun device -> List.assoc_opt device plan.rpas)
+      ~phases:plan.phases ~from_phase
+      ~journal_cursor:(fun n -> journal_write c plan "next_phase" (Nsdb.Int n))
   with
-  | Crash_signal -> interrupted `Crash
-  | Fenced_signal -> interrupted `Fence
+  | () -> (
+    match Health.failures plan.post_checks with
+    | [] ->
+      if journal_transition c plan ~expected:"in-progress" "completed" then begin
+        (* completed_seq is the GC-eligibility stamp. While a queued
+           resubmission of this plan exists, defer it: the journal must
+           outlive the queue entry so a takeover still sees history. *)
+        if not (queued_in_ops t plan.plan_name) then
+          journal_write c plan "completed_seq" (Nsdb.Int (next_journal_seq t));
+        ignore (journal_gc t)
+      end;
+      Completed (report ())
+    | failures ->
+      (* Post-checks failed: undo everything so the recorded intent and
+         the device state agree that this plan is not deployed. *)
+      rollback c plan ~through_phase:(List.length plan.phases - 1);
+      Rolled_back
+        { partial = report (); reasons = fmt_failures "post-check" failures })
+  | exception Budget_exceeded idx ->
+    let reasons =
+      Printf.sprintf
+        "phase %d exceeded its failure budget (%d failures > budget %d)" idx
+        (List.length c.prog.p_gave_up) c.policy.failure_budget
+      :: List.rev_map
+           (fun f ->
+             Printf.sprintf "device %d: gave up after %d attempts (%s)"
+               f.failed_device f.attempts f.last_error)
+           c.prog.p_gave_up
+    in
+    rollback c plan ~through_phase:idx;
+    Rolled_back { partial = report (); reasons }
+  | exception Watchdog_breach (idx, breach_reasons) ->
+    (* Automatic remediation: record the event in the journal first —
+       rolled-back journals are never pruned, so the remediation trail
+       survives as audit — then run the same reverse-order rollback a
+       blown failure budget triggers. *)
+    Obs.Metrics.incr m_watchdog_rollbacks;
+    journal_write c plan "remediation"
+      (Nsdb.String
+         (Printf.sprintf "watchdog phase %d: %s" idx
+            (String.concat "; " breach_reasons)));
+    rollback c plan ~through_phase:idx;
+    Rolled_back
+      {
+        partial = report ();
+        reasons =
+          List.map (fun r -> "watchdog: " ^ r) breach_reasons
+          @ [ Printf.sprintf "SLO breach at phase %d; auto-rolled-back" idx ];
+      }
 
-let deploy_resilient ?(policy = default_retry_policy) ?fault ?fence
-    ?(between_phases = fun _ -> ()) ?(watchdog = fun _ -> `Ok) ?(lint = `Warn)
-    ?(verify = `Warn) t plan =
-  Obs.Span.with_span "controller.deploy"
-    ~attrs:(fun () -> [ ("plan", plan.plan_name) ])
-  @@ fun () ->
-  match validate_plan t plan with
-  | Error e -> Aborted [ e ]
-  | Ok () ->
-    (match lint_gate ~lint t plan with
-     | Error reasons -> Aborted reasons
-     | Ok () ->
-    match verify_gate ~verify t plan with
-    | Error reasons -> Aborted reasons
-    | Ok () ->
-    match Health.failures plan.pre_checks with
-     | _ :: _ as failures -> Aborted (fmt_failures "pre-check" failures)
-     | [] ->
-       let jrng = Dsim.Rng.create policy.jitter_seed in
-       let prog = fresh_progress () in
-       Switch_agent.clear_deploy_times t.switch_agent;
-       match
-         record_plan t ~policy ~fault ~fence ~jrng ~prog plan;
-         journal_write t ~policy ~fault ~fence ~jrng ~prog plan "status"
-           (Nsdb.String "in-progress");
-         journal_write t ~policy ~fault ~fence ~jrng ~prog plan
-           "total_phases"
-           (Nsdb.Int (List.length plan.phases));
-         journal_write t ~policy ~fault ~fence ~jrng ~prog plan "next_phase"
-           (Nsdb.Int 0)
-       with
-       | () ->
-         execute_deploy t plan ~policy ~fault ~fence ~jrng ~prog
-           ~between_phases ~watchdog ~from_phase:0 ~resumed_from_phase:None
-       | exception Crash_signal ->
-         Crashed
-           {
-             partial = report_of_progress t prog ~resumed_from_phase:None;
-             completed_phases = 0;
-           }
-       | exception Fenced_signal ->
-         Fenced
-           {
-             partial = report_of_progress t prog ~resumed_from_phase:None;
-             completed_phases = 0;
-           })
+(* {1 Entry points} *)
 
-let resume ?(policy = default_retry_policy) ?fault ?fence
-    ?(between_phases = fun _ -> ()) ?(watchdog = fun _ -> `Ok) ?(lint = `Warn)
-    ?(verify = `Warn) t plan =
-  Obs.Span.with_span "controller.resume"
-    ~attrs:(fun () -> [ ("plan", plan.plan_name) ])
-  @@ fun () ->
+type start = Fresh | Resume
+
+(* Resume first dispatches on the journal. Only an in-progress journal
+   leads into the rollout; anything else ends the call here, before any
+   gate runs. *)
+let finished_journal t plan =
   match journal_status t plan with
   | None ->
-    Aborted
-      [ Printf.sprintf "plan %s: no deployment journal to resume from"
-          plan.plan_name ]
+    Some
+      (Aborted
+         [ Printf.sprintf "plan %s: no deployment journal to resume from"
+             plan.plan_name ])
   | Some "completed" ->
     (* Nothing in flight; report an empty, already-converged deployment. *)
     Switch_agent.clear_deploy_times t.switch_agent;
-    Completed
-      (report_of_progress t (fresh_progress ())
-         ~resumed_from_phase:(Some (List.length plan.phases)))
+    Some
+      (Completed
+         (report_of_progress t (fresh_progress ())
+            ~resumed_from_phase:(Some (List.length plan.phases))))
   | Some "rolled-back" ->
-    Aborted
-      [ Printf.sprintf "plan %s: journal says rolled-back; redeploy instead"
-          plan.plan_name ]
-  | Some _ ->
-    (match validate_plan t plan with
-     | Error e -> Aborted [ e ]
-     | Ok () ->
-     match lint_gate ~lint t plan with
-     | Error reasons -> Aborted reasons
-     | Ok () ->
-     match verify_gate ~verify t plan with
-     | Error reasons -> Aborted reasons
-     | Ok () ->
-       let from_phase = Option.value (journal_next_phase t plan) ~default:0 in
-       Obs.Metrics.incr m_resumes;
-       Obs.Metrics.set_gauge g_resume_phase (float_of_int from_phase);
-       let jrng = Dsim.Rng.create policy.jitter_seed in
-       let prog = fresh_progress () in
-       Switch_agent.clear_deploy_times t.switch_agent;
-       (* Re-record the intent: a crashed predecessor may have lost some
-          plan-record writes. Idempotent for the ones that landed. *)
-       match record_plan t ~policy ~fault ~fence ~jrng ~prog plan with
-       | () ->
-         execute_deploy t plan ~policy ~fault ~fence ~jrng ~prog
-           ~between_phases ~watchdog ~from_phase
-           ~resumed_from_phase:(Some from_phase)
-       | exception Crash_signal ->
-         Crashed
-           {
-             partial =
-               report_of_progress t prog
-                 ~resumed_from_phase:(Some from_phase);
-             completed_phases = from_phase;
-           }
-       | exception Fenced_signal ->
-         Fenced
-           {
-             partial =
-               report_of_progress t prog
-                 ~resumed_from_phase:(Some from_phase);
-             completed_phases = from_phase;
-           })
+    Some
+      (Aborted
+         [ Printf.sprintf "plan %s: journal says rolled-back; redeploy instead"
+             plan.plan_name ])
+  | Some _ -> None
+
+(* The one rollout body: validate, lint, verify, pre-checks (fresh only),
+   setup writes, phases. A fresh rollout writes a new journal and starts
+   at phase 0. A resumed one starts at the journalled cursor and only
+   re-records the intent: a crashed predecessor may have lost some
+   plan-record writes, and rewriting the ones that landed is idempotent.
+   An interruption during setup reports the start phase, never a stale
+   journal's cursor. *)
+let rollout ~start ?(policy = default_retry_policy) ?fault ?fence
+    ?(between_phases = fun _ -> ()) ?(watchdog = fun _ -> `Ok) ?(lint = `Warn)
+    ?(verify = `Warn) t plan =
+  Obs.Span.with_span
+    (match start with
+     | Fresh -> "controller.deploy"
+     | Resume -> "controller.resume")
+    ~attrs:(fun () -> [ ("plan", plan.plan_name) ])
+  @@ fun () ->
+  let finished =
+    match start with Fresh -> None | Resume -> finished_journal t plan
+  in
+  let admitted () =
+    let* () = Result.map_error (fun e -> [ e ]) (validate_plan t plan) in
+    let* () =
+      gate ~label:"lint" lint !linter_ref (Bgp.Network.graph t.net) plan
+    in
+    let* () = gate ~label:"verify" verify !verifier_ref t.net plan in
+    match start with Fresh -> run_pre_checks plan | Resume -> Ok ()
+  in
+  match finished with
+  | Some outcome -> outcome
+  | None -> (
+    match admitted () with
+    | Error reasons -> Aborted reasons
+    | Ok () ->
+      let from_phase =
+        match start with
+        | Fresh -> 0
+        | Resume ->
+          let n = Option.value (journal_next_phase t plan) ~default:0 in
+          Obs.Metrics.incr m_resumes;
+          Obs.Metrics.set_gauge g_resume_phase (float_of_int n);
+          n
+      in
+      let resumed_from_phase =
+        match start with Fresh -> None | Resume -> Some from_phase
+      in
+      let c =
+        { (context t policy) with fault; fence; between_phases; watchdog }
+      in
+      Switch_agent.clear_deploy_times t.switch_agent;
+      interruptible c ~resumed_from_phase
+        ~completed_phases:(fun () -> from_phase)
+      @@ fun () ->
+      record_plan c plan;
+      (match start with
+       | Resume -> ()
+       | Fresh ->
+         journal_write c plan "status" (Nsdb.String "in-progress");
+         journal_write c plan "total_phases"
+           (Nsdb.Int (List.length plan.phases));
+         journal_write c plan "next_phase" (Nsdb.Int 0));
+      execute_deploy c plan ~from_phase ~resumed_from_phase)
+
+let deploy_resilient ?policy ?fault ?fence ?between_phases ?watchdog ?lint
+    ?verify t plan =
+  rollout ~start:Fresh ?policy ?fault ?fence ?between_phases ?watchdog ?lint
+    ?verify t plan
+
+let resume ?policy ?fault ?fence ?between_phases ?watchdog ?lint ?verify t
+    plan =
+  rollout ~start:Resume ?policy ?fault ?fence ?between_phases ?watchdog ?lint
+    ?verify t plan
 
 let deploy ?(lint = `Warn) ?(verify = `Warn) t plan =
   match deploy_resilient ~policy:single_shot_policy ~lint ~verify t plan with
@@ -843,36 +823,33 @@ let deploy ?(lint = `Warn) ?(verify = `Warn) t plan =
     Error [ "controller fenced mid-deploy" ]
 
 let remove t plan =
-  match validate_plan t plan with
-  | Error e -> Error [ e ]
-  | Ok () ->
-    (match Health.failures plan.pre_checks with
-     | _ :: _ as failures -> Error (fmt_failures "pre-check" failures)
-     | [] ->
-       let policy = single_shot_policy in
-       let jrng = Dsim.Rng.create policy.jitter_seed in
-       let prog = fresh_progress () in
-       Switch_agent.clear_deploy_times t.switch_agent;
-       (match
-          run_phases_resilient t ~policy ~fault:None ~fence:None ~jrng ~prog
-            ~intent_of:(fun _ -> None)
-            ~phases:(Deployment.rollback_order plan.phases) ~from_phase:0
-            ~between_phases:(fun _ -> ())
-            ~watchdog:(fun _ -> `Ok)
-            ~journal_cursor:(fun _ -> ())
-        with
-        | () ->
-          clear_plan_record t ~policy ~fault:None ~fence:None ~jrng ~prog plan;
-          clear_journal t plan;
-          let report = report_of_progress t prog ~resumed_from_phase:None in
-          (match Health.failures plan.post_checks with
-           | [] -> Ok report
-           | failures ->
-             (* The removal is kept — re-installing a possibly-broken RPA
-                is worse than paging; the errors tell operators what to
-                look at. *)
-             Error (fmt_failures "post-check" failures))
-        | exception (Budget_exceeded _ | Crash_signal) ->
-          (* Unreachable with the single-shot policy and no fault model;
-             kept for exhaustiveness. *)
-          Error [ "removal aborted" ]))
+  let admitted =
+    let* () = Result.map_error (fun e -> [ e ]) (validate_plan t plan) in
+    run_pre_checks plan
+  in
+  match admitted with
+  | Error reasons -> Error reasons
+  | Ok () -> (
+    let c = context t single_shot_policy in
+    Switch_agent.clear_deploy_times t.switch_agent;
+    match
+      run_phases_resilient c
+        ~intent_of:(fun _ -> None)
+        ~phases:(Deployment.rollback_order plan.phases) ~from_phase:0
+        ~journal_cursor:(fun _ -> ())
+    with
+    | () ->
+      clear_plan_record c plan;
+      clear_journal t plan;
+      let report = report_of_progress t c.prog ~resumed_from_phase:None in
+      (match Health.failures plan.post_checks with
+       | [] -> Ok report
+       | failures ->
+         (* The removal is kept — re-installing a possibly-broken RPA
+            is worse than paging; the errors tell operators what to
+            look at. *)
+         Error (fmt_failures "post-check" failures))
+    | exception (Budget_exceeded _ | Crash_signal) ->
+      (* Unreachable with the single-shot policy and no fault model;
+         kept for exhaustiveness. *)
+      Error [ "removal aborted" ])

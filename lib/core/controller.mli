@@ -13,7 +13,13 @@
     replicated NSDB so a controller crashed mid-deploy can be replaced and
     {!resume} the rollout idempotently. Unreachable devices fail static:
     their installed RPA engines keep running and distributed BGP keeps
-    routing while the controller is degraded. *)
+    routing while the controller is degraded.
+
+    {!deploy_resilient} and {!resume} (and {!deploy}, through
+    {!deploy_resilient}) run one rollout body: validate, lint gate, verify
+    gate, pre-checks, setup writes, phases. {!resume} is a journal
+    dispatch followed by that body, started at the journalled cursor and
+    without the pre-checks. *)
 
 type plan = {
   plan_name : string;
@@ -105,14 +111,21 @@ type outcome =
           plan record cleared. *)
   | Crashed of { partial : report; completed_phases : int }
       (** A scheduled controller crash stopped the rollout. The journal
-          still says in-progress; call {!resume}. *)
+          still says in-progress; call {!resume}. [completed_phases] is the
+          journalled cursor, or the phase the rollout started at when the
+          crash hit its setup writes (0 for a fresh deploy). *)
   | Fenced of { partial : report; completed_phases : int }
       (** The controller was deposed mid-rollout: its [?fence] reported the
           lease lost, or an agent/NSDB rejected a stale-epoch write. It
           fail-stopped (abandoned the phase, touched nothing further); the
-          journal still says in-progress and the {e new} leader resumes. *)
+          journal still says in-progress and the {e new} leader resumes.
+          [completed_phases] as for [Crashed]. *)
   | Aborted of string list
       (** Validation or pre-checks failed; nothing was touched. *)
+
+val outcome_name : outcome -> string
+(** ["completed"], ["rolled-back"], ["crashed"], ["fenced"] or
+    ["aborted"]: the name reports and JSONL records use. *)
 
 type fence_status =
   | Fence_held of int
@@ -216,8 +229,12 @@ val resume :
   t ->
   plan ->
   outcome
-(** Picks a crashed deployment up from the NSDB journal: re-records the
-    intent and re-runs phases from the journalled cursor. Idempotent —
+(** Picks a crashed deployment up from the NSDB journal. It first
+    dispatches on the journal: none or rolled-back gives [Aborted]; a
+    completed one gives an empty [Completed] with [resumed_from_phase =
+    Some (number of phases)] and runs no gate. An in-progress journal runs
+    the {!deploy_resilient} body without its pre-checks: re-record the
+    intent, then re-run phases from the journalled cursor. Idempotent —
     devices already in sync are no-ops, so resuming converges to the same
     state as an uninterrupted deploy. *)
 

@@ -35,6 +35,15 @@ let funnel_of net prefix ~demands ~members =
   let total = Dataplane.Traffic.total_demand demands in
   Dataplane.Metrics.funneling result ~members ~total
 
+(* The report a rollout outcome carries, if any. *)
+let report_of = function
+  | Centralium.Controller.Completed r
+  | Rolled_back { partial = r; _ }
+  | Crashed { partial = r; _ }
+  | Fenced { partial = r; _ } ->
+    Some r
+  | Aborted _ -> None
+
 (* ------------------------------------------------------------------ *)
 
 module Fig2 = struct
@@ -558,18 +567,6 @@ module Faulted_deploy = struct
     fib_digest : string;
   }
 
-  (* One digest over every speaker's installed FIB for every known prefix:
-     two runs converged to bit-identical forwarding state iff the digests
-     match. *)
-  let fib_digest net =
-    let prefixes =
-      List.sort Net.Prefix.compare (Bgp.Network.known_prefixes net)
-    in
-    let snapshot =
-      List.map (fun p -> (p, Bgp.Network.fib_snapshot net p)) prefixes
-    in
-    Digest.to_hex (Digest.string (Marshal.to_string snapshot []))
-
   (* Out-of-band management star: the controller host reaches every device
      over a link-state network on its own graph, so partitioning the
      management plane never touches the BGP data plane (Appendix A.2). *)
@@ -642,14 +639,6 @@ module Faulted_deploy = struct
       Centralium.Controller.deploy_resilient ~policy ~fault ~between_phases
         controller plan
     in
-    let report_of = function
-      | Centralium.Controller.Completed r
-      | Rolled_back { partial = r; _ }
-      | Crashed { partial = r; _ }
-      | Fenced { partial = r; _ } ->
-        Some r
-      | Aborted _ -> None
-    in
     let crashed =
       match outcome with Centralium.Controller.Crashed _ -> true | _ -> false
     in
@@ -679,14 +668,6 @@ module Faulted_deploy = struct
       ignore (Centralium.Switch_agent.reconcile agent ~devices:plan_devices);
       ignore (Bgp.Network.converge net)
     end;
-    let outcome_name =
-      match final_outcome with
-      | Centralium.Controller.Completed _ -> "completed"
-      | Rolled_back _ -> "rolled-back"
-      | Crashed _ -> "crashed"
-      | Fenced _ -> "fenced"
-      | Aborted _ -> "aborted"
-    in
     let initial_report = report_of outcome in
     let resume_report = if resumed then report_of final_outcome else None in
     let sum f = function
@@ -711,7 +692,7 @@ module Faulted_deploy = struct
         (Centralium.Invariant.check net)
     in
     {
-      outcome = outcome_name;
+      outcome = Centralium.Controller.outcome_name final_outcome;
       applied = List.fold_left (fun a r -> a + sum (fun r -> r.Centralium.Controller.applied) r) 0 reports;
       skipped_in_sync =
         List.fold_left (fun a r -> a + sum (fun r -> r.Centralium.Controller.skipped_in_sync) r) 0 reports;
@@ -737,7 +718,7 @@ module Faulted_deploy = struct
       phase_violations = List.rev !phase_violations;
       transient_violations;
       final_violations;
-      fib_digest = fib_digest net;
+      fib_digest = Bgp.Network.fib_digest net;
     }
 
   type comparison = {
@@ -789,21 +770,6 @@ module Failover = struct
     final_violations : string list;
     fib_digest : string;
   }
-
-  let outcome_name = function
-    | Centralium.Controller.Completed _ -> "completed"
-    | Rolled_back _ -> "rolled-back"
-    | Crashed _ -> "crashed"
-    | Fenced _ -> "fenced"
-    | Aborted _ -> "aborted"
-
-  let report_of = function
-    | Centralium.Controller.Completed r
-    | Rolled_back { partial = r; _ }
-    | Crashed { partial = r; _ }
-    | Fenced { partial = r; _ } ->
-      Some r
-    | Aborted _ -> None
 
   let run ?(seed = 42) ?(profile = Dsim.Mgmt_fault.none) ?(members = 3)
       ?(lease_ttl = 0.05) ?(tick_every = 0.01)
@@ -874,7 +840,7 @@ module Failover = struct
     ignore (Bgp.Network.converge net);
     Centralium.Ha.stop cluster;
     let attempt_names =
-      List.map (fun (m, o) -> (m, outcome_name o)) attempts
+      List.map (fun (m, o) -> (m, Centralium.Controller.outcome_name o)) attempts
     in
     let completed_by =
       match terminal with
@@ -915,7 +881,9 @@ module Failover = struct
     in
     {
       outcome =
-        (match terminal with Some o -> outcome_name o | None -> "none");
+        (match terminal with
+         | Some o -> Centralium.Controller.outcome_name o
+         | None -> "none");
       attempts = attempt_names;
       completed_by;
       elections = Centralium.Ha.elections cluster;
@@ -931,7 +899,7 @@ module Failover = struct
       ha_violations;
       phase_violations = List.rev !phase_violations;
       final_violations;
-      fib_digest = Faulted_deploy.fib_digest net;
+      fib_digest = Bgp.Network.fib_digest net;
     }
 
   type comparison = {
@@ -983,15 +951,6 @@ module Chaos = struct
            | Bgp.Trace.Session_event { event = e; _ } -> e = event
            | _ -> false)
          (Bgp.Trace.events trace))
-
-  let fib_digest net =
-    let prefixes =
-      List.sort Net.Prefix.compare (Bgp.Network.known_prefixes net)
-    in
-    let snapshot =
-      List.map (fun p -> (p, Bgp.Network.fib_snapshot net p)) prefixes
-    in
-    Digest.to_hex (Digest.string (Marshal.to_string snapshot []))
 
   let run_mode ?(seed = 42) ?(profile = Dsim.Fault.severe) ?eval_mode ~gr () =
     Obs.Span.with_span "scenario.chaos"
@@ -1094,7 +1053,7 @@ module Chaos = struct
       transient_violations;
       final_violations;
       trace_events = Bgp.Trace.length trace_log;
-      fib_digest = fib_digest net;
+      fib_digest = Bgp.Network.fib_digest net;
       loss_segments;
     }
 
@@ -1483,7 +1442,7 @@ module Continuous = struct
          j_outcome.(i) <-
            Some
              (match terminal with
-              | Some o -> Failover.outcome_name o
+              | Some o -> Centralium.Controller.outcome_name o
               | None -> "none");
          j_remediation.(i) <- remediation
        | None -> ())
@@ -1578,7 +1537,7 @@ module Continuous = struct
       unremediated_violations = !unremediated;
       queue_order = List.rev !queue_order;
       shed_set = List.map (fun (i, _, _, _) -> i) sheds;
-      fib_digest = Faulted_deploy.fib_digest net;
+      fib_digest = Bgp.Network.fib_digest net;
       jobs;
     }
 end

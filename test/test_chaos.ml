@@ -259,6 +259,166 @@ let test_remove_honors_checks () =
    | Ok _ -> Alcotest.fail "expected Error from failing post-check");
   check_bool "removal kept despite red post-check" true (all_native net)
 
+(* ---------------- Rollout entry states ---------------- *)
+
+(* How a rollout starts, table-driven: which journal the entry point finds,
+   and at which fence evaluation the controller is deposed. The expansion
+   plan has 8 devices in 2 phases of 4, so a fenced, fault-free rollout
+   evaluates its fence in a fixed order:
+
+     fresh deploy   1-8 plan record, 9 status, 10 total_phases,
+                    11 next_phase, then per phase 2 per device + 1 cursor
+                    (12-20 phase 0, 21-29 phase 1), 30 completion CAS,
+                    31 completed_seq stamp;
+     resume         1-8 plan record, then the same phase/completion
+                    sequence from the journalled cursor on.
+
+   An interruption during setup reports the start phase as
+   [completed_phases] — 0 for a fresh deploy even over a stale completed
+   journal whose next_phase is 2 — and one inside the phases reports the
+   journalled cursor. *)
+
+type prior_journal =
+  | No_journal
+  | Completed_journal
+  | Rolled_back_journal
+  | Fenced_journal of int  (* a fresh deploy deposed at this evaluation *)
+
+type entry_case = {
+  prior : prior_journal;
+  entry : [ `Deploy | `Resume ];
+  lost_at : int * int;  (* fence evaluations, inclusive; past the end: never *)
+  invalid_plan : bool;  (* enter with a plan that fails validation *)
+  outcome : string;
+  completed_phases : int option;
+  resumed_from : int option;
+  status : string option;
+}
+
+let row ?(lost_at = (1, 1)) ?(invalid_plan = false) ?completed_phases
+    ?resumed_from ?status prior entry outcome =
+  {
+    prior;
+    entry;
+    lost_at;
+    invalid_plan;
+    outcome;
+    completed_phases;
+    resumed_from;
+    status;
+  }
+
+let entry_cases =
+  [
+    (* Resume dispatches on the journal before any gate or write, so not
+       even a fence lost at its first evaluation matters. *)
+    row No_journal `Resume "aborted";
+    row Rolled_back_journal `Resume "aborted" ~status:"rolled-back";
+    row Completed_journal `Resume "completed" ~resumed_from:2
+      ~status:"completed";
+    row Completed_journal `Resume "completed" ~invalid_plan:true
+      ~resumed_from:2 ~status:"completed";
+    (* Fresh deploy, deposed at each fence evaluation; 32 is past the end. *)
+    row No_journal `Deploy "fenced" ~lost_at:(1, 9) ~completed_phases:0;
+    row No_journal `Deploy "fenced" ~lost_at:(10, 20) ~completed_phases:0
+      ~status:"in-progress";
+    row No_journal `Deploy "fenced" ~lost_at:(21, 29) ~completed_phases:1
+      ~status:"in-progress";
+    row No_journal `Deploy "fenced" ~lost_at:(30, 30) ~completed_phases:2
+      ~status:"in-progress";
+    row No_journal `Deploy "fenced" ~lost_at:(31, 31) ~completed_phases:2
+      ~status:"completed";
+    row No_journal `Deploy "completed" ~lost_at:(32, 32) ~status:"completed";
+    (* Over a stale completed journal: setup interruptions report phase 0,
+       not the stale cursor. *)
+    row Completed_journal `Deploy "fenced" ~lost_at:(1, 9)
+      ~completed_phases:0 ~status:"completed";
+    row Completed_journal `Deploy "fenced" ~lost_at:(10, 12)
+      ~completed_phases:0 ~status:"in-progress";
+    (* Resume at phase 0. *)
+    row (Fenced_journal 12) `Resume "fenced" ~lost_at:(1, 17)
+      ~completed_phases:0 ~resumed_from:0 ~status:"in-progress";
+    row (Fenced_journal 12) `Resume "fenced" ~lost_at:(18, 26)
+      ~completed_phases:1 ~resumed_from:0 ~status:"in-progress";
+    row (Fenced_journal 12) `Resume "fenced" ~lost_at:(27, 27)
+      ~completed_phases:2 ~resumed_from:0 ~status:"in-progress";
+    row (Fenced_journal 12) `Resume "fenced" ~lost_at:(28, 28)
+      ~completed_phases:2 ~resumed_from:0 ~status:"completed";
+    row (Fenced_journal 12) `Resume "completed" ~lost_at:(29, 29)
+      ~resumed_from:0 ~status:"completed";
+    (* Resume at phase 1: setup interruptions report the cursor. *)
+    row (Fenced_journal 21) `Resume "fenced" ~lost_at:(1, 17)
+      ~completed_phases:1 ~resumed_from:1 ~status:"in-progress";
+    row (Fenced_journal 21) `Resume "fenced" ~lost_at:(18, 18)
+      ~completed_phases:2 ~resumed_from:1 ~status:"in-progress";
+    row (Fenced_journal 21) `Resume "fenced" ~lost_at:(19, 19)
+      ~completed_phases:2 ~resumed_from:1 ~status:"completed";
+    row (Fenced_journal 21) `Resume "completed" ~lost_at:(20, 20)
+      ~resumed_from:1 ~status:"completed";
+  ]
+
+(* Holds epoch 1 until evaluation [k], which reports the lease lost. *)
+let fence_lost_at k =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    if !n = k then Controller.Fence_lost else Controller.Fence_held 1
+
+let outcome_summary = function
+  | Controller.Completed r -> ("completed", None, r.Controller.resumed_from_phase)
+  | Rolled_back { partial; _ } ->
+    ("rolled-back", None, partial.Controller.resumed_from_phase)
+  | Crashed { partial; completed_phases } ->
+    ("crashed", Some completed_phases, partial.Controller.resumed_from_phase)
+  | Fenced { partial; completed_phases } ->
+    ("fenced", Some completed_phases, partial.Controller.resumed_from_phase)
+  | Aborted _ -> ("aborted", None, None)
+
+let run_entry_case c k =
+  let _, _, controller, plan = expansion_fixture () in
+  (match c.prior with
+   | No_journal -> ()
+   | Completed_journal -> ignore (Controller.deploy_resilient controller plan)
+   | Rolled_back_journal ->
+     ignore
+       (Controller.deploy_resilient
+          ~watchdog:(fun _ -> `Breach [ "synthetic" ])
+          controller plan)
+   | Fenced_journal j ->
+     ignore
+       (Controller.deploy_resilient ~fence:(fence_lost_at j) controller plan));
+  let entered =
+    if c.invalid_plan then { plan with Controller.rpas = [] } else plan
+  in
+  let fence = fence_lost_at k in
+  let outcome =
+    match c.entry with
+    | `Deploy -> Controller.deploy_resilient ~fence controller entered
+    | `Resume -> Controller.resume ~fence controller entered
+  in
+  (outcome_summary outcome, Controller.journal_status controller plan)
+
+let test_entry_states () =
+  let opt_int = Alcotest.(option int) and opt_string = Alcotest.(option string) in
+  List.iteri
+    (fun i c ->
+      let lo, hi = c.lost_at in
+      for k = lo to hi do
+        let (outcome, completed_phases, resumed_from), status =
+          run_entry_case c k
+        in
+        let tag what =
+          Printf.sprintf "case %d, fence lost at evaluation %d: %s" i k what
+        in
+        check_string (tag "outcome") c.outcome outcome;
+        Alcotest.check opt_int (tag "completed_phases") c.completed_phases
+          completed_phases;
+        Alcotest.check opt_int (tag "resumed_from_phase") c.resumed_from
+          resumed_from;
+        Alcotest.check opt_string (tag "journal status") c.status status
+      done)
+    entry_cases
+
 (* ---------------- Scenario smoke (the CI chaos job's core) -------- *)
 
 let test_faulted_deploy_scenario_deterministic () =
@@ -293,6 +453,7 @@ let () =
             test_crash_then_resume_converges_identically;
           Alcotest.test_case "resume without journal aborts" `Quick
             test_resume_without_journal_aborts;
+          Alcotest.test_case "rollout entry states" `Quick test_entry_states;
         ] );
       ( "rollback",
         [

@@ -4,8 +4,7 @@
    must be bit-identical to [Full_table] (the original re-decide-everything
    behavior, kept as the debug oracle) in everything observable — traces,
    FIB digests, advertised state — at every quiescent point; the two may
-   differ only in how many decisions they run. Also covers the opt-in
-   per-instant advertisement batching in [Bgp.Network]. *)
+   differ only in how many decisions they run. *)
 
 open Net
 
@@ -34,13 +33,6 @@ let pool =
   Array.map Prefix.of_string_exn
     [| "10.0.0.0/8"; "10.1.0.0/16"; "10.2.0.0/16"; "172.16.0.0/12";
        "192.168.0.0/24"; "0.0.0.0/0" |]
-
-(* FIB forwarding state of the whole network, digestible: next hops and
-   weights are plain ints, so Marshal is representation-stable. *)
-let fib_digest net =
-  let prefixes = List.sort Prefix.compare (Bgp.Network.known_prefixes net) in
-  let snapshot = List.map (fun p -> (p, Bgp.Network.fib_snapshot net p)) prefixes in
-  Digest.to_hex (Digest.string (Marshal.to_string snapshot []))
 
 (* Advertised (Adj-RIB-Out mirror) state of every (device, peer) pair. *)
 let advertised_state net devices =
@@ -111,7 +103,8 @@ let run_oracle_sequence seed =
         (Bgp.Trace.events (Bgp.Network.trace incr)
         = Bgp.Trace.events (Bgp.Network.trace full));
       (* ...forwarding state... *)
-      check_string (tag ^ ": fib digests") (fib_digest full) (fib_digest incr);
+      check_string (tag ^ ": fib digests") (Bgp.Network.fib_digest full)
+        (Bgp.Network.fib_digest incr);
       (* ...and advertised (Adj-RIB-Out) state. *)
       check_bool (tag ^ ": advertised state") true
         (advertised_state incr devices = advertised_state full devices))
@@ -173,57 +166,6 @@ let test_decision_count_reduction () =
         true
         (full >= 5 * incremental))
 
-(* ---------------- advertisement batching ---------------- *)
-
-(* Two same-instant updates for one prefix over one session: unbatched, both
-   hit the wire; batched, only the final content is ever sent. The
-   receiver's converged state is identical either way. *)
-let test_batching_coalesces_same_instant () =
-  let line2 () =
-    let g = Topology.Graph.create () in
-    List.iter (fun i -> Topology.Graph.add_node g (node i)) [ 0; 1 ];
-    Topology.Graph.add_link g 0 1;
-    g
-  in
-  let run ~batched =
-    let net = Bgp.Network.create ~seed:3 (line2 ()) in
-    Bgp.Network.set_advert_batching net batched;
-    Bgp.Network.originate net 0 pool.(0) (Attr.make ~med:1 ());
-    Bgp.Network.originate net 0 pool.(0) (Attr.make ~med:2 ());
-    ignore (Bgp.Network.converge net);
-    let sent = Bgp.Trace.messages_sent (Bgp.Network.trace net) in
-    let learned =
-      Bgp.Speaker.routes_from (Bgp.Network.speaker net 1) ~peer:0 ~session:0
-    in
-    (sent, learned, fib_digest net)
-  in
-  let sent_u, learned_u, digest_u = run ~batched:false in
-  let sent_b, learned_b, digest_b = run ~batched:true in
-  check_int "unbatched sends both updates" 2 sent_u;
-  check_int "batched sends only the final update" 1 sent_b;
-  check_string "same forwarding state" digest_u digest_b;
-  check_bool "receiver holds the final attributes" true (learned_u = learned_b);
-  (match learned_b with
-   | [ (_, attr) ] -> check_int "last write wins" 2 attr.Attr.med
-   | _ -> Alcotest.fail "expected exactly one learned route")
-
-(* Batching on a multi-path fabric under a burst of work: converged
-   forwarding state matches the unbatched run, with no more messages. *)
-let test_batching_converges_identically () =
-  let run ~batched =
-    let net = Bgp.Network.create ~seed:17 (fabric ()) in
-    Bgp.Network.set_advert_batching net batched;
-    List.iter (apply_op net) (gen_ops 99 16);
-    ignore (Bgp.Network.converge net);
-    (fib_digest net, Bgp.Trace.messages_sent (Bgp.Network.trace net))
-  in
-  let digest_u, sent_u = run ~batched:false in
-  let digest_b, sent_b = run ~batched:true in
-  check_string "same converged forwarding state" digest_u digest_b;
-  check_bool
-    (Printf.sprintf "batched sent no more messages (%d vs %d)" sent_b sent_u)
-    true (sent_b <= sent_u)
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "incremental"
@@ -235,9 +177,4 @@ let () =
         ] );
       ( "performance",
         [ quick "chaos decisions drop 5x" test_decision_count_reduction ] );
-      ( "batching",
-        [
-          quick "same-instant coalescing" test_batching_coalesces_same_instant;
-          quick "fabric convergence parity" test_batching_converges_identically;
-        ] );
     ]
