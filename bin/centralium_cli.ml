@@ -681,121 +681,121 @@ let chaos_gr_sweep seeds base_seed gr_mode out =
         0
       end)
 
+(* Runs [k] on the management-plane fault profile [name] names; an
+   unknown name prints the error line for command [cmd] and exits 1. *)
+let with_mgmt_profile cmd name k =
+  match name with
+  | "none" -> k Dsim.Mgmt_fault.none
+  | "flaky" -> k Dsim.Mgmt_fault.flaky
+  | "hostile" -> k Dsim.Mgmt_fault.hostile
+  | _ ->
+    Printf.eprintf "%s: unknown profile %S (none | flaky | hostile)\n" cmd name;
+    1
+
 (* Controller HA failover sweep: kill the leader mid-rollout at a
    per-seed phase offset, let a standby take over from the journal under
    a higher fencing epoch, and assert bit-identical convergence plus a
    clean dual-leader / stale-epoch-write audit
    (ISSUE: `centralium chaos --ha`). *)
 let chaos_ha_sweep seeds base_seed profile_name members crash_at out =
-  match
-    match profile_name with
-    | "none" -> Some Dsim.Mgmt_fault.none
-    | "flaky" -> Some Dsim.Mgmt_fault.flaky
-    | "hostile" -> Some Dsim.Mgmt_fault.hostile
-    | _ -> None
-  with
-  | None ->
-    Printf.eprintf "chaos: unknown profile %S (none | flaky | hostile)\n"
-      profile_name;
-    1
-  | Some profile ->
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        let failures = ref 0 in
-        for k = 0 to seeds - 1 do
-          let seed = base_seed + k in
-          (* Stagger the kill across seeds so the sweep exercises crashes
-             at different phase offsets of the same rollout. *)
-          let offset = crash_at +. (0.007 *. float_of_int k) in
-          let c =
-            Experiments.Scenarios.Failover.crash_vs_uninterrupted ~seed
-              ~profile ~members ~leader_crash_offsets:[ offset ] ()
-          in
-          let i = c.Experiments.Scenarios.Failover.interrupted in
-          let u = c.Experiments.Scenarios.Failover.uninterrupted in
-          let violations (r : Experiments.Scenarios.Failover.result) =
-            List.length r.ha_violations
-            + List.length r.phase_violations
-            + List.length r.final_violations
-          in
-          let ok =
-            c.Experiments.Scenarios.Failover.digests_match
-            && i.outcome = "completed"
-            && u.outcome = "completed"
-            && i.elections >= 2 (* the kill forced a real takeover *)
-            && violations i = 0 && violations u = 0
-          in
-          if not ok then incr failures;
-          pf
-            "seed %d: %s — crash@%.0fms: %s by member %s after %d \
-             elections (takeover %s ms), uninterrupted %s, violations \
-             %d/%d, digests %s\n"
-            seed
-            (if ok then "OK" else "FAIL")
-            (offset *. 1000.) i.outcome
-            (match i.completed_by with
-             | Some m -> string_of_int m
-             | None -> "-")
-            i.elections
-            (String.concat ","
-               (List.map (Printf.sprintf "%.1f") i.takeover_ms))
-            u.outcome (violations i) (violations u)
-            (if c.Experiments.Scenarios.Failover.digests_match then "match"
-             else "DIFFER");
-          let line =
-            Obs.Json.Obj
-              [
-                ("type", Obs.Json.String "chaos_ha_seed");
-                ("seed", Obs.Json.Int seed);
-                ("ok", Obs.Json.Bool ok);
-                ("profile", Obs.Json.String profile_name);
-                ("members", Obs.Json.Int members);
-                ("crash_at_s", Obs.Json.Float offset);
-                ("interrupted_outcome", Obs.Json.String i.outcome);
-                ("uninterrupted_outcome", Obs.Json.String u.outcome);
-                ( "completed_by",
-                  match i.completed_by with
-                  | Some m -> Obs.Json.Int m
-                  | None -> Obs.Json.Null );
-                ("elections", Obs.Json.Int i.elections);
-                ( "takeover_ms",
-                  Obs.Json.List
-                    (List.map (fun t -> Obs.Json.Float t) i.takeover_ms) );
-                ("fenced_attempts", Obs.Json.Int i.fenced_attempts);
-                ("dead_members", Obs.Json.Int i.dead_members);
-                ("applied", Obs.Json.Int i.applied);
-                ("skipped_in_sync", Obs.Json.Int i.skipped_in_sync);
-                ( "journal_status",
-                  match i.journal_status with
-                  | Some s -> Obs.Json.String s
-                  | None -> Obs.Json.Null );
-                ("ha_violations", Obs.Json.Int (List.length i.ha_violations));
-                ("violations_interrupted", Obs.Json.Int (violations i));
-                ("violations_uninterrupted", Obs.Json.Int (violations u));
-                ( "digests_match",
-                  Obs.Json.Bool c.Experiments.Scenarios.Failover.digests_match
-                );
-                ("fib_digest", Obs.Json.String i.fib_digest);
-              ]
-          in
-          output_string oc (Obs.Json.to_string line);
-          output_char oc '\n'
-        done;
-        if !failures > 0 then begin
-          pf "chaos --ha: %d/%d seeds FAILED (details in %s)\n" !failures
-            seeds out;
-          1
-        end
-        else begin
-          pf
-            "chaos --ha: all %d seeds failed over deterministically — \
-             standby takeovers, bit-identical forwarding state, zero \
-             dual-leader/stale-epoch violations (%s)\n"
-            seeds out;
-          0
-        end)
+  with_mgmt_profile "chaos" profile_name @@ fun profile ->
+  let oc = open_out out in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      let failures = ref 0 in
+      for k = 0 to seeds - 1 do
+        let seed = base_seed + k in
+        (* Stagger the kill across seeds so the sweep exercises crashes
+           at different phase offsets of the same rollout. *)
+        let offset = crash_at +. (0.007 *. float_of_int k) in
+        let c =
+          Experiments.Scenarios.Failover.crash_vs_uninterrupted ~seed
+            ~profile ~members ~leader_crash_offsets:[ offset ] ()
+        in
+        let i = c.Experiments.Scenarios.Failover.interrupted in
+        let u = c.Experiments.Scenarios.Failover.uninterrupted in
+        let violations (r : Experiments.Scenarios.Failover.result) =
+          List.length r.ha_violations
+          + List.length r.phase_violations
+          + List.length r.final_violations
+        in
+        let ok =
+          c.Experiments.Scenarios.Failover.digests_match
+          && i.outcome = "completed"
+          && u.outcome = "completed"
+          && i.elections >= 2 (* the kill forced a real takeover *)
+          && violations i = 0 && violations u = 0
+        in
+        if not ok then incr failures;
+        pf
+          "seed %d: %s — crash@%.0fms: %s by member %s after %d \
+           elections (takeover %s ms), uninterrupted %s, violations \
+           %d/%d, digests %s\n"
+          seed
+          (if ok then "OK" else "FAIL")
+          (offset *. 1000.) i.outcome
+          (match i.completed_by with
+           | Some m -> string_of_int m
+           | None -> "-")
+          i.elections
+          (String.concat ","
+             (List.map (Printf.sprintf "%.1f") i.takeover_ms))
+          u.outcome (violations i) (violations u)
+          (if c.Experiments.Scenarios.Failover.digests_match then "match"
+           else "DIFFER");
+        let line =
+          Obs.Json.Obj
+            [
+              ("type", Obs.Json.String "chaos_ha_seed");
+              ("seed", Obs.Json.Int seed);
+              ("ok", Obs.Json.Bool ok);
+              ("profile", Obs.Json.String profile_name);
+              ("members", Obs.Json.Int members);
+              ("crash_at_s", Obs.Json.Float offset);
+              ("interrupted_outcome", Obs.Json.String i.outcome);
+              ("uninterrupted_outcome", Obs.Json.String u.outcome);
+              ( "completed_by",
+                match i.completed_by with
+                | Some m -> Obs.Json.Int m
+                | None -> Obs.Json.Null );
+              ("elections", Obs.Json.Int i.elections);
+              ( "takeover_ms",
+                Obs.Json.List
+                  (List.map (fun t -> Obs.Json.Float t) i.takeover_ms) );
+              ("fenced_attempts", Obs.Json.Int i.fenced_attempts);
+              ("dead_members", Obs.Json.Int i.dead_members);
+              ("applied", Obs.Json.Int i.applied);
+              ("skipped_in_sync", Obs.Json.Int i.skipped_in_sync);
+              ( "journal_status",
+                match i.journal_status with
+                | Some s -> Obs.Json.String s
+                | None -> Obs.Json.Null );
+              ("ha_violations", Obs.Json.Int (List.length i.ha_violations));
+              ("violations_interrupted", Obs.Json.Int (violations i));
+              ("violations_uninterrupted", Obs.Json.Int (violations u));
+              ( "digests_match",
+                Obs.Json.Bool c.Experiments.Scenarios.Failover.digests_match
+              );
+              ("fib_digest", Obs.Json.String i.fib_digest);
+            ]
+        in
+        output_string oc (Obs.Json.to_string line);
+        output_char oc '\n'
+      done;
+      if !failures > 0 then begin
+        pf "chaos --ha: %d/%d seeds FAILED (details in %s)\n" !failures
+          seeds out;
+        1
+      end
+      else begin
+        pf
+          "chaos --ha: all %d seeds failed over deterministically — \
+           standby takeovers, bit-identical forwarding state, zero \
+           dual-leader/stale-epoch violations (%s)\n"
+          seeds out;
+        0
+      end)
 
 let chaos_cmd =
   let run seeds base_seed profile_name crash_after gr ha members crash_at out =
@@ -811,93 +811,82 @@ let chaos_cmd =
          Printf.eprintf "chaos: unknown --gr mode %S (on | off | both)\n" mode;
          1)
     | None ->
-    match
-      match profile_name with
-      | "none" -> Some Dsim.Mgmt_fault.none
-      | "flaky" -> Some Dsim.Mgmt_fault.flaky
-      | "hostile" -> Some Dsim.Mgmt_fault.hostile
-      | _ -> None
-    with
-    | None ->
-      Printf.eprintf "chaos: unknown profile %S (none | flaky | hostile)\n"
-        profile_name;
-      1
-    | Some profile ->
-      let oc = open_out out in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let failures = ref 0 in
-          for k = 0 to seeds - 1 do
-            let seed = base_seed + k in
-            let c =
-              Experiments.Scenarios.Faulted_deploy.crash_vs_uninterrupted ~seed
-                ~profile ?crash_after_ops:crash_after ()
-            in
-            let i = c.Experiments.Scenarios.Faulted_deploy.interrupted in
-            let u = c.Experiments.Scenarios.Faulted_deploy.uninterrupted in
-            let violations (r : Experiments.Scenarios.Faulted_deploy.result) =
-              List.length r.transient_violations
-              + List.length r.phase_violations
-              + List.length r.final_violations
-            in
-            let ok =
-              c.Experiments.Scenarios.Faulted_deploy.digests_match && i.crashed
-              && i.resumed
-              && i.outcome = "completed"
-              && u.outcome = "completed"
-              && violations i = 0 && violations u = 0
-            in
-            if not ok then incr failures;
-            pf
-              "seed %d: %s — crash+resume %s (applied %d, retries %d, \
-               backoffs %d), uninterrupted %s, violations %d/%d, digests %s\n"
-              seed
-              (if ok then "OK" else "FAIL")
-              i.outcome i.applied i.retries
-              (List.length i.backoff_seconds)
-              u.outcome (violations i) (violations u)
-              (if c.Experiments.Scenarios.Faulted_deploy.digests_match then
-                 "match"
-               else "DIFFER");
-            let line =
-              Obs.Json.Obj
-                [
-                  ("type", Obs.Json.String "chaos_seed");
-                  ("seed", Obs.Json.Int seed);
-                  ("ok", Obs.Json.Bool ok);
-                  ("profile", Obs.Json.String profile_name);
-                  ("interrupted_outcome", Obs.Json.String i.outcome);
-                  ("uninterrupted_outcome", Obs.Json.String u.outcome);
-                  ("crashed", Obs.Json.Bool i.crashed);
-                  ("resumed", Obs.Json.Bool i.resumed);
-                  ("applied", Obs.Json.Int i.applied);
-                  ("retries", Obs.Json.Int i.retries);
-                  ("backoffs", Obs.Json.Int (List.length i.backoff_seconds));
-                  ("gave_up", Obs.Json.Int (List.length i.gave_up));
-                  ("violations_interrupted", Obs.Json.Int (violations i));
-                  ("violations_uninterrupted", Obs.Json.Int (violations u));
-                  ( "digests_match",
-                    Obs.Json.Bool
-                      c.Experiments.Scenarios.Faulted_deploy.digests_match );
-                  ("fib_digest", Obs.Json.String i.fib_digest);
-                ]
-            in
-            output_string oc (Obs.Json.to_string line);
-            output_char oc '\n'
-          done;
-          if !failures > 0 then begin
-            pf "chaos: %d/%d seeds FAILED (details in %s)\n" !failures seeds
-              out;
-            1
-          end
-          else begin
-            pf
-              "chaos: all %d seeds converged bit-identically through \
-               crash+resume with zero invariant violations (%s)\n"
-              seeds out;
-            0
-          end)
+    with_mgmt_profile "chaos" profile_name @@ fun profile ->
+    let oc = open_out out in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let failures = ref 0 in
+        for k = 0 to seeds - 1 do
+          let seed = base_seed + k in
+          let c =
+            Experiments.Scenarios.Faulted_deploy.crash_vs_uninterrupted ~seed
+              ~profile ?crash_after_ops:crash_after ()
+          in
+          let i = c.Experiments.Scenarios.Faulted_deploy.interrupted in
+          let u = c.Experiments.Scenarios.Faulted_deploy.uninterrupted in
+          let violations (r : Experiments.Scenarios.Faulted_deploy.result) =
+            List.length r.transient_violations
+            + List.length r.phase_violations
+            + List.length r.final_violations
+          in
+          let ok =
+            c.Experiments.Scenarios.Faulted_deploy.digests_match && i.crashed
+            && i.resumed
+            && i.outcome = "completed"
+            && u.outcome = "completed"
+            && violations i = 0 && violations u = 0
+          in
+          if not ok then incr failures;
+          pf
+            "seed %d: %s — crash+resume %s (applied %d, retries %d, \
+             backoffs %d), uninterrupted %s, violations %d/%d, digests %s\n"
+            seed
+            (if ok then "OK" else "FAIL")
+            i.outcome i.applied i.retries
+            (List.length i.backoff_seconds)
+            u.outcome (violations i) (violations u)
+            (if c.Experiments.Scenarios.Faulted_deploy.digests_match then
+               "match"
+             else "DIFFER");
+          let line =
+            Obs.Json.Obj
+              [
+                ("type", Obs.Json.String "chaos_seed");
+                ("seed", Obs.Json.Int seed);
+                ("ok", Obs.Json.Bool ok);
+                ("profile", Obs.Json.String profile_name);
+                ("interrupted_outcome", Obs.Json.String i.outcome);
+                ("uninterrupted_outcome", Obs.Json.String u.outcome);
+                ("crashed", Obs.Json.Bool i.crashed);
+                ("resumed", Obs.Json.Bool i.resumed);
+                ("applied", Obs.Json.Int i.applied);
+                ("retries", Obs.Json.Int i.retries);
+                ("backoffs", Obs.Json.Int (List.length i.backoff_seconds));
+                ("gave_up", Obs.Json.Int (List.length i.gave_up));
+                ("violations_interrupted", Obs.Json.Int (violations i));
+                ("violations_uninterrupted", Obs.Json.Int (violations u));
+                ( "digests_match",
+                  Obs.Json.Bool
+                    c.Experiments.Scenarios.Faulted_deploy.digests_match );
+                ("fib_digest", Obs.Json.String i.fib_digest);
+              ]
+          in
+          output_string oc (Obs.Json.to_string line);
+          output_char oc '\n'
+        done;
+        if !failures > 0 then begin
+          pf "chaos: %d/%d seeds FAILED (details in %s)\n" !failures seeds
+            out;
+          1
+        end
+        else begin
+          pf
+            "chaos: all %d seeds converged bit-identically through \
+             crash+resume with zero invariant violations (%s)\n"
+            seeds out;
+          0
+        end)
   in
   let seeds =
     Arg.(value & opt int 3 & info [ "seeds" ] ~doc:"number of seeds to sweep")
@@ -1121,131 +1110,120 @@ let apps_cmd =
    NSDB replica catch-up running (ISSUE: `centralium ops --seed N --hours H`). *)
 let ops_cmd =
   let run seed hours jobs_per_hour members profile_name crash_at out =
-    match
-      match profile_name with
-      | "none" -> Some Dsim.Mgmt_fault.none
-      | "flaky" -> Some Dsim.Mgmt_fault.flaky
-      | "hostile" -> Some Dsim.Mgmt_fault.hostile
-      | _ -> None
-    with
-    | None ->
-      Printf.eprintf "ops: unknown profile %S (none | flaky | hostile)\n"
-        profile_name;
-      1
-    | Some profile ->
-      let leader_crash_offsets =
-        match crash_at with None -> [] | Some t -> [ t ]
-      in
-      let r =
-        Experiments.Scenarios.Continuous.run ~seed ~hours ~jobs_per_hour
-          ~members ~profile ~leader_crash_offsets ()
-      in
-      let oc = open_out out in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let opt_str = function
-            | Some s -> Obs.Json.String s
-            | None -> Obs.Json.Null
-          in
-          List.iter
-            (fun (j : Experiments.Scenarios.Continuous.job) ->
-              let line =
-                Obs.Json.Obj
-                  [
-                    ("type", Obs.Json.String "ops_job");
-                    ("index", Obs.Json.Int j.job_index);
-                    ("name", Obs.Json.String j.job_name);
-                    ("tenant", Obs.Json.String j.job_tenant);
-                    ("class", Obs.Json.String j.job_class);
-                    ("canary", Obs.Json.Bool j.job_canary);
-                    ( "seq",
-                      match j.job_seq with
-                      | Some s -> Obs.Json.Int s
-                      | None -> Obs.Json.Null );
-                    ("shed_reason", opt_str j.job_shed_reason);
-                    ("outcome", opt_str j.job_outcome);
-                    ("queue_wait_s", Obs.Json.Float j.job_queue_wait_s);
-                    ("convergence_s", Obs.Json.Float j.job_convergence_s);
-                    ( "remediated",
-                      Obs.Json.Bool (j.job_remediation <> None) );
-                  ]
-              in
-              output_string oc (Obs.Json.to_string line);
-              output_char oc '\n')
-            r.jobs;
-          let report =
-            Obs.Json.Obj
-              [
-                ("type", Obs.Json.String "ops_slo");
-                ("seed", Obs.Json.Int seed);
-                ("hours", Obs.Json.Int r.hours);
-                ("members", Obs.Json.Int members);
-                ("profile", Obs.Json.String profile_name);
-                ( "crash_at_s",
-                  match crash_at with
-                  | Some t -> Obs.Json.Float t
-                  | None -> Obs.Json.Null );
-                ("submitted", Obs.Json.Int r.submitted);
-                ("admitted", Obs.Json.Int r.admitted);
-                ("shed", Obs.Json.Int r.shed);
-                ("completed", Obs.Json.Int r.completed);
-                ("rolled_back", Obs.Json.Int r.rolled_back);
-                ("shed_rate", Obs.Json.Float r.shed_rate);
-                ("rollback_rate", Obs.Json.Float r.rollback_rate);
-                ("plans_per_hour", Obs.Json.Float r.plans_per_hour);
-                ("convergence_p50_s", Obs.Json.Float r.convergence_p50_s);
-                ("convergence_p99_s", Obs.Json.Float r.convergence_p99_s);
-                ("queue_wait_p99_s", Obs.Json.Float r.queue_wait_p99_s);
-                ( "blackhole_seconds_per_day",
-                  Obs.Json.Float r.blackhole_seconds_per_day );
-                ("replica_lag_p99", Obs.Json.Float r.replica_lag_p99);
-                ("replica_lag_peak", Obs.Json.Int r.replica_lag_peak);
-                ("snapshot_ships", Obs.Json.Int r.snapshot_ships);
-                ("elections", Obs.Json.Int r.elections);
-                ("queue_recoveries", Obs.Json.Int r.queue_recoveries);
-                ("remediations", Obs.Json.Int r.remediations);
-                ( "unremediated_violations",
-                  Obs.Json.Int r.unremediated_violations );
-                ( "queue_order",
-                  Obs.Json.List
-                    (List.map (fun s -> Obs.Json.Int s) r.queue_order) );
-                ( "shed_set",
-                  Obs.Json.List
-                    (List.map (fun s -> Obs.Json.Int s) r.shed_set) );
-                ("fib_digest", Obs.Json.String r.fib_digest);
-              ]
-          in
-          output_string oc (Obs.Json.to_string report);
-          output_char oc '\n';
+    with_mgmt_profile "ops" profile_name @@ fun profile ->
+    let leader_crash_offsets =
+      match crash_at with None -> [] | Some t -> [ t ]
+    in
+    let r =
+      Experiments.Scenarios.Continuous.run ~seed ~hours ~jobs_per_hour
+        ~members ~profile ~leader_crash_offsets ()
+    in
+    let oc = open_out out in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let opt_str = function
+          | Some s -> Obs.Json.String s
+          | None -> Obs.Json.Null
+        in
+        List.iter
+          (fun (j : Experiments.Scenarios.Continuous.job) ->
+            let line =
+              Obs.Json.Obj
+                [
+                  ("type", Obs.Json.String "ops_job");
+                  ("index", Obs.Json.Int j.job_index);
+                  ("name", Obs.Json.String j.job_name);
+                  ("tenant", Obs.Json.String j.job_tenant);
+                  ("class", Obs.Json.String j.job_class);
+                  ("canary", Obs.Json.Bool j.job_canary);
+                  ( "seq",
+                    match j.job_seq with
+                    | Some s -> Obs.Json.Int s
+                    | None -> Obs.Json.Null );
+                  ("shed_reason", opt_str j.job_shed_reason);
+                  ("outcome", opt_str j.job_outcome);
+                  ("queue_wait_s", Obs.Json.Float j.job_queue_wait_s);
+                  ("convergence_s", Obs.Json.Float j.job_convergence_s);
+                  ( "remediated",
+                    Obs.Json.Bool (j.job_remediation <> None) );
+                ]
+            in
+            output_string oc (Obs.Json.to_string line);
+            output_char oc '\n')
+          r.jobs;
+        let report =
+          Obs.Json.Obj
+            [
+              ("type", Obs.Json.String "ops_slo");
+              ("seed", Obs.Json.Int seed);
+              ("hours", Obs.Json.Int r.hours);
+              ("members", Obs.Json.Int members);
+              ("profile", Obs.Json.String profile_name);
+              ( "crash_at_s",
+                match crash_at with
+                | Some t -> Obs.Json.Float t
+                | None -> Obs.Json.Null );
+              ("submitted", Obs.Json.Int r.submitted);
+              ("admitted", Obs.Json.Int r.admitted);
+              ("shed", Obs.Json.Int r.shed);
+              ("completed", Obs.Json.Int r.completed);
+              ("rolled_back", Obs.Json.Int r.rolled_back);
+              ("shed_rate", Obs.Json.Float r.shed_rate);
+              ("rollback_rate", Obs.Json.Float r.rollback_rate);
+              ("plans_per_hour", Obs.Json.Float r.plans_per_hour);
+              ("convergence_p50_s", Obs.Json.Float r.convergence_p50_s);
+              ("convergence_p99_s", Obs.Json.Float r.convergence_p99_s);
+              ("queue_wait_p99_s", Obs.Json.Float r.queue_wait_p99_s);
+              ( "blackhole_seconds_per_day",
+                Obs.Json.Float r.blackhole_seconds_per_day );
+              ("replica_lag_p99", Obs.Json.Float r.replica_lag_p99);
+              ("replica_lag_peak", Obs.Json.Int r.replica_lag_peak);
+              ("snapshot_ships", Obs.Json.Int r.snapshot_ships);
+              ("elections", Obs.Json.Int r.elections);
+              ("queue_recoveries", Obs.Json.Int r.queue_recoveries);
+              ("remediations", Obs.Json.Int r.remediations);
+              ( "unremediated_violations",
+                Obs.Json.Int r.unremediated_violations );
+              ( "queue_order",
+                Obs.Json.List
+                  (List.map (fun s -> Obs.Json.Int s) r.queue_order) );
+              ( "shed_set",
+                Obs.Json.List
+                  (List.map (fun s -> Obs.Json.Int s) r.shed_set) );
+              ("fib_digest", Obs.Json.String r.fib_digest);
+            ]
+        in
+        output_string oc (Obs.Json.to_string report);
+        output_char oc '\n';
+        pf
+          "ops: %dh simulated day, %d submitted — %d admitted, %d shed \
+           (%.1f%%), %d completed, %d rolled back, %d remediations\n"
+          r.hours r.submitted r.admitted r.shed (100. *. r.shed_rate)
+          r.completed r.rolled_back r.remediations;
+        pf
+          "ops: convergence p50/p99 %.0f/%.0f ms, queue wait p99 %.0f ms, \
+           blackhole %.4f s/day, replica lag p99 %.0f ops (peak %d, %d \
+           snapshot ships), %d elections\n"
+          (1000. *. r.convergence_p50_s)
+          (1000. *. r.convergence_p99_s)
+          (1000. *. r.queue_wait_p99_s)
+          r.blackhole_seconds_per_day r.replica_lag_p99 r.replica_lag_peak
+          r.snapshot_ships r.elections;
+        if r.unremediated_violations > 0 then begin
           pf
-            "ops: %dh simulated day, %d submitted — %d admitted, %d shed \
-             (%.1f%%), %d completed, %d rolled back, %d remediations\n"
-            r.hours r.submitted r.admitted r.shed (100. *. r.shed_rate)
-            r.completed r.rolled_back r.remediations;
+            "ops: FAILED — %d unremediated invariant violations (SLO \
+             report in %s)\n"
+            r.unremediated_violations out;
+          1
+        end
+        else begin
           pf
-            "ops: convergence p50/p99 %.0f/%.0f ms, queue wait p99 %.0f ms, \
-             blackhole %.4f s/day, replica lag p99 %.0f ops (peak %d, %d \
-             snapshot ships), %d elections\n"
-            (1000. *. r.convergence_p50_s)
-            (1000. *. r.convergence_p99_s)
-            (1000. *. r.queue_wait_p99_s)
-            r.blackhole_seconds_per_day r.replica_lag_p99 r.replica_lag_peak
-            r.snapshot_ships r.elections;
-          if r.unremediated_violations > 0 then begin
-            pf
-              "ops: FAILED — %d unremediated invariant violations (SLO \
-               report in %s)\n"
-              r.unremediated_violations out;
-            1
-          end
-          else begin
-            pf
-              "ops: every violation absent or auto-remediated; SLO report \
-               in %s\n"
-              out;
-            0
-          end)
+            "ops: every violation absent or auto-remediated; SLO report \
+             in %s\n"
+            out;
+          0
+        end)
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"simulation seed")

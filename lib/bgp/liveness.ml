@@ -15,11 +15,7 @@ let default =
     stale_path_time = 0.05;
   }
 
-let with_gr ?stale_path_time config =
-  let stale_path_time =
-    match stale_path_time with Some t -> t | None -> config.stale_path_time
-  in
-  { config with graceful_restart = true; stale_path_time }
+let with_gr config = { config with graceful_restart = true }
 
 let pp ppf c =
   Format.fprintf ppf

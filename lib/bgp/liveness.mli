@@ -33,8 +33,7 @@ val default : config
       reconnect_interval = 0.008; graceful_restart = false;
       stale_path_time = 0.05 }] *)
 
-val with_gr : ?stale_path_time:float -> config -> config
-(** Enable graceful restart on a config, optionally overriding the
-    stale-path bound. *)
+val with_gr : config -> config
+(** Enable graceful restart on a config. *)
 
 val pp : Format.formatter -> config -> unit

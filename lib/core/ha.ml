@@ -22,29 +22,32 @@ type grant = {
   mutable g_expiry : float;
 }
 
+(* Lease timing: a lease lives 50 ms without renewal; every member ticks
+   each 10 ms (an acquire attempt or a renewal), and member [i]'s first
+   tick is offset by [(i + 1) * 0.5 ms] so contention resolves in
+   member-id order. *)
+let lease_ttl = 0.05
+let tick_every = 0.01
+let stagger = 0.0005
+
 (* The timer timeline. HA timers live on the Dsim virtual clock but are
    deliberately NOT event-queue events: Bgp.Network.converge runs the
    queue to quiescence, so a self-rescheduling timer event would either
    never let it terminate or drag virtual time to an arbitrary horizon
-   mid-deployment. Instead the agenda holds the logical firing times and
-   {!advance} replays every firing [<= now] in (time, member, action)
-   order whenever the clock has moved — at every fence evaluation (i.e.
-   every management operation) and from the takeover wait loop. Because a
-   firing's effect depends only on HA-owned state (lease keys, member
-   flags, the dedicated chaos stream) and its own logical time, the replay
-   is bit-identical however coarsely the pump is called. *)
-type action = Tick | Renew
-
+   mid-deployment. Instead the agenda holds the logical (time, member)
+   tick times and {!advance} replays every tick [<= now] in that order
+   whenever the clock has moved — at every fence evaluation (i.e. every
+   management operation) and from the takeover wait loop. Because a
+   tick's effect depends only on HA-owned state (lease keys, member flags,
+   the chaos schedule) and its own logical time, the replay is
+   bit-identical however coarsely the pump is called. *)
 type t = {
   net : Bgp.Network.t;
   nsdb : Nsdb.Replicated.t;
   agent : Switch_agent.t;
   members : member array;
-  lease_ttl : float;
-  tick_every : float;
-  stagger : float;
   fault : Dsim.Mgmt_fault.t option;
-  mutable agenda : (float * int * action) list;  (* sorted *)
+  mutable agenda : (float * int) list;  (* sorted *)
   mutable grants : grant list;  (* reverse chronological *)
   mutable elections : int;
   mutable takeovers_ms : float list;  (* reverse chronological *)
@@ -67,11 +70,8 @@ let decode_lease s =
     with Failure _ -> None)
   | _ -> None
 
-let create ?(lease_ttl = 0.05) ?(tick_every = 0.01) ?(stagger = 0.0005)
-    ?fault ~members net agent nsdb =
+let create ?fault ~members net agent nsdb =
   if members < 1 then invalid_arg "Ha.create: need >= 1 member";
-  if lease_ttl <= 0.0 || tick_every <= 0.0 || stagger <= 0.0 then
-    invalid_arg "Ha.create: timers must be positive";
   {
     net;
     nsdb;
@@ -85,9 +85,6 @@ let create ?(lease_ttl = 0.05) ?(tick_every = 0.01) ?(stagger = 0.0005)
             held_epoch = 0;
             held_expiry = neg_infinity;
           });
-    lease_ttl;
-    tick_every;
-    stagger;
     fault;
     agenda = [];
     grants = [];
@@ -99,12 +96,11 @@ let create ?(lease_ttl = 0.05) ?(tick_every = 0.01) ?(stagger = 0.0005)
 
 let now t = Bgp.Network.now t.net
 
-let schedule t ~time ~member action =
+let schedule t ~time ~member =
   let rec insert = function
-    | [] -> [ (time, member, action) ]
-    | ((t', m', _) as hd) :: tl when (t', m') <= (time, member) ->
-      hd :: insert tl
-    | tl -> (time, member, action) :: tl
+    | [] -> [ (time, member) ]
+    | hd :: tl when hd <= (time, member) -> hd :: insert tl
+    | tl -> (time, member) :: tl
   in
   t.agenda <- insert t.agenda
 
@@ -158,7 +154,7 @@ let try_acquire t m ~at =
          ticking first (deterministic: staggered timers) wins and the
          loser's expected value no longer matches. *)
       let epoch = max_epoch t + 1 in
-      let expiry = at +. t.lease_ttl in
+      let expiry = at +. lease_ttl in
       if
         Nsdb.Replicated.compare_and_set t.nsdb ~path:lease_path
           ~expected:current
@@ -185,63 +181,52 @@ let try_acquire t m ~at =
     end
   end
 
-let do_renew t m ~at =
-  if m.alive && m.held_epoch > 0 && at < m.held_expiry then begin
-    if lease_reachable t ~at then begin
-      match store_lease t with
-      | Some (h, e, expiry) when h = m.id && e = m.held_epoch ->
-        let expected =
-          Some (Nsdb.String (encode_lease ~holder:h ~epoch:e ~expiry))
-        in
-        let expiry' = at +. t.lease_ttl in
-        if
-          Nsdb.Replicated.compare_and_set t.nsdb ~path:lease_path ~expected
-            (Nsdb.String (encode_lease ~holder:h ~epoch:e ~expiry:expiry'))
-        then begin
-          m.held_expiry <- expiry';
-          Obs.Metrics.incr m_renewals;
-          match List.find_opt (fun g -> g.g_epoch = e) t.grants with
-          | Some g -> g.g_expiry <- expiry'
-          | None -> ()
-        end
-      | Some _ | None ->
-        (* Superseded or gone from under us: fail-stop as a leader. *)
-        m.held_epoch <- 0;
-        Obs.Metrics.incr m_demotions
-    end
+(* Extend the lease member [m] holds and has not outlived. *)
+let renew t m ~at =
+  if lease_reachable t ~at then begin
+    match store_lease t with
+    | Some (h, e, expiry) when h = m.id && e = m.held_epoch ->
+      let expected =
+        Some (Nsdb.String (encode_lease ~holder:h ~epoch:e ~expiry))
+      in
+      let expiry' = at +. lease_ttl in
+      if
+        Nsdb.Replicated.compare_and_set t.nsdb ~path:lease_path ~expected
+          (Nsdb.String (encode_lease ~holder:h ~epoch:e ~expiry:expiry'))
+      then begin
+        m.held_expiry <- expiry';
+        Obs.Metrics.incr m_renewals;
+        match List.find_opt (fun g -> g.g_epoch = e) t.grants with
+        | Some g -> g.g_expiry <- expiry'
+        | None -> ()
+      end
+    | Some _ | None ->
+      (* Superseded or gone from under us: fail-stop as a leader. *)
+      m.held_epoch <- 0;
+      Obs.Metrics.incr m_demotions
   end
 
 let tick t m ~at =
   apply_chaos t ~at;
   if m.alive then begin
     if m.held_epoch > 0 && at >= m.held_expiry then begin
-      (* The lease ran out before we renewed (partition, delayed renewal):
+      (* The lease ran out before we renewed (lease-store partition):
          demote. The epoch we held is dead; re-election starts fresh. *)
       m.held_epoch <- 0;
       Obs.Metrics.incr m_demotions
     end;
-    if m.held_epoch > 0 then begin
-      let delay =
-        match t.fault with
-        | None -> 0.0
-        | Some f -> Dsim.Mgmt_fault.renewal_delay f
-      in
-      if delay > 0.0 then schedule t ~time:(at +. delay) ~member:m.id Renew
-      else do_renew t m ~at
-    end
-    else try_acquire t m ~at
+    if m.held_epoch > 0 then renew t m ~at else try_acquire t m ~at
   end;
-  schedule t ~time:(at +. t.tick_every) ~member:m.id Tick
+  schedule t ~time:(at +. tick_every) ~member:m.id
 
 let advance t =
   if t.running then begin
     let tnow = now t in
     let rec pump () =
       match t.agenda with
-      | (time, mid, act) :: rest when time <= tnow ->
+      | (time, mid) :: rest when time <= tnow ->
         t.agenda <- rest;
-        let m = t.members.(mid) in
-        (match act with Tick -> tick t m ~at:time | Renew -> do_renew t m ~at:time);
+        tick t t.members.(mid) ~at:time;
         pump ()
       | _ -> ()
     in
@@ -255,8 +240,8 @@ let start t =
     Array.iter
       (fun m ->
         schedule t
-          ~time:(base +. (t.stagger *. float_of_int (m.id + 1)))
-          ~member:m.id Tick)
+          ~time:(base +. (stagger *. float_of_int (m.id + 1)))
+          ~member:m.id)
       t.members
   end
 
@@ -307,8 +292,8 @@ let kill t i =
 (* Advance virtual time in tick-sized steps until a member holds a valid
    lease (in-flight BGP events keep draining meanwhile — the fleet fails
    static during the controller outage). *)
-let wait_member ?(max_wait = 60.0) t =
-  let deadline = now t +. max_wait in
+let wait_member t =
+  let deadline = now t +. 60.0 in
   let rec go () =
     match current_leader t with
     | Some m -> Some m
@@ -319,22 +304,19 @@ let wait_member ?(max_wait = 60.0) t =
         || not t.running
       then None
       else begin
-        ignore (Bgp.Network.run_until t.net ~time:(now t +. t.tick_every));
+        ignore (Bgp.Network.run_until t.net ~time:(now t +. tick_every));
         go ()
       end
   in
   go ()
 
-let wait_for_leader ?max_wait t =
-  Option.map (fun m -> m.id) (wait_member ?max_wait t)
+let wait_for_leader t = Option.map (fun m -> m.id) (wait_member t)
 
-let run_plan ?policy ?between_phases ?watchdog ?lint ?op_fault
-    ?(max_attempts = 64) t plan =
-  let op_fault =
-    match op_fault with
-    | Some f -> f
-    | None -> fun ~attempt:_ ~member:_ -> t.fault
-  in
+(* Deploy/resume attempts before {!run_plan} gives up. *)
+let max_attempts = 64
+
+let run_plan ?policy ?between_phases ?watchdog t plan =
+  let fault = t.fault in
   let attempts = ref [] in
   let finished = ref None in
   let attempt = ref 0 in
@@ -345,7 +327,6 @@ let run_plan ?policy ?between_phases ?watchdog ?lint ?op_fault
       match wait_member t with
       | None -> give_up := true
       | Some m ->
-        let fault = op_fault ~attempt:!attempt ~member:m.id in
         Switch_agent.set_mgmt_fault t.agent fault;
         let fence = fence t m in
         let outcome =
@@ -355,10 +336,10 @@ let run_plan ?policy ?between_phases ?watchdog ?lint ?op_fault
           match Controller.journal_status m.controller plan with
           | None ->
             Controller.deploy_resilient ?policy ?fault ~fence ?between_phases
-              ?watchdog ?lint m.controller plan
+              ?watchdog m.controller plan
           | Some _ ->
             Controller.resume ?policy ?fault ~fence ?between_phases ?watchdog
-              ?lint m.controller plan
+              m.controller plan
         in
         incr attempt;
         attempts := (m.id, outcome) :: !attempts;

@@ -33,24 +33,21 @@
 
     {2 Timers and determinism}
 
-    All timers (member ticks, lease renewals, chaos schedules from
-    {!Dsim.Mgmt_fault.ha_profile}) live on the Dsim virtual clock as a
-    lazily-pumped agenda rather than event-queue events —
-    {!Bgp.Network.converge} runs the queue to quiescence, so timer events
-    there would never let it terminate. The agenda is replayed up to the
-    current instant at every fence evaluation and from the takeover wait
-    loop; each firing depends only on HA-owned state and its own logical
-    time, so the replay is bit-identical however coarsely it is pumped.
-    Killing the leader at a seeded point mid-deployment therefore yields a
-    standby takeover whose final forwarding state is bit-identical to the
-    uninterrupted run. *)
+    All timers (member ticks, which acquire or renew the lease, and the
+    chaos schedule from {!Dsim.Mgmt_fault.ha_profile}) live on the Dsim
+    virtual clock as a lazily-pumped agenda rather than event-queue events
+    — {!Bgp.Network.converge} runs the queue to quiescence, so timer
+    events there would never let it terminate. The agenda is replayed up
+    to the current instant at every fence evaluation and from the takeover
+    wait loop; each firing depends only on HA-owned state and its own
+    logical time, so the replay is bit-identical however coarsely it is
+    pumped. Killing the leader at a seeded point mid-deployment therefore
+    yields a standby takeover whose final forwarding state is
+    bit-identical to the uninterrupted run. *)
 
 type t
 
 val create :
-  ?lease_ttl:float ->
-  ?tick_every:float ->
-  ?stagger:float ->
   ?fault:Dsim.Mgmt_fault.t ->
   members:int ->
   Bgp.Network.t ->
@@ -58,15 +55,13 @@ val create :
   Nsdb.Replicated.t ->
   t
 (** A cluster of [members] controller replicas sharing the given network,
-    switch agent and NSDB. [lease_ttl] (default 50 ms) is how long a
-    lease lives without renewal; [tick_every] (default 10 ms) the member
-    timer period (acquire attempts and renewals); [stagger] (default
-    0.5 ms) the per-member timer offset that makes contention resolve in
-    member-id order. [fault] supplies the HA chaos schedule
+    switch agent and NSDB. A lease lives 50 ms without renewal; each
+    member ticks every 10 ms (an acquire attempt or a renewal), and the
+    ticks are staggered 0.5 ms apart so contention resolves in member-id
+    order. [fault] supplies the HA chaos schedule
     ({!Dsim.Mgmt_fault.ha_profile}: leader crashes, lease-store
-    partitions, renewal delays) and is the default per-op fate model for
-    {!run_plan}. Requires [tick_every < lease_ttl] in practice — a leader
-    must get a renewal tick in before its lease runs out. *)
+    partitions) and is the per-op fate model of every {!run_plan}
+    attempt. *)
 
 val start : t -> unit
 (** Starts the member timers at the current virtual instant. *)
@@ -98,11 +93,11 @@ val kill : t -> int -> unit
     normally come from the fault model). If it was leading, the takeover
     clock starts now. *)
 
-val wait_for_leader : ?max_wait:float -> t -> int option
+val wait_for_leader : t -> int option
 (** Advances virtual time in tick-sized steps (in-flight BGP events keep
     draining — the fleet fails static) until some member holds a valid
-    lease; returns its id, or [None] after [max_wait] simulated seconds
-    (default 60) or once every member is dead. *)
+    lease; returns its id, or [None] after 60 simulated seconds or once
+    every member is dead. *)
 
 (** {1 Running plans} *)
 
@@ -110,9 +105,6 @@ val run_plan :
   ?policy:Controller.retry_policy ->
   ?between_phases:(int -> unit) ->
   ?watchdog:(int -> [ `Ok | `Breach of string list ]) ->
-  ?lint:Controller.lint_mode ->
-  ?op_fault:(attempt:int -> member:int -> Dsim.Mgmt_fault.t option) ->
-  ?max_attempts:int ->
   t ->
   Controller.plan ->
   (int * Controller.outcome) list * Controller.outcome option
@@ -121,11 +113,9 @@ val run_plan :
     or [Fenced] outcome loop — the next leader picks the rollout up from
     the journal. Returns every (member id, outcome) attempt in order plus
     the terminal outcome ([None] if leadership was never re-established
-    or [max_attempts] (default 64) was exhausted).
-
-    [op_fault] chooses the per-operation fate model for each attempt
-    (default: the cluster's [fault] for every attempt); it is also
-    attached to the shared agent for the attempt's duration.
+    or 64 attempts were exhausted). Every attempt runs the default lint
+    mode under the cluster's [fault], which is also attached to the shared
+    agent.
 
     [watchdog] is forwarded to every deploy/resume attempt as the runtime
     SLO hook (see {!Ops.Watchdog}). *)

@@ -329,7 +329,9 @@ let recover ?(config = default_config) ~lookup nsdb =
              match
                (int_of_string_opt idx_s, String.split_on_char ':' detail)
              with
-             | Some idx, [ tenant; plan; _reason ] ->
+             (* [tenant:plan:reason]; an unsafe-plan reason quotes a
+                verifier error, which may hold more ':' *)
+             | Some idx, tenant :: plan :: _reason :: _ ->
                Some (idx, tenant, plan, detail)
              | _ -> None)
            | _ -> None)
@@ -341,12 +343,7 @@ let recover ?(config = default_config) ~lookup nsdb =
 (* {1 The runtime watchdog} *)
 
 module Watchdog = struct
-  type budget = { max_blackhole_seconds : float; max_violations : int }
-
-  let default_budget = { max_blackhole_seconds = 0.0; max_violations = 0 }
-
   type t = {
-    budget : budget;
     net : Bgp.Network.t;
     nsdb : Nsdb.Replicated.t;
     demands : (int * float) list;
@@ -355,15 +352,14 @@ module Watchdog = struct
         (* plan, arm time, FIB baseline *)
     mutable sub_token : int option;
     mutable violations : int;  (* lifetime, for reporting *)
-    mutable v_window : int;  (* the armed window, judged against the budget *)
+    mutable v_window : int;  (* the armed window: any violation breaches *)
     mutable bh_prior : float;  (* windows already closed *)
     mutable bh_current : float;  (* the armed window, as of the last probe *)
     mutable remediations : (string * string) list;  (* reverse *)
   }
 
-  let create ?(budget = default_budget) ~net ~nsdb ~demands ~prefix () =
+  let create ~net ~nsdb ~demands ~prefix () =
     {
-      budget;
       net;
       nsdb;
       demands;
@@ -435,7 +431,7 @@ module Watchdog = struct
       t.violations <- t.violations + List.length sweep;
       t.v_window <- t.v_window + List.length sweep;
       let reasons = ref [] in
-      if t.v_window > t.budget.max_violations then begin
+      if t.v_window > 0 then begin
         let kinds =
           List.sort_uniq compare
             (List.map
@@ -443,15 +439,15 @@ module Watchdog = struct
                sweep)
         in
         reasons :=
-          Printf.sprintf "%d invariant violations exceed budget %d (%s)"
-            t.v_window t.budget.max_violations
+          Printf.sprintf "%d invariant violations exceed budget 0 (%s)"
+            t.v_window
             (String.concat ", " kinds)
           :: !reasons
       end;
-      if t.bh_current > t.budget.max_blackhole_seconds then
+      if t.bh_current > 0.0 then
         reasons :=
-          Printf.sprintf "%.6f blackhole-seconds exceed budget %.6f"
-            t.bh_current t.budget.max_blackhole_seconds
+          Printf.sprintf "%.6f blackhole-seconds exceed budget 0.000000"
+            t.bh_current
           :: !reasons;
       if !reasons = [] then `Ok
       else begin

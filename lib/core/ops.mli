@@ -146,28 +146,16 @@ val clear_admission_verifier : unit -> unit
 
     Samples {!Invariant} sweeps and
     {!Dataplane.Metrics.loss_integrals} between the phases of an
-    in-flight plan, against a declared SLO budget. Pass {!probe} as the
-    [?watchdog] of {!Controller.deploy_resilient} (or {!Ha.run_plan}):
-    a breach triggers the controller's reverse-order rollback and records
-    a remediation event in the journal. *)
+    in-flight plan. The SLO is zero tolerance: any invariant violation in
+    the armed window, or any black-holed demand since {!arm}, is a
+    breach. Pass {!probe} as the [?watchdog] of
+    {!Controller.deploy_resilient} (or {!Ha.run_plan}): a breach triggers
+    the controller's reverse-order rollback and records a remediation
+    event in the journal. *)
 module Watchdog : sig
-  type budget = {
-    max_blackhole_seconds : float;
-        (** integral of black-holed demand since {!arm}, in virtual
-            seconds, tolerated before remediation *)
-    max_violations : int;
-        (** invariant violations (cumulative over the {e armed window}'s
-            phase boundaries — the counter resets at {!arm}) tolerated
-            before remediation *)
-  }
-
-  val default_budget : budget
-  (** Zero tolerance: [max_blackhole_seconds = 0.], [max_violations = 0]. *)
-
   type t
 
   val create :
-    ?budget:budget ->
     net:Bgp.Network.t ->
     nsdb:Nsdb.Replicated.t ->
     demands:(int * float) list ->
@@ -184,8 +172,9 @@ module Watchdog : sig
   val probe : t -> int -> [ `Ok | `Breach of string list ]
   (** The [?watchdog] callback: integrates blackhole-seconds from arm
       time to now over the FIB timeline and sweeps the invariants;
-      returns [`Breach] with human-readable reasons when the budget is
-      exhausted. *)
+      returns [`Breach] with human-readable reasons once the window has
+      seen any invariant violation (counted over its phase boundaries;
+      the count resets at {!arm}) or any blackhole-seconds. *)
 
   val disarm : t -> unit
   (** Ends the window and {e unsubscribes} the journal watch — the leak

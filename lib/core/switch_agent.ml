@@ -10,7 +10,6 @@ type t = {
   agent_service : Service.t;
   net : Bgp.Network.t;
   rng : Dsim.Rng.t;
-  measure_apply : bool;
   reachable : (int, bool) Hashtbl.t;
   (* the actual RPA values live here; the NSDB views hold their rendered
      form for comparison and display *)
@@ -19,7 +18,6 @@ type t = {
   mutable deploy_times : float list;  (* reverse order *)
   mutable management : (Openr.Network.t * int) option;
   mutable mgmt_fault : Dsim.Mgmt_fault.t option;
-  mutable rpc_deadline : float option;
   (* Fencing: highest controller epoch this agent has accepted an RPC
      from. RPCs stamped with a lower epoch come from a deposed leader and
      are rejected without touching the device. *)
@@ -32,19 +30,17 @@ type t = {
 let rpa_path device = Printf.sprintf "devices/%d/rpa" device
 let maint_path device = Printf.sprintf "devices/%d/maintenance" device
 
-let create ?(seed = 7) ?(measure_apply = false) net =
+let create ?(seed = 7) net =
   {
     agent_service = Service.create ~name:"switch-agent" ~role:Service.Io;
     net;
     rng = Dsim.Rng.create seed;
-    measure_apply;
     reachable = Hashtbl.create 64;
     intended_rpas = Hashtbl.create 64;
     current_rpas = Hashtbl.create 64;
     deploy_times = [];
     management = None;
     mgmt_fault = None;
-    rpc_deadline = None;
     accepted_epoch = 0;
     epoch_commits = [];
   }
@@ -54,7 +50,6 @@ let network t = t.net
 
 let set_mgmt_fault t fault = t.mgmt_fault <- fault
 let mgmt_fault t = t.mgmt_fault
-let set_rpc_deadline t deadline = t.rpc_deadline <- deadline
 
 let set_intended t ~device rpa =
   Hashtbl.replace t.intended_rpas device rpa;
@@ -110,30 +105,17 @@ type outcome = [ `Applied | `In_sync | `Unreachable | `Fenced | rpc_failure ]
 let accepted_epoch t = t.accepted_epoch
 let epoch_commits t = List.rev t.epoch_commits
 
-(* Install the intended RPA into the device and update the current view.
-   Returns the total simulated deploy latency. The apply cost is sampled
-   from the seeded RNG by default so observe/bench output is
-   bit-reproducible across hosts; [measure_apply] opts back into real
-   wall-clock measurement. *)
+(* Install the intended RPA into the device and update the current view,
+   recording the simulated deploy latency. The apply cost is sampled from
+   the seeded RNG so observe/bench output is bit-reproducible across
+   hosts. *)
 let apply_rpa t device intended ~rpc_latency =
-  let install () =
-    let hooks =
-      if Rpa.is_empty intended then Bgp.Rib_policy.native
-      else Engine.hooks (Engine.create intended)
-    in
-    Bgp.Network.set_hooks t.net device hooks
+  let hooks =
+    if Rpa.is_empty intended then Bgp.Rib_policy.native
+    else Engine.hooks (Engine.create intended)
   in
-  let apply_cost =
-    if t.measure_apply then begin
-      let apply_start = Sys.time () in
-      install ();
-      Sys.time () -. apply_start
-    end
-    else begin
-      install ();
-      Dsim.Rng.log_normal t.rng ~mu:(log 0.00005) ~sigma:0.5
-    end
-  in
+  Bgp.Network.set_hooks t.net device hooks;
+  let apply_cost = Dsim.Rng.log_normal t.rng ~mu:(log 0.00005) ~sigma:0.5 in
   t.deploy_times <- (rpc_latency +. apply_cost) :: t.deploy_times;
   Obs.Metrics.incr m_deploys;
   Obs.Metrics.observe h_deploy_ms ((rpc_latency +. apply_cost) *. 1000.0);
@@ -141,10 +123,7 @@ let apply_rpa t device intended ~rpc_latency =
   Nsdb.set (Service.current t.agent_service) ~path:(rpa_path device)
     (Nsdb.Rpa intended)
 
-let reconcile_device ?deadline ?epoch t device =
-  let deadline =
-    match deadline with Some _ as d -> d | None -> t.rpc_deadline
-  in
+let reconcile_device ?epoch t device =
   (* Fencing happens at the door, before the agent even looks at device
      state: a deposed leader's RPC must not learn anything, let alone
      mutate. An equal-or-newer epoch ratchets the acceptance floor up. *)
@@ -177,25 +156,22 @@ let reconcile_device ?deadline ?epoch t device =
       Obs.Span.with_span "agent.reconcile"
         ~attrs:(fun () -> [ ("device", string_of_int device) ])
       @@ fun () ->
-      let rpc_latency = ref 0.0 in
       Service.with_work t.agent_service (fun () ->
           (* RPC round trip to the BGP daemon, then building and installing
              the evaluation engine. *)
-          rpc_latency := Dsim.Rng.log_normal t.rng ~mu:(log 0.0003) ~sigma:0.8;
-          apply_rpa t device intended ~rpc_latency:!rpc_latency);
+          let rpc_latency =
+            Dsim.Rng.log_normal t.rng ~mu:(log 0.0003) ~sigma:0.8
+          in
+          apply_rpa t device intended ~rpc_latency);
       t.epoch_commits <-
         (Bgp.Network.now t.net, Option.value epoch ~default:t.accepted_epoch)
         :: t.epoch_commits;
-      (* A Time_out fate — and an RPC slower than the caller's deadline —
-         both mean the device applied the RPA but the controller never saw
-         the ack. The current view still advances (the agent keeps polling
-         device state), so a retry finds the device `In_sync`: the
-         ambiguity is resolved by idempotence, not by guessing. *)
-      let timed_out =
-        fate = Dsim.Mgmt_fault.Time_out
-        || match deadline with Some d -> !rpc_latency > d | None -> false
-      in
-      if timed_out then begin
+      (* A Time_out fate means the device applied the RPA but the
+         controller never saw the ack. The current view still advances
+         (the agent keeps polling device state), so a retry finds the
+         device `In_sync`: the ambiguity is resolved by idempotence, not
+         by guessing. *)
+      if fate = Dsim.Mgmt_fault.Time_out then begin
         Obs.Metrics.incr m_rpc_timeout;
         `Rpc_timeout
       end

@@ -20,11 +20,9 @@
 
 type t
 
-val create : ?seed:int -> ?measure_apply:bool -> Bgp.Network.t -> t
-(** [measure_apply] opts into measuring the real wall-clock cost of
-    building and installing the evaluation engine (the pre-existing
-    behaviour). The default samples the apply cost from the seeded RNG so
-    that deploy-time reports are bit-reproducible across hosts. *)
+val create : ?seed:int -> Bgp.Network.t -> t
+(** The apply cost of each RPA is sampled from the RNG seeded by [seed],
+    so deploy-time reports are bit-reproducible across hosts. *)
 
 val service : t -> Service.t
 val network : t -> Bgp.Network.t
@@ -63,11 +61,6 @@ val set_mgmt_fault : t -> Dsim.Mgmt_fault.t option -> unit
 
 val mgmt_fault : t -> Dsim.Mgmt_fault.t option
 
-val set_rpc_deadline : t -> float option -> unit
-(** Default per-attempt RPC deadline in seconds for {!reconcile_device}
-    (default: none). An RPC whose sampled latency exceeds the deadline was
-    applied by the device but reports [`Rpc_timeout] to the caller. *)
-
 (** {1 Reconciliation} *)
 
 type rpc_failure = [ `Rpc_lost | `Rpc_timeout | `Transient of string ]
@@ -75,7 +68,7 @@ type rpc_failure = [ `Rpc_lost | `Rpc_timeout | `Transient of string ]
     controller can retry with backoff:
     - [`Rpc_lost]: the request never reached the device — nothing applied.
     - [`Rpc_timeout]: the device {e applied} the RPA but the ack was lost
-      (or arrived past the deadline); a retry observes [`In_sync].
+      (a [Time_out] fate); a retry observes [`In_sync].
     - [`Transient reason]: the agent answered with a retryable error. *)
 
 type outcome = [ `Applied | `In_sync | `Unreachable | `Fenced | rpc_failure ]
@@ -83,11 +76,10 @@ type outcome = [ `Applied | `In_sync | `Unreachable | `Fenced | rpc_failure ]
     has already accepted — it came from a deposed leader and was rejected
     without touching the device. Not retryable under the same epoch. *)
 
-val reconcile_device : ?deadline:float -> ?epoch:int -> t -> int -> outcome
+val reconcile_device : ?epoch:int -> t -> int -> outcome
 (** Applies the intended RPA of one device to its BGP speaker (via the
     network's event queue at the current virtual instant) and updates the
-    current view. The simulated deployment time is recorded. [deadline]
-    overrides the agent-wide {!set_rpc_deadline} for this attempt.
+    current view. The simulated deployment time is recorded.
 
     [epoch] stamps the RPC with the caller's fencing epoch: a value below
     the highest epoch this agent has accepted yields [`Fenced] (and bumps

@@ -24,9 +24,12 @@ type ledger = {
 (* The propagation core shared by [route] and [loss_snapshot]; with no
    ledger it only accumulates the totals. The ledger is write-only here,
    so both callers see the same inflow/next insertion and iteration order
-   and therefore bit-identical totals. Returns (delivered, dropped,
-   looped). *)
-let propagate ~max_rounds ~lookup ~demands ledger =
+   and therefore bit-identical totals. Volume still in flight after
+   [max_rounds] (far above any Clos diameter) is looped. Returns
+   (delivered, dropped, looped). *)
+let max_rounds = 64
+
+let propagate ~lookup ~demands ledger =
   let delivered = ref 0.0 and dropped = ref 0.0 in
   let inflow = Hashtbl.create 64 in
   List.iter (fun (device, volume) -> add inflow device volume) demands;
@@ -69,9 +72,7 @@ let propagate ~max_rounds ~lookup ~demands ledger =
   done;
   (!delivered, !dropped, remaining ())
 
-let default_max_rounds = 64
-
-let route ?(max_rounds = default_max_rounds) ~lookup ~demands () =
+let route ~lookup ~demands () =
   let l =
     {
       l_transit = Hashtbl.create 64;
@@ -79,9 +80,7 @@ let route ?(max_rounds = default_max_rounds) ~lookup ~demands () =
       l_delivered_at = Hashtbl.create 8;
     }
   in
-  let delivered, dropped, looped =
-    propagate ~max_rounds ~lookup ~demands (Some l)
-  in
+  let delivered, dropped, looped = propagate ~lookup ~demands (Some l) in
   {
     delivered;
     dropped;
@@ -91,13 +90,13 @@ let route ?(max_rounds = default_max_rounds) ~lookup ~demands () =
     delivered_at = l.l_delivered_at;
   }
 
-let route_prefix ?max_rounds network prefix ~demands =
-  route ?max_rounds
+let route_prefix network prefix ~demands =
+  route
     ~lookup:(fun device -> Bgp.Network.fib network device prefix)
     ~demands ()
 
-let route_destination ?max_rounds network destination ~demands =
-  route ?max_rounds
+let route_destination network destination ~demands =
+  route
     ~lookup:(fun device ->
       Option.map snd
         (Bgp.Speaker.fib_longest_match
@@ -105,13 +104,13 @@ let route_destination ?max_rounds network destination ~demands =
            destination))
     ~demands ()
 
-let route_snapshot ?max_rounds snapshot ~demands =
-  route ?max_rounds ~lookup:(Hashtbl.find_opt snapshot) ~demands ()
+let route_snapshot snapshot ~demands =
+  route ~lookup:(Hashtbl.find_opt snapshot) ~demands ()
 
 type loss = { loss_dropped : float; loss_looped : float }
 
 let loss_snapshot snapshot ~demands =
   let _, loss_dropped, loss_looped =
-    propagate ~max_rounds:default_max_rounds ~lookup:(Hashtbl.find_opt snapshot) ~demands None
+    propagate ~lookup:(Hashtbl.find_opt snapshot) ~demands None
   in
   { loss_dropped; loss_looped }

@@ -3,8 +3,9 @@
     Injects demand volumes at source devices and lets them flow along
     weighted FIB entries (WCMP hashing is modeled fluidly: volume splits in
     proportion to weights). The propagation is round-based; volume still in
-    flight after the round budget is classified as {e looped}, which is how
-    persistent forwarding loops (Figure 9) show up quantitatively. *)
+    flight after 64 rounds (far above any Clos diameter) is classified as
+    {e looped}, which is how persistent forwarding loops (Figure 9) show up
+    quantitatively. *)
 
 type result = {
   delivered : float;
@@ -18,30 +19,25 @@ type result = {
 }
 
 val route :
-  ?max_rounds:int ->
   lookup:(int -> Bgp.Speaker.fib_state option) ->
   demands:(int * float) list ->
   unit ->
   result
 (** [lookup device] is the device's forwarding decision for the destination
     under study — typically [Speaker.fib_lookup] for a single prefix or
-    [Speaker.fib_longest_match] for a concrete destination address.
-    [max_rounds] defaults to 64 (far above any Clos diameter). *)
+    [Speaker.fib_longest_match] for a concrete destination address. *)
 
 val route_prefix :
-  ?max_rounds:int ->
   Bgp.Network.t -> Net.Prefix.t -> demands:(int * float) list -> result
 (** Exact-match propagation of the converged network state. *)
 
 val route_destination :
-  ?max_rounds:int ->
   Bgp.Network.t -> Net.Prefix.t -> demands:(int * float) list -> result
 (** Longest-prefix-match propagation toward a host prefix — required for
     the Figure 14 scenario where a more-specific route hijacks traffic from
     the default route. *)
 
 val route_snapshot :
-  ?max_rounds:int ->
   (int, Bgp.Speaker.fib_state) Hashtbl.t -> demands:(int * float) list -> result
 (** Propagation over a historical FIB snapshot from {!Bgp.Trace.fib_timeline}
     (single-prefix, exact match). *)
@@ -55,8 +51,7 @@ type loss = {
 
 val loss_snapshot :
   (int, Bgp.Speaker.fib_state) Hashtbl.t -> demands:(int * float) list -> loss
-(** {!route_snapshot} (default round budget) reduced to what a loss
-    integral reads. Both run the
+(** {!route_snapshot} reduced to what a loss integral reads. Both run the
     same propagation in the same order, so the two totals are
     bit-identical to [route_snapshot]'s; only the [transit], [link_load]
     and [delivered_at] bookkeeping is skipped. *)

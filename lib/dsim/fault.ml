@@ -52,11 +52,9 @@ let action_time = function
   | Flap_link { at; _ } | Restart_speaker { at; _ } -> at
 
 let random_schedule ~seed ~links ~devices ~horizon ?(flaps = 4) ?(restarts = 1)
-    ?(min_duration = 0.001) ?(max_duration = 0.01) () =
+    () =
   let rng = Rng.create seed in
-  let duration () =
-    min_duration +. Rng.float rng (Float.max 0.0 (max_duration -. min_duration))
-  in
+  let duration () = 0.001 +. Rng.float rng (0.01 -. 0.001) in
   let flap_actions =
     if links = [] then []
     else

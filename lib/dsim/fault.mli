@@ -88,15 +88,12 @@ val random_schedule :
   horizon:float ->
   ?flaps:int ->
   ?restarts:int ->
-  ?min_duration:float ->
-  ?max_duration:float ->
   unit ->
   schedule
 (** A reproducible random schedule: [flaps] link flaps (default 4) drawn
     from [links] and [restarts] speaker restarts (default 1) drawn from
     [devices], with start times uniform in [\[0, horizon)] and durations
-    uniform in [\[min_duration, max_duration)] (defaults 1-10 ms). Sorted
-    by start time. Empty [links] or [devices] simply yield no actions of
-    that kind. *)
+    uniform in [\[1 ms, 10 ms)]. Sorted by start time. Empty [links] or
+    [devices] simply yield no actions of that kind. *)
 
 val pp_action : Format.formatter -> action -> unit

@@ -34,17 +34,9 @@ type rpc_fate = Deliver | Lose | Time_out | Transient of string
 type ha_profile = {
   leader_crash_times : float list;
   lease_partitions : (float * float) list;
-  renewal_delay_prob : float;
-  renewal_delay_max_s : float;
 }
 
-let ha_none =
-  {
-    leader_crash_times = [];
-    lease_partitions = [];
-    renewal_delay_prob = 0.0;
-    renewal_delay_max_s = 0.0;
-  }
+let ha_none = { leader_crash_times = []; lease_partitions = [] }
 
 type t = {
   rng : Rng.t;
@@ -52,9 +44,6 @@ type t = {
   crash_after_ops : int option;
   mutable op_count : int;
   ha : ha_profile;
-  (* Dedicated stream: HA timer jitter must not perturb the per-op fate
-     schedule, so turning HA knobs on cannot change which RPCs fail. *)
-  ha_rng : Rng.t;
   mutable pending_crashes : float list;
 }
 
@@ -65,7 +54,6 @@ let create ?crash_after_ops ?(ha = ha_none) ~seed prof =
     crash_after_ops;
     op_count = 0;
     ha;
-    ha_rng = Rng.create (seed lxor 0x5eed_4a);
     pending_crashes = List.sort compare ha.leader_crash_times;
   }
 
@@ -110,10 +98,3 @@ let leader_crash_due t ~now =
 
 let lease_reachable t ~now =
   not (List.exists (fun (a, b) -> now >= a && now < b) t.ha.lease_partitions)
-
-let renewal_delay t =
-  let p = t.ha in
-  if p.renewal_delay_prob <= 0.0 then 0.0
-  else if Rng.float t.ha_rng 1.0 < p.renewal_delay_prob then
-    Rng.float t.ha_rng p.renewal_delay_max_s
-  else 0.0

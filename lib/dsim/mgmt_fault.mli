@@ -47,9 +47,9 @@ type rpc_fate =
 (** {1 High-availability chaos}
 
     The HA layer is driven by {e simulated time} (lease TTLs, renewal
-    timers), so its fault knobs are time-based where the per-op model
-    above is count-based. All HA draws come from a dedicated RNG stream:
-    enabling them never perturbs the per-operation fate schedule. *)
+    timers), so its fault schedule is time-based where the per-op model
+    above is count-based. It draws nothing from the RNG: enabling it never
+    perturbs the per-operation fate schedule. *)
 
 type ha_profile = {
   leader_crash_times : float list;
@@ -59,15 +59,11 @@ type ha_profile = {
       (** Half-open [\[start, stop)] windows during which the lease store
           is unreachable: acquires and renewals fail, standing leases keep
           expiring. *)
-  renewal_delay_prob : float;
-      (** Probability that a given lease renewal is delayed. *)
-  renewal_delay_max_s : float;
-      (** Upper bound of the uniform delay applied to a delayed renewal. *)
 }
 
 val ha_none : ha_profile
-(** No HA chaos: leaders never crash, the lease store is always
-    reachable, renewals are punctual. *)
+(** No HA chaos: leaders never crash and the lease store is always
+    reachable. *)
 
 type t
 
@@ -105,7 +101,3 @@ val lease_reachable : t -> now:float -> bool
 (** False while [now] falls inside a configured lease-store partition
     window: the member cannot acquire or renew (its standing lease keeps
     aging toward expiry). *)
-
-val renewal_delay : t -> float
-(** Draws the delay (in simulated seconds, often 0) to add to the next
-    lease renewal. Consumes the dedicated HA RNG stream only. *)

@@ -55,23 +55,15 @@ module Fig2 = struct
     rpa_loss : float;
   }
 
-  let run ?(seed = 42) ?faults () =
+  let run ?(seed = 42) () =
     Obs.Span.with_span "scenario.fig2"
       ~attrs:(fun () -> [ ("seed", string_of_int seed) ])
     @@ fun () ->
     let default = Net.Prefix.default_v4 in
-    let with_faults net =
-      Option.iter
-        (fun prof ->
-          Bgp.Network.set_fault net
-            (Some (Dsim.Fault.create ~seed:(seed + 100) prof)))
-        faults
-    in
     (* Initial state: FAv1 + Edge only. *)
     let x0 = Topology.Clos.expansion () in
     let demands_of x = List.map (fun f -> (f, 1.0)) x.Topology.Clos.xfsws in
     let net0 = Bgp.Network.create ~seed x0.Topology.Clos.xgraph in
-    with_faults net0;
     Bgp.Network.originate net0 x0.backbone default (tagged_attr ());
     ignore (Bgp.Network.converge net0);
     let baseline_funnel =
@@ -83,7 +75,6 @@ module Fig2 = struct
     let fa_members = x.fav1 @ [ fav2 ] in
     let run_case ~with_rpa =
       let net = Bgp.Network.create ~seed:(seed + 1) x.xgraph in
-      with_faults net;
       if with_rpa then deploy_plan net (Centralium.Apps.Expansion_equalizer.plan x);
       Bgp.Network.originate net x.backbone default (tagged_attr ());
       ignore (Bgp.Network.converge net);
@@ -114,67 +105,59 @@ module Fig4 = struct
 
   let decommissioned_number = 1
 
-  let run_case ?faults ~seed ~guard () =
+  let run_case ~seed ~guard =
     let default = Net.Prefix.default_v4 in
-    let run_case' () =
-      let d = Topology.Clos.decommission ~planes:4 ~grids:8 ~per:4 () in
-      let net = Bgp.Network.create ~seed d.Topology.Clos.dgraph in
-      Option.iter
-        (fun prof ->
-          Bgp.Network.set_fault net
-            (Some (Dsim.Fault.create ~seed:(seed + 100) prof)))
-        faults;
-      let ssw1s = Topology.Clos.ssws_numbered d decommissioned_number in
-      let fadu1s = Topology.Clos.fadus_numbered d decommissioned_number in
-      (match guard with
-       | None -> ()
-       | Some fraction ->
-         let plan =
-           Centralium.Apps.Decommission_guard.plan d.dgraph
-             ~destination:Centralium.Destination.backbone_default
-             ~threshold:(Centralium.Path_selection.Fraction fraction)
-             ~decommissioned:ssw1s ~origination_layer:Topology.Node.Eb
-         in
-         deploy_plan net plan);
-      Bgp.Network.originate net d.north_origin default (tagged_attr ());
-      ignore (Bgp.Network.converge net);
-      let demands = [ (d.south_origin, 16.0) ] in
-      let total = Dataplane.Traffic.total_demand demands in
-      let steady =
-        let result = Dataplane.Traffic.route_prefix net default ~demands in
-        Dataplane.Metrics.funneling result ~members:fadu1s ~total
-      in
-      (* Drain the FADU-1s asynchronously and watch the transient FIBs. *)
-      let initial = Bgp.Network.fib_snapshot net default in
-      Bgp.Trace.clear (Bgp.Network.trace net);
-      List.iteri
-        (fun i fadu ->
-          Bgp.Network.drain_device ~delay:(float_of_int i *. 0.002) net fadu)
-        fadu1s;
-      ignore (Bgp.Network.converge net);
-      let timeline =
-        Bgp.Trace.fib_timeline (Bgp.Network.trace net) ~prefix:default ~initial
-      in
-      let worst, _ =
-        Dataplane.Metrics.max_funneling_over_timeline ~timeline ~demands
-          ~members:fadu1s
-      in
-      (steady, worst)
+    let d = Topology.Clos.decommission ~planes:4 ~grids:8 ~per:4 () in
+    let net = Bgp.Network.create ~seed d.Topology.Clos.dgraph in
+    let ssw1s = Topology.Clos.ssws_numbered d decommissioned_number in
+    let fadu1s = Topology.Clos.fadus_numbered d decommissioned_number in
+    (match guard with
+     | None -> ()
+     | Some fraction ->
+       let plan =
+         Centralium.Apps.Decommission_guard.plan d.dgraph
+           ~destination:Centralium.Destination.backbone_default
+           ~threshold:(Centralium.Path_selection.Fraction fraction)
+           ~decommissioned:ssw1s ~origination_layer:Topology.Node.Eb
+       in
+       deploy_plan net plan);
+    Bgp.Network.originate net d.north_origin default (tagged_attr ());
+    ignore (Bgp.Network.converge net);
+    let demands = [ (d.south_origin, 16.0) ] in
+    let total = Dataplane.Traffic.total_demand demands in
+    let steady =
+      let result = Dataplane.Traffic.route_prefix net default ~demands in
+      Dataplane.Metrics.funneling result ~members:fadu1s ~total
     in
-    run_case' ()
+    (* Drain the FADU-1s asynchronously and watch the transient FIBs. *)
+    let initial = Bgp.Network.fib_snapshot net default in
+    Bgp.Trace.clear (Bgp.Network.trace net);
+    List.iteri
+      (fun i fadu ->
+        Bgp.Network.drain_device ~delay:(float_of_int i *. 0.002) net fadu)
+      fadu1s;
+    ignore (Bgp.Network.converge net);
+    let timeline =
+      Bgp.Trace.fib_timeline (Bgp.Network.trace net) ~prefix:default ~initial
+    in
+    let worst, _ =
+      Dataplane.Metrics.max_funneling_over_timeline ~timeline ~demands
+        ~members:fadu1s
+    in
+    (steady, worst)
 
-  let run ?(seed = 42) ?faults () =
+  let run ?(seed = 42) () =
     Obs.Span.with_span "scenario.fig4"
       ~attrs:(fun () -> [ ("seed", string_of_int seed) ])
     @@ fun () ->
-    let steady_share, native_worst_funnel = run_case ?faults ~seed ~guard:None () in
-    let _, rpa_worst_funnel = run_case ?faults ~seed ~guard:(Some 0.75) () in
+    let steady_share, native_worst_funnel = run_case ~seed ~guard:None in
+    let _, rpa_worst_funnel = run_case ~seed ~guard:(Some 0.75) in
     { steady_share; native_worst_funnel; rpa_worst_funnel }
 
   let sweep ?(seed = 42) ~thresholds () =
     List.map
       (fun guard ->
-        let _, worst = run_case ~seed ~guard () in
+        let _, worst = run_case ~seed ~guard in
         (guard, worst))
       thresholds
 end
@@ -547,6 +530,63 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Out-of-band management star: the controller host reaches every device
+   over a link-state network on its own graph, so partitioning the
+   management plane never touches the BGP data plane (Appendix A.2). *)
+let management_star graph ~hub =
+  let g = Topology.Graph.create () in
+  List.iter
+    (fun (n : Topology.Node.t) -> Topology.Graph.add_node g n)
+    (Topology.Graph.nodes graph);
+  List.iter
+    (fun (n : Topology.Node.t) ->
+      if n.Topology.Node.id <> hub then
+        Topology.Graph.add_link g hub n.Topology.Node.id)
+    (Topology.Graph.nodes graph);
+  g
+
+(* The fixture the management-plane scenarios share. *)
+type 'side mgmt_fixture = {
+  x : Topology.Clos.expansion;
+  net : Bgp.Network.t;  (* converged on the backbone's default route *)
+  agent : Centralium.Switch_agent.t;
+  side : 'side;  (* what else [controller_side] built *)
+  mgmt_graph : Topology.Graph.t;  (* the management star, hub = backbone *)
+  openr : Openr.Network.t;
+}
+
+(* The expansion Clos converged on the default route; then
+   [controller_side net], which builds the controller side on the
+   converged fabric and returns its switch agent (and whatever else it
+   built); then the Open/R management star, converged and attached to
+   that agent. *)
+let mgmt_fixture ~seed ~controller_side =
+  let x = Topology.Clos.expansion () in
+  let net = Bgp.Network.create ~seed x.Topology.Clos.xgraph in
+  Bgp.Network.originate net x.backbone Net.Prefix.default_v4 (tagged_attr ());
+  ignore (Bgp.Network.converge net);
+  let agent, side = controller_side net in
+  let hub = x.backbone in
+  let mgmt_graph = management_star x.xgraph ~hub in
+  let openr = Openr.Network.create ~seed:(seed + 11) mgmt_graph in
+  ignore (Openr.Network.converge openr);
+  Centralium.Switch_agent.attach_management_network agent openr
+    ~controller_host:hub;
+  { x; net; agent; side; mgmt_graph; openr }
+
+(* A [?between_phases] hook sweeping the invariants at every phase
+   boundary, and a reader of the (phase, kind) violations seen, in
+   order. *)
+let phase_sweeps net =
+  let seen = ref [] in
+  let between_phases idx =
+    List.iter
+      (fun (v : Centralium.Invariant.violation) ->
+        seen := (idx, Centralium.Invariant.kind_name v.kind) :: !seen)
+      (Centralium.Invariant.check net)
+  in
+  (between_phases, fun () -> List.rev !seen)
+
 module Faulted_deploy = struct
   type result = {
     outcome : string;
@@ -567,39 +607,17 @@ module Faulted_deploy = struct
     fib_digest : string;
   }
 
-  (* Out-of-band management star: the controller host reaches every device
-     over a link-state network on its own graph, so partitioning the
-     management plane never touches the BGP data plane (Appendix A.2). *)
-  let management_star graph ~hub =
-    let g = Topology.Graph.create () in
-    List.iter
-      (fun (n : Topology.Node.t) -> Topology.Graph.add_node g n)
-      (Topology.Graph.nodes graph);
-    List.iter
-      (fun (n : Topology.Node.t) ->
-        if n.Topology.Node.id <> hub then
-          Topology.Graph.add_link g hub n.Topology.Node.id)
-      (Topology.Graph.nodes graph);
-    g
-
   let run ?(seed = 42) ?(profile = Dsim.Mgmt_fault.flaky) ?crash_after_ops
       ?(resume = true) ?(partition_devices = 0) () =
     Obs.Span.with_span "scenario.faulted_deploy"
       ~attrs:(fun () -> [ ("seed", string_of_int seed) ])
     @@ fun () ->
-    let default = Net.Prefix.default_v4 in
-    let x = Topology.Clos.expansion () in
-    let net = Bgp.Network.create ~seed x.Topology.Clos.xgraph in
-    Bgp.Network.originate net x.backbone default (tagged_attr ());
-    ignore (Bgp.Network.converge net);
-    let controller = Centralium.Controller.create ~seed:(seed + 7) net in
-    let agent = Centralium.Controller.agent controller in
+    let { x; net; agent; side = controller; mgmt_graph; openr } =
+      mgmt_fixture ~seed ~controller_side:(fun net ->
+          let controller = Centralium.Controller.create ~seed:(seed + 7) net in
+          (Centralium.Controller.agent controller, controller))
+    in
     let hub = x.backbone in
-    let mgmt_graph = management_star x.xgraph ~hub in
-    let openr = Openr.Network.create ~seed:(seed + 11) mgmt_graph in
-    ignore (Openr.Network.converge openr);
-    Centralium.Switch_agent.attach_management_network agent openr
-      ~controller_host:hub;
     (* Independent seeds: the RPC-fate stream, the backoff-jitter stream
        and the agent's latency stream never share an RNG. *)
     let fault = Dsim.Mgmt_fault.create ?crash_after_ops ~seed:(seed + 13) profile in
@@ -624,14 +642,7 @@ module Faulted_deploy = struct
     Centralium.Invariant.monitor ~period:0.01
       ~until:(Bgp.Network.now net +. 0.5)
       net;
-    let phase_violations = ref [] in
-    let between_phases idx =
-      List.iter
-        (fun (v : Centralium.Invariant.violation) ->
-          phase_violations :=
-            (idx, Centralium.Invariant.kind_name v.kind) :: !phase_violations)
-        (Centralium.Invariant.check net)
-    in
+    let between_phases, phase_violations = phase_sweeps net in
     let policy =
       { Centralium.Controller.default_retry_policy with jitter_seed = seed + 17 }
     in
@@ -715,7 +726,7 @@ module Faulted_deploy = struct
       journal_status = Centralium.Controller.journal_status controller plan;
       stragglers_during_outage;
       unexpected_unreachable;
-      phase_violations = List.rev !phase_violations;
+      phase_violations = phase_violations ();
       transient_violations;
       final_violations;
       fib_digest = Bgp.Network.fib_digest net;
@@ -772,9 +783,7 @@ module Failover = struct
   }
 
   let run ?(seed = 42) ?(profile = Dsim.Mgmt_fault.none) ?(members = 3)
-      ?(lease_ttl = 0.05) ?(tick_every = 0.01)
-      ?(leader_crash_offsets = []) ?(lease_partition_offsets = [])
-      ?(renewal_delay_prob = 0.0) () =
+      ?(leader_crash_offsets = []) ?(lease_partition_offsets = []) () =
     Obs.Span.with_span "scenario.failover"
       ~attrs:(fun () ->
         [
@@ -783,23 +792,14 @@ module Failover = struct
           ("crashes", string_of_int (List.length leader_crash_offsets));
         ])
     @@ fun () ->
-    (* Same fixture as Faulted_deploy — expansion Clos plus the
-       out-of-band management star — but the controller is a cluster:
+    (* Same fixture as Faulted_deploy, but the controller is a cluster:
        every member shares the one agent, NSDB and network, and only the
        lease holder may drive the rollout. *)
-    let default = Net.Prefix.default_v4 in
-    let x = Topology.Clos.expansion () in
-    let net = Bgp.Network.create ~seed x.Topology.Clos.xgraph in
-    Bgp.Network.originate net x.backbone default (tagged_attr ());
-    ignore (Bgp.Network.converge net);
-    let agent = Centralium.Switch_agent.create ~seed:(seed + 7) net in
-    let nsdb = Centralium.Nsdb.Replicated.create ~replicas:3 in
-    let hub = x.backbone in
-    let mgmt_graph = Faulted_deploy.management_star x.xgraph ~hub in
-    let openr = Openr.Network.create ~seed:(seed + 11) mgmt_graph in
-    ignore (Openr.Network.converge openr);
-    Centralium.Switch_agent.attach_management_network agent openr
-      ~controller_host:hub;
+    let { x; net; agent; side = nsdb; _ } =
+      mgmt_fixture ~seed ~controller_side:(fun net ->
+          let agent = Centralium.Switch_agent.create ~seed:(seed + 7) net in
+          (agent, Centralium.Nsdb.Replicated.create ~replicas:3))
+    in
     (* The chaos schedule is anchored to the instant the cluster starts:
        offsets are relative so callers need not know the virtual clock. *)
     let t0 = Bgp.Network.now net in
@@ -809,27 +809,15 @@ module Failover = struct
           List.map (fun o -> t0 +. o) leader_crash_offsets;
         lease_partitions =
           List.map (fun (a, b) -> (t0 +. a, t0 +. b)) lease_partition_offsets;
-        renewal_delay_prob;
-        renewal_delay_max_s = tick_every /. 2.;
       }
     in
     let fault = Dsim.Mgmt_fault.create ~ha ~seed:(seed + 13) profile in
-    let cluster =
-      Centralium.Ha.create ~lease_ttl ~tick_every ~fault ~members net agent
-        nsdb
-    in
+    let cluster = Centralium.Ha.create ~fault ~members net agent nsdb in
     Centralium.Ha.start cluster;
     Centralium.Invariant.monitor ~period:0.01
       ~until:(Bgp.Network.now net +. 0.5)
       net;
-    let phase_violations = ref [] in
-    let between_phases idx =
-      List.iter
-        (fun (v : Centralium.Invariant.violation) ->
-          phase_violations :=
-            (idx, Centralium.Invariant.kind_name v.kind) :: !phase_violations)
-        (Centralium.Invariant.check net)
-    in
+    let between_phases, phase_violations = phase_sweeps net in
     let policy =
       { Centralium.Controller.default_retry_policy with jitter_seed = seed + 17 }
     in
@@ -897,7 +885,7 @@ module Failover = struct
         sum (fun (r : Centralium.Controller.report) -> r.skipped_in_sync);
       journal_status;
       ha_violations;
-      phase_violations = List.rev !phase_violations;
+      phase_violations = phase_violations ();
       final_violations;
       fib_digest = Bgp.Network.fib_digest net;
     }
@@ -952,7 +940,7 @@ module Chaos = struct
            | _ -> false)
          (Bgp.Trace.events trace))
 
-  let run_mode ?(seed = 42) ?(profile = Dsim.Fault.severe) ?eval_mode ~gr () =
+  let run_mode ?(seed = 42) ?eval_mode ~gr () =
     Obs.Span.with_span "scenario.chaos"
       ~attrs:(fun () ->
         [ ("seed", string_of_int seed); ("gr", string_of_bool gr) ])
@@ -981,7 +969,7 @@ module Chaos = struct
        network, message fates to their own stream. GR is the only
        difference between the two runs. *)
     Bgp.Network.set_fault net
-      (Some (Dsim.Fault.create ~seed:(seed + 1) profile));
+      (Some (Dsim.Fault.create ~seed:(seed + 1) Dsim.Fault.severe));
     let config =
       if gr then Bgp.Liveness.with_gr Bgp.Liveness.default
       else Bgp.Liveness.default
@@ -1057,9 +1045,9 @@ module Chaos = struct
       loss_segments;
     }
 
-  let run ?seed ?profile ?eval_mode () =
-    let gr_on = run_mode ?seed ?profile ?eval_mode ~gr:true () in
-    let gr_off = run_mode ?seed ?profile ?eval_mode ~gr:false () in
+  let run ?seed () =
+    let gr_on = run_mode ?seed ~gr:true () in
+    let gr_off = run_mode ?seed ~gr:false () in
     {
       gr_on;
       gr_off;
@@ -1202,7 +1190,6 @@ module Continuous = struct
 
   type report = {
     hours : int;
-    hour_s : float;
     submitted : int;
     admitted : int;
     shed : int;
@@ -1237,13 +1224,15 @@ module Continuous = struct
       let k = int_of_float (ceil (p *. float_of_int n)) - 1 in
       List.nth sorted (min (n - 1) (max 0 k))
 
-  let default_queue_config =
+  (* Deliberately small so hourly bursts exercise real backpressure. *)
+  let queue_config =
     { Centralium.Ops.max_queue = 4; per_tenant = 2; per_class = 3 }
 
-  let run ?(seed = 42) ?(hours = 24) ?(jobs_per_hour = 5) ?(hour_s = 0.5)
-      ?(members = 2) ?(profile = Dsim.Mgmt_fault.flaky)
-      ?(leader_crash_offsets = []) ?(canary_every = 3)
-      ?(queue_config = default_queue_config) () =
+  (* Virtual seconds standing in for one wall-clock hour. *)
+  let hour_s = 0.5
+
+  let run ?(seed = 42) ?(hours = 24) ?(jobs_per_hour = 5) ?(members = 2)
+      ?(profile = Dsim.Mgmt_fault.flaky) ?(leader_crash_offsets = []) () =
     Obs.Span.with_span "scenario.continuous"
       ~attrs:(fun () ->
         [
@@ -1258,35 +1247,24 @@ module Continuous = struct
        simulated day is compressed, and per-day SLO figures are
        normalized by that compression below. *)
     let default = Net.Prefix.default_v4 in
-    let x = Topology.Clos.expansion () in
-    let net = Bgp.Network.create ~seed x.Topology.Clos.xgraph in
-    Bgp.Network.originate net x.backbone default (tagged_attr ());
-    ignore (Bgp.Network.converge net);
-    let agent = Centralium.Switch_agent.create ~seed:(seed + 7) net in
-    let nsdb = Centralium.Nsdb.Replicated.create ~replicas:3 in
-    Centralium.Nsdb.Replicated.enable_async ~lag_threshold:48
-      ~batch_budget:24 nsdb;
-    let hub = x.backbone in
-    let mgmt_graph = Faulted_deploy.management_star x.xgraph ~hub in
-    let openr = Openr.Network.create ~seed:(seed + 11) mgmt_graph in
-    ignore (Openr.Network.converge openr);
-    Centralium.Switch_agent.attach_management_network agent openr
-      ~controller_host:hub;
+    let { x; net; agent; side = nsdb; _ } =
+      mgmt_fixture ~seed ~controller_side:(fun net ->
+          let agent = Centralium.Switch_agent.create ~seed:(seed + 7) net in
+          let nsdb = Centralium.Nsdb.Replicated.create ~replicas:3 in
+          Centralium.Nsdb.Replicated.enable_async ~lag_threshold:48
+            ~batch_budget:24 nsdb;
+          (agent, nsdb))
+    in
     let t0 = Bgp.Network.now net in
     let ha =
       {
         Dsim.Mgmt_fault.leader_crash_times =
           List.map (fun o -> t0 +. o) leader_crash_offsets;
         lease_partitions = [];
-        renewal_delay_prob = 0.0;
-        renewal_delay_max_s = 0.005;
       }
     in
     let fault = Dsim.Mgmt_fault.create ~ha ~seed:(seed + 13) profile in
-    let cluster =
-      Centralium.Ha.create ~lease_ttl:0.05 ~tick_every:0.01 ~fault ~members
-        net agent nsdb
-    in
+    let cluster = Centralium.Ha.create ~fault ~members net agent nsdb in
     Centralium.Ha.start cluster;
     (* Churn stream: tenants, classes and plan kinds are drawn from a
        dedicated RNG so the submission schedule is a pure function of the
@@ -1355,7 +1333,10 @@ module Continuous = struct
     in
     let submit_job i =
       let name = Printf.sprintf "job-%04d" i in
-      let canary = canary_every > 0 && (i + 1) mod canary_every = 0 in
+      (* Every third job is a canary: 3 is coprime with the default
+         [jobs_per_hour], so canaries cycle through burst positions
+         instead of always landing on the shed slot. *)
+      let canary = (i + 1) mod 3 = 0 in
       let plan =
         if canary then canary_of name
         else if i mod 2 = 0 then install_of name
@@ -1509,7 +1490,6 @@ module Continuous = struct
     let fi = float_of_int in
     {
       hours;
-      hour_s;
       submitted;
       admitted;
       shed;

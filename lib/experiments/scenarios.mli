@@ -20,9 +20,7 @@ module Fig2 : sig
     rpa_loss : float;        (** loss fraction under RPA (expect 0) *)
   }
 
-  val run : ?seed:int -> ?faults:Dsim.Fault.profile -> unit -> result
-  (** [faults] installs a message-level fault model (own RNG stream, seed
-      derived from [seed]) on every network the scenario builds. *)
+  val run : ?seed:int -> unit -> result
 end
 
 (** Section 3.3 / Figure 4: last-router problem in decommission. *)
@@ -37,7 +35,7 @@ module Fig4 : sig
         (** same with the BgpNativeMinNextHop guard on SSW-1s *)
   }
 
-  val run : ?seed:int -> ?faults:Dsim.Fault.profile -> unit -> result
+  val run : ?seed:int -> unit -> result
 
   val sweep :
     ?seed:int -> thresholds:float option list -> unit -> (float option * float) list
@@ -250,20 +248,17 @@ module Failover : sig
     ?seed:int ->
     ?profile:Dsim.Mgmt_fault.profile ->
     ?members:int ->
-    ?lease_ttl:float ->
-    ?tick_every:float ->
     ?leader_crash_offsets:float list ->
     ?lease_partition_offsets:(float * float) list ->
-    ?renewal_delay_prob:float ->
     unit ->
     result
   (** [leader_crash_offsets] (seconds after cluster start — relative, so
       the caller need not know the virtual clock) schedules leader
       fail-stops; [lease_partition_offsets] are half-open windows during
-      which the lease store is unreachable; [renewal_delay_prob] makes
-      renewals tardy (up to half a tick). Defaults: 3 members, 50 ms
-      lease TTL, 10 ms ticks, no chaos — the degenerate single-leader
-      run every comparison baselines against. *)
+      which the lease store is unreachable. Defaults: 3 members, no
+      chaos — the degenerate single-leader run every comparison baselines
+      against. The cluster runs {!Centralium.Ha}'s fixed lease timing
+      (50 ms TTL, 10 ms ticks). *)
 
   type comparison = {
     interrupted : result;
@@ -331,7 +326,6 @@ module Chaos : sig
 
   val run_mode :
     ?seed:int ->
-    ?profile:Dsim.Fault.profile ->
     ?eval_mode:Bgp.Speaker.eval_mode ->
     gr:bool ->
     unit ->
@@ -340,12 +334,7 @@ module Chaos : sig
       {!Bgp.Speaker.Incremental}); results are bit-identical across modes
       at the same seed — the oracle-parity tests rely on this. *)
 
-  val run :
-    ?seed:int ->
-    ?profile:Dsim.Fault.profile ->
-    ?eval_mode:Bgp.Speaker.eval_mode ->
-    unit ->
-    result
+  val run : ?seed:int -> unit -> result
   (** Both GR modes at the same seed. *)
 end
 
@@ -378,12 +367,13 @@ end
 
 (** The 24/7 fleet: back-to-back seeded migrations with admission control,
     queueing, replica catch-up and the SLO watchdog, over a compressed
-    simulated day ([hour_s] virtual seconds per represented hour). Every
-    [canary_every]-th job (default 3 — deliberately coprime with
-    [jobs_per_hour], so canaries cycle through burst positions instead of
-    always landing on the shed slot) is a deliberately unsatisfiable
-    min-next-hop
-    guard whose blackhole the watchdog must catch and auto-roll-back.
+    simulated day (0.5 virtual seconds per represented hour). The queue is
+    deliberately small ([max_queue = 4], [per_tenant = 2],
+    [per_class = 3]) so hourly bursts exercise real backpressure. Every
+    third job (3 is coprime with the default [jobs_per_hour], so canaries
+    cycle through burst positions instead of always landing on the shed
+    slot) is a deliberately unsatisfiable min-next-hop guard whose
+    blackhole the watchdog must catch and auto-roll-back.
     Deterministic: the same seed yields a bit-identical report — queue
     order, shed set and final FIB digest — with or without a leader crash
     from [leader_crash_offsets]. *)
@@ -406,7 +396,6 @@ module Continuous : sig
 
   type report = {
     hours : int;
-    hour_s : float;
     submitted : int;
     admitted : int;
     shed : int;
@@ -437,22 +426,15 @@ module Continuous : sig
     jobs : job list;
   }
 
-  val default_queue_config : Centralium.Ops.config
-  (** Deliberately small ([max_queue = 4], [per_tenant = 2],
-      [per_class = 3]) so hourly bursts exercise real backpressure. *)
-
   val run :
     ?seed:int ->
     ?hours:int ->
     ?jobs_per_hour:int ->
-    ?hour_s:float ->
     ?members:int ->
     ?profile:Dsim.Mgmt_fault.profile ->
     ?leader_crash_offsets:float list ->
-    ?canary_every:int ->
-    ?queue_config:Centralium.Ops.config ->
     unit ->
     report
-  (** Defaults: seed 42, 24 hours, 5 jobs/hour, 0.5 s/hour, 2 members,
-      flaky management profile, no crashes, canary every 3rd job. *)
+  (** Defaults: seed 42, 24 hours, 5 jobs/hour, 2 members, flaky
+      management profile, no crashes. *)
 end

@@ -107,7 +107,7 @@ let feasible instance theta =
   let flow = Maxflow.max_flow mf ~source:super ~sink:instance.destination in
   (flow >= total_demand instance -. 1e-7, mf)
 
-let optimal ?(tolerance = 1e-4) instance =
+let optimal instance =
   Obs.Metrics.incr m_solver_runs;
   Obs.Span.with_span "te.solve"
     ~attrs:(fun () ->
@@ -129,7 +129,7 @@ let optimal ?(tolerance = 1e-4) instance =
     in
     let hi = ref (find_hi 1.0) in
     let lo = ref 0.0 in
-    while !hi -. !lo > tolerance *. !hi do
+    while !hi -. !lo > 1e-4 *. !hi do
       let mid = (!hi +. !lo) /. 2.0 in
       let ok, _ = feasible instance mid in
       if ok then hi := mid else lo := mid

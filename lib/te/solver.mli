@@ -35,9 +35,9 @@ val max_utilization : instance -> weights -> float
     outgoing weight (other than the destination) — the instance is
     malformed. *)
 
-val optimal : ?tolerance:float -> instance -> float * weights
+val optimal : instance -> float * weights
 (** The minimum achievable max utilization together with fractional
-    weights attaining it (up to [tolerance], default 1e-4, via binary
+    weights attaining it (up to a relative tolerance of 1e-4, via binary
     search on the utilization bound with one max-flow check per step). *)
 
 val quantize : ?levels:int -> weights -> weights

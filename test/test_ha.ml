@@ -301,16 +301,14 @@ let test_fenced_failstop_under_lease_partition () =
   check_bool "fencing kept the audit clean" true
     (r.ha_violations = [] && r.final_violations = [])
 
-let test_ops_queue_survives_takeover () =
+let test_ops_queue_survives_takeover seed () =
   (* The admission queue under a mid-queue leader crash: the standby
      rebuilds the queue from the opsq journal and the simulated day ends
      with exactly the queue order, shed set and forwarding state of the
      uninterrupted run. *)
   let open Experiments.Scenarios.Continuous in
-  let interrupted =
-    run ~seed:42 ~hours:2 ~leader_crash_offsets:[ 0.12 ] ()
-  in
-  let uninterrupted = run ~seed:42 ~hours:2 () in
+  let interrupted = run ~seed ~hours:2 ~leader_crash_offsets:[ 0.12 ] () in
+  let uninterrupted = run ~seed ~hours:2 () in
   check_bool "the crash forced a real takeover" true
     (interrupted.elections >= 2);
   check_bool "the new leader rebuilt the queue from the journal" true
@@ -382,7 +380,9 @@ let () =
       ( "ops-takeover",
         [
           Alcotest.test_case "queue survives takeover" `Slow
-            test_ops_queue_survives_takeover;
+            (test_ops_queue_survives_takeover 42);
+          Alcotest.test_case "queue survives takeover, seed 7" `Slow
+            (test_ops_queue_survives_takeover 7);
           Alcotest.test_case "interrupted day bit-reproducible" `Slow
             test_ops_takeover_bit_reproducible;
         ] );

@@ -120,6 +120,17 @@ let test_recover_rebuilds_queue () =
      | Ops.Admitted _ -> ());
   (* shed one for the audit trail *)
   ignore (Ops.submit q ~tenant:"ops" ~cls:Ops.Bulk (tiny_plan "d" 4));
+  (* and one the admission verifier rejects: its reason quotes the
+     verifier's error, ':' and all *)
+  Ops.set_admission_verifier (fun p ->
+      if p.Controller.plan_name = "e" then
+        [ "verify forwarding-loop: 5 -> 6 -> 5" ]
+      else []);
+  Fun.protect ~finally:Ops.clear_admission_verifier (fun () ->
+      check_bool "unsafe plan shed" true
+        (match Ops.submit q ~tenant:"ml" ~cls:Ops.Bulk (tiny_plan "e" 5) with
+         | Ops.Overloaded (Ops.Unsafe_plan _) -> true
+         | _ -> false));
   Ops.mark_started q (List.hd seqs);
   (* The new leader rebuilds from the journal alone. *)
   let lookup name =
