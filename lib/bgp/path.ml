@@ -4,9 +4,9 @@ type t = {
   attr : Net.Attr.t;
 }
 
-(* Every candidate path is built here, so interning at the constructor
-   guarantees the decision process and the RIB tables only ever see
-   canonical attributes (pointer-equality fast path everywhere). *)
+(* Every candidate path is built here or from an already-interned
+   Adj-RIB-In attribute, so the decision process and the RIB tables only
+   ever see canonical attributes (pointer-equality fast path everywhere). *)
 let make ~peer ~session ~attr = { peer; session; attr = Net.Attr.intern attr }
 
 let as_path_length t = Net.As_path.length t.attr.Net.Attr.as_path

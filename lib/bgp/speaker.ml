@@ -207,6 +207,10 @@ let post_policy_candidates t env p ~use_hooks =
         | Some attr ->
           if use_hooks && not (t.hooks.Rib_policy.ingress_accept ctx ~peer attr)
           then None
+          else if attr == raw_attr then
+            (* [receive] interned every Adj-RIB-In attribute, so one the
+               ingress policy left untouched is already canonical. *)
+            Some { Path.peer; session; attr }
           else Some (Path.make ~peer ~session ~attr))
     (raw_routes_pid t p)
 
@@ -288,7 +292,7 @@ let all_peer_ids t =
   Hashtbl.fold (fun peer _ acc -> peer :: acc) t.session_count []
   |> List.sort Int.compare
 
-let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~total_weight =
+let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~prepare =
   match adv with
   | None -> None
   | Some path ->
@@ -305,8 +309,26 @@ let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~total_weight =
          | None -> None
          | Some attr ->
            if not (t.hooks.Rib_policy.egress_accept ctx ~peer attr) then None
-           else Some (prepare_advert t attr ~total_weight))
+           else Some (prepare attr))
     end
+
+(* One decision's adverts to every peer. Egress policy and the egress hook
+   are per peer, but the preparation depends only on the post-policy
+   attributes, and peers without an egress policy all share the advertised
+   path's own: each distinct attribute is prepared (and interned) once. *)
+let fan_out_adverts t ctx prefix ~adv ~total_weight =
+  let prepared = ref [] in
+  let prepare attr =
+    match List.find_opt (fun (a, _) -> Net.Attr.equal a attr) !prepared with
+    | Some (_, advert) -> advert
+    | None ->
+      let advert = prepare_advert t attr ~total_weight in
+      prepared := (attr, advert) :: !prepared;
+      advert
+  in
+  List.map
+    (fun peer -> (peer, desired_advert t ctx prefix ~peer ~adv ~prepare))
+    (all_peer_ids t)
 
 (* ---------------- Evaluation ---------------- *)
 
@@ -335,12 +357,7 @@ let compute t env p : desired =
     {
       d_fib = Some Local;
       d_adverts =
-        List.map
-          (fun peer ->
-            ( peer,
-              desired_advert t ctx prefix ~peer ~adv:(Some self_path)
-                ~total_weight:1 ))
-          (all_peer_ids t);
+        fan_out_adverts t ctx prefix ~adv:(Some self_path) ~total_weight:1;
     }
   | None ->
     let cands = post_policy_candidates t env p ~use_hooks:true in
@@ -355,12 +372,8 @@ let compute t env p : desired =
     {
       d_fib;
       d_adverts =
-        List.map
-          (fun peer ->
-            ( peer,
-              desired_advert t ctx prefix ~peer ~adv:sel.Rib_policy.advertise
-                ~total_weight ))
-          (all_peer_ids t);
+        fan_out_adverts t ctx prefix ~adv:sel.Rib_policy.advertise
+          ~total_weight;
     }
 
 let commit t p desired : outbox =

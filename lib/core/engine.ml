@@ -9,11 +9,25 @@ type mutable_stats = {
   mutable selection_count : int;
 }
 
+(* (signature id, attributes) -> did the signature match. Typed so that the
+   hash reaches the ASNs (see the interface); the communities are folded in
+   element order, so equal sets hash alike whatever their tree shape. *)
+module Sig_cache = Hashtbl.Make (struct
+  type t = int * Net.Attr.t
+
+  let equal (i, a) (j, b) = Int.equal i j && Net.Attr.equal a b
+
+  let hash (id, a) =
+    Net.Community.Set.fold
+      (fun c h -> (31 * h) + Hashtbl.hash c)
+      a.Net.Attr.communities
+      ((31 * Hashtbl.hash (Net.As_path.segments a.Net.Attr.as_path)) + id)
+end)
+
 type t = {
   rpa : Rpa.t;
   cache_enabled : bool;
-  (* (signature id, attributes) -> did the signature match *)
-  sig_cache : (int * Net.Attr.t, bool) Hashtbl.t;
+  sig_cache : bool Sig_cache.t;
   (* signatures indexed by physical identity *)
   signatures : Signature.t array;
   (* the RPA's statements flattened across its policies, in order; the
@@ -54,7 +68,7 @@ let create ?(cache = true) rpa =
   {
     rpa;
     cache_enabled = cache;
-    sig_cache = Hashtbl.create 256;
+    sig_cache = Sig_cache.create 256;
     signatures = Array.of_list signatures;
     ps_statements;
     ra_statements;
@@ -66,13 +80,14 @@ let rpa t = t.rpa
 
 let set_on_withdraw t f = t.on_withdraw <- f
 
-type stats = { hits : int; misses : int; selections : int }
+type stats = { hits : int; misses : int; selections : int; max_bucket : int }
 
 let stats t =
   {
     hits = t.m_stats.hit_count;
     misses = t.m_stats.miss_count;
     selections = t.m_stats.selection_count;
+    max_bucket = (Sig_cache.stats t.sig_cache).Hashtbl.max_bucket_length;
   }
 
 let reset_stats t =
@@ -80,7 +95,7 @@ let reset_stats t =
   t.m_stats.miss_count <- 0;
   t.m_stats.selection_count <- 0
 
-let clear_cache t = Hashtbl.reset t.sig_cache
+let clear_cache t = Sig_cache.reset t.sig_cache
 
 (* Physical-identity lookup: RPA structures are immutable, so the same
    signature value keeps its index for the engine's lifetime. *)
@@ -100,7 +115,7 @@ let sig_matches t s attr =
     if id < 0 then Signature.matches s attr
     else
       let key = (id, attr) in
-      match Hashtbl.find_opt t.sig_cache key with
+      match Sig_cache.find_opt t.sig_cache key with
       | Some result ->
         t.m_stats.hit_count <- t.m_stats.hit_count + 1;
         Obs.Metrics.incr m_cache_hits;
@@ -109,7 +124,7 @@ let sig_matches t s attr =
         t.m_stats.miss_count <- t.m_stats.miss_count + 1;
         Obs.Metrics.incr m_cache_misses;
         let result = Signature.matches s attr in
-        Hashtbl.replace t.sig_cache key result;
+        Sig_cache.replace t.sig_cache key result;
         result
   end
 
@@ -254,12 +269,18 @@ let evaluate_weights t ~(ctx : Bgp.Rib_policy.ctx) ~selected =
 
 (* ---------------- Filters ---------------- *)
 
+(* A filter with no statements restricts no peer, so an RPA without any
+   skips the peer-layer lookup (the common case: every candidate and every
+   advert of every decision passes through here). *)
 let filter_accepts t direction (ctx : Bgp.Rib_policy.ctx) ~peer =
+  let filters = t.rpa.Rpa.route_filter in
+  List.for_all (fun rf -> List.is_empty rf.Route_filter.statements) filters
+  ||
   let layer = ctx.Bgp.Rib_policy.peer_layer peer in
   List.for_all
     (fun rf ->
       Route_filter.allows rf direction ~peer ~layer ctx.Bgp.Rib_policy.prefix)
-    t.rpa.Rpa.route_filter
+    filters
 
 (* ---------------- Hooks ---------------- *)
 

@@ -9,7 +9,12 @@
 
     Matched signatures are cached per (signature, attributes) pair, so
     re-evaluating a route after the first time is much faster — the
-    cache-hit/cache-miss split of Table 2. *)
+    cache-hit/cache-miss split of Table 2. The cache is a typed table whose
+    hash reads the signature id, the AS-path segments and the communities:
+    the polymorphic [Hashtbl.hash] gives up after 10 meaningful words,
+    which an attribute record carrying a community spends before its first
+    ASN, so a switch's equal-length paths that differ only in their ASNs
+    would all land in one bucket. Equality is {!Net.Attr.equal}. *)
 
 type t
 
@@ -29,7 +34,12 @@ val hooks : t -> Bgp.Rib_policy.hooks
 (** The hooks are backed by this engine's mutable cache; one engine should
     serve one device. *)
 
-type stats = { hits : int; misses : int; selections : int }
+type stats = {
+  hits : int;
+  misses : int;
+  selections : int;
+  max_bucket : int;  (** longest bucket of the signature cache *)
+}
 
 val stats : t -> stats
 

@@ -498,6 +498,40 @@ let test_engine_cache_disabled () =
   done;
   check_int "never hits" 0 (Engine.stats engine).Engine.hits
 
+(* An FSW's upstream paths all have the same length and differ only in the
+   first (SSW) ASN. The signature cache must still spread them over its
+   buckets: a hash that stops before the ASNs puts all of them in one
+   bucket and every lookup walks the whole history. *)
+let test_engine_cache_equal_length_paths () =
+  let firsts = List.init 36 (fun i -> 1000 + i) in
+  let rpa =
+    Apps.Path_equalize.rpa ~destination:(Destination.Tagged bb)
+      ~origin_asn:(asn 9) ~via:(List.map asn firsts)
+  in
+  let candidates =
+    List.mapi
+      (fun i first -> path ~peer:(i + 1) (attr ~communities:[ bb ] [ first; 50; 9 ]))
+      firsts
+  in
+  let native = Bgp.Decision.select ~multipath:true candidates in
+  let eval engine =
+    Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates ~native
+  in
+  let engine = Engine.create rpa in
+  let first = eval engine in
+  let s1 = Engine.stats engine in
+  check_int "first pass misses" 36 s1.Engine.misses;
+  check_int "first pass hits" 0 s1.Engine.hits;
+  let second = eval engine in
+  let s2 = Engine.stats engine in
+  check_int "second pass misses" 36 s2.Engine.misses;
+  check_int "second pass hits" 36 s2.Engine.hits;
+  check_bool "short cache buckets" true (s2.Engine.max_bucket <= 3);
+  let uncached = eval (Engine.create ~cache:false rpa) in
+  check_int "all selected" 36 (List.length first.Bgp.Rib_policy.selected);
+  check_bool "hit pass selects as the miss pass" true (first = second);
+  check_bool "cached selects as uncached" true (first = uncached)
+
 (* ---------------- Engine: route filter ---------------- *)
 
 let test_engine_route_filter () =
@@ -1204,6 +1238,7 @@ let () =
           quick "weights expiration" test_engine_weights_expiration;
           quick "cache stats" test_engine_cache_stats;
           quick "cache disabled" test_engine_cache_disabled;
+          quick "cache equal-length paths" test_engine_cache_equal_length_paths;
           quick "route filter" test_engine_route_filter;
         ] );
       ( "rpa-parser",

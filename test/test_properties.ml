@@ -254,6 +254,125 @@ let engine_cache_transparent =
       in
       a = a' && a = b)
 
+(* Cached and uncached engines must agree on every call, on inputs made to
+   stress the signature cache: candidates of one length, local-pref and
+   community set that differ only in their ASNs (the keys a weak cache hash
+   cannot tell apart), evaluated in random order with repeats so that hits,
+   misses and history all mix. *)
+let asn_pool = [ 60001; 60002; 60003; 60004; 60005 ]
+let tag_pool = [ Net.Community.make 65100 7; Net.Community.Well_known.drained ]
+
+let signature_gen =
+  QCheck.Gen.(
+    let* origin = opt (oneofl asn_pool) in
+    let* neighbors = opt (list_size (int_range 1 3) (oneofl asn_pool)) in
+    let* regex =
+      opt (oneofl [ "^60001"; ".* 60005$"; "^6000[1-2] ."; "60003 60004" ])
+    in
+    let* communities = list_size (int_range 0 1) (oneofl tag_pool) in
+    let* none_of = list_size (int_range 0 1) (oneofl tag_pool) in
+    return
+      (Centralium.Signature.make ?as_path_regex:regex ~communities ~none_of
+         ?origin_asn:(Option.map asn origin)
+         ?neighbor_asns:(Option.map (List.map asn) neighbors)
+         ()))
+
+let cache_rpa_gen =
+  QCheck.Gen.(
+    let* sets =
+      list_size (int_range 1 3)
+        (let* signature = signature_gen in
+         let* mnh =
+           oneofl
+             [ None; Some (Centralium.Path_selection.Count 2);
+               Some (Centralium.Path_selection.Fraction 0.5) ]
+         in
+         return
+           (Centralium.Path_selection.path_set ~name:"set" ?min_next_hop:mnh
+              signature))
+    in
+    let* weights =
+      list_size (int_range 1 3)
+        (let* signature = signature_gen in
+         let* weight = int_range 1 9 in
+         return (Centralium.Route_attribute.next_hop_weight signature ~weight))
+    in
+    return
+      (Centralium.Rpa.make
+         ~path_selection:
+           [
+             Centralium.Path_selection.make
+               [
+                 Centralium.Path_selection.statement ~path_sets:sets
+                   (Centralium.Destination.Tagged bb);
+               ];
+           ]
+         ~route_attribute:
+           [
+             Centralium.Route_attribute.make
+               [
+                 Centralium.Route_attribute.statement
+                   (Centralium.Destination.Tagged bb) weights;
+               ];
+           ]
+         ()))
+
+(* A few candidate lists sharing length, local-pref and communities, and a
+   random sequence of calls into them. *)
+let cache_calls_gen =
+  QCheck.Gen.(
+    let* len = int_range 1 4 in
+    let* local_pref = oneofl [ 100; 200 ] in
+    let* tags = list_size (int_range 0 2) (oneofl tag_pool) in
+    let communities = Net.Community.Set.of_list (bb :: tags) in
+    let candidate peer =
+      let* asns = list_repeat len (oneofl asn_pool) in
+      return
+        (Bgp.Path.make ~peer ~session:0
+           ~attr:
+             (Net.Attr.make ~local_pref ~communities
+                ~as_path:(Net.As_path.of_asns (List.map asn asns))
+                ()))
+    in
+    let candidates =
+      let* n = int_range 1 8 in
+      flatten_l (List.init n (fun i -> candidate (i + 1)))
+    in
+    let* lists = list_size (int_range 1 4) candidates in
+    let* calls = list_size (int_range 2 12) (int_bound (List.length lists - 1)) in
+    return (List.map (List.nth lists) calls))
+
+let cache_arb =
+  QCheck.make
+    ~print:(fun (rpa, calls) ->
+      Format.asprintf "%a@.%s" Centralium.Rpa.pp rpa
+        (String.concat "\n"
+           (List.map
+              (fun l -> String.concat " | " (List.map print_path l))
+              calls)))
+    QCheck.Gen.(pair cache_rpa_gen cache_calls_gen)
+
+let engine_cache_agrees_on_equal_length_paths =
+  QCheck.Test.make
+    ~name:"engine: cached and uncached agree on same-length ASN variants"
+    ~count:300 cache_arb (fun (rpa, calls) ->
+      let cached = Centralium.Engine.create rpa in
+      let uncached = Centralium.Engine.create ~cache:false rpa in
+      List.for_all
+        (fun candidates ->
+          let native = Bgp.Decision.select ~multipath:true candidates in
+          let eval engine =
+            let sel =
+              Centralium.Engine.evaluate_selection engine ~ctx:engine_ctx
+                ~candidates ~native
+            in
+            ( sel,
+              Centralium.Engine.evaluate_weights engine ~ctx:engine_ctx
+                ~selected:sel.Bgp.Rib_policy.selected )
+          in
+          eval cached = eval uncached)
+        calls)
+
 (* ---------------- network convergence ---------------- *)
 
 let fabric_arb =
@@ -536,6 +655,7 @@ let () =
             engine_selection_invariants;
             engine_advertises_least_favorable;
             engine_cache_transparent;
+            engine_cache_agrees_on_equal_length_paths;
           ] );
       ( "network",
         List.map (QCheck_alcotest.to_alcotest ~long:false)

@@ -306,6 +306,128 @@ let test_wcmp_advertises_total_capacity () =
     check_bool "aggregated capacity" true (attr.Attr.link_bandwidth = Some 8)
   | _ -> Alcotest.fail "expected update to peer 3"
 
+(* ---------------- policy shaping within one decision ---------------- *)
+
+let c7 = Community.make 65100 7
+let every_route actions = [ Bgp.Policy.rule actions ]
+
+let show_outbox outbox =
+  List.map
+    (fun (peer, session, msg) ->
+      Format.asprintf "%d.%d %a" peer session Bgp.Msg.pp msg)
+    outbox
+
+(* Runs [steps] on a fresh speaker in both evaluation modes and checks that
+   the two modes emit the same messages and end internally converged. *)
+let in_both_modes ~peers steps =
+  let run mode =
+    let sp = speaker 5 peers in
+    Bgp.Speaker.set_eval_mode sp mode;
+    let outbox = List.concat_map (fun step -> step sp) steps in
+    (sp, outbox)
+  in
+  let sp, incremental = run Bgp.Speaker.Incremental in
+  let full_sp, full = run Bgp.Speaker.Full_table in
+  Alcotest.(check (list string))
+    "incremental and full-table outboxes" (show_outbox full)
+    (show_outbox incremental);
+  check_int "incremental converged" 0
+    (List.length (Bgp.Speaker.divergences sp env));
+  check_int "full-table converged" 0
+    (List.length (Bgp.Speaker.divergences full_sp env));
+  sp
+
+(* One decision fans out to peers with different egress policies: each
+   peer's advert must be what a speaker with only that peer (besides the
+   source) would send it. *)
+let test_egress_policies_per_peer () =
+  let egress = [ (2, every_route [ Bgp.Policy.Set_med 7 ]);
+                 (3, every_route [ Bgp.Policy.Prepend_self 2 ]) ] in
+  let receive sp =
+    Bgp.Speaker.receive sp env ~peer:1 ~session:0 (update ~lp:300 ~asns:[ 9 ] p10)
+  in
+  let set_egress sp =
+    List.concat_map
+      (fun (peer, policy) -> Bgp.Speaker.set_egress_policy sp env ~peer policy)
+      egress
+  in
+  let tag_all sp =
+    Bgp.Speaker.set_egress_policy_all sp env
+      (every_route [ Bgp.Policy.Add_community c7 ])
+  in
+  let alone ~with_all peer =
+    let sp = speaker 5 [ 1; peer ] in
+    (match List.assoc_opt peer egress with
+     | Some policy -> ignore (Bgp.Speaker.set_egress_policy sp env ~peer policy)
+     | None -> ());
+    if with_all then ignore (tag_all sp);
+    ignore (receive sp);
+    match Bgp.Speaker.advertised_to sp ~peer with
+    | [ (_, attr) ] -> attr
+    | _ -> Alcotest.failf "peer %d alone: expected one advert" peer
+  in
+  let check_each ~with_all sp =
+    List.iter
+      (fun peer ->
+        match Bgp.Speaker.advertised_to sp ~peer with
+        | [ (prefix, attr) ] ->
+          check_bool "advertised prefix" true (Prefix.equal prefix p10);
+          check_bool (Printf.sprintf "peer %d advert" peer) true
+            (Attr.equal (alone ~with_all peer) attr);
+          check_bool (Printf.sprintf "peer %d advert canonical" peer) true
+            (Attr.intern attr == attr)
+        | _ -> Alcotest.failf "peer %d: expected one advert" peer)
+      [ 2; 3; 4; 5 ]
+  in
+  let peers = [ 1; 2; 3; 4; 5 ] in
+  let sp = in_both_modes ~peers [ set_egress; receive ] in
+  check_each ~with_all:false sp;
+  (* The policies really shaped the adverts differently. *)
+  let advert peer = snd (List.hd (Bgp.Speaker.advertised_to sp ~peer)) in
+  check_int "med on peer 2" 7 (advert 2).Attr.med;
+  check_int "padded for peer 3" 4 (As_path.length (advert 3).Attr.as_path);
+  check_bool "peers 4 and 5 share one advert" true (advert 4 == advert 5);
+  check_each ~with_all:true
+    (in_both_modes ~peers [ set_egress; tag_all; receive ])
+
+(* An ingress policy that rewrites attributes still yields canonical
+   candidates; one that leaves them alone yields the Adj-RIB-In attribute
+   itself. *)
+let test_ingress_rewrite_candidates_canonical () =
+  let steps =
+    [
+      (fun sp ->
+        Bgp.Speaker.set_ingress_policy sp env ~peer:1
+          (every_route
+             [ Bgp.Policy.Set_local_pref 200; Bgp.Policy.Add_community c7 ]));
+      (fun sp ->
+        Bgp.Speaker.receive sp env ~peer:1 ~session:0 (update ~asns:[ 9 ] p10));
+      (fun sp ->
+        Bgp.Speaker.receive sp env ~peer:2 ~session:0 (update ~asns:[ 8 ] p10));
+    ]
+  in
+  let sp = in_both_modes ~peers:[ 1; 2; 3 ] steps in
+  let raw peer =
+    match
+      List.find_opt (fun (p, _, _) -> p = peer) (Bgp.Speaker.adj_rib_in sp p10)
+    with
+    | Some (_, _, attr) -> attr
+    | None -> Alcotest.failf "no route from peer %d" peer
+  in
+  match Bgp.Speaker.candidates sp p10 with
+  | [ rewritten; untouched ] ->
+    check_int "rewritten from peer 1" 1 rewritten.Bgp.Path.peer;
+    check_int "rewritten local-pref" 200 rewritten.Bgp.Path.attr.Attr.local_pref;
+    check_bool "rewritten tagged" true
+      (Attr.has_community c7 rewritten.Bgp.Path.attr);
+    check_bool "rewritten is canonical" true
+      (Attr.intern rewritten.Bgp.Path.attr == rewritten.Bgp.Path.attr);
+    check_bool "untouched is canonical" true
+      (Attr.intern untouched.Bgp.Path.attr == untouched.Bgp.Path.attr);
+    check_bool "untouched is the Adj-RIB-In attribute" true
+      (untouched.Bgp.Path.attr == raw 2)
+  | _ -> Alcotest.fail "expected two candidates"
+
 (* ---------------- candidate ordering ---------------- *)
 
 (* Regression for the sort-key change in [raw_routes]: candidates must come
@@ -398,6 +520,8 @@ let () =
           quick "egress change withdraws" test_egress_policy_change_triggers_withdraw;
           quick "advertised attr shape" test_advertised_attr_shape;
           quick "wcmp capacity aggregation" test_wcmp_advertises_total_capacity;
+          quick "egress policies per peer" test_egress_policies_per_peer;
+          quick "ingress rewrite canonical" test_ingress_rewrite_candidates_canonical;
         ] );
       ( "decision",
         [ quick "candidates sorted" test_candidates_sorted_by_peer_session ] );
