@@ -393,6 +393,7 @@ let table2_ctx prefix =
     Bgp.Rib_policy.device = 0;
     prefix;
     now = 0.0;
+    commit = false;
     peer_layer = (fun _ -> Some Topology.Node.Fauu);
     live_peers_in_layer = (fun _ -> 8);
   }

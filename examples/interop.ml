@@ -81,6 +81,7 @@ let () =
       Bgp.Rib_policy.device = r6;
       prefix = prefix_d;
       now = env.Bgp.Speaker.now;
+      commit = false;
       peer_layer = env.Bgp.Speaker.peer_layer;
       live_peers_in_layer = (fun _ -> List.length (Bgp.Speaker.peers speaker));
     }

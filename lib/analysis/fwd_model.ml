@@ -71,6 +71,7 @@ let compile graph ~engine_of ~cls =
               Bgp.Rib_policy.device = d;
               prefix;
               now = 0.0;
+              commit = false;
               peer_layer = layer_of;
               live_peers_in_layer =
                 (fun layer ->

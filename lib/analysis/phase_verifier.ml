@@ -455,13 +455,28 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
     vr_diagnostics = D.sort !diags;
   }
 
+(* The last report, keyed weakly by its plan (a plan's health checks may
+   close over a network) and by the stamp of the network it read. The
+   report depends only on the graph, the speakers' origins and the plan, so
+   the same plan on an unmoved network gets the same report. *)
+let last_report = ref None
+
 let verify_network ?frontiers net plan =
-  let origins =
-    match origins_of_network net with
-    | [] -> default_origins (Bgp.Network.graph net)
-    | os -> os
-  in
-  verify ~origins ?frontiers (Bgp.Network.graph net) plan
+  let stamp = Bgp.Network.stamp net in
+  match Option.bind !last_report (fun e -> Ephemeron.K1.query e plan) with
+  | Some (s, f, report)
+    when Bgp.Network.stamp_equal s stamp && Option.equal Bool.equal f frontiers
+    ->
+    report
+  | Some _ | None ->
+    let origins =
+      match origins_of_network net with
+      | [] -> default_origins (Bgp.Network.graph net)
+      | os -> os
+    in
+    let report = verify ~origins ?frontiers (Bgp.Network.graph net) plan in
+    last_report := Some (Ephemeron.K1.make plan (stamp, frontiers, report));
+    report
 
 let violation_json v =
   Obs.Json.Obj

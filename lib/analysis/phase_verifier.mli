@@ -100,7 +100,15 @@ val verify :
 val verify_network :
   ?frontiers:bool -> Bgp.Network.t -> Centralium.Controller.plan -> report
 (** {!verify} with {!origins_of_network} (falling back to
-    {!default_origins} for a network that originates nothing yet). *)
+    {!default_origins} for a network that originates nothing yet).
+
+    It reads only the graph's links, the speakers' origins and the plan,
+    so it keeps its last report, keyed by the plan (physically equal), the
+    [frontiers] flag and the network's {!Bgp.Network.stamp}, and returns
+    it again while none of them changes — e.g. when the admission probe and
+    the deploy gate verify one plan with no event in between. The plan is
+    held weakly (its health checks may close over a network), and nothing
+    kept refers to the network. *)
 
 val report_json : report -> Obs.Json.t
 (** Fixed field order, no wall-clock content: byte-identical across runs

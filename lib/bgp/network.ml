@@ -25,6 +25,8 @@ let msg_pid msg =
   | None -> -1
 
 type t = {
+  id : int;  (* unique per network, so a stamp names the network it read *)
+  mutable generation : int;  (* bumped by every change to speaker state *)
   topo : Topology.Graph.t;
   event_queue : Dsim.Event_queue.t;
   rng : Dsim.Rng.t;
@@ -49,10 +51,31 @@ type t = {
   last_heard : (int * int * int, float) Hashtbl.t;
 }
 
+(* What a judge of the network's state reads: the speakers (through the
+   chokepoints that bump [generation]), the graph (its own version counter)
+   and the clock ([Route_attribute.expired] reads it). *)
+type stamp = { network : int; changes : int; topology : int; clock : float }
+
 let graph t = t.topo
 let queue t = t.event_queue
 let trace t = t.trace_log
 let now t = Dsim.Event_queue.now t.event_queue
+
+let stamp t =
+  {
+    network = t.id;
+    changes = t.generation;
+    topology = Topology.Graph.version t.topo;
+    clock = now t;
+  }
+
+let stamp_equal a b =
+  Int.equal a.network b.network
+  && Int.equal a.changes b.changes
+  && Int.equal a.topology b.topology
+  && Float.equal a.clock b.clock
+
+let changed t = t.generation <- t.generation + 1
 
 let speaker t device =
   match Hashtbl.find_opt t.speakers device with
@@ -69,10 +92,15 @@ let env t : Speaker.env =
           (Topology.Graph.node_opt t.topo peer));
   }
 
+let networks_created = ref 0
+
 let create ?(seed = 42) ?(config = Speaker.default_config)
     ?(latency = default_latency) topo =
+  incr networks_created;
   let t =
     {
+      id = !networks_created;
+      generation = 0;
       topo;
       event_queue = Dsim.Event_queue.create ();
       rng = Dsim.Rng.create seed;
@@ -249,6 +277,7 @@ and deliver t ~src ~dst ~session ~cause msg =
            ignore
              (Obs.Causal.recv ~time:(now t) ~device:dst ~peer:src ~session
                 ~prefix:(msg_pid msg) ~note:(Msg.kind_label msg) ~parent:cause));
+        changed t;
         let before = fib_assoc sp in
         let outbox = Speaker.receive sp (env t) ~peer:src ~session msg in
         record_fib_diff t dst before (fib_assoc sp);
@@ -260,6 +289,7 @@ and deliver t ~src ~dst ~session ~cause msg =
 
 (* Runs [f] on the speaker, records FIB changes, dispatches messages. *)
 let transition t device f =
+  changed t;
   let sp = speaker t device in
   let before = fib_assoc sp in
   let outbox = f sp (env t) in
@@ -270,6 +300,7 @@ let schedule ?(delay = 0.0) t f =
   Dsim.Event_queue.schedule t.event_queue ~delay f
 
 let set_eval_mode t mode =
+  changed t;
   Hashtbl.iter (fun _ sp -> Speaker.set_eval_mode sp mode) t.speakers
 
 (* ---------------- Session liveness ---------------- *)
@@ -381,6 +412,7 @@ let reestablish_sessions ?(all = false) ?delay t =
         (Topology.Graph.links t.topo))
 
 let enable_liveness ?(config = Liveness.default) ~until t =
+  changed t;
   t.liveness <- Some config;
   t.liveness_until <- until;
   if config.Liveness.graceful_restart then
@@ -549,6 +581,7 @@ let restart_device ?(delay = 0.0) t device ~recovery =
          In-flight messages addressed to the device are discarded on
          arrival because its sessions are marked down. *)
       Speaker.reset sp;
+      changed t;
       Obs.Metrics.incr m_restarts;
       Trace.record t.trace_log
         (Trace.Speaker_restarted { time = now t; device });

@@ -29,7 +29,39 @@ val graph : t -> Topology.Graph.t
 val queue : t -> Dsim.Event_queue.t
 val trace : t -> Trace.t
 val now : t -> float
+
 val speaker : t -> int -> Speaker.t
+(** For inspection. Mutating the speaker directly bypasses the change
+    stamp (see {!stamp}). *)
+
+(** {1 Change stamp}
+
+    A stamp changes whenever anything a judge of the network's state can
+    read may have changed:
+    - the network's change counter, bumped by every speaker state
+      transition (originations, withdrawals, hook and policy changes,
+      session changes, stale sweeps), by every delivered Update, Withdraw
+      or End-of-RIB (keepalives only prove liveness), by the state reset
+      of {!restart_device}, by {!set_eval_mode} and by {!enable_liveness};
+    - the graph's {!Topology.Graph.version}, bumped by every graph
+      mutation, including link flips made on the graph directly;
+    - the virtual clock, since a time-bounded RPA statement can expire
+      with no event at all.
+
+    The contract: every state change goes through this module or through
+    {!Topology.Graph}. Two equal stamps then mean the same network in the
+    same state, and a pure function of that state (an invariant sweep, a
+    verification against the network's origins) may return its previous
+    answer. The trace, the fault model and liveness bookkeeping are not
+    part of the state a stamp covers. *)
+
+type stamp
+
+val stamp : t -> stamp
+(** The network's stamp now. It holds no reference to the network. *)
+
+val stamp_equal : stamp -> stamp -> bool
+(** Same network, no change since. *)
 
 (** {1 Scheduled operations} *)
 
@@ -146,4 +178,4 @@ val fib_digest : t -> string
 
 val env : t -> Speaker.env
 (** The environment handed to speakers (for direct speaker manipulation in
-    tests). *)
+    tests, which bypasses the change stamp). *)

@@ -8,6 +8,7 @@ type ctx = {
   device : int;
   prefix : Net.Prefix.t;
   now : float;
+  commit : bool;
   peer_layer : int -> Topology.Node.layer option;
   live_peers_in_layer : Topology.Node.layer -> int;
 }

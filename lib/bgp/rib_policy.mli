@@ -35,6 +35,11 @@ type ctx = {
   device : int;
   prefix : Net.Prefix.t;
   now : float;  (** virtual time, for RPA expiration *)
+  commit : bool;
+      (** the speaker installs this evaluation's outcome. [false] in a dry
+          run — the invariant checker's recomputation
+          ({!Speaker.divergences}), a static model, an explanation — where
+          a hook must have no side effect *)
   peer_layer : int -> Topology.Node.layer option;
       (** layer of a peer device, [None] if unknown *)
   live_peers_in_layer : Topology.Node.layer -> int;

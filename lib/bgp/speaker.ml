@@ -145,11 +145,12 @@ let peers t =
 
 (* ---------------- Context ---------------- *)
 
-let make_ctx t env prefix : Rib_policy.ctx =
+let make_ctx ~commit t env prefix : Rib_policy.ctx =
   {
     Rib_policy.device = id t;
     prefix;
     now = env.now;
+    commit;
     peer_layer = env.peer_layer;
     live_peers_in_layer =
       (fun layer ->
@@ -183,9 +184,8 @@ let raw_routes t prefix = raw_routes_pid t (pid prefix)
 let is_stale t prefix ~peer ~session =
   Hashtbl.mem t.stale (pid prefix, peer, session)
 
-let post_policy_candidates t env p ~use_hooks =
-  let prefix = prefix_of p in
-  let ctx = make_ctx t env prefix in
+let post_policy_candidates t (ctx : Rib_policy.ctx) p ~use_hooks =
+  let prefix = ctx.Rib_policy.prefix in
   let own_asn = asn t in
   List.filter_map
     (fun (peer, session, raw_attr) ->
@@ -220,7 +220,9 @@ let candidates ?env t prefix =
     | Some env -> env
     | None -> { now = 0.0; peer_layer = (fun _ -> None) }
   in
-  post_policy_candidates t env (pid prefix) ~use_hooks:false
+  post_policy_candidates t
+    (make_ctx ~commit:false t env prefix)
+    (pid prefix) ~use_hooks:false
 
 (* ---------------- Weights ---------------- *)
 
@@ -347,9 +349,9 @@ type desired = {
   d_adverts : (int * Net.Attr.t option) list;
 }
 
-let compute t env p : desired =
+let compute ~commit t env p : desired =
   let prefix = prefix_of p in
-  let ctx = make_ctx t env prefix in
+  let ctx = make_ctx ~commit t env prefix in
   match Hashtbl.find_opt t.origin_table p with
   | Some origin_attr ->
     (* Locally originated: FIB is Local; advertise to every peer. *)
@@ -360,7 +362,7 @@ let compute t env p : desired =
         fan_out_adverts t ctx prefix ~adv:(Some self_path) ~total_weight:1;
     }
   | None ->
-    let cands = post_policy_candidates t env p ~use_hooks:true in
+    let cands = post_policy_candidates t ctx p ~use_hooks:true in
     let native = Decision.select ~multipath:t.config.multipath cands in
     let sel = t.hooks.Rib_policy.select ctx ~candidates:cands ~native in
     let d_fib =
@@ -404,7 +406,7 @@ let evaluate t env p : outbox =
         ("device", string_of_int (id t));
         ("prefix", Net.Prefix.to_string (prefix_of p));
       ])
-  @@ fun () -> commit t p (compute t env p)
+  @@ fun () -> commit t p (compute ~commit:true t env p)
 
 let known_pids t =
   let set = Hashtbl.create 64 in
@@ -478,7 +480,7 @@ type divergence =
 let divergences t env =
   List.concat_map
     (fun p ->
-      let d = compute t env p in
+      let d = compute ~commit:false t env p in
       let fib_ok =
         match (d.d_fib, Hashtbl.find_opt t.fib_table p) with
         | None, None -> true

@@ -185,5 +185,6 @@ type divergence =
 val divergences : t -> env -> divergence list
 (** Recomputes the decision process for every known prefix {e without
     mutating any state} and reports mismatches against the installed FIB
-    and Adj-RIB-Out. An empty list means the speaker is internally
-    converged. *)
+    and Adj-RIB-Out. The hooks see a dry run ([ctx.commit = false]), so
+    they fire no side effect either. An empty list means the speaker is
+    internally converged. *)

@@ -197,6 +197,7 @@ let explain_route ?causal net agent ~device prefix =
         Bgp.Rib_policy.device;
         prefix;
         now = env.Bgp.Speaker.now;
+        commit = false;
         peer_layer = env.Bgp.Speaker.peer_layer;
         live_peers_in_layer =
           (fun layer ->

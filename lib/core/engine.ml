@@ -174,10 +174,10 @@ let native_fallback t ctx (st : Path_selection.statement)
       (* Violated with nothing to fall back to: withdraw; optionally keep
          the forwarding entries warm (Figure 14's knob). *)
       (match t.on_withdraw with
-       | Some f ->
+       | Some f when ctx.Bgp.Rib_policy.commit ->
          f ~prefix:ctx.Bgp.Rib_policy.prefix
            ~statement:st.Path_selection.st_name
-       | None -> ());
+       | Some _ | None -> ());
       {
         Bgp.Rib_policy.selected =
           (if st.Path_selection.keep_fib_warm_if_mnh_violated then nat_selected

@@ -26,9 +26,10 @@ val rpa : t -> Rpa.t
 val set_on_withdraw :
   t -> (prefix:Net.Prefix.t -> statement:string -> unit) option -> unit
 (** Callback fired whenever a [BgpNativeMinNextHop] guard forces a
-    withdrawal (the MNH-violated branch of the native fallback). The
-    scenario layer uses it to surface guard firings as trace violations;
-    [None] (the default) disables it. *)
+    withdrawal (the MNH-violated branch of the native fallback) in a
+    decision the speaker commits; dry runs ([ctx.commit = false]) never
+    fire it. The scenario layer uses it to surface guard firings as trace
+    violations; [None] (the default) disables it. *)
 
 val hooks : t -> Bgp.Rib_policy.hooks
 (** The hooks are backed by this engine's mutable cache; one engine should

@@ -335,8 +335,7 @@ let check_stability net devices =
 
 (* ---------------- Entry points ---------------- *)
 
-let check ?prefixes net =
-  Obs.Metrics.incr m_checks;
+let sweep ?prefixes net =
   Obs.Span.with_span "invariant.sweep" @@ fun () ->
   let graph = Bgp.Network.graph net in
   let devices =
@@ -357,9 +356,28 @@ let check ?prefixes net =
         @ check_entries net graph devices prefix)
       prefixes
   in
+  per_prefix @ check_stability net devices @ check_stale net devices
+  @ check_session_staleness net
+
+(* The last sweep: the stamp of the network it read, the prefixes it was
+   asked about, and what it found. A sweep reads only state the stamp
+   covers and changes nothing, so asking again before the stamp moves gets
+   the same answer. *)
+let last_sweep = ref None
+
+let check ?prefixes net =
+  Obs.Metrics.incr m_checks;
+  let stamp = Bgp.Network.stamp net in
   let found =
-    per_prefix @ check_stability net devices @ check_stale net devices
-    @ check_session_staleness net
+    match !last_sweep with
+    | Some (s, ps, found)
+      when Bgp.Network.stamp_equal s stamp
+           && Option.equal (List.equal Net.Prefix.equal) ps prefixes ->
+      found
+    | Some _ | None ->
+      let found = sweep ?prefixes net in
+      last_sweep := Some (stamp, prefixes, found);
+      found
   in
   Obs.Metrics.incr ~by:(List.length found) m_violations;
   found
@@ -401,12 +419,14 @@ let record net violations =
 let monitor ?(period = 0.005) ~until net =
   if period <= 0.0 then invalid_arg "Invariant.monitor: period must be positive";
   let queue = Bgp.Network.queue net in
-  let rec tick () =
-    record net (check net);
+  let rec arm () =
     if Bgp.Network.now net +. period <= until then
       Dsim.Event_queue.schedule queue ~delay:period tick
+  and tick () =
+    record net (check net);
+    arm ()
   in
-  if period <= until then Dsim.Event_queue.schedule queue ~delay:period tick
+  arm ()
 
 (* ---------------- Control-plane HA ---------------- *)
 

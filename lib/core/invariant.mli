@@ -76,7 +76,17 @@ val check : ?prefixes:Net.Prefix.t list -> Bgp.Network.t -> violation list
     {!Rib_inconsistency}, {!Dead_next_hop}, {!Unstable}, {!Session_stale},
     {!Stale_route}) over the given prefixes (default: every prefix any
     speaker knows; the session and stale checks are prefix-independent and
-    always run). Empty list = all invariants hold right now. *)
+    always run). Empty list = all invariants hold right now.
+
+    A sweep is pure: it reads the speakers, the graph and the clock, and
+    changes nothing (its re-decisions are dry runs, so no hook side effect
+    fires). [check] therefore keeps its last result, keyed by the network's
+    {!Bgp.Network.stamp} and the prefixes asked about, and returns it when
+    asked the same about a network whose stamp has not moved — e.g. a
+    between-phases hook and a watchdog probe at one phase boundary. Only a
+    sweep that runs opens an [invariant.sweep] span; the [invariant.checks]
+    and [invariant.violations] counters count every call. The kept result
+    holds no reference to the network. *)
 
 val check_session_staleness : Bgp.Network.t -> violation list
 (** The cross-end session check alone: for every session both ends consider

@@ -9,15 +9,21 @@ type link = {
 type t = {
   node_table : (int, Node.t) Hashtbl.t;
   adjacency : (int, (int, link) Hashtbl.t) Hashtbl.t;
+  mutable version : int;
 }
 
-let create () = { node_table = Hashtbl.create 64; adjacency = Hashtbl.create 64 }
+let create () =
+  { node_table = Hashtbl.create 64; adjacency = Hashtbl.create 64; version = 0 }
+
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let add_node t node =
   if Hashtbl.mem t.node_table node.Node.id then
     invalid_arg (Printf.sprintf "Graph.add_node: duplicate id %d" node.Node.id);
   Hashtbl.replace t.node_table node.Node.id node;
-  Hashtbl.replace t.adjacency node.Node.id (Hashtbl.create 8)
+  Hashtbl.replace t.adjacency node.Node.id (Hashtbl.create 8);
+  bump t
 
 let adjacency_of t id =
   match Hashtbl.find_opt t.adjacency id with
@@ -35,7 +41,8 @@ let add_link ?(capacity = 1.0) ?(sessions = 1) t a b =
     invalid_arg (Printf.sprintf "Graph.add_link: duplicate link %d-%d" a b);
   let link = { a; b; capacity; sessions; up = true } in
   Hashtbl.replace adj_a b link;
-  Hashtbl.replace (adjacency_of t b) a link
+  Hashtbl.replace (adjacency_of t b) a link;
+  bump t
 
 let node t id =
   match Hashtbl.find_opt t.node_table id with
@@ -75,7 +82,9 @@ let neighbors t id =
 let set_link_up t a b up =
   match find_link t a b with
   | None -> raise Not_found
-  | Some link -> link.up <- up
+  | Some link ->
+    link.up <- up;
+    bump t
 
 let remove_node t id =
   (match Hashtbl.find_opt t.adjacency id with
@@ -88,7 +97,8 @@ let remove_node t id =
          | None -> ())
        adj);
   Hashtbl.remove t.adjacency id;
-  Hashtbl.remove t.node_table id
+  Hashtbl.remove t.node_table id;
+  bump t
 
 let by_layer t layer =
   List.filter (fun n -> Node.layer_equal n.Node.layer layer) (nodes t)

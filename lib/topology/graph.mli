@@ -4,9 +4,11 @@
     session count ([sessions]), because several paper scenarios (Figure 5)
     hinge on multiple parallel BGP sessions between the same two devices.
     Migration operations mutate the graph in place (drain, remove, insert)
-    while the BGP layer reacts to change notifications. *)
+    while the BGP layer reacts to change notifications. Every mutation goes
+    through the functions below and bumps {!version}; links are read-only
+    outside this module, so nothing can change the graph unseen. *)
 
-type link = {
+type link = private {
   a : Net.Route.device;
   b : Net.Route.device;
   capacity : float;
@@ -17,6 +19,11 @@ type link = {
 type t
 
 val create : unit -> t
+
+val version : t -> int
+(** A counter bumped by every mutation ({!add_node}, {!add_link},
+    {!set_link_up}, {!remove_node}): two reads that return the same version
+    saw the same graph. *)
 
 val add_node : t -> Node.t -> unit
 (** Raises [Invalid_argument] on duplicate id. *)

@@ -343,6 +343,7 @@ let test_debug_explains_chosen_set () =
       Bgp.Rib_policy.device = 0;
       prefix = Net.Prefix.default_v4;
       now = 0.0;
+      commit = false;
       peer_layer = (fun _ -> Some (Topology.Node.Other "R"));
       live_peers_in_layer = (fun _ -> 2);
     }
@@ -374,6 +375,7 @@ let test_debug_explains_withdrawal () =
       Bgp.Rib_policy.device = 0;
       prefix = Net.Prefix.default_v4;
       now = 0.0;
+      commit = false;
       peer_layer = (fun _ -> Some Topology.Node.Fa);
       live_peers_in_layer = (fun _ -> 4);
     }

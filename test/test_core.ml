@@ -23,6 +23,7 @@ let basic_ctx ?(prefix = Net.Prefix.default_v4) ?(now = 0.0)
     Bgp.Rib_policy.device = 0;
     prefix;
     now;
+    commit = false;
     peer_layer = (fun _ -> Some (Topology.Node.Other "R"));
     live_peers_in_layer = (fun _ -> live (Topology.Node.Other "R"));
   }
@@ -550,6 +551,7 @@ let test_engine_route_filter () =
       Bgp.Rib_policy.device = 0;
       prefix;
       now = 0.0;
+      commit = false;
       peer_layer = (fun _ -> Some layer);
       live_peers_in_layer = (fun _ -> 4);
     }

@@ -158,6 +158,7 @@ let engine_ctx =
     Bgp.Rib_policy.device = 0;
     prefix = Net.Prefix.default_v4;
     now = 0.0;
+    commit = false;
     peer_layer = (fun _ -> Some (Topology.Node.Other "R"));
     live_peers_in_layer = (fun _ -> 6);
   }
@@ -603,6 +604,275 @@ let test_invariant_flags_dead_next_hop () =
       (has_kind Centralium.Invariant.Dead_next_hop
          (Centralium.Invariant.check ~prefixes:[ Net.Prefix.default_v4 ] net))
 
+let tagged_default () =
+  Net.Attr.make
+    ~communities:
+      (Net.Community.Set.singleton
+         Net.Community.Well_known.backbone_default_route)
+    ()
+
+(* The fabric's network, converged with its EBs originating the tagged
+   default route. *)
+let converged ~seed (f : Topology.Clos.fabric) =
+  let net = Bgp.Network.create ~seed f.Topology.Clos.graph in
+  List.iter
+    (fun eb -> Bgp.Network.originate net eb Net.Prefix.default_v4 (tagged_default ()))
+    f.Topology.Clos.ebs;
+  ignore (Bgp.Network.converge net);
+  net
+
+let sweep_spans f =
+  let recorder = Obs.Span.create () in
+  Obs.Span.with_recorder recorder f;
+  List.length (Obs.Span.durations_s recorder ~name:"invariant.sweep")
+
+let test_sweeps_record_no_guard_firings () =
+  (* A guard no SSW can meet withdraws the default route on every SSW, and
+     a callback records each firing in the trace, as
+     [Scenarios.deploy_rpa] does. A sweep re-decides every prefix without
+     committing anything, so it must record nothing. *)
+  let s = Topology.Clos.sev () in
+  let g = s.Topology.Clos.sgraph in
+  let net = Bgp.Network.create ~seed:42 g in
+  let trace = Bgp.Network.trace net in
+  let fired = ref 0 in
+  let plan =
+    Centralium.Apps.Min_next_hop_guard.plan g
+      ~destination:Centralium.Destination.backbone_default
+      ~threshold:(Centralium.Path_selection.Fraction 1.1) ~keep_fib_warm:false
+      ~targets:s.Topology.Clos.sssws ~origination_layer:Topology.Node.Eb
+  in
+  List.iter
+    (fun (device, rpa) ->
+      let engine = Centralium.Engine.create rpa in
+      Centralium.Engine.set_on_withdraw engine
+        (Some
+           (fun ~prefix ~statement ->
+             incr fired;
+             Bgp.Trace.record trace
+               (Bgp.Trace.Violation
+                  {
+                    time = Bgp.Network.now net;
+                    device = Some device;
+                    prefix = Some prefix;
+                    kind = "mnh-withdraw";
+                    detail = statement;
+                  })));
+      Bgp.Network.set_hooks net device (Centralium.Engine.hooks engine))
+    plan.Centralium.Controller.rpas;
+  Bgp.Network.originate net s.Topology.Clos.sbackbone Net.Prefix.default_v4
+    (tagged_default ());
+  ignore (Bgp.Network.converge net);
+  let converged = Bgp.Trace.violation_count trace in
+  Alcotest.(check bool) "committed decisions fire the guard" true (!fired > 0);
+  ignore (Centralium.Invariant.check net);
+  Alcotest.(check int) "one sweep records nothing" converged
+    (Bgp.Trace.violation_count trace);
+  (* A stamp that moved forces a second sweep. *)
+  ignore (Bgp.Network.run_until net ~time:(Bgp.Network.now net +. 0.001));
+  Alcotest.(check int) "sweep ran" 1
+    (sweep_spans (fun () -> ignore (Centralium.Invariant.check net)));
+  Alcotest.(check int) "a second sweep records nothing" converged
+    (Bgp.Trace.violation_count trace)
+
+let test_monitor_stops_at_until () =
+  (* The first sample is due one period from now, past [until]: none. *)
+  let net = converged ~seed:7 (Topology.Clos.fabric ~pods:2 ~rsws_per_pod:2 ()) in
+  let now = Bgp.Network.now net in
+  Alcotest.(check int) "no sweep after until" 0
+    (sweep_spans (fun () ->
+         Centralium.Invariant.monitor ~period:0.01 ~until:(now +. 0.005) net;
+         ignore (Bgp.Network.run_until net ~time:(now +. 0.05))));
+  Alcotest.(check int) "one sweep when until allows it" 1
+    (sweep_spans (fun () ->
+         let now = Bgp.Network.now net in
+         Centralium.Invariant.monitor ~period:0.01 ~until:(now +. 0.015) net;
+         ignore (Bgp.Network.run_until net ~time:(now +. 0.05))))
+
+let test_one_sweep_per_stamp () =
+  let f = Topology.Clos.fabric ~pods:2 ~rsws_per_pod:2 () in
+  let net = converged ~seed:7 f in
+  let registry = Obs.Metrics.default in
+  let checks = Obs.Metrics.counter "invariant.checks" in
+  let violations = Obs.Metrics.counter "invariant.violations" in
+  Obs.Metrics.set_enabled registry true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled registry false;
+      Obs.Metrics.reset registry)
+  @@ fun () ->
+  Obs.Metrics.reset registry;
+  (* A link cut on the graph alone leaves dead next hops to report. *)
+  let link = List.hd (Topology.Graph.links f.Topology.Clos.graph) in
+  Topology.Graph.set_link_up f.Topology.Clos.graph link.Topology.Graph.a
+    link.Topology.Graph.b false;
+  let first = ref [] and second = ref [] in
+  Alcotest.(check int) "two checks, one sweep" 1
+    (sweep_spans (fun () ->
+         first := Centralium.Invariant.check net;
+         second := Centralium.Invariant.check net));
+  Alcotest.(check bool) "violations found" true (!first <> []);
+  Alcotest.(check bool) "the same answer" true (!first == !second);
+  Alcotest.(check int) "every call counted" 2 (Obs.Metrics.value checks);
+  Alcotest.(check int) "every violation counted"
+    (2 * List.length !first)
+    (Obs.Metrics.value violations);
+  (* Other prefixes, a graph flip, a clock advance: each sweeps again. *)
+  Alcotest.(check int) "each change sweeps" 3
+    (sweep_spans (fun () ->
+         ignore (Centralium.Invariant.check ~prefixes:[] net);
+         Topology.Graph.set_link_up f.Topology.Clos.graph link.Topology.Graph.a
+           link.Topology.Graph.b true;
+         ignore (Centralium.Invariant.check ~prefixes:[] net);
+         ignore (Bgp.Network.run_until net ~time:(Bgp.Network.now net +. 0.001));
+         ignore (Centralium.Invariant.check ~prefixes:[] net)))
+
+(* One step of a random timeline. Devices and links are indices into the
+   slice's node and link lists, taken modulo their lengths. *)
+type judge_step =
+  | Advance of int  (* run the queue for this many ms: deliveries, or a bare
+                       clock advance once it is empty *)
+  | Settle  (* converge *)
+  | Weights of int * int * int
+      (* device, weight seed, expiry in ms: an RPA whose statement expires *)
+  | Flap of int * bool  (* Network.set_link *)
+  | Cut of int * bool  (* Topology.Graph.set_link_up, behind the network's back *)
+  | Restart of int  (* under graceful restart *)
+  | Mode of bool  (* full-table decisions *)
+  | Originate of int  (* a /24 per device *)
+
+let judge_step_to_string = function
+  | Advance ms -> Printf.sprintf "advance %dms" ms
+  | Settle -> "settle"
+  | Weights (d, w, ms) -> Printf.sprintf "weights %d/%d expiring %dms" d w ms
+  | Flap (l, up) -> Printf.sprintf "flap %d %b" l up
+  | Cut (l, up) -> Printf.sprintf "cut %d %b" l up
+  | Restart d -> Printf.sprintf "restart %d" d
+  | Mode full -> Printf.sprintf "mode full=%b" full
+  | Originate d -> Printf.sprintf "originate %d" d
+
+let judge_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun ms -> Advance ms) (int_range 0 8));
+        (2, return Settle);
+        ( 2,
+          map3
+            (fun d w ms -> Weights (d, w, ms))
+            (int_range 0 99) (int_range 0 99) (int_range 0 6) );
+        (1, map2 (fun l up -> Flap (l, up)) (int_range 0 99) bool);
+        (1, map2 (fun l up -> Cut (l, up)) (int_range 0 99) bool);
+        (1, map (fun d -> Restart d) (int_range 0 99));
+        (1, map (fun full -> Mode full) bool);
+        (1, map (fun d -> Originate d) (int_range 0 99));
+      ])
+
+let judges_reuse_invisible =
+  (* The invariant checker and the phase verifier reuse their last answer
+     while the network's stamp stands still. On one network, judged after
+     every step so that each judgment follows another, the answers must
+     equal those on an identically seeded network whose every judgment is
+     fresh (a third network is judged in between to evict the reuse). *)
+  QCheck.Test.make ~name:"reused judgments equal fresh ones" ~count:200
+    (QCheck.make
+       ~print:(fun ((pods, rsws, fsws, ssws), seed, steps) ->
+         Printf.sprintf "pods=%d rsws=%d fsws=%d ssws=%d seed=%d [%s]" pods
+           rsws fsws ssws seed
+           (String.concat "; " (List.map judge_step_to_string steps)))
+       QCheck.Gen.(
+         triple
+           (quad (int_range 1 2) (int_range 1 2) (int_range 1 2) (int_range 1 3))
+           (int_range 0 1000)
+           (list_size (int_range 4 14) judge_step_gen)))
+    (fun ((pods, rsws_per_pod, fsws_per_pod, ssws_per_plane), seed, steps) ->
+      let build () =
+        let f =
+          Topology.Clos.fabric ~pods ~rsws_per_pod ~fsws_per_pod ~ssws_per_plane
+            ~grids:1 ~fauus_per_grid:1 ~ebs:2 ()
+        in
+        (f, converged ~seed f)
+      in
+      let f, _ = build () in
+      let plan =
+        Centralium.Apps.Path_equalize.plan f.Topology.Clos.graph
+          ~destination:Centralium.Destination.backbone_default
+          ~origin_asn:
+            (Topology.Graph.node f.Topology.Clos.graph (List.hd f.Topology.Clos.ebs))
+              .Topology.Node.asn
+          ~targets:(f.Topology.Clos.rsws @ f.Topology.Clos.fsws)
+          ~origination_layer:Topology.Node.Eb
+      in
+      let judge net =
+        ( List.map
+            (Format.asprintf "%a" Centralium.Invariant.pp_violation)
+            (Centralium.Invariant.check net),
+          Obs.Json.to_string
+            (Analysis.Phase_verifier.report_json
+               (Analysis.Phase_verifier.verify_network net plan)) )
+      in
+      let _, bystander = build () in
+      let run ~fresh =
+        let f, net = build () in
+        let g = f.Topology.Clos.graph in
+        let nodes = Array.of_list (Topology.Graph.nodes g) in
+        let links = Array.of_list (Topology.Graph.links g) in
+        let node i = nodes.(i mod Array.length nodes).Topology.Node.id in
+        let link i = links.(i mod Array.length links) in
+        Bgp.Network.enable_liveness
+          ~config:(Bgp.Liveness.with_gr Bgp.Liveness.default)
+          ~until:(Bgp.Network.now net +. 0.05)
+          net;
+        let apply = function
+          | Advance ms ->
+            ignore
+              (Bgp.Network.run_until net
+                 ~time:(Bgp.Network.now net +. (float_of_int ms /. 1000.)))
+          | Settle -> ignore (Bgp.Network.converge net)
+          | Weights (d, w, ms) ->
+            let device = node d in
+            let weights =
+              List.mapi
+                (fun i ((n : Topology.Node.t), _) ->
+                  (n.Topology.Node.id, 1 + ((w + i) mod 3)))
+                (Topology.Graph.all_neighbors g device)
+            in
+            let rpa =
+              Centralium.Apps.Te_weights.rpa_for_device g
+                ~destination:Centralium.Destination.backbone_default ~device
+                ~weights
+                ~expires_at:(Bgp.Network.now net +. (float_of_int ms /. 1000.))
+                ()
+            in
+            Bgp.Network.set_hooks net device
+              (Centralium.Engine.hooks (Centralium.Engine.create rpa))
+          | Flap (l, up) ->
+            let l = link l in
+            Bgp.Network.set_link net l.Topology.Graph.a l.Topology.Graph.b ~up
+          | Cut (l, up) ->
+            let l = link l in
+            Topology.Graph.set_link_up g l.Topology.Graph.a l.Topology.Graph.b up
+          | Restart d -> Bgp.Network.restart_device net (node d) ~recovery:0.002
+          | Mode full ->
+            Bgp.Network.set_eval_mode net
+              (if full then Bgp.Speaker.Full_table else Bgp.Speaker.Incremental)
+          | Originate d ->
+            Bgp.Network.originate net (node d)
+              (Net.Prefix.of_string_exn
+                 (Printf.sprintf "10.%d.0.0/24" (d mod 256)))
+              (Net.Attr.make ())
+        in
+        List.map
+          (fun step ->
+            apply step;
+            if fresh then ignore (judge bystander);
+            judge net)
+          steps
+      in
+      let reused = run ~fresh:false in
+      let fresh = run ~fresh:true in
+      reused = fresh)
+
 (* ---------------- TE solver ---------------- *)
 
 let te_instance_arb =
@@ -673,6 +943,13 @@ let () =
             test_invariant_clean_fabric;
           Alcotest.test_case "dead next hop is flagged" `Quick
             test_invariant_flags_dead_next_hop;
+          Alcotest.test_case "sweeps record no guard firings" `Quick
+            test_sweeps_record_no_guard_firings;
+          Alcotest.test_case "monitor stops at until" `Quick
+            test_monitor_stops_at_until;
+          Alcotest.test_case "one sweep per stamp" `Quick
+            test_one_sweep_per_stamp;
+          QCheck_alcotest.to_alcotest ~long:false judges_reuse_invisible;
         ] );
       ( "te",
         List.map (QCheck_alcotest.to_alcotest ~long:false)

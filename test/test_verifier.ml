@@ -439,7 +439,8 @@ let naive_compile graph ~engine_of ~(cls : Eq.t) =
         (Engine.rpa eng).Rpa.route_filter
   in
   let ctx_of d : Bgp.Rib_policy.ctx =
-    { Bgp.Rib_policy.device = d; prefix; now = 0.0; peer_layer = layer_of;
+    { Bgp.Rib_policy.device = d; prefix; now = 0.0; commit = false;
+      peer_layer = layer_of;
       live_peers_in_layer =
         (fun layer ->
           List.length
@@ -698,6 +699,65 @@ let test_ops_admission_rejects_unsafe () =
   | Ops.Overloaded r ->
     Alcotest.failf "benign plan shed: %s" (Ops.overload_reason_to_string r)
 
+let test_verify_once_per_stamp () =
+  (* The admission probe and the deploy gate both call [verify_network];
+     a report physically equal to an earlier one was reused, not
+     recomputed. Between admission and the gate, nothing, an origination
+     or a link flip made on the graph alone. *)
+  let g = slice_graph () in
+  let net = Bgp.Network.create ~seed:19 g in
+  Bgp.Network.originate net 0 Net.Prefix.default_v4 (tagged_attr ());
+  ignore (Bgp.Network.converge net);
+  let reports = ref [] in
+  let verify net plan =
+    let r = PV.verify_network net plan in
+    reports := r :: !reports;
+    PV.findings r
+  in
+  let library = Controller.verifier () in
+  Controller.set_verifier verify;
+  Ops.set_admission_verifier (fun plan -> ignore (verify net plan); []);
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Controller.set_verifier library;
+      Ops.clear_admission_verifier ())
+  @@ fun () ->
+  let controller = Controller.create net in
+  let q = Ops.create (Nsdb.Replicated.create ~replicas:2) in
+  let verifications name ~between =
+    reports := [];
+    (match
+       Ops.submit q ~tenant:"mig" ~cls:Ops.Standard
+         (plan ~name ~rpas:[ (1, benign_rpa ()) ] ~phases:[ [ 1 ] ])
+     with
+     | Ops.Admitted _ -> ()
+     | Ops.Overloaded r ->
+       Alcotest.failf "%s shed: %s" name (Ops.overload_reason_to_string r));
+    between ();
+    (match Ops.next_ready q with
+     | None -> Alcotest.failf "%s not ready" name
+     | Some (seq, p) ->
+       Ops.mark_started q seq;
+       (match Controller.deploy ~lint:`Off ~verify:`Enforce controller p with
+        | Ok _ -> ()
+        | Error es -> Alcotest.failf "%s blocked: %s" name (String.concat "; " es));
+       Ops.mark_done q seq);
+    check_int (name ^ ": two calls") 2 (List.length !reports);
+    List.length
+      (List.fold_left
+         (fun seen r -> if List.exists (( == ) r) seen then seen else r :: seen)
+         [] !reports)
+  in
+  check_int "unchanged network: verified once" 1
+    (verifications "quiet" ~between:ignore);
+  check_int "origination in between: verified again" 2
+    (verifications "originated" ~between:(fun () ->
+         Bgp.Network.originate net 3 (p4 10 3 0 0 24) (tagged_attr ());
+         ignore (Bgp.Network.converge net)));
+  check_int "graph-side link flip in between: verified again" 2
+    (verifications "flipped" ~between:(fun () ->
+         Topology.Graph.set_link_up g 2 3 false))
+
 let () =
   Alcotest.run "verifier"
     [
@@ -723,5 +783,6 @@ let () =
           quick "controller enforce gate" test_controller_enforce_gate;
           quick "qualification verify pass" test_qualification_verify_pass;
           quick "ops admission rejects unsafe" test_ops_admission_rejects_unsafe;
+          quick "verify once per stamp" test_verify_once_per_stamp;
         ] );
     ]
