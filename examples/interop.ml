@@ -76,20 +76,10 @@ let () =
   let r6 = m.Topology.Clos.r.(6) in
   let speaker = Bgp.Network.speaker net r6 in
   let env = Bgp.Network.env net in
-  let ctx =
-    {
-      Bgp.Rib_policy.device = r6;
-      prefix = prefix_d;
-      now = env.Bgp.Speaker.now;
-      commit = false;
-      peer_layer = env.Bgp.Speaker.peer_layer;
-      live_peers_in_layer = (fun _ -> List.length (Bgp.Speaker.peers speaker));
-    }
-  in
   let explanation =
     Centralium.Debug.explain
       (Centralium.Engine.create rpa)
-      ~ctx
+      ~ctx:(Bgp.Speaker.decision_ctx speaker env prefix_d)
       ~candidates:(Bgp.Speaker.candidates speaker prefix_d)
   in
   Format.printf "%a" Centralium.Debug.pp_explanation explanation;

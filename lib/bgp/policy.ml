@@ -65,13 +65,13 @@ let matches clause prefix attr =
 let apply_action self attr = function
   | Accept | Reject -> attr (* flow control handled by caller *)
   | Set_local_pref lp -> Net.Attr.set_local_pref lp attr
-  | Set_med med -> { attr with Net.Attr.med }
+  | Set_med med -> Net.Attr.set_med med attr
   | Prepend_self n ->
-    { attr with Net.Attr.as_path = Net.As_path.prepend_n n self attr.Net.Attr.as_path }
+    Net.Attr.set_as_path
+      (Net.As_path.prepend_n n self attr.Net.Attr.as_path)
+      attr
   | Add_community c -> Net.Attr.add_community c attr
-  | Remove_community c ->
-    { attr with
-      Net.Attr.communities = Net.Community.Set.remove c attr.Net.Attr.communities }
+  | Remove_community c -> Net.Attr.remove_community c attr
   | Set_link_bandwidth bw -> Net.Attr.set_link_bandwidth bw attr
 
 let apply t ~self prefix attr =

@@ -43,30 +43,57 @@ let prefix_of = Net.Intern.Prefix_id.value
 let pid_compare a b = Net.Prefix.compare (prefix_of a) (prefix_of b)
 let sort_pids pids = List.sort pid_compare pids
 
+(* Everything the speaker keeps per peer device, in one record. A record is
+   created the first time a device is seen — by [add_peer], [set_session],
+   a policy, or a route received from it — and never removed, so Adj-RIB-In
+   slots can point at it. Only records with [added] set (by [add_peer] or
+   [set_session]) are advertisement targets. *)
+type peer = {
+  device : int;
+  mutable added : bool;
+  mutable count : int;  (* session count *)
+  (* established flag per session index; may run past [count] when a peer
+     is re-added with fewer sessions, as the session state always could *)
+  mutable state : bool array;
+  (* the established sessions below [count], ascending *)
+  mutable up : int list;
+  mutable ingress : Policy.t option;
+  mutable egress : Policy.t;
+  (* prefix id -> last advertised attributes. Maintained as a mirror of the
+     desired advertisement state whether the peer is up or down: every
+     decision-input change re-derives the affected entries, so the table is
+     always current and a session (re-)establishment can resend it
+     directly. *)
+  rib_out : (int, Net.Attr.t) Hashtbl.t;
+}
+
+(* One prefix's Adj-RIB-In: raw received attributes in the first [len] slots
+   of three parallel arrays, sorted by (peer device, session) — the order a
+   decision reads its candidates in. *)
+type rib = {
+  mutable len : int;
+  mutable from : peer array;
+  mutable sess : int array;
+  mutable attrs : Net.Attr.t array;
+}
+
 type t = {
   node : Topology.Node.t;
   config : config;
   mutable hooks : Rib_policy.hooks;
-  (* prefix id -> (peer, session) -> raw received attributes *)
-  rib_in : (int, (int * int, Net.Attr.t) Hashtbl.t) Hashtbl.t;
+  (* prefix id -> Adj-RIB-In. A prefix whose routes are all gone keeps its
+     (empty) entry: it is still a known prefix. *)
+  rib_in : (int, rib) Hashtbl.t;
   origin_table : (int, Net.Attr.t) Hashtbl.t;
-  ingress : (int, Policy.t) Hashtbl.t;
-  egress : (int, Policy.t) Hashtbl.t;
+  (* every peer record, sorted by device id *)
+  mutable peer_records : peer array;
   mutable egress_all : Policy.t;
   fib_table : (int, fib_state) Hashtbl.t;
-  (* peer -> prefix id -> last advertised attributes. Maintained as a
-     mirror of the desired advertisement state for every peer, up or down:
-     every decision-input change re-derives the affected entries, so the
-     table is always current and a session (re-)establishment can resend it
-     directly. *)
-  rib_out : (int, (int, Net.Attr.t) Hashtbl.t) Hashtbl.t;
-  session_count : (int, int) Hashtbl.t;
-  session_state : (int * int, bool) Hashtbl.t;
   mutable graceful_restart : bool;
   (* (prefix id, peer, session) -> time the route was marked stale. A stale
      route stays a forwarding candidate (RFC 4724 receiver side) until it is
      refreshed by an Update, swept by an End-of-RIB, or expired by the
-     stale-path timer. *)
+     stale-path timer. Every mark belongs to a route in the Adj-RIB-In. *)
   stale : (int * int * int, float) Hashtbl.t;
   (* Learned FIB prefixes preserved across our own restart (restarting
      speaker side of graceful restart): forwarding state survives the crash
@@ -90,13 +117,9 @@ let create ?(config = default_config) ?(hooks = Rib_policy.native) node =
     hooks;
     rib_in = Hashtbl.create 64;
     origin_table = Hashtbl.create 8;
-    ingress = Hashtbl.create 8;
-    egress = Hashtbl.create 8;
+    peer_records = [||];
     egress_all = Policy.empty;
     fib_table = Hashtbl.create 64;
-    rib_out = Hashtbl.create 8;
-    session_count = Hashtbl.create 8;
-    session_state = Hashtbl.create 16;
     graceful_restart = false;
     stale = Hashtbl.create 16;
     fib_stale = Hashtbl.create 8;
@@ -117,31 +140,78 @@ let hooks t = t.hooks
 
 (* ---------------- Peering ---------------- *)
 
+(* Index of the first record whose device id is at least [device]. *)
+let peer_index t device =
+  let a = t.peer_records in
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if a.(mid).device < device then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let find_peer t device =
+  let i = peer_index t device in
+  let a = t.peer_records in
+  if i < Array.length a && a.(i).device = device then Some a.(i) else None
+
+(* The record of [device], created (not yet a peer) on first sight. *)
+let peer_record t device =
+  let i = peer_index t device in
+  let a = t.peer_records in
+  if i < Array.length a && a.(i).device = device then a.(i)
+  else begin
+    let r =
+      {
+        device;
+        added = false;
+        count = 0;
+        state = [||];
+        up = [];
+        ingress = None;
+        egress = Policy.empty;
+        rib_out = Hashtbl.create 16;
+      }
+    in
+    t.peer_records <-
+      Array.init
+        (Array.length a + 1)
+        (fun j -> if j < i then a.(j) else if j = i then r else a.(j - 1));
+    r
+  end
+
+let is_up r session =
+  session >= 0 && session < Array.length r.state && r.state.(session)
+
+let set_state r session up =
+  let n = Array.length r.state in
+  if session >= n then
+    r.state <- Array.append r.state (Array.make (session + 1 - n) false);
+  r.state.(session) <- up
+
+let refresh_up r =
+  r.up <- List.filter (is_up r) (List.init r.count Fun.id)
+
 let add_peer t ~peer ~sessions =
-  Hashtbl.replace t.session_count peer sessions;
+  let r = peer_record t peer in
+  r.added <- true;
+  r.count <- sessions;
   for s = 0 to sessions - 1 do
-    Hashtbl.replace t.session_state (peer, s) true
-  done
+    set_state r s true
+  done;
+  refresh_up r
 
 let session_up t ~peer ~session =
-  match Hashtbl.find_opt t.session_state (peer, session) with
-  | Some up -> up
-  | None -> false
+  match find_peer t peer with Some r -> is_up r session | None -> false
 
-let up_sessions t peer =
-  match Hashtbl.find_opt t.session_count peer with
-  | None -> []
-  | Some n ->
-    List.filter (fun s -> session_up t ~peer ~session:s) (List.init n Fun.id)
+(* A peer with at least one open session. *)
+let live r = r.added && r.up <> []
 
 let peers t =
-  Hashtbl.fold
-    (fun peer _count acc ->
-      match up_sessions t peer with
-      | [] -> acc
-      | up -> (peer, List.length up) :: acc)
-    t.session_count []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  Array.fold_right
+    (fun r acc -> if live r then (r.device, List.length r.up) :: acc else acc)
+    t.peer_records []
 
 (* ---------------- Context ---------------- *)
 
@@ -154,65 +224,138 @@ let make_ctx ~commit t env prefix : Rib_policy.ctx =
     peer_layer = env.peer_layer;
     live_peers_in_layer =
       (fun layer ->
-        List.length
-          (List.filter
-             (fun (peer, _) ->
-               match env.peer_layer peer with
-               | Some l -> Topology.Node.layer_equal l layer
-               | None -> false)
-             (peers t)));
+        Array.fold_left
+          (fun n r ->
+            if
+              live r
+              &&
+              match env.peer_layer r.device with
+              | Some l -> Topology.Node.layer_equal l layer
+              | None -> false
+            then n + 1
+            else n)
+          0 t.peer_records);
   }
+
+let decision_ctx t env prefix = make_ctx ~commit:false t env prefix
+
+(* ---------------- Adj-RIB-In ---------------- *)
+
+let empty_rib () = { len = 0; from = [||]; sess = [||]; attrs = [||] }
+
+(* Index of the first route at or after (device, session). *)
+let rib_index rib device session =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      let d = rib.from.(mid).device in
+      if d < device || (d = device && rib.sess.(mid) < session) then
+        go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 rib.len
+
+(* The slot of the route from (device, session), or -1. *)
+let rib_find rib device session =
+  let i = rib_index rib device session in
+  if i < rib.len && rib.from.(i).device = device && rib.sess.(i) = session
+  then i
+  else -1
+
+let rib_has_peer rib device =
+  let i = rib_index rib device min_int in
+  i < rib.len && rib.from.(i).device = device
+
+(* Inserts a route at slot [i], which [rib_index] gave for its key. *)
+let rib_insert rib i r session attr =
+  if rib.len = Array.length rib.from then begin
+    let more = max 4 rib.len in
+    rib.from <- Array.append rib.from (Array.make more r);
+    rib.sess <- Array.append rib.sess (Array.make more session);
+    rib.attrs <- Array.append rib.attrs (Array.make more attr)
+  end;
+  let tail = rib.len - i in
+  Array.blit rib.from i rib.from (i + 1) tail;
+  Array.blit rib.sess i rib.sess (i + 1) tail;
+  Array.blit rib.attrs i rib.attrs (i + 1) tail;
+  rib.from.(i) <- r;
+  rib.sess.(i) <- session;
+  rib.attrs.(i) <- attr;
+  rib.len <- rib.len + 1
+
+let rib_remove rib i =
+  let tail = rib.len - i - 1 in
+  Array.blit rib.from (i + 1) rib.from i tail;
+  Array.blit rib.sess (i + 1) rib.sess i tail;
+  Array.blit rib.attrs (i + 1) rib.attrs i tail;
+  rib.len <- rib.len - 1
+
+(* Removes the route from (device, session) if present; says whether it
+   was. *)
+let rib_delete t p ~peer ~session =
+  match Hashtbl.find_opt t.rib_in p with
+  | None -> false
+  | Some rib ->
+    let i = rib_find rib peer session in
+    if i >= 0 then rib_remove rib i;
+    i >= 0
+
+let raw_routes t prefix =
+  match Hashtbl.find_opt t.rib_in (pid prefix) with
+  | None -> []
+  | Some rib ->
+    List.init rib.len (fun i -> (rib.from.(i).device, rib.sess.(i), rib.attrs.(i)))
+
+(* Stale probes cost a tuple hash; nothing is stale almost always. *)
+let has_stale_mark t key = Hashtbl.length t.stale > 0 && Hashtbl.mem t.stale key
+
+let is_stale t prefix ~peer ~session = has_stale_mark t (pid prefix, peer, session)
 
 (* ---------------- Candidate gathering ---------------- *)
 
-(* Keys are unique per Adj-RIB-In table, so sorting by the (peer, session)
-   key alone is the same total order the old polymorphic sort on whole
-   (peer, session, attr) triples produced — without ever walking (or, now
-   that attributes carry interned state, miscomparing) the attributes. *)
-let raw_routes_pid t p =
-  match Hashtbl.find_opt t.rib_in p with
-  | None -> []
-  | Some table ->
-    Hashtbl.fold (fun (peer, session) attr acc -> (peer, session, attr) :: acc)
-      table []
-    |> List.sort (fun (p1, s1, _) (p2, s2, _) ->
-           let c = Int.compare p1 p2 in
-           if c <> 0 then c else Int.compare s1 s2)
-
-let raw_routes t prefix = raw_routes_pid t (pid prefix)
-
-let is_stale t prefix ~peer ~session =
-  Hashtbl.mem t.stale (pid prefix, peer, session)
+let ingress_of r = Option.value r.ingress ~default:Policy.empty
 
 let post_policy_candidates t (ctx : Rib_policy.ctx) p ~use_hooks =
-  let prefix = ctx.Rib_policy.prefix in
-  let own_asn = asn t in
-  List.filter_map
-    (fun (peer, session, raw_attr) ->
-      (* A stale route (graceful restart) remains a forwarding candidate
-         while its session is down: the whole point of RFC 4724 is to keep
-         forwarding on last-known-good state until resync or sweep. *)
-      if
-        (not (session_up t ~peer ~session))
-        && not (Hashtbl.mem t.stale (p, peer, session))
-      then None
-      else if Net.As_path.mem own_asn raw_attr.Net.Attr.as_path then
-        None (* standard AS-path loop prevention *)
+  match Hashtbl.find_opt t.rib_in p with
+  | None -> []
+  | Some rib ->
+    let prefix = ctx.Rib_policy.prefix in
+    let own_asn = asn t in
+    (* In slot order, so hooks see the candidates in (peer, session)
+       order. *)
+    let rec from i =
+      if i >= rib.len then []
       else
-        let policy =
-          Option.value (Hashtbl.find_opt t.ingress peer) ~default:Policy.empty
-        in
-        match Policy.apply policy ~self:own_asn prefix raw_attr with
-        | None -> None
-        | Some attr ->
-          if use_hooks && not (t.hooks.Rib_policy.ingress_accept ctx ~peer attr)
+        let r = rib.from.(i) and session = rib.sess.(i) in
+        let raw_attr = rib.attrs.(i) in
+        let peer = r.device in
+        let cand =
+          (* A stale route (graceful restart) remains a forwarding candidate
+             while its session is down: the whole point of RFC 4724 is to
+             keep forwarding on last-known-good state until resync or
+             sweep. *)
+          if (not (is_up r session)) && not (has_stale_mark t (p, peer, session))
           then None
-          else if attr == raw_attr then
-            (* [receive] interned every Adj-RIB-In attribute, so one the
-               ingress policy left untouched is already canonical. *)
-            Some { Path.peer; session; attr }
-          else Some (Path.make ~peer ~session ~attr))
-    (raw_routes_pid t p)
+          else if Net.As_path.mem own_asn raw_attr.Net.Attr.as_path then
+            None (* standard AS-path loop prevention *)
+          else
+            match Policy.apply (ingress_of r) ~self:own_asn prefix raw_attr with
+            | None -> None
+            | Some attr ->
+              if use_hooks && not (t.hooks.Rib_policy.ingress_accept ctx ~peer attr)
+              then None
+              else if attr == raw_attr then
+                (* [receive] interned every Adj-RIB-In attribute, so one the
+                   ingress policy left untouched is already canonical. *)
+                Some { Path.peer; session; attr }
+              else Some (Path.make ~peer ~session ~attr)
+        in
+        match cand with
+        | None -> from (i + 1)
+        | Some c -> c :: from (i + 1)
+    in
+    from 0
 
 let candidates ?env t prefix =
   let env =
@@ -254,19 +397,10 @@ let prepare_advert t attr ~total_weight =
   (* Interned so the change-detection [equal] below is a pointer check. *)
   Net.Attr.intern attr
 
-let rib_out_for t peer =
-  match Hashtbl.find_opt t.rib_out peer with
-  | Some table -> table
-  | None ->
-    let table = Hashtbl.create 16 in
-    Hashtbl.replace t.rib_out peer table;
-    table
-
-(* Computes the desired advertisement toward [peer] and emits messages if it
+(* Computes the desired advertisement toward [r] and emits messages if it
    differs from what was last sent. *)
-let advertise_to t p ~peer ~desired : outbox =
-  let table = rib_out_for t peer in
-  let previous = Hashtbl.find_opt table p in
+let advertise_to p r ~desired : outbox =
+  let previous = Hashtbl.find_opt r.rib_out p in
   let changed =
     match (previous, desired) with
     | None, None -> false
@@ -276,8 +410,8 @@ let advertise_to t p ~peer ~desired : outbox =
   if not changed then []
   else begin
     (match desired with
-     | Some attr -> Hashtbl.replace table p attr
-     | None -> Hashtbl.remove table p);
+     | Some attr -> Hashtbl.replace r.rib_out p attr
+     | None -> Hashtbl.remove r.rib_out p);
     let msg =
       match desired with
       | Some attr ->
@@ -287,24 +421,18 @@ let advertise_to t p ~peer ~desired : outbox =
         Obs.Metrics.incr m_withdraws;
         Msg.Withdraw { prefix = prefix_of p }
     in
-    List.map (fun session -> (peer, session, msg)) (up_sessions t peer)
+    List.map (fun session -> (r.device, session, msg)) r.up
   end
 
-let all_peer_ids t =
-  Hashtbl.fold (fun peer _ acc -> peer :: acc) t.session_count []
-  |> List.sort Int.compare
-
-let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~prepare =
+let desired_advert t ctx prefix r ~(adv : Path.t option) ~prepare =
   match adv with
   | None -> None
   | Some path ->
+    let peer = r.device in
     if path.Path.peer = peer then None (* split horizon *)
     else begin
       let own_asn = asn t in
-      let peer_policy =
-        Option.value (Hashtbl.find_opt t.egress peer) ~default:Policy.empty
-      in
-      match Policy.apply peer_policy ~self:own_asn prefix path.Path.attr with
+      match Policy.apply r.egress ~self:own_asn prefix path.Path.attr with
       | None -> None
       | Some attr ->
         (match Policy.apply t.egress_all ~self:own_asn prefix attr with
@@ -314,10 +442,11 @@ let desired_advert t ctx prefix ~peer ~(adv : Path.t option) ~prepare =
            else Some (prepare attr))
     end
 
-(* One decision's adverts to every peer. Egress policy and the egress hook
-   are per peer, but the preparation depends only on the post-policy
-   attributes, and peers without an egress policy all share the advertised
-   path's own: each distinct attribute is prepared (and interned) once. *)
+(* One decision's adverts to every peer, in device-id order. Egress policy
+   and the egress hook are per peer, but the preparation depends only on the
+   post-policy attributes, and peers without an egress policy all share the
+   advertised path's own: each distinct attribute is prepared (and
+   interned) once. *)
 let fan_out_adverts t ctx prefix ~adv ~total_weight =
   let prepared = ref [] in
   let prepare attr =
@@ -328,9 +457,17 @@ let fan_out_adverts t ctx prefix ~adv ~total_weight =
       prepared := (attr, advert) :: !prepared;
       advert
   in
-  List.map
-    (fun peer -> (peer, desired_advert t ctx prefix ~peer ~adv ~prepare))
-    (all_peer_ids t)
+  let records = t.peer_records in
+  let rec from i =
+    if i >= Array.length records then []
+    else
+      let r = records.(i) in
+      if not r.added then from (i + 1)
+      else
+        let d = desired_advert t ctx prefix r ~adv ~prepare in
+        (r, d) :: from (i + 1)
+  in
+  from 0
 
 (* ---------------- Evaluation ---------------- *)
 
@@ -346,7 +483,7 @@ let total_weight_of_fib = function
    installed state). *)
 type desired = {
   d_fib : fib_state option;
-  d_adverts : (int * Net.Attr.t option) list;
+  d_adverts : (peer * Net.Attr.t option) list;
 }
 
 let compute ~commit t env p : desired =
@@ -389,9 +526,7 @@ let commit t p desired : outbox =
         keep forwarding on the preserved entry until it is either
         re-learned (Some above) or expired by the stale-path sweep. *)
      if not (Hashtbl.mem t.fib_stale p) then Hashtbl.remove t.fib_table p);
-  List.concat_map
-    (fun (peer, d) -> advertise_to t p ~peer ~desired:d)
-    desired.d_adverts
+  List.concat_map (fun (r, d) -> advertise_to p r ~desired:d) desired.d_adverts
 
 (* The decision-process instrumentation lives here, on the state-driving
    path, so the [divergences] oracle checker (which recomputes every prefix
@@ -413,9 +548,9 @@ let known_pids t =
   Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) t.rib_in;
   Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) t.origin_table;
   Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) t.fib_table;
-  Hashtbl.iter
-    (fun _ table -> Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) table)
-    t.rib_out;
+  Array.iter
+    (fun r -> Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) r.rib_out)
+    t.peer_records;
   Hashtbl.fold (fun p () acc -> p :: acc) set [] |> sort_pids
 
 let known_prefixes t = List.map prefix_of (known_pids t)
@@ -428,9 +563,9 @@ let mark_all_dirty t =
   Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) t.rib_in;
   Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) t.origin_table;
   Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) t.fib_table;
-  Hashtbl.iter
-    (fun _ table -> Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) table)
-    t.rib_out
+  Array.iter
+    (fun r -> Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) r.rib_out)
+    t.peer_records
 
 (* Non-native hooks get a context whose answers (time, live peers per
    layer) can feed into any prefix's decision, so a transition that changes
@@ -494,22 +629,19 @@ let divergences t env =
       let fib_div = if fib_ok then [] else [ Stale_fib { prefix } ] in
       let advert_divs =
         List.filter_map
-          (fun (peer, want) ->
+          (fun (r, want) ->
             (* Nothing can be advertised to a peer with no open session, so
                its mirrored Adj-RIB-Out cannot be stale. *)
-            if up_sessions t peer = [] then None
+            if r.up = [] then None
             else
-              let sent =
-                Option.bind (Hashtbl.find_opt t.rib_out peer) (fun table ->
-                    Hashtbl.find_opt table p)
-              in
               let ok =
-                match (sent, want) with
+                match (Hashtbl.find_opt r.rib_out p, want) with
                 | None, None -> true
                 | Some a, Some b -> Net.Attr.equal a b
                 | None, Some _ | Some _, None -> false
               in
-              if ok then None else Some (Stale_advert { prefix; peer }))
+              if ok then None
+              else Some (Stale_advert { prefix; peer = r.device }))
           d.d_adverts
       in
       fib_div @ advert_divs)
@@ -546,9 +678,7 @@ let sweep_stale t env ~peer ~session ~before : outbox =
     (fun p ->
       Hashtbl.remove t.stale (p, peer, session);
       Obs.Metrics.incr m_stale_swept;
-      match Hashtbl.find_opt t.rib_in p with
-      | None -> ()
-      | Some table -> Hashtbl.remove table (peer, session))
+      ignore (rib_delete t p ~peer ~session))
     victims;
   evaluate_pids t env victims
 
@@ -578,26 +708,20 @@ let in_selection entries ~peer ~session =
 
 (* The post-policy candidate attributes of one currently-selected entry:
    the reference point for "does this new path displace the selection?". *)
-let selected_member_path t p (m : entry) =
-  match Hashtbl.find_opt t.rib_in p with
-  | None -> None
-  | Some table ->
-    (match Hashtbl.find_opt table (m.next_hop, m.session) with
-     | None -> None
-     | Some raw ->
-       let policy =
-         Option.value (Hashtbl.find_opt t.ingress m.next_hop)
-           ~default:Policy.empty
-       in
-       Option.map
-         (fun attr -> Path.make ~peer:m.next_hop ~session:m.session ~attr)
-         (Policy.apply policy ~self:(asn t) (prefix_of p) raw))
+let selected_member_path t rib p (m : entry) =
+  let i = rib_find rib m.next_hop m.session in
+  if i < 0 then None
+  else
+    Option.map
+      (fun attr -> Path.make ~peer:m.next_hop ~session:m.session ~attr)
+      (Policy.apply (ingress_of rib.from.(i)) ~self:(asn t) (prefix_of p)
+         rib.attrs.(i))
 
 (* A changed (or new) route that is not currently selected and strictly
    loses to the selection — without tying into the equal-cost set — leaves
    best path, selected set, weights, and every advert untouched. This is
    the classic incremental-BGP "worse path for a non-best route" rule. *)
-let update_cannot_affect t p ~peer ~session attr =
+let update_cannot_affect t rib p r ~session attr =
   origin_shadows t p
   || (Rib_policy.is_native t.hooks
      &&
@@ -605,19 +729,17 @@ let update_cannot_affect t p ~peer ~session attr =
      | None -> false
      | Some ([] as _entries) -> false
      | Some (m :: _ as entries) ->
+       let peer = r.device in
        (not (in_selection entries ~peer ~session))
        &&
        let own_asn = asn t in
        if Net.As_path.mem own_asn attr.Net.Attr.as_path then
          true (* loop-rejected: not a candidate, and was not selected *)
        else
-         let policy =
-           Option.value (Hashtbl.find_opt t.ingress peer) ~default:Policy.empty
-         in
-         (match Policy.apply policy ~self:own_asn (prefix_of p) attr with
+         (match Policy.apply (ingress_of r) ~self:own_asn (prefix_of p) attr with
           | None -> true (* policy-rejected: not a candidate *)
           | Some cand_attr ->
-            (match selected_member_path t p m with
+            (match selected_member_path t rib p m with
              | None -> false (* selection not re-derivable: decide *)
              | Some sel_path ->
                let cand = Path.make ~peer ~session ~attr:cand_attr in
@@ -648,13 +770,14 @@ let receive t env ~peer ~session msg =
   | Msg.Update { prefix; attr } ->
     let p = pid prefix in
     let attr = Net.Attr.intern attr in
-    let table =
+    let r = peer_record t peer in
+    let rib =
       match Hashtbl.find_opt t.rib_in p with
-      | Some table -> table
+      | Some rib -> rib
       | None ->
-        let table = Hashtbl.create 8 in
-        Hashtbl.replace t.rib_in p table;
-        table
+        let rib = empty_rib () in
+        Hashtbl.replace t.rib_in p rib;
+        rib
     in
     (* Two skip proofs, both Incremental-only (the oracle re-decides):
        - unchanged attributes: the route was a candidate before (live, or
@@ -667,32 +790,26 @@ let receive t env ~peer ~session msg =
        - changed attributes that provably cannot displace the current
          selection ([update_cannot_affect]). Only consulted with the
          session up — down-session refreshes interact with staleness. *)
+    let key = (p, peer, session) in
+    let i = rib_index rib peer session in
+    let present = i < rib.len && rib.from.(i) == r && rib.sess.(i) = session in
     let skip =
       t.mode = Incremental
       && Rib_policy.is_native t.hooks
-      && (match Hashtbl.find_opt table (peer, session) with
-          | Some previous when Net.Attr.equal previous attr ->
-            session_up t ~peer ~session
-            || not (Hashtbl.mem t.stale (p, peer, session))
-          | Some _ | None ->
-            session_up t ~peer ~session
-            && update_cannot_affect t p ~peer ~session attr)
+      &&
+      if present && Net.Attr.equal rib.attrs.(i) attr then
+        is_up r session || not (has_stale_mark t key)
+      else is_up r session && update_cannot_affect t rib p r ~session attr
     in
-    Hashtbl.replace table (peer, session) attr;
-    Hashtbl.remove t.stale (p, peer, session);
+    if present then rib.attrs.(i) <- attr else rib_insert rib i r session attr;
+    if Hashtbl.length t.stale > 0 then Hashtbl.remove t.stale key;
     if skip then [] else evaluate_pids t env [ p ]
   | Msg.Withdraw { prefix } ->
     let p = pid prefix in
-    let had_route =
-      match Hashtbl.find_opt t.rib_in p with
-      | Some table ->
-        let had = Hashtbl.mem table (peer, session) in
-        Hashtbl.remove table (peer, session);
-        had
-      | None -> false
-    in
-    let had_mark = Hashtbl.mem t.stale (p, peer, session) in
-    Hashtbl.remove t.stale (p, peer, session);
+    let had_route = rib_delete t p ~peer ~session in
+    let key = (p, peer, session) in
+    let had_mark = has_stale_mark t key in
+    if had_mark then Hashtbl.remove t.stale key;
     let skip =
       t.mode = Incremental
       && (((not had_route) && not had_mark)
@@ -703,12 +820,14 @@ let receive t env ~peer ~session msg =
     if skip then [] else evaluate_pids t env [ p ]
 
 let set_session ?(stale = false) t env ~peer ~session ~up =
-  let new_peer = not (Hashtbl.mem t.session_count peer) in
+  if session < 0 then invalid_arg "Speaker.set_session: negative session";
+  let r = peer_record t peer in
+  let new_peer = not r.added in
   if new_peer then add_peer t ~peer ~sessions:0;
-  let count = Hashtbl.find t.session_count peer in
-  if session >= count then Hashtbl.replace t.session_count peer (session + 1);
-  let was = session_up t ~peer ~session in
-  Hashtbl.replace t.session_state (peer, session) up;
+  if session >= r.count then r.count <- session + 1;
+  let was = is_up r session in
+  set_state r session up;
+  refresh_up r;
   if up = was then []
   else begin
     if not up then begin
@@ -719,8 +838,8 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
            unchanged — stale routes select exactly as live ones — so no
            native decision can change and nothing needs to go dirty. *)
         Hashtbl.iter
-          (fun p table ->
-            if Hashtbl.mem table (peer, session) then begin
+          (fun p rib ->
+            if rib_find rib peer session >= 0 then begin
               Hashtbl.replace t.stale (p, peer, session) env.now;
               Obs.Metrics.incr m_stale_marked
             end)
@@ -729,9 +848,10 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
         (* Hard session reset flushes routes learned over it; each flushed
            prefix must be re-decided. *)
         Hashtbl.iter
-          (fun p table ->
-            if Hashtbl.mem table (peer, session) then begin
-              Hashtbl.remove table (peer, session);
+          (fun p rib ->
+            let i = rib_find rib peer session in
+            if i >= 0 then begin
+              rib_remove rib i;
               Hashtbl.remove t.stale (p, peer, session);
               mark_dirty t p
             end)
@@ -745,13 +865,10 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
       (* Refresh: resend the mirrored Adj-RIB-Out over the new session, in
          canonical prefix order (the mirror is current — see [rib_out]). *)
       let resend =
-        match Hashtbl.find_opt t.rib_out peer with
-        | None -> []
-        | Some table ->
-          Hashtbl.fold (fun p attr acc -> (p, attr) :: acc) table []
-          |> List.sort (fun (a, _) (b, _) -> pid_compare a b)
-          |> List.map (fun (p, attr) ->
-                 (peer, session, Msg.Update { prefix = prefix_of p; attr }))
+        Hashtbl.fold (fun p attr acc -> (p, attr) :: acc) r.rib_out []
+        |> List.sort (fun (a, _) (b, _) -> pid_compare a b)
+        |> List.map (fun (p, attr) ->
+               (peer, session, Msg.Update { prefix = prefix_of p; attr }))
       in
       (* Duplicates with messages already in [outbox] are harmless: updates
          are idempotent on the receiver. After the full resend, a
@@ -765,7 +882,6 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
 
 let reset t =
   Hashtbl.reset t.rib_in;
-  Hashtbl.reset t.rib_out;
   Hashtbl.reset t.stale;
   Hashtbl.reset t.dirty;
   (* Locally originated prefixes are configuration, not learned state; they
@@ -785,8 +901,12 @@ let reset t =
     Hashtbl.reset t.fib_stale;
     List.iter (Hashtbl.remove t.fib_table) learned
   end;
-  let sessions = Hashtbl.fold (fun k _ acc -> k :: acc) t.session_state [] in
-  List.iter (fun k -> Hashtbl.replace t.session_state k false) sessions;
+  Array.iter
+    (fun r ->
+      Hashtbl.reset r.rib_out;
+      Array.fill r.state 0 (Array.length r.state) false;
+      r.up <- [])
+    t.peer_records;
   (* Everything the speaker still knows must be re-decided when sessions
      come back: origins re-advertised into the (now empty) Adj-RIB-Out
      mirror, preserved FIB entries re-derived or swept. *)
@@ -803,19 +923,15 @@ let sweep_own_stale t env : outbox =
   evaluate_pids t env victims
 
 let set_ingress_policy t env ~peer policy =
-  Hashtbl.replace t.ingress peer policy;
+  (peer_record t peer).ingress <- Some policy;
   (* Only routes learned from [peer] pass through this policy: prefixes
      without an Adj-RIB-In entry from it cannot change. *)
-  Hashtbl.iter
-    (fun p table ->
-      if Hashtbl.fold (fun (pr, _) _ acc -> acc || pr = peer) table false then
-        mark_dirty t p)
-    t.rib_in;
+  Hashtbl.iter (fun p rib -> if rib_has_peer rib peer then mark_dirty t p) t.rib_in;
   batch_invalidate t;
   evaluate_batch t env
 
 let set_egress_policy t env ~peer policy =
-  Hashtbl.replace t.egress peer policy;
+  (peer_record t peer).egress <- policy;
   (* An export policy can newly admit or suppress any prefix's advert. *)
   mark_all_dirty t;
   evaluate_batch t env
@@ -853,16 +969,15 @@ let fib_longest_match t destination =
 
 let adj_rib_in = raw_routes
 
-let ingress_policy t ~peer = Hashtbl.find_opt t.ingress peer
+let ingress_policy t ~peer = Option.bind (find_peer t peer) (fun r -> r.ingress)
 
-let rib_in_size t =
-  Hashtbl.fold (fun _ table acc -> acc + Hashtbl.length table) t.rib_in 0
+let rib_in_size t = Hashtbl.fold (fun _ rib acc -> acc + rib.len) t.rib_in 0
 
 let advertised_to t ~peer =
-  match Hashtbl.find_opt t.rib_out peer with
+  match find_peer t peer with
   | None -> []
-  | Some table ->
-    Hashtbl.fold (fun p attr acc -> (prefix_of p, attr) :: acc) table []
+  | Some r ->
+    Hashtbl.fold (fun p attr acc -> (prefix_of p, attr) :: acc) r.rib_out []
     |> List.sort (fun (a, _) (b, _) -> Net.Prefix.compare a b)
 
 let originated t =
@@ -887,9 +1002,8 @@ let fib_stale_prefixes t =
 
 let routes_from t ~peer ~session =
   Hashtbl.fold
-    (fun p table acc ->
-      match Hashtbl.find_opt table (peer, session) with
-      | Some attr -> (prefix_of p, attr) :: acc
-      | None -> acc)
+    (fun p rib acc ->
+      let i = rib_find rib peer session in
+      if i >= 0 then (prefix_of p, rib.attrs.(i)) :: acc else acc)
     t.rib_in []
   |> List.sort (fun (a, _) (b, _) -> Net.Prefix.compare a b)

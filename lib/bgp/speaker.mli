@@ -4,7 +4,17 @@
     local event such as an origination, a session flap, a policy or RPA
     change) returns the set of messages it wants to send. Scheduling and
     delivery of those messages is the job of {!Network}; keeping transport
-    out of the speaker makes unit testing the protocol logic trivial. *)
+    out of the speaker makes unit testing the protocol logic trivial.
+
+    {b Layout.} Each peer device has one record holding its session flags,
+    its list of established sessions, its ingress and egress policies and
+    its Adj-RIB-Out. The records sit in an array sorted by device id that
+    changes only when a device is first seen, and a decision's fan-out walks
+    it in order. Each prefix's Adj-RIB-In is a set of parallel arrays sorted
+    by (peer id, session) whose slots point at the peer records: a lookup
+    bisects, a refresh replaces the slot in place, and a decision reads its
+    candidates in that order with no sort and no hashing of peers or
+    sessions. The order is by device id, never by an intern id. *)
 
 type config = {
   multipath : bool;  (** ECMP across equal-cost paths (default true) *)
@@ -41,7 +51,8 @@ val hooks : t -> Rib_policy.hooks
 
 val add_peer : t -> peer:int -> sessions:int -> unit
 val peers : t -> (int * int) list
-(** (peer id, session count) for peers with at least one open session. *)
+(** (peer id, number of open sessions) for peers with at least one open
+    session, sorted by peer id. *)
 
 val session_up : t -> peer:int -> session:int -> bool
 (** Is this session established? *)
@@ -56,6 +67,12 @@ type outbox = (int * int * Msg.t) list
     layer (it knows topology and virtual time). *)
 
 type env = { now : float; peer_layer : int -> Topology.Node.layer option }
+
+val decision_ctx : t -> env -> Net.Prefix.t -> Rib_policy.ctx
+(** The context this speaker's decision hands its hooks for the prefix, as
+    a dry run ([commit = false]): an explanation or static model that
+    re-runs a hook sees the same live-peers-per-layer count the speaker's
+    own decision does. *)
 
 (** How batch transitions (session resets, policy pushes, resyncs) decide
     which prefixes to re-run the decision process on. *)
@@ -164,7 +181,7 @@ val routes_from : t -> peer:int -> session:int -> (Net.Prefix.t * Net.Attr.t) li
 
 val adj_rib_in : t -> Net.Prefix.t -> (int * int * Net.Attr.t) list
 (** Raw routes held in the Adj-RIB-In for the prefix, as (peer, session,
-    attributes) before any ingress policy, sorted. *)
+    attributes) before any ingress policy, sorted by (peer, session). *)
 
 val ingress_policy : t -> peer:int -> Policy.t option
 (** The ingress policy installed for the peer, if any. *)

@@ -192,28 +192,11 @@ let explain_route ?causal net agent ~device prefix =
   | Some rpa when not (Rpa.is_empty rpa) ->
     let engine = Engine.create rpa in
     let env = Bgp.Network.env net in
-    let ctx =
-      {
-        Bgp.Rib_policy.device;
-        prefix;
-        now = env.Bgp.Speaker.now;
-        commit = false;
-        peer_layer = env.Bgp.Speaker.peer_layer;
-        live_peers_in_layer =
-          (fun layer ->
-            List.length
-              (List.filter
-                 (fun (peer, _) ->
-                   match env.Bgp.Speaker.peer_layer peer with
-                   | Some l -> Topology.Node.layer_equal l layer
-                   | None -> false)
-                 (Bgp.Speaker.peers speaker)));
-      }
-    in
     (* Candidates gathered under the live environment, so session-dependent
        filtering reflects the network's current simulated time. *)
     let e =
-      explain engine ~ctx
+      explain engine
+        ~ctx:(Bgp.Speaker.decision_ctx speaker env prefix)
         ~candidates:(Bgp.Speaker.candidates ~env speaker prefix)
     in
     Some { e with critical_path = causal_citation causal ~device prefix }

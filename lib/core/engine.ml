@@ -9,19 +9,15 @@ type mutable_stats = {
   mutable selection_count : int;
 }
 
-(* (signature id, attributes) -> did the signature match. Typed so that the
-   hash reaches the ASNs (see the interface); the communities are folded in
-   element order, so equal sets hash alike whatever their tree shape. *)
+(* (attribute intern id, signature index) packed into one int -> did the
+   signature match. Equal attributes share an intern id, so the key tells
+   apart exactly what the attributes do; keys of one attribute are
+   consecutive, so the identity hash spreads them over the buckets. *)
 module Sig_cache = Hashtbl.Make (struct
-  type t = int * Net.Attr.t
+  type t = int
 
-  let equal (i, a) (j, b) = Int.equal i j && Net.Attr.equal a b
-
-  let hash (id, a) =
-    Net.Community.Set.fold
-      (fun c h -> (31 * h) + Hashtbl.hash c)
-      a.Net.Attr.communities
-      ((31 * Hashtbl.hash (Net.As_path.segments a.Net.Attr.as_path)) + id)
+  let equal = Int.equal
+  let hash k = k land max_int
 end)
 
 type t = {
@@ -114,7 +110,9 @@ let sig_matches t s attr =
     let id = sig_id t s in
     if id < 0 then Signature.matches s attr
     else
-      let key = (id, attr) in
+      let key =
+        (Net.Attr.id (Net.Attr.intern attr) * Array.length t.signatures) + id
+      in
       match Sig_cache.find_opt t.sig_cache key with
       | Some result ->
         t.m_stats.hit_count <- t.m_stats.hit_count + 1;

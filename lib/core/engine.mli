@@ -9,12 +9,14 @@
 
     Matched signatures are cached per (signature, attributes) pair, so
     re-evaluating a route after the first time is much faster — the
-    cache-hit/cache-miss split of Table 2. The cache is a typed table whose
-    hash reads the signature id, the AS-path segments and the communities:
-    the polymorphic [Hashtbl.hash] gives up after 10 meaningful words,
-    which an attribute record carrying a community spends before its first
-    ASN, so a switch's equal-length paths that differ only in their ASNs
-    would all land in one bucket. Equality is {!Net.Attr.equal}. *)
+    cache-hit/cache-miss split of Table 2. The key is one int that packs
+    the signature's index in the RPA with the attributes' intern id
+    ({!Net.Attr.id}; an attribute that is not interned yet is interned
+    first). Equal attributes share an id, so the cache hits exactly when a
+    cache keyed by {!Net.Attr.equal} would, and a lookup hashes and
+    compares one int: a switch's equal-length paths that differ only in
+    their ASNs have distinct ids and spread over the buckets. The id is
+    never used for ordering. *)
 
 type t
 

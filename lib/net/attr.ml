@@ -14,21 +14,42 @@ type t = {
   med : int;
   communities : Community.Set.t;
   link_bandwidth : int option;
+  id : int;
 }
 
 let make ?(origin = Igp) ?(as_path = As_path.empty) ?(local_pref = 100)
     ?(med = 0) ?(communities = Community.Set.empty) ?link_bandwidth () =
-  { origin; as_path; local_pref; med; communities; link_bandwidth }
+  { origin; as_path; local_pref; med; communities; link_bandwidth; id = -1 }
 
-let with_prepended asn t = { t with as_path = As_path.prepend asn t.as_path }
+(* Every setter clears the id, so no value carries the id of other
+   contents. *)
+let set_as_path as_path t =
+  if as_path == t.as_path then t else { t with as_path; id = -1 }
 
-let add_community c t = { t with communities = Community.Set.add c t.communities }
+let with_prepended asn t = set_as_path (As_path.prepend asn t.as_path) t
+
+let set_local_pref local_pref t =
+  if local_pref = t.local_pref then t else { t with local_pref; id = -1 }
+
+let set_med med t = if med = t.med then t else { t with med; id = -1 }
+
+(* [Set.add] and [Set.remove] return their argument when they change
+   nothing. *)
+let set_communities communities t =
+  if communities == t.communities then t else { t with communities; id = -1 }
+
+let add_community c t = set_communities (Community.Set.add c t.communities) t
+
+let remove_community c t =
+  set_communities (Community.Set.remove c t.communities) t
 
 let has_community c t = Community.Set.mem c t.communities
 
-let set_local_pref local_pref t = { t with local_pref }
+let set_link_bandwidth link_bandwidth t =
+  if Option.equal Int.equal link_bandwidth t.link_bandwidth then t
+  else { t with link_bandwidth; id = -1 }
 
-let set_link_bandwidth link_bandwidth t = { t with link_bandwidth }
+let id t = t.id
 
 let compare a b =
   if a == b then 0
@@ -49,14 +70,17 @@ let compare a b =
             if c <> 0 then c
             else Option.compare Int.compare a.link_bandwidth b.link_bandwidth
 
-let equal a b = a == b || compare a b = 0
+(* Interned values are canonical: two of them are equal only if they are
+   the same value. *)
+let equal a b = a == b || ((a.id < 0 || b.id < 0) && compare a b = 0)
 
 (* Hash-consing: RIB slots across the fleet hold a handful of distinct
    attribute values, so interning makes storage shared and turns the
    hot-path [equal] (Adj-RIB-Out change detection runs it once per peer per
    decision) into a pointer check. Hashing goes through the interned ids of
    the two structured fields — flat integer hashing instead of a structural
-   walk. *)
+   walk. An interned value carries its id, so interning it again, or
+   comparing it with another interned value, costs no lookup. *)
 module Hc = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -75,18 +99,21 @@ end)
 let hc : t Hc.t = Hc.create 1024
 
 let intern t =
-  match Hc.find_opt hc t with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        t with
-        as_path = Intern.As_path_id.canonical t.as_path;
-        communities = Intern.Community_set_id.canonical t.communities;
-      }
-    in
-    Hc.replace hc c c;
-    c
+  if t.id >= 0 then t
+  else
+    match Hc.find_opt hc t with
+    | Some c -> c
+    | None ->
+      let c =
+        {
+          t with
+          as_path = Intern.As_path_id.canonical t.as_path;
+          communities = Intern.Community_set_id.canonical t.communities;
+          id = Hc.length hc;
+        }
+      in
+      Hc.replace hc c c;
+      c
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>lp=%d med=%d origin=%s path=[%a] comms=%a%a@]"

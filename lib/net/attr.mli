@@ -12,7 +12,7 @@ val origin_to_string : origin -> string
 val origin_rank : origin -> int
 (** Lower is preferred: IGP < EGP < INCOMPLETE. *)
 
-type t = {
+type t = private {
   origin : origin;
   as_path : As_path.t;
   local_pref : int;
@@ -21,7 +21,19 @@ type t = {
   link_bandwidth : int option;
       (** Relative WCMP weight carried by the link-bandwidth extended
           community; [None] means no weight advertised (pure ECMP). *)
+  id : int;
+      (** The intern id: [-1] until {!intern} returns the value, then a
+          process-wide id shared by every equal interned value. *)
 }
+(** Private so that every value is built by {!make} or a setter, which
+    clear the id: a value can only carry the id of its own contents.
+
+    {b Equality contract.} Compare attributes with {!equal} and {!compare}
+    only, never with polymorphic [=], [compare], [Hashtbl.hash] or
+    [Marshal]: those read the id, so they would tell an interned value from
+    a fresh equal one. Like the ids of {!Intern}, attribute ids are valid
+    for equality and hashing only, never for ordering: which value gets
+    which id depends on what a run interns first. *)
 
 val make :
   ?origin:origin ->
@@ -33,26 +45,43 @@ val make :
   unit ->
   t
 (** Defaults: [Igp], empty path, local-pref 100, MED 0, no communities, no
-    link bandwidth. *)
+    link bandwidth. The result is not interned. *)
+
+(** {1 Setters}
+
+    Each returns its argument itself when the field already holds the
+    value, and otherwise a new, not interned value. *)
 
 val with_prepended : Asn.t -> t -> t
 (** Attributes after crossing an eBGP hop: the sender's ASN is prepended. *)
 
-val add_community : Community.t -> t -> t
-val has_community : Community.t -> t -> bool
+val set_as_path : As_path.t -> t -> t
 val set_local_pref : int -> t -> t
+val set_med : int -> t -> t
+val add_community : Community.t -> t -> t
+val remove_community : Community.t -> t -> t
 val set_link_bandwidth : int option -> t -> t
+
+val has_community : Community.t -> t -> bool
+
+(** {1 Interning} *)
 
 val intern : t -> t
 (** The hash-consed canonical representative: structurally equal to the
-    argument, with canonical (shared) AS-path and community-set fields.
-    Two interned equal attributes are physically identical, so {!equal}
-    on them is a pointer check. Speakers intern every attribute they
-    store; interning is idempotent and never changes semantics. *)
+    argument, with canonical (shared) AS-path and community-set fields and
+    an id [>= 0]. Two interned equal attributes are physically identical,
+    so {!equal} on them is a pointer check. An interned argument is
+    returned at once, with no lookup. Speakers intern every attribute they
+    store; interning never changes semantics. *)
+
+val id : t -> int
+(** The intern id, [-1] for a value not returned by {!intern}. *)
 
 val compare : t -> t -> int
+(** Structural order on the attribute fields; ignores the id. *)
+
 val equal : t -> t -> bool
-(** Structural equality with a physical-equality fast path (which interned
-    attributes hit). *)
+(** [equal a b] exactly when [compare a b = 0]. Two interned values are
+    equal only if physically equal, so on them this is a pointer check. *)
 
 val pp : Format.formatter -> t -> unit

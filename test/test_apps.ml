@@ -335,8 +335,10 @@ let test_debug_explains_chosen_set () =
   in
   let path peer asns =
     Bgp.Path.make ~peer ~session:0
-      ~attr:(tagged_attr () |> fun a ->
-             { a with Net.Attr.as_path = Net.As_path.of_asns (List.map Net.Asn.of_int asns) })
+      ~attr:
+        (Net.Attr.set_as_path
+           (Net.As_path.of_asns (List.map Net.Asn.of_int asns))
+           (tagged_attr ()))
   in
   let ctx =
     {
@@ -383,8 +385,9 @@ let test_debug_explains_withdrawal () =
   let candidate =
     Bgp.Path.make ~peer:1 ~session:0
       ~attr:
-        { (tagged_attr ()) with
-          Net.Attr.as_path = Net.As_path.of_asns [ Net.Asn.of_int 1 ] }
+        (Net.Attr.set_as_path
+           (Net.As_path.of_asns [ Net.Asn.of_int 1 ])
+           (tagged_attr ()))
   in
   let e = Debug.explain engine ~ctx ~candidates:[ candidate ] in
   match e.Debug.verdict with

@@ -359,6 +359,111 @@ let test_attr_equal () =
   check_bool "equal" true (Attr.equal a b);
   check_bool "not equal" false (Attr.equal a (Attr.make ~local_pref:100 ()))
 
+(* Interning must stay invisible: random attributes run through setter
+   chains that mix interned and fresh values, and every value is checked
+   on the way. *)
+type attr_step =
+  | Set_lp of int
+  | Set_med of int
+  | Add_comm of int
+  | Remove_comm of int
+  | Set_bw of int option
+  | Prepend of int
+  | Set_path of int list
+  | Intern
+
+let show_attr_step = function
+  | Set_lp v -> Printf.sprintf "lp %d" v
+  | Set_med v -> Printf.sprintf "med %d" v
+  | Add_comm c -> Printf.sprintf "+comm %d" c
+  | Remove_comm c -> Printf.sprintf "-comm %d" c
+  | Set_bw None -> "bw none"
+  | Set_bw (Some b) -> Printf.sprintf "bw %d" b
+  | Prepend a -> Printf.sprintf "prepend %d" a
+  | Set_path l -> "path " ^ String.concat " " (List.map string_of_int l)
+  | Intern -> "intern"
+
+let comm c = Community.make 65100 c
+let path_of l = As_path.of_asns (List.map asn l)
+
+let apply_attr_step a = function
+  | Set_lp v -> Attr.set_local_pref v a
+  | Set_med v -> Attr.set_med v a
+  | Add_comm c -> Attr.add_community (comm c) a
+  | Remove_comm c -> Attr.remove_community (comm c) a
+  | Set_bw b -> Attr.set_link_bandwidth b a
+  | Prepend n -> Attr.with_prepended (asn n) a
+  | Set_path l -> Attr.set_as_path (path_of l) a
+  | Intern -> Attr.intern a
+
+(* A fresh, not interned value with [a]'s contents. *)
+let fresh_copy (a : Attr.t) =
+  Attr.make ~origin:a.Attr.origin ~as_path:a.Attr.as_path
+    ~local_pref:a.Attr.local_pref ~med:a.Attr.med
+    ~communities:a.Attr.communities ?link_bandwidth:a.Attr.link_bandwidth ()
+
+(* A value with an id is the canonical value of its contents, so it never
+   carries the id of other contents. *)
+let id_is_own (a : Attr.t) = Attr.id a < 0 || Attr.intern (fresh_copy a) == a
+
+let run_attr_chain base steps =
+  List.fold_left
+    (fun (a, ok) step ->
+      let b = apply_attr_step a step in
+      let keeps_id = Attr.id b >= 0 && Attr.id b = Attr.id a in
+      (b, ok && id_is_own b && ((not keeps_id) || Attr.compare a b = 0)))
+    (base, id_is_own base) steps
+
+let attr_intern_qcheck =
+  let open QCheck.Gen in
+  let small = int_bound 2 in
+  let step =
+    oneof
+      [
+        map (fun v -> Set_lp (100 + v)) small;
+        map (fun v -> Set_med v) small;
+        map (fun c -> Add_comm c) small;
+        map (fun c -> Remove_comm c) small;
+        map (fun b -> Set_bw b) (opt small);
+        map (fun n -> Prepend (n + 1)) small;
+        map (fun l -> Set_path l) (list_size (int_bound 2) (int_range 1 3));
+        return Intern;
+      ]
+  in
+  let base =
+    map4
+      (fun lp med comms path ->
+        Attr.make ~local_pref:(100 + lp) ~med
+          ~communities:(Community.Set.of_list (List.map comm comms))
+          ~as_path:(path_of path) ())
+      small small
+      (list_size (int_bound 2) small)
+      (list_size (int_bound 2) (int_range 1 3))
+  in
+  let chain = list_size (int_bound 6) step in
+  let case = tup5 base chain bool base chain in
+  let print (a, c1, shared, b, c2) =
+    Format.asprintf "a = %a; %s; b = %s; %s" Attr.pp a
+      (String.concat ", " (List.map show_attr_step c1))
+      (if shared then "a's result" else Format.asprintf "%a" Attr.pp b)
+      (String.concat ", " (List.map show_attr_step c2))
+  in
+  [
+    QCheck.Test.make ~name:"interning is invisible" ~count:1000
+      (QCheck.make ~print case)
+      (fun (base_a, chain_a, shared, base_b, chain_b) ->
+        let a, ok_a = run_attr_chain base_a chain_a in
+        let b, ok_b = run_attr_chain (if shared then a else base_b) chain_b in
+        let ia = Attr.intern a and ib = Attr.intern b in
+        ok_a && ok_b
+        && Bool.equal (Attr.equal a b) (Attr.compare a b = 0)
+        && Attr.id ia >= 0
+        && Attr.compare ia a = 0
+        && Attr.intern ia == ia
+        && Bool.equal (Attr.equal a b) (ia == ib)
+        && ((not (Attr.equal a b && Attr.id a >= 0 && Attr.id b >= 0)) || a == b));
+  ]
+
 (* ---------------- Suite ---------------- *)
 
 let () =
@@ -417,5 +522,6 @@ let () =
           quick "prepend and communities" test_attr_prepend_and_communities;
           quick "origin rank" test_attr_origin_rank;
           quick "equal" test_attr_equal;
-        ] );
+        ]
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false) attr_intern_qcheck );
     ]

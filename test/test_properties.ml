@@ -24,6 +24,14 @@ let path_gen =
 
 let print_path p = Format.asprintf "%a" Bgp.Path.pp p
 
+(* Typed equality: selections carry attributes, which polymorphic [=] must
+   not compare (see {!Net.Attr.t}). *)
+let same_selection (a : Bgp.Rib_policy.selection) (b : Bgp.Rib_policy.selection) =
+  List.equal Bgp.Path.equal a.Bgp.Rib_policy.selected b.Bgp.Rib_policy.selected
+  && Option.equal Bgp.Path.equal a.Bgp.Rib_policy.advertise
+       b.Bgp.Rib_policy.advertise
+  && Bool.equal a.Bgp.Rib_policy.keep_fib_warm b.Bgp.Rib_policy.keep_fib_warm
+
 let paths_arb n =
   QCheck.make
     ~print:(fun l -> String.concat " | " (List.map print_path l))
@@ -253,7 +261,7 @@ let engine_cache_transparent =
         Centralium.Engine.evaluate_selection uncached ~ctx:engine_ctx
           ~candidates ~native
       in
-      a = a' && a = b)
+      same_selection a a' && same_selection a b)
 
 (* Cached and uncached engines must agree on every call, on inputs made to
    stress the signature cache: candidates of one length, local-pref and
@@ -371,7 +379,11 @@ let engine_cache_agrees_on_equal_length_paths =
               Centralium.Engine.evaluate_weights engine ~ctx:engine_ctx
                 ~selected:sel.Bgp.Rib_policy.selected )
           in
-          eval cached = eval uncached)
+          let sel_a, weights_a = eval cached and sel_b, weights_b = eval uncached in
+          same_selection sel_a sel_b
+          && Option.equal
+               (List.equal (fun (p, w) (q, v) -> Bgp.Path.equal p q && w = v))
+               weights_a weights_b)
         calls)
 
 (* ---------------- network convergence ---------------- *)

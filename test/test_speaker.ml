@@ -184,7 +184,10 @@ let test_multi_session_single_drop () =
     (Bgp.Speaker.fib_lookup sp p10 <> None);
   check_int "no churn toward peer 2" 0 (List.length (msgs_to 2 out));
   check_bool "adj-rib-out unchanged" true
-    (before = Bgp.Speaker.advertised_to sp ~peer:2);
+    (List.equal
+       (fun (p, a) (q, b) -> Prefix.equal p q && Attr.equal a b)
+       before
+       (Bgp.Speaker.advertised_to sp ~peer:2));
   (* Dropping the last session flushes for real. *)
   let out = Bgp.Speaker.set_session sp env ~peer:1 ~session:1 ~up:false in
   check_bool "flushed after last session" true
@@ -470,6 +473,348 @@ let test_candidates_sorted_by_peer_session () =
     [ (1, 0); (1, 1); (2, 0); (2, 1); (3, 0); (3, 1) ]
     raw_keys
 
+(* ---------------- bookkeeping against a reference model ---------------- *)
+
+(* One speaker driven through random operation sequences and compared,
+   after every step, with a plain association-list model of its
+   bookkeeping: sessions, Adj-RIB-In, stale marks and the Adj-RIB-Out
+   mirror. The incremental-vs-full-table oracle cannot catch a bug here,
+   since both modes share these tables. The model takes decisions as given:
+   it learns the Adj-RIB-Out from the messages the speaker sends, so it
+   knows a peer's mirror only while the peer has an open session (changes
+   toward a peer with none are silent) and again once a session coming up
+   resends the whole mirror. *)
+
+type model_op =
+  | M_add_peer of int * int  (* peer, sessions *)
+  | M_session of int * int * bool * bool  (* peer, session, up, stale *)
+  | M_update of int * int * int * int * int  (* peer, session, prefix, first asn, lp *)
+  | M_withdraw of int * int * int  (* peer, session, prefix *)
+  | M_eor of int * int
+  | M_sweep of int * int * int  (* peer, session, before *)
+  | M_reset
+  | M_ingress of int * int  (* peer, policy *)
+  | M_egress of int * int
+
+let model_prefixes =
+  [| p10; Prefix.of_string_exn "11.0.0.0/8"; Prefix.of_string_exn "12.0.0.0/8" |]
+
+(* Device 4 is never passed to [add_peer]. *)
+let model_peers = [ 1; 2; 3; 4 ]
+let model_sessions = [ 0; 1; 2 ]
+
+let model_policies =
+  [|
+    Bgp.Policy.empty;
+    Bgp.Policy.reject_all;
+    every_route [ Bgp.Policy.Set_local_pref 300 ];
+    [ Bgp.Policy.rule ~prefixes:[ p10 ] [ Bgp.Policy.Reject ] ];
+    Bgp.Policy.drain;
+  |]
+
+let show_model_op = function
+  | M_add_peer (p, n) -> Printf.sprintf "add_peer %d %d" p n
+  | M_session (p, s, up, stale) ->
+    Printf.sprintf "session %d.%d %s%s" p s (if up then "up" else "down")
+      (if stale then " stale" else "")
+  | M_update (p, s, i, a, lp) ->
+    Printf.sprintf "update %d.%d prefix %d asn %d lp %d" p s i a lp
+  | M_withdraw (p, s, i) -> Printf.sprintf "withdraw %d.%d prefix %d" p s i
+  | M_eor (p, s) -> Printf.sprintf "eor %d.%d" p s
+  | M_sweep (p, s, b) -> Printf.sprintf "sweep %d.%d before %d" p s b
+  | M_reset -> "reset"
+  | M_ingress (p, i) -> Printf.sprintf "ingress %d policy %d" p i
+  | M_egress (p, i) -> Printf.sprintf "egress %d policy %d" p i
+
+let gen_model_case =
+  let open QCheck.Gen in
+  let peer = oneofl model_peers and added = oneofl [ 1; 2; 3 ] in
+  let session = int_bound 1 and prefix = int_bound 2 in
+  let op =
+    frequency
+      [
+        (2, map2 (fun p n -> M_add_peer (p, n)) added (int_range 1 2));
+        ( 4,
+          map3
+            (fun (p, s) up stale -> M_session (p, s, up, stale))
+            (pair peer session) bool bool );
+        ( 8,
+          map3
+            (fun (p, s) i (a, lp) -> M_update (p, s, i, a, lp))
+            (pair peer session) prefix
+            (pair (oneofl [ 90; 91; 64517 ]) (oneofl [ 100; 200 ])) );
+        (3, map3 (fun p s i -> M_withdraw (p, s, i)) peer session prefix);
+        (1, map2 (fun p s -> M_eor (p, s)) peer session);
+        (1, map3 (fun p s b -> M_sweep (p, s, b)) peer session (int_bound 40));
+        (1, return M_reset);
+        (1, map2 (fun p i -> M_ingress (p, i)) peer (int_bound 4));
+        (1, map2 (fun p i -> M_egress (p, i)) peer (int_bound 4));
+      ]
+  in
+  pair bool (list_size (int_range 1 40) op)
+
+type model_peer = {
+  added : bool;
+  count : int;
+  up_states : (int * bool) list;  (* session -> established *)
+  ingress : Bgp.Policy.t option;
+  (* prefix -> advert, when the mirror is known *)
+  mirror : (Prefix.t * Attr.t) list option;
+}
+
+type model = {
+  mpeers : (int * model_peer) list;
+  routes : ((int * int * int) * Attr.t) list;  (* (prefix, peer, session) *)
+  marks : ((int * int * int) * float) list;
+}
+
+let no_peer =
+  { added = false; count = 0; up_states = []; ingress = None; mirror = None }
+
+let mpeer m p = Option.value (List.assoc_opt p m.mpeers) ~default:no_peer
+let set_mpeer m p r = { m with mpeers = (p, r) :: List.remove_assoc p m.mpeers }
+
+let m_up r s =
+  Option.value (List.assoc_opt s r.up_states) ~default:false
+
+let m_up_list r = List.filter (m_up r) (List.init r.count Fun.id)
+
+let without_route m key =
+  { m with routes = List.remove_assoc key m.routes;
+           marks = List.remove_assoc key m.marks }
+
+let sweep m ~peer ~session ~before =
+  List.fold_left
+    (fun m ((i, p, s), at) ->
+      if p = peer && s = session && at <= before then without_route m (i, p, s)
+      else m)
+    m m.marks
+
+let prefix_index prefix =
+  let rec find i =
+    if Prefix.equal model_prefixes.(i) prefix then i else find (i + 1)
+  in
+  find 0
+
+(* The model's bookkeeping of one operation, before its messages. *)
+let model_step m ~now = function
+  | M_add_peer (p, n) ->
+    let r = mpeer m p in
+    let first = not r.added in
+    let up_states =
+      List.init n (fun s -> (s, true))
+      @ List.filter (fun (s, _) -> s >= n) r.up_states
+    in
+    let r = { r with added = true; count = n; up_states } in
+    (* A peer never advertised to has an empty mirror. *)
+    set_mpeer m p (if first then { r with mirror = Some [] } else r)
+  | M_session (p, s, up, stale) ->
+    let r = mpeer m p in
+    let r = if r.added then r else { r with added = true; count = 0 } in
+    let r = if s >= r.count then { r with count = s + 1 } else r in
+    let was = m_up r s in
+    let had_up = m_up_list r <> [] in
+    let r = { r with up_states = (s, up) :: List.remove_assoc s r.up_states } in
+    (* A session coming up to a peer with none resends the whole mirror:
+       rebuild it from the messages. *)
+    let r = if up && (not was) && not had_up then { r with mirror = Some [] } else r in
+    let m = set_mpeer m p r in
+    if up || not was then m
+    else if stale then
+      {
+        m with
+        marks =
+          List.fold_left
+            (fun marks ((i, pr, se), _) ->
+              if pr = p && se = s then ((i, pr, se), now) :: List.remove_assoc (i, pr, se) marks
+              else marks)
+            m.marks m.routes;
+      }
+    else
+      List.fold_left
+        (fun m ((i, pr, se), _) ->
+          if pr = p && se = s then without_route m (i, pr, se) else m)
+        m m.routes
+  | M_update (p, s, i, a, lp) ->
+    let attr =
+      Attr.make ~local_pref:lp
+        ~as_path:(As_path.of_asns [ Asn.of_int a; Asn.of_int 99 ])
+        ()
+    in
+    let m = without_route m (i, p, s) in
+    { m with routes = ((i, p, s), attr) :: m.routes }
+  | M_withdraw (p, s, i) -> without_route m (i, p, s)
+  | M_eor (p, s) -> sweep m ~peer:p ~session:s ~before:infinity
+  | M_sweep (p, s, b) -> sweep m ~peer:p ~session:s ~before:(float_of_int b)
+  | M_reset ->
+    {
+      mpeers =
+        List.map
+          (fun (p, r) ->
+            (p, { r with up_states = List.map (fun (s, _) -> (s, false)) r.up_states }))
+          m.mpeers;
+      routes = [];
+      marks = [];
+    }
+  | M_ingress (p, i) ->
+    set_mpeer m p { (mpeer m p) with ingress = Some model_policies.(i) }
+  | M_egress _ -> m
+
+let apply_model_op sp ~now op =
+  let env = { Bgp.Speaker.now; peer_layer = (fun _ -> None) } in
+  match op with
+  | M_add_peer (peer, sessions) ->
+    Bgp.Speaker.add_peer sp ~peer ~sessions;
+    []
+  | M_session (peer, session, up, stale) ->
+    Bgp.Speaker.set_session ~stale sp env ~peer ~session ~up
+  | M_update (peer, session, i, a, lp) ->
+    Bgp.Speaker.receive sp env ~peer ~session
+      (update ~lp ~asns:[ a; 99 ] model_prefixes.(i))
+  | M_withdraw (peer, session, i) ->
+    Bgp.Speaker.receive sp env ~peer ~session
+      (Bgp.Msg.Withdraw { prefix = model_prefixes.(i) })
+  | M_eor (peer, session) -> Bgp.Speaker.receive sp env ~peer ~session Bgp.Msg.Eor
+  | M_sweep (peer, session, b) ->
+    Bgp.Speaker.sweep_stale sp env ~peer ~session ~before:(float_of_int b)
+  | M_reset ->
+    Bgp.Speaker.reset sp;
+    []
+  | M_ingress (peer, i) ->
+    Bgp.Speaker.set_ingress_policy sp env ~peer model_policies.(i)
+  | M_egress (peer, i) ->
+    Bgp.Speaker.set_egress_policy sp env ~peer model_policies.(i)
+
+(* Folds the sent messages into the known mirrors; an advert toward a peer
+   with no open session would never have been sent, so it forgets the
+   peer's mirror. *)
+let learn_mirrors m outbox =
+  let m =
+    List.fold_left
+      (fun m (p, _, msg) ->
+        let r = mpeer m p in
+        match (r.mirror, msg) with
+        | Some out, Bgp.Msg.Update { prefix; attr } ->
+          set_mpeer m p
+            { r with mirror = Some ((prefix, attr) :: List.remove_assoc prefix out) }
+        | Some out, Bgp.Msg.Withdraw { prefix } ->
+          set_mpeer m p { r with mirror = Some (List.remove_assoc prefix out) }
+        | None, _ | Some _, (Bgp.Msg.Keepalive | Bgp.Msg.Eor) -> m)
+      m outbox
+  in
+  {
+    m with
+    mpeers =
+      List.map
+        (fun (p, r) -> (p, if m_up_list r = [] then { r with mirror = None } else r))
+        m.mpeers;
+  }
+
+let sort_by_prefix l = List.sort (fun (a, _) (b, _) -> Prefix.compare a b) l
+
+let same_adverts a b =
+  List.equal
+    (fun (p, x) (q, y) -> Prefix.equal p q && Attr.equal x y)
+    (sort_by_prefix a) (sort_by_prefix b)
+
+(* Every difference between the speaker and the model, as text. *)
+let model_mismatches sp m outbox =
+  let wrong = ref [] in
+  let expect what ok = if not ok then wrong := what :: !wrong in
+  List.iter
+    (fun (p, s, _) ->
+      expect (Printf.sprintf "message over closed session %d.%d" p s)
+        (m_up (mpeer m p) s))
+    outbox;
+  Array.iteri
+    (fun i prefix ->
+      let want =
+        List.filter_map
+          (fun ((j, p, s), attr) -> if j = i then Some (p, s, attr) else None)
+          m.routes
+        |> List.sort (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2))
+      in
+      expect (Printf.sprintf "adj_rib_in of prefix %d" i)
+        (List.equal
+           (fun (p1, s1, a1) (p2, s2, a2) -> p1 = p2 && s1 = s2 && Attr.equal a1 a2)
+           want (Bgp.Speaker.adj_rib_in sp prefix)))
+    model_prefixes;
+  let want_peers =
+    List.filter_map
+      (fun (p, r) ->
+        let up = m_up_list r in
+        if r.added && up <> [] then Some (p, List.length up) else None)
+      m.mpeers
+    |> List.sort compare
+  in
+  expect "peers" (want_peers = Bgp.Speaker.peers sp);
+  List.iter
+    (fun p ->
+      let r = mpeer m p in
+      List.iter
+        (fun s ->
+          expect (Printf.sprintf "session_up %d.%d" p s)
+            (m_up r s = Bgp.Speaker.session_up sp ~peer:p ~session:s);
+          let want =
+            List.filter_map
+              (fun ((i, pr, se), attr) ->
+                if pr = p && se = s then Some (model_prefixes.(i), attr) else None)
+              m.routes
+          in
+          expect (Printf.sprintf "routes_from %d.%d" p s)
+            (List.equal
+               (fun (a, x) (b, y) -> Prefix.equal a b && Attr.equal x y)
+               (sort_by_prefix want)
+               (Bgp.Speaker.routes_from sp ~peer:p ~session:s)))
+        model_sessions;
+      expect (Printf.sprintf "ingress_policy %d" p)
+        (Option.equal ( == ) r.ingress (Bgp.Speaker.ingress_policy sp ~peer:p));
+      let sent = Bgp.Speaker.advertised_to sp ~peer:p in
+      match r.mirror with
+      | _ when not r.added ->
+        expect (Printf.sprintf "advertised_to non-peer %d" p) (List.is_empty sent)
+      | Some out -> expect (Printf.sprintf "advertised_to %d" p) (same_adverts out sent)
+      | None -> ())
+    model_peers;
+  expect "rib_in_size" (List.length m.routes = Bgp.Speaker.rib_in_size sp);
+  let want_stale =
+    List.map (fun ((i, p, s), at) -> (i, p, s, at)) m.marks |> List.sort compare
+  in
+  let got_stale =
+    List.map
+      (fun (prefix, p, s, at) -> (prefix_index prefix, p, s, at))
+      (Bgp.Speaker.stale_routes sp)
+  in
+  expect "stale_routes" (want_stale = got_stale);
+  List.rev !wrong
+
+let prop_speaker_matches_model =
+  QCheck.Test.make ~name:"speaker bookkeeping matches the model" ~count:400
+    (QCheck.make gen_model_case
+       ~shrink:QCheck.Shrink.(pair bool (list ?shrink:None))
+       ~print:(fun (full, ops) ->
+         (if full then "full-table: " else "incremental: ")
+         ^ String.concat "; " (List.map show_model_op ops)))
+    (fun (full, ops) ->
+      let sp = Bgp.Speaker.create (node 5) in
+      if full then Bgp.Speaker.set_eval_mode sp Bgp.Speaker.Full_table;
+      let empty = { mpeers = []; routes = []; marks = [] } in
+      let _ =
+        List.fold_left
+          (fun (m, step) op ->
+            let now = float_of_int step in
+            let outbox = apply_model_op sp ~now op in
+            let m = learn_mirrors (model_step m ~now op) outbox in
+            (match model_mismatches sp m outbox with
+             | [] -> ()
+             | wrong ->
+               QCheck.Test.fail_reportf "after step %d (%s): %s" step
+                 (show_model_op op) (String.concat ", " wrong));
+            (m, step + 1))
+          (empty, 0) ops
+      in
+      true)
+
 (* ---------------- longest prefix match ---------------- *)
 
 let test_fib_longest_match () =
@@ -526,4 +871,6 @@ let () =
       ( "decision",
         [ quick "candidates sorted" test_candidates_sorted_by_peer_session ] );
       ("fib", [ quick "longest match" test_fib_longest_match ]);
+      ( "model",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_speaker_matches_model ] );
     ]
