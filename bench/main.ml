@@ -936,8 +936,8 @@ let decision () =
 (* ------------------------------------------------------------------ *)
 (* Causal tracing: enabled vs disabled converge cost.
 
-   The disabled path — every recording site behind a single [Obs.Causal.on]
-   bool test — is exactly what the gated [decision] section times, so any
+   The disabled path — every provenance act behind one test of the log's
+   provenance — is exactly what the gated [decision] section times, so any
    regression in disabled-tracing overhead trips the bench-decision
    p50/p99 gate above. This section quantifies the *enabled* path on the
    same chaos converge workload so the recording cost stays visible. *)
@@ -958,11 +958,12 @@ let causal () =
                 ignore (Experiments.Scenarios.Chaos.run_mode ~seed ~gr:true ())
               in
               if traced then begin
-                (* Fresh log per run: bounds recorder growth and matches how
-                   [centralium trace] uses the layer. *)
-                let log = Obs.Causal.create () in
-                Obs.Causal.with_recorder log once;
-                events := !events + Obs.Causal.length log
+                (* Provenance per run, as [centralium trace] uses it. *)
+                let (), logs = Bgp.Trace.with_provenance once in
+                List.iter
+                  (fun log ->
+                    events := !events + Obs.Causal.length (Bgp.Trace.dag log))
+                  logs
               end
               else once ())
             seeds

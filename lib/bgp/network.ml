@@ -12,18 +12,6 @@ type latency_model = Dsim.Rng.t -> float
 
 let default_latency rng = 0.0001 +. Dsim.Rng.exponential rng ~mean:0.001
 
-(* Causal-trace helpers. Keepalives prove liveness but never carry routes,
-   so they are not causally recorded (hold expiry shows up as its own
-   Session root event instead). *)
-let causal_msg = function
-  | Msg.Keepalive -> false
-  | Msg.Update _ | Msg.Withdraw _ | Msg.Eor -> true
-
-let msg_pid msg =
-  match Msg.prefix msg with
-  | Some p -> Net.Intern.Prefix_id.id p
-  | None -> -1
-
 type t = {
   id : int;  (* unique per network, so a stamp names the network it read *)
   mutable generation : int;  (* bumped by every change to speaker state *)
@@ -90,6 +78,7 @@ let env t : Speaker.env =
         Option.map
           (fun n -> n.Topology.Node.layer)
           (Topology.Graph.node_opt t.topo peer));
+    log = t.trace_log;
   }
 
 let networks_created = ref 0
@@ -129,10 +118,10 @@ let create ?(seed = 42) ?(config = Speaker.default_config)
   (* Spans recorded while this network runs are stamped with its virtual
      clock (a no-op unless a span recorder is installed). *)
   Obs.Span.set_sim_clock (fun () -> Dsim.Event_queue.now t.event_queue);
-  (* The causal cursor must not leak across queue events: a hold-timer
-     firing right after a delivery is not caused by that delivery. The
-     hook is one option match per event when tracing is off. *)
-  Dsim.Event_queue.set_on_step t.event_queue (Some Obs.Causal.new_turn);
+  (* The current cause must not leak across queue events: a hold-timer
+     firing right after a delivery is not caused by that delivery. *)
+  Dsim.Event_queue.set_on_step t.event_queue
+    (Some (fun () -> Trace.set_cause t.trace_log (-1)));
   t
 
 (* ---------------- FIB tracking ---------------- *)
@@ -146,12 +135,7 @@ let record_fib_diff t device before after =
   in
   let change prefix state =
     Obs.Metrics.incr m_fib_changes;
-    if Obs.Causal.on () then
-      ignore
-        (Obs.Causal.fib ~time ~device
-           ~prefix:(Net.Intern.Prefix_id.id prefix)
-           ~note:(match state with None -> "remove" | Some _ -> "install"));
-    Trace.record t.trace_log (Trace.Fib_change { time; device; prefix; state })
+    Trace.fib_change t.trace_log ~time ~device prefix state
   in
   (* Removed or changed entries. Typed comparison: polymorphic [<>] on
      attribute-bearing state would walk (or miscompare) interned values. *)
@@ -201,67 +185,50 @@ let close_connection t a b session =
 
 let rec send_one t src (dst, session, msg) =
   Obs.Metrics.incr m_messages_sent;
-      Trace.record t.trace_log
-        (Trace.Message_sent { time = now t; src; dst; session; msg });
-      (* The base latency is drawn before consulting the fault model so the
-         latency stream is identical with and without faults installed —
-         only the fault model's own RNG differs between the two runs. *)
-      let delay = t.latency t.rng in
-      let fate =
-        match t.fault with
-        | None -> Dsim.Fault.pass
-        | Some f -> Dsim.Fault.fate f
-      in
-      let parent_hint = Obs.Causal.cause () in
-      if fate.Dsim.Fault.dropped then begin
-        Obs.Metrics.incr m_messages_dropped;
-        (if Obs.Causal.on () && causal_msg msg then
-           ignore
-             (Obs.Causal.drop_at_send ~time:(now t) ~src ~dst ~session
-                ~prefix:(msg_pid msg) ~note:(Msg.kind_label msg) ~parent_hint));
-        Trace.record t.trace_log
-          (Trace.Message_dropped { time = now t; src; dst; session; msg })
-      end
-      else begin
-        let arrival = now t +. delay +. fate.Dsim.Fault.extra_delay in
-        let chan = channel t (src, dst, session) in
-        let delivery =
-          if fate.Dsim.Fault.reorder then
-            (* Allowed to overtake earlier in-flight messages. *)
-            arrival
-          else Float.max arrival (!chan +. 1e-9) (* FIFO within a session *)
-        in
-        chan := Float.max !chan delivery;
-        let cid =
-          if Obs.Causal.on () && causal_msg msg then
-            Obs.Causal.send ~time:(now t) ~src ~dst ~session
-              ~prefix:(msg_pid msg) ~note:(Msg.kind_label msg) ~parent_hint
-              ~d_prop:delay ~d_fault:fate.Dsim.Fault.extra_delay
-              ~d_queue:(delivery -. arrival)
-          else -1
-        in
-        let epoch = connection_epoch t src dst session in
-        Dsim.Event_queue.schedule_at t.event_queue ~time:delivery (fun () ->
-            (* Lost with its connection if the session dropped in between —
-               even if it has since been re-established. *)
-            if connection_epoch t src dst session = epoch then
-              deliver t ~src ~dst ~session ~cause:cid msg
-            else if cid >= 0 then
-              ignore
-                (Obs.Causal.drop_in_flight ~time:(now t) ~device:dst ~peer:src
-                   ~session ~prefix:(msg_pid msg) ~note:"conn-closed"
-                   ~parent:cid))
-      end
+  (* The base latency is drawn before consulting the fault model so the
+     latency stream is identical with and without faults installed — only
+     the fault model's own RNG differs between the two runs. *)
+  let delay = t.latency t.rng in
+  let fate =
+    match t.fault with
+    | None -> Dsim.Fault.pass
+    | Some f -> Dsim.Fault.fate f
+  in
+  if fate.Dsim.Fault.dropped then begin
+    Obs.Metrics.incr m_messages_dropped;
+    Trace.dropped t.trace_log ~time:(now t) ~src ~dst ~session msg
+  end
+  else begin
+    let arrival = now t +. delay +. fate.Dsim.Fault.extra_delay in
+    let chan = channel t (src, dst, session) in
+    let delivery =
+      if fate.Dsim.Fault.reorder then
+        (* Allowed to overtake earlier in-flight messages. *)
+        arrival
+      else Float.max arrival (!chan +. 1e-9) (* FIFO within a session *)
+    in
+    chan := Float.max !chan delivery;
+    let send =
+      Trace.sent t.trace_log ~time:(now t) ~src ~dst ~session msg ~prop:delay
+        ~queue:(delivery -. arrival) ~fault:fate.Dsim.Fault.extra_delay
+    in
+    let epoch = connection_epoch t src dst session in
+    Dsim.Event_queue.schedule_at t.event_queue ~time:delivery (fun () ->
+        (* Lost with its connection if the session dropped in between —
+           even if it has since been re-established. *)
+        if connection_epoch t src dst session = epoch then
+          deliver t ~src ~dst ~session ~send msg
+        else
+          Trace.lost t.trace_log ~time:(now t) ~src ~dst ~session msg ~send
+            ~reason:"conn-closed")
+  end
 
 and dispatch t src (outbox : Speaker.outbox) =
   List.iter (send_one t src) outbox
 
-and deliver t ~src ~dst ~session ~cause msg =
-  let causal_drop note =
-    if Obs.Causal.on () && causal_msg msg then
-      ignore
-        (Obs.Causal.drop_in_flight ~time:(now t) ~device:dst ~peer:src
-           ~session ~prefix:(msg_pid msg) ~note ~parent:cause)
+and deliver t ~src ~dst ~session ~send msg =
+  let lost reason =
+    Trace.lost t.trace_log ~time:(now t) ~src ~dst ~session msg ~send ~reason
   in
   (* A message in flight when the session goes down is lost. *)
   if session_alive t src dst then begin
@@ -273,19 +240,17 @@ and deliver t ~src ~dst ~session ~cause msg =
       match msg with
       | Msg.Keepalive -> () (* liveness proof only; no RIB work *)
       | Msg.Update _ | Msg.Withdraw _ | Msg.Eor ->
-        (if Obs.Causal.on () then
-           ignore
-             (Obs.Causal.recv ~time:(now t) ~device:dst ~peer:src ~session
-                ~prefix:(msg_pid msg) ~note:(Msg.kind_label msg) ~parent:cause));
+        Trace.delivered t.trace_log ~time:(now t) ~src ~dst ~session msg
+          ~send;
         changed t;
         let before = fib_assoc sp in
         let outbox = Speaker.receive sp (env t) ~peer:src ~session msg in
         record_fib_diff t dst before (fib_assoc sp);
         dispatch t dst outbox
     end
-    else causal_drop "session-down"
+    else lost "session-down"
   end
-  else causal_drop "link-down"
+  else lost "link-down"
 
 (* Runs [f] on the speaker, records FIB changes, dispatches messages. *)
 let transition t device f =
@@ -310,27 +275,21 @@ let liveness t = t.liveness
 let heard t device ~peer ~session =
   Hashtbl.replace t.last_heard (device, peer, session) (now t)
 
-let record_session_event t device ~peer ~session event =
-  Trace.record t.trace_log
-    (Trace.Session_event { time = now t; device; peer; session; event })
-
 (* Takes the session down at [device] with graceful-restart semantics when
    enabled (routes marked stale, sweep bounded by the stale-path timer)
    and a hard flush otherwise. *)
-let session_loss t device ~peer ~session ~reason =
+let session_loss t device ~peer ~session ~reason ~parent =
   close_connection t device peer session;
-  (* The Session event parents whatever context caused the loss (restart,
-     bounce, hold expiry = root) and becomes the cause of the flush /
-     stale marks — and, under GR, of the sweep its timer fires later. *)
+  (* The session act parents the context that caused the loss (restart,
+     bounce; a hold expiry is a root) and becomes the cause of the flush /
+     stale marks — and, under GR, of the sweep its timer fires later. Only
+     liveness logs it as a trace event. *)
   let sev =
-    if Obs.Causal.on () then
-      Obs.Causal.session_event ~time:(now t) ~device ~peer ~session
-        ~note:reason ~parent:(Obs.Causal.cause ())
-    else -1
+    Trace.session t.trace_log ~logged:(Option.is_some t.liveness)
+      ~time:(now t) ~device ~peer ~session ~parent reason
   in
   (match t.liveness with
    | Some c when c.Liveness.graceful_restart ->
-     record_session_event t device ~peer ~session reason;
      let marked_at = now t in
      transition t device (fun sp env ->
          Speaker.set_session ~stale:true sp env ~peer ~session ~up:false);
@@ -345,19 +304,12 @@ let session_loss t device ~peer ~session ~reason =
              (Speaker.stale_routes sp)
          in
          if pending then begin
-           record_session_event t device ~peer ~session "stale-swept";
-           (if Obs.Causal.on () then
-              ignore
-                (Obs.Causal.sweep ~time:(now t) ~device ~peer ~session
-                   ~note:"stale-swept" ~parent:sev));
+           Trace.sweep t.trace_log ~time:(now t) ~device ~peer ~session
+             ~parent:sev "stale-swept";
            transition t device (fun sp env ->
                Speaker.sweep_stale sp env ~peer ~session ~before:marked_at)
          end)
-   | Some _ ->
-     record_session_event t device ~peer ~session reason;
-     transition t device (fun sp env ->
-         Speaker.set_session sp env ~peer ~session ~up:false)
-   | None ->
+   | Some _ | None ->
      transition t device (fun sp env ->
          Speaker.set_session sp env ~peer ~session ~up:false))
 
@@ -368,26 +320,21 @@ let session_loss t device ~peer ~session ~reason =
    current while the other end holds nothing. *)
 let bounce_session t a b session =
   Obs.Metrics.incr m_reconnects;
-  record_session_event t a ~peer:b ~session "reconnected";
-  (* A root event: bounces come from timers or heal actions, not from
-     route propagation. Re-set as the cause before each per-end step so
-     sibling session_loss calls don't chain to each other. *)
+  (* A root: bounces come from timers or heal actions, not from route
+     propagation. It parents each per-end step, so sibling steps don't
+     chain to each other. *)
   let bev =
-    if Obs.Causal.on () then
-      Obs.Causal.session_event ~time:(now t) ~device:a ~peer:b ~session
-        ~note:"reconnected" ~parent:(-1)
-    else -1
+    Trace.session t.trace_log ~logged:true ~time:(now t) ~device:a ~peer:b
+      ~session ~parent:(-1) "reconnected"
   in
   List.iter
     (fun (d, p) ->
-      if Speaker.session_up (speaker t d) ~peer:p ~session then begin
-        Obs.Causal.set_cause bev;
-        session_loss t d ~peer:p ~session ~reason:"bounced"
-      end)
+      if Speaker.session_up (speaker t d) ~peer:p ~session then
+        session_loss t d ~peer:p ~session ~reason:"bounced" ~parent:bev)
     [ (a, b); (b, a) ];
   List.iter
     (fun (d, p) ->
-      Obs.Causal.set_cause bev;
+      Trace.set_cause t.trace_log bev;
       transition t d (fun sp env -> Speaker.set_session sp env ~peer:p ~session ~up:true);
       if t.liveness <> None then heard t d ~peer:p ~session)
     [ (a, b); (b, a) ]
@@ -458,6 +405,7 @@ let enable_liveness ?(config = Liveness.default) ~until t =
       if now t -. last > config.Liveness.hold_time then begin
         Obs.Metrics.incr m_hold_expiries;
         session_loss t device ~peer ~session ~reason:"hold-expired"
+          ~parent:(-1)
       end);
     reschedule (now t +. config.Liveness.keepalive_interval)
       (hold_loop device peer session)
@@ -497,18 +445,12 @@ let enable_liveness ?(config = Liveness.default) ~until t =
 
 let originate ?delay t device prefix attr =
   schedule ?delay t (fun () ->
-      (if Obs.Causal.on () then
-         ignore
-           (Obs.Causal.origin ~time:(now t) ~device
-              ~prefix:(Net.Intern.Prefix_id.id prefix) ~withdraw:false));
+      Trace.originated t.trace_log ~time:(now t) ~device prefix ~withdraw:false;
       transition t device (fun sp env -> Speaker.originate sp env prefix attr))
 
 let withdraw_origin ?delay t device prefix =
   schedule ?delay t (fun () ->
-      (if Obs.Causal.on () then
-         ignore
-           (Obs.Causal.origin ~time:(now t) ~device
-              ~prefix:(Net.Intern.Prefix_id.id prefix) ~withdraw:true));
+      Trace.originated t.trace_log ~time:(now t) ~device prefix ~withdraw:true;
       transition t device (fun sp env -> Speaker.withdraw_origin sp env prefix))
 
 let set_link ?delay t a b ~up =
@@ -517,10 +459,8 @@ let set_link ?delay t a b ~up =
       | None -> invalid_arg (Printf.sprintf "Network.set_link: no link %d-%d" a b)
       | Some link ->
         if link.Topology.Graph.up <> up then begin
-          (if Obs.Causal.on () then
-             ignore
-               (Obs.Causal.config ~time:(now t) ~device:a ~peer:b
-                  ~note:(if up then "link-up" else "link-down")));
+          Trace.configured t.trace_log ~time:(now t) ~device:a ~peer:b
+            (if up then "link-up" else "link-down");
           Topology.Graph.set_link_up t.topo a b up;
           for session = 0 to link.Topology.Graph.sessions - 1 do
             if not up then close_connection t a b session;
@@ -535,24 +475,23 @@ let set_link ?delay t a b ~up =
           done
         end)
 
-let causal_config t device peer note =
-  if Obs.Causal.on () then
-    ignore (Obs.Causal.config ~time:(now t) ~device ~peer ~note)
+let configured t device peer note =
+  Trace.configured t.trace_log ~time:(now t) ~device ~peer note
 
 let set_hooks ?delay t device hooks =
   schedule ?delay t (fun () ->
-      causal_config t device (-1) "set-hooks";
+      configured t device (-1) "set-hooks";
       transition t device (fun sp env -> Speaker.set_hooks sp env hooks))
 
 let set_egress_policy_all ?delay t device policy =
   schedule ?delay t (fun () ->
-      causal_config t device (-1) "egress-policy";
+      configured t device (-1) "egress-policy";
       transition t device (fun sp env ->
           Speaker.set_egress_policy_all sp env policy))
 
 let set_ingress_policy ?delay t ~node ~peer policy =
   schedule ?delay t (fun () ->
-      causal_config t node peer "ingress-policy";
+      configured t node peer "ingress-policy";
       transition t node (fun sp env ->
           Speaker.set_ingress_policy sp env ~peer policy))
 
@@ -570,21 +509,16 @@ let restart_device ?(delay = 0.0) t device ~recovery =
   schedule ~delay t (fun () ->
       let sp = speaker t device in
       let before = fib_assoc sp in
-      (* The crash is a causal root: everything that follows — peer session
-         losses, stale marks and sweeps, the eventual recovery resync —
-         parents to this event. *)
-      let rev =
-        if Obs.Causal.on () then Obs.Causal.restart ~time:(now t) ~device
-        else -1
-      in
       (* The crash itself: no goodbye messages, state just vanishes.
          In-flight messages addressed to the device are discarded on
          arrival because its sessions are marked down. *)
       Speaker.reset sp;
       changed t;
       Obs.Metrics.incr m_restarts;
-      Trace.record t.trace_log
-        (Trace.Speaker_restarted { time = now t; device });
+      (* A causal root: everything that follows — peer session losses,
+         stale marks and sweeps, the eventual recovery resync — parents to
+         it. *)
+      let rev = Trace.restarted t.trace_log ~time:(now t) ~device in
       record_fib_diff t device before (fib_assoc sp);
       let incident = Topology.Graph.all_neighbors t.topo device in
       (* Peers detect the dead sessions (holdtime expiry, modeled as
@@ -594,11 +528,8 @@ let restart_device ?(delay = 0.0) t device ~recovery =
       List.iter
         (fun ((peer : Topology.Node.t), (link : Topology.Graph.link)) ->
           for session = 0 to link.Topology.Graph.sessions - 1 do
-            (* Each peer's loss chains to the restart, not to whatever the
-               previous peer's loss left as the cursor. *)
-            Obs.Causal.set_cause rev;
             session_loss t peer.Topology.Node.id ~peer:device ~session
-              ~reason:"peer-restarted"
+              ~reason:"peer-restarted" ~parent:rev
           done)
         incident;
       (* Restarting-speaker side: FIB entries preserved by [Speaker.reset]
@@ -610,12 +541,8 @@ let restart_device ?(delay = 0.0) t device ~recovery =
            ~delay:c.Liveness.stale_path_time (fun () ->
              let sp = speaker t device in
              if Speaker.fib_stale_prefixes sp <> [] then begin
-               record_session_event t device ~peer:device ~session:(-1)
-                 "fib-stale-swept";
-               (if Obs.Causal.on () then
-                  ignore
-                    (Obs.Causal.sweep ~time:(now t) ~device ~peer:device
-                       ~session:(-1) ~note:"fib-stale-swept" ~parent:rev));
+               Trace.sweep t.trace_log ~time:(now t) ~device ~peer:device
+                 ~session:(-1) ~parent:rev "fib-stale-swept";
                transition t device Speaker.sweep_own_stale
              end)
        | Some _ | None -> ());
@@ -625,22 +552,20 @@ let restart_device ?(delay = 0.0) t device ~recovery =
          markers under graceful restart, sweeping surviving stale marks). *)
       Dsim.Event_queue.schedule t.event_queue ~delay:recovery (fun () ->
           (* The recovery resync (full-table resends, re-origination, EoR
-             markers) chains to the restart via this event. *)
+             markers) chains to the restart through this act. *)
           let recov =
-            if Obs.Causal.on () then
-              Obs.Causal.session_event ~time:(now t) ~device ~peer:(-1)
-                ~session:(-1) ~note:"recovered" ~parent:rev
-            else -1
+            Trace.session t.trace_log ~logged:false ~time:(now t) ~device
+              ~peer:(-1) ~session:(-1) ~parent:rev "recovered"
           in
           List.iter
             (fun ((peer : Topology.Node.t), (link : Topology.Graph.link)) ->
               if link.Topology.Graph.up then
                 for session = 0 to link.Topology.Graph.sessions - 1 do
-                  Obs.Causal.set_cause recov;
+                  Trace.set_cause t.trace_log recov;
                   transition t device (fun sp env ->
                       Speaker.set_session sp env ~peer:peer.Topology.Node.id
                         ~session ~up:true);
-                  Obs.Causal.set_cause recov;
+                  Trace.set_cause t.trace_log recov;
                   transition t peer.Topology.Node.id (fun sp env ->
                       Speaker.set_session sp env ~peer:device ~session ~up:true);
                   if t.liveness <> None then begin

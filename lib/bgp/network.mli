@@ -28,6 +28,10 @@ val create :
 val graph : t -> Topology.Graph.t
 val queue : t -> Dsim.Event_queue.t
 val trace : t -> Trace.t
+(** The network's event log: every act below recorded once, with its
+    causal DAG when the network was created under
+    {!Trace.with_provenance}. *)
+
 val now : t -> float
 
 val speaker : t -> int -> Speaker.t
@@ -52,7 +56,7 @@ val speaker : t -> int -> Speaker.t
     {!Topology.Graph}. Two equal stamps then mean the same network in the
     same state, and a pure function of that state (an invariant sweep, a
     verification against the network's origins) may return its previous
-    answer. The trace, the fault model and liveness bookkeeping are not
+    answer. The event log, the fault model and liveness bookkeeping are not
     part of the state a stamp covers. *)
 
 type stamp
@@ -108,8 +112,9 @@ val enable_liveness : ?config:Liveness.config -> until:float -> t -> unit
     the event queue. Keepalives are real {!Msg.t}s: they share FIFO
     channels with updates and are subject to the installed fault model, so
     enough consecutive drops expire the hold timer and tear the session
-    down ({!Trace.Session_event} ["hold-expired"]). Torn-down sessions over
-    healthy links are periodically re-established. When
+    down ({!Trace.Session_event} ["hold-expired"]; without liveness a
+    session loss is not a trace event). Torn-down sessions over healthy
+    links are periodically re-established. When
     [config.graceful_restart] is set, every speaker switches to RFC 4724
     semantics (stale retention on session loss, End-of-RIB resync, bounded
     by [config.stale_path_time]). All loops stop at [until] (simulated
@@ -136,7 +141,8 @@ val set_fault : t -> Dsim.Fault.t option -> unit
 (** Installs (or removes) a message-level fault model. Once installed,
     every transmitted message's fate — dropped, extra-delayed, or allowed
     to overtake earlier messages of its session — is drawn from the model.
-    Drops are recorded in the trace as {!Trace.Message_dropped}. *)
+    A drop is logged as a {!Trace.Message_sent} followed by a
+    {!Trace.Message_dropped}, one drop node in the causal DAG. *)
 
 val fault : t -> Dsim.Fault.t option
 
@@ -146,7 +152,8 @@ val restart_device : ?delay:float -> t -> int -> recovery:float -> unit
     in-flight messages addressed to it are lost. [recovery] seconds later
     every session over an up link is re-established on both ends,
     replaying session establishment (full-table resend, re-origination).
-    Recorded in the trace as {!Trace.Speaker_restarted}. *)
+    Logged as {!Trace.Speaker_restarted}, a causal root of everything the
+    crash sets off. *)
 
 val apply_schedule : t -> Dsim.Fault.schedule -> unit
 (** Schedules every action of a fault schedule: link flaps via {!set_link}

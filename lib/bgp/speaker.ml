@@ -14,22 +14,19 @@ type config = {
 
 let default_config = { multipath = true; wcmp = false; default_local_pref = 100 }
 
-type fib_state =
+type fib_state = Trace.fib_state =
   | Local
   | Entries of entry list
 
-and entry = { next_hop : int; session : int; weight : int }
+and entry = Trace.entry = { next_hop : int; session : int; weight : int }
 
-let entry_equal a b =
-  a.next_hop = b.next_hop && a.session = b.session && a.weight = b.weight
+let fib_state_equal = Trace.fib_state_equal
 
-let fib_state_equal a b =
-  match (a, b) with
-  | Local, Local -> true
-  | Entries xs, Entries ys -> List.equal entry_equal xs ys
-  | Local, Entries _ | Entries _, Local -> false
-
-type env = { now : float; peer_layer : int -> Topology.Node.layer option }
+type env = {
+  now : float;
+  peer_layer : int -> Topology.Node.layer option;
+  log : Trace.t;
+}
 
 type eval_mode = Incremental | Full_table
 
@@ -357,11 +354,14 @@ let post_policy_candidates t (ctx : Rib_policy.ctx) p ~use_hooks =
     in
     from 0
 
+(* Gathering candidates decides nothing, so nothing is ever recorded here. *)
+let no_log = Trace.create ()
+
 let candidates ?env t prefix =
   let env =
     match env with
     | Some env -> env
-    | None -> { now = 0.0; peer_layer = (fun _ -> None) }
+    | None -> { now = 0.0; peer_layer = (fun _ -> None); log = no_log }
   in
   post_policy_candidates t
     (make_ctx ~commit:false t env prefix)
@@ -533,8 +533,7 @@ let commit t p desired : outbox =
    without committing) does not inflate the decision count or spans. *)
 let evaluate t env p : outbox =
   Obs.Metrics.incr m_decisions;
-  if Obs.Causal.on () then
-    ignore (Obs.Causal.decide ~time:env.now ~device:(id t) ~prefix:p);
+  Trace.decided env.log ~time:env.now ~device:(id t) ~prefix:p;
   Obs.Span.with_span "speaker.decision"
     ~attrs:(fun () ->
       [

@@ -26,14 +26,15 @@ type config = {
 
 val default_config : config
 
-(** What the FIB holds for a prefix. *)
-type fib_state =
+(** What the FIB holds for a prefix (defined in {!Trace}, whose FIB
+    events carry it). *)
+type fib_state = Trace.fib_state =
   | Local  (** the prefix is originated here *)
   | Entries of entry list
       (** weighted next hops; an empty list never appears — a prefix with no
           entries is simply absent from the FIB *)
 
-and entry = { next_hop : int; session : int; weight : int }
+and entry = Trace.entry = { next_hop : int; session : int; weight : int }
 
 val fib_state_equal : fib_state -> fib_state -> bool
 (** Typed structural equality (no polymorphic compare). *)
@@ -66,7 +67,11 @@ type outbox = (int * int * Msg.t) list
     Each returns the messages to send. [ctx_of] is supplied by the network
     layer (it knows topology and virtual time). *)
 
-type env = { now : float; peer_layer : int -> Topology.Node.layer option }
+type env = {
+  now : float;
+  peer_layer : int -> Topology.Node.layer option;
+  log : Trace.t;  (** where the speaker records its decisions *)
+}
 
 val decision_ctx : t -> env -> Net.Prefix.t -> Rib_policy.ctx
 (** The context this speaker's decision hands its hooks for the prefix, as

@@ -171,22 +171,21 @@ let active_rpas net agent ~device =
     else [ "WARNING: speaker runs RPA hooks unknown to the agent" ]
 
 (* The causal citation: the chain of events that put the current FIB entry
-   for [prefix] on [device], rendered for the operator. *)
-let causal_citation causal ~device prefix =
-  match causal with
+   for [prefix] on [device], rendered for the operator. Empty unless the
+   network's log holds provenance. *)
+let causal_citation net ~device prefix =
+  let prefix_name id =
+    if id < 0 then "-" else Net.Prefix.to_string (Net.Intern.Prefix_id.value id)
+  in
+  match
+    Obs.Causal.critical_path ~device
+      (Bgp.Trace.dag (Bgp.Network.trace net))
+      ~prefix:(Net.Intern.Prefix_id.id prefix)
+  with
+  | Some chain -> Obs.Causal.chain_lines ~prefix_name chain
   | None -> []
-  | Some log ->
-    let prefix_name id =
-      if id < 0 then "-" else Net.Prefix.to_string (Net.Intern.Prefix_id.value id)
-    in
-    (match
-       Obs.Causal.critical_path ~device log
-         ~prefix:(Net.Intern.Prefix_id.id prefix)
-     with
-     | Some chain -> Obs.Causal.chain_lines ~prefix_name chain
-     | None -> [])
 
-let explain_route ?causal net agent ~device prefix =
+let explain_route net agent ~device prefix =
   let speaker = Bgp.Network.speaker net device in
   match Switch_agent.current_rpa agent ~device with
   | Some rpa when not (Rpa.is_empty rpa) ->
@@ -199,5 +198,5 @@ let explain_route ?causal net agent ~device prefix =
         ~ctx:(Bgp.Speaker.decision_ctx speaker env prefix)
         ~candidates:(Bgp.Speaker.candidates ~env speaker prefix)
     in
-    Some { e with critical_path = causal_citation causal ~device prefix }
+    Some { e with critical_path = causal_citation net ~device prefix }
   | Some _ | None -> None

@@ -34,10 +34,10 @@ type explanation = {
   advertised : string option;  (** rendered path, [None] = withdrawn *)
   weights_prescribed : bool;  (** a Route Attribute statement applied *)
   critical_path : string list;
-      (** when a causal log was supplied to {!explain_route}: the rendered
-          convergence critical path of the device's FIB entry — how the
-          route got here, hop by hop with per-edge delays. Empty
-          otherwise. *)
+      (** from {!explain_route}, when the network's log holds provenance
+          ({!Bgp.Trace.with_provenance}): the rendered convergence critical
+          path of the device's FIB entry — how the route got here, hop by
+          hop with per-edge delays. Empty otherwise. *)
 }
 
 val explain :
@@ -56,11 +56,10 @@ val active_rpas : Bgp.Network.t -> Switch_agent.t -> device:int -> string list
     speaker's hooks are native. *)
 
 val explain_route :
-  ?causal:Obs.Causal.t ->
   Bgp.Network.t -> Switch_agent.t -> device:int -> Net.Prefix.t ->
   explanation option
 (** Tool (2): explains the device's live evaluation for a prefix using its
-    actual candidates; [None] if no RPA is installed (native BGP). When
-    [causal] is the run's causal log, the explanation also cites the
+    actual candidates; [None] if no RPA is installed (native BGP). When the
+    network's log holds provenance, the explanation also cites the
     convergence critical path of the device's FIB entry
-    ({!Obs.Causal.critical_path}). *)
+    ({!Obs.Causal.critical_path} over {!Bgp.Trace.dag}). *)

@@ -1,8 +1,8 @@
-(* The `centralium trace` runner: executes a scenario under a causal
-   recorder (and span recorder, for the Perfetto export), then renders the
-   provenance DAG, the convergence critical path for the traced prefix,
-   and — for the chaos scenario — the blackhole attribution joining the
-   loss integral's segments to the FIB events that opened/closed them.
+(* The `centralium trace` runner: executes a scenario with provenance on
+   (and a span recorder, for the Perfetto export), then renders the
+   network's provenance DAG, the convergence critical path for the traced
+   prefix, and — for the chaos scenario — the blackhole attribution joining
+   the loss integral's segments to the FIB events that opened/closed them.
 
    The human and --json outputs contain only virtual-time data, so they
    are byte-identical across runs at the same seed; --perfetto adds the
@@ -123,11 +123,9 @@ let json_doc ~scenario ~seed ~gr ~prefix ~causal ~chain ~attribution
 
 let run ?(seed = 42) ?(gr = true) ?(prefix = Net.Prefix.default_v4) ~scenario
     ~format ~write () =
-  let causal = Obs.Causal.create () in
   let spans = Obs.Span.create () in
   let execute () =
     Obs.Span.with_recorder spans @@ fun () ->
-    Obs.Causal.with_recorder causal @@ fun () ->
     match scenario with
     | "converge" -> Ok (run_converge ~seed ~prefix ())
     | "chaos" -> Ok (run_chaos ~seed ~gr ())
@@ -136,9 +134,11 @@ let run ?(seed = 42) ?(gr = true) ?(prefix = Net.Prefix.default_v4) ~scenario
         (Printf.sprintf "unknown trace scenario %S (available: %s)" other
            (String.concat ", " scenarios))
   in
-  match execute () with
-  | Error _ as e -> e
-  | Ok (segments, blackhole_seconds) ->
+  match Bgp.Trace.with_provenance execute with
+  | (Error _ as e), _ -> e
+  | Ok (segments, blackhole_seconds), logs ->
+    (* Each scenario runs one network. *)
+    let causal = Bgp.Trace.dag (List.hd logs) in
     (* Chaos schedules can leave scopes open at the export point. *)
     Obs.Span.close_open spans;
     let pid = Net.Intern.Prefix_id.id prefix in

@@ -1,9 +1,9 @@
 (** The [centralium trace] runner: causal route-propagation tracing.
 
-    Executes a scenario under an {!Obs.Causal} recorder (and an
+    Executes a scenario under {!Bgp.Trace.with_provenance} (and an
     {!Obs.Span} recorder, consumed by the Perfetto export), then renders
-    the provenance DAG, the traced prefix's convergence critical path
-    ({!Obs.Causal.critical_path}), and — for the chaos scenario — the
+    the network's provenance DAG, the traced prefix's convergence critical
+    path ({!Obs.Causal.critical_path}), and — for the chaos scenario — the
     blackhole attribution joining {!Dataplane.Metrics.loss_segments}
     intervals to the causal FIB events that opened and closed them.
 

@@ -2,18 +2,13 @@
 
    Every causally relevant act in the BGP layer — an origin announce, a
    message send, its delivery, the decision it triggers, the FIB change
-   that decision commits — appends one immutable event whose [parent]
-   points at the event that caused it. Event ids are assigned in log
-   order, and since the simulation clock is monotone the log is sorted by
-   time: analysis never needs to sort.
+   that decision commits — is one immutable event whose [parent] points at
+   the event that caused it. Event ids are positions in the DAG, and since
+   the simulation clock is monotone the DAG is sorted by time: analysis
+   never needs to sort.
 
-   Recording is ambient, like [Span]: sites test [on ()] (one bool read)
-   and do nothing when no recorder is installed, so disabled tracing is
-   free on the hot path. The "current cause" cursor threads causality
-   through synchronous call chains (deliver -> receive -> decide -> fib)
-   without changing any simulation signature; [new_turn] — installed as
-   the event queue's on-step hook — clears it at every event boundary so
-   causality never leaks between unrelated queue events.
+   This module only analyses a DAG. The network's event log
+   ([Bgp.Trace]) records it and hands out snapshots.
 
    Devices and prefixes are plain ints: the obs library sits below net,
    so callers pass [Net.Intern.Prefix_id.id] values and supply a
@@ -63,195 +58,13 @@ type event = {
   d_fault : float;
 }
 
-type t = {
-  mutable events : event array;
-  mutable len : int;
-  (* (device, prefix id) -> id of that device's latest Decide event, used
-     to parent same-instant Send/Fib events to the decision that caused
-     them even when the cursor has moved on. *)
-  last_decision : (int * int, int) Hashtbl.t;
-  mutable cursor : int;
-}
+(* A snapshot: [events.(i).id = i]. *)
+type t = event array
 
-let dummy =
-  {
-    id = -1;
-    parent = -1;
-    kind = Config;
-    time = 0.0;
-    device = -1;
-    peer = -1;
-    session = -1;
-    prefix = -1;
-    note = "";
-    d_prop = 0.0;
-    d_queue = 0.0;
-    d_fault = 0.0;
-  }
-
-let create () =
-  {
-    events = Array.make 1024 dummy;
-    len = 0;
-    last_decision = Hashtbl.create 512;
-    cursor = -1;
-  }
-
-(* [enabled] mirrors [ambient <> None] so hot-path guards cost one bool
-   read instead of an option match. *)
-let enabled = ref false
-let ambient : t option ref = ref None
-
-let on () = !enabled
-let installed () = !ambient
-
-let with_recorder t f =
-  let previous = !ambient in
-  ambient := Some t;
-  enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      ambient := previous;
-      enabled := Option.is_some previous)
-    f
-
-let new_turn () = match !ambient with Some t -> t.cursor <- -1 | None -> ()
-let cause () = match !ambient with Some t -> t.cursor | None -> -1
-let set_cause id = match !ambient with Some t -> t.cursor <- id | None -> ()
-
-let append t ev =
-  if t.len = Array.length t.events then begin
-    let bigger = Array.make (2 * t.len) dummy in
-    Array.blit t.events 0 bigger 0 t.len;
-    t.events <- bigger
-  end;
-  t.events.(t.len) <- ev;
-  t.len <- t.len + 1
-
-let record t ~parent ~kind ~time ~device ~peer ~session ~prefix ~note ~d_prop
-    ~d_queue ~d_fault =
-  let id = t.len in
-  append t
-    { id; parent; kind; time; device; peer; session; prefix; note; d_prop;
-      d_queue; d_fault };
-  id
-
-let record0 t ~parent ~kind ~time ~device ~peer ~session ~prefix ~note =
-  record t ~parent ~kind ~time ~device ~peer ~session ~prefix ~note
-    ~d_prop:0.0 ~d_queue:0.0 ~d_fault:0.0
-
-let with_t f = match !ambient with None -> -1 | Some t -> f t
-
-(* The decision made by [device] for [prefix] at exactly this instant, if
-   any — the correct parent for a Send/Fib the decision just caused. An
-   older decision (different timestamp) is stale state, e.g. a session
-   resend replaying Adj-RIB-Out: fall through to [fallback]. *)
-let instant_decision t ~device ~prefix ~time ~fallback =
-  match Hashtbl.find_opt t.last_decision (device, prefix) with
-  | Some id when t.events.(id).time = time -> id
-  | Some _ | None -> fallback
-
-(* ---------------- Recording sites ---------------- *)
-
-let origin ~time ~device ~prefix ~withdraw =
-  with_t @@ fun t ->
-  let kind = if withdraw then Origin_withdraw else Origin in
-  let id =
-    record0 t ~parent:(-1) ~kind ~time ~device ~peer:(-1) ~session:(-1)
-      ~prefix ~note:""
-  in
-  t.cursor <- id;
-  id
-
-let recv ~time ~device ~peer ~session ~prefix ~note ~parent =
-  with_t @@ fun t ->
-  let id =
-    record0 t ~parent ~kind:Recv ~time ~device ~peer ~session ~prefix ~note
-  in
-  t.cursor <- id;
-  id
-
-let decide ~time ~device ~prefix =
-  with_t @@ fun t ->
-  let id =
-    record0 t ~parent:t.cursor ~kind:Decide ~time ~device ~peer:(-1)
-      ~session:(-1) ~prefix ~note:""
-  in
-  Hashtbl.replace t.last_decision (device, prefix) id;
-  id
-
-let send ~time ~src ~dst ~session ~prefix ~note ~parent_hint ~d_prop ~d_queue
-    ~d_fault =
-  with_t @@ fun t ->
-  let parent = instant_decision t ~device:src ~prefix ~time ~fallback:parent_hint in
-  record t ~parent ~kind:Send ~time ~device:src ~peer:dst ~session ~prefix
-    ~note ~d_prop ~d_queue ~d_fault
-
-let drop_at_send ~time ~src ~dst ~session ~prefix ~note ~parent_hint =
-  with_t @@ fun t ->
-  let parent = instant_decision t ~device:src ~prefix ~time ~fallback:parent_hint in
-  record0 t ~parent ~kind:Drop ~time ~device:src ~peer:dst ~session ~prefix
-    ~note
-
-let drop_in_flight ~time ~device ~peer ~session ~prefix ~note ~parent =
-  with_t @@ fun t ->
-  record0 t ~parent ~kind:Drop ~time ~device ~peer ~session ~prefix ~note
-
-let fib ~time ~device ~prefix ~note =
-  with_t @@ fun t ->
-  let parent = instant_decision t ~device ~prefix ~time ~fallback:t.cursor in
-  record0 t ~parent ~kind:Fib ~time ~device ~peer:(-1) ~session:(-1) ~prefix
-    ~note
-
-let restart ~time ~device =
-  with_t @@ fun t ->
-  (* The crash wipes the device's RIBs: its old decisions can no longer
-     cause anything, so forget them. Peers' decisions stay valid. *)
-  let stale =
-    Hashtbl.fold
-      (fun ((d, _) as key) _ acc -> if d = device then key :: acc else acc)
-      t.last_decision []
-  in
-  List.iter (Hashtbl.remove t.last_decision) stale;
-  let id =
-    record0 t ~parent:t.cursor ~kind:Restart ~time ~device ~peer:(-1)
-      ~session:(-1) ~prefix:(-1) ~note:""
-  in
-  t.cursor <- id;
-  id
-
-let session_event ~time ~device ~peer ~session ~note ~parent =
-  with_t @@ fun t ->
-  let id =
-    record0 t ~parent ~kind:Session ~time ~device ~peer ~session ~prefix:(-1)
-      ~note
-  in
-  t.cursor <- id;
-  id
-
-let sweep ~time ~device ~peer ~session ~note ~parent =
-  with_t @@ fun t ->
-  let id =
-    record0 t ~parent ~kind:Sweep ~time ~device ~peer ~session ~prefix:(-1)
-      ~note
-  in
-  t.cursor <- id;
-  id
-
-let config ~time ~device ~peer ~note =
-  with_t @@ fun t ->
-  let id =
-    record0 t ~parent:(-1) ~kind:Config ~time ~device ~peer ~session:(-1)
-      ~prefix:(-1) ~note
-  in
-  t.cursor <- id;
-  id
-
-(* ---------------- Inspection ---------------- *)
-
-let length t = t.len
-let events t = List.init t.len (fun i -> t.events.(i))
-let event t id = if id >= 0 && id < t.len then Some t.events.(id) else None
+let of_array events = events
+let length t = Array.length t
+let events t = Array.to_list t
+let event t id = if id >= 0 && id < Array.length t then Some t.(id) else None
 
 let default_prefix_name p = if p < 0 then "-" else Printf.sprintf "pfx#%d" p
 
@@ -301,21 +114,21 @@ type chain = {
   c_total : float;        (* terminal time - root time *)
 }
 
-(* Last FIB change for [prefix] (optionally at [device]) — the log is
+(* Last FIB change for [prefix] (optionally at [device]) — the DAG is
    time-sorted, so scanning backwards finds the quiescence point: the
    latest install/remove, ties broken by highest id. *)
 let terminal_fib ?device t ~prefix =
   let rec scan i =
     if i < 0 then None
     else
-      let ev = t.events.(i) in
+      let ev = t.(i) in
       if
         ev.kind = Fib && ev.prefix = prefix
         && (match device with None -> true | Some d -> ev.device = d)
       then Some ev
       else scan (i - 1)
   in
-  scan (t.len - 1)
+  scan (Array.length t - 1)
 
 let edge_between a b =
   let delay = b.time -. a.time in
@@ -346,7 +159,7 @@ let critical_path ?device t ~prefix =
   | Some terminal ->
     let rec ancestors ev acc =
       if ev.parent < 0 then ev :: acc
-      else ancestors t.events.(ev.parent) (ev :: acc)
+      else ancestors t.(ev.parent) (ev :: acc)
     in
     let evs = ancestors terminal [] in
     let rec edges = function
@@ -463,26 +276,26 @@ let fib_ids_at t ~prefix time =
   let rec go i acc =
     if i < 0 then acc
     else
-      let ev = t.events.(i) in
+      let ev = t.(i) in
       let acc =
         if ev.kind = Fib && ev.prefix = prefix && ev.time = time then
           ev.id :: acc
         else acc
       in
-      (* Log is time-sorted: once past events strictly before [time], stop. *)
+      (* The DAG is time-sorted: once past events strictly before [time], stop. *)
       if ev.time < time then acc else go (i - 1) acc
   in
-  go (t.len - 1) []
+  go (Array.length t - 1) []
 
 let last_fib_before t ~prefix time =
   let rec scan i =
     if i < 0 then []
     else
-      let ev = t.events.(i) in
+      let ev = t.(i) in
       if ev.kind = Fib && ev.prefix = prefix && ev.time < time then [ ev.id ]
       else scan (i - 1)
   in
-  scan (t.len - 1)
+  scan (Array.length t - 1)
 
 let attribute t ~prefix ~segments =
   List.filter_map

@@ -1,10 +1,10 @@
 (** Causal provenance DAG for route propagation.
 
-    Records, per run, the causal chain behind every routing state change:
-    origin announce/withdraw -> per-hop message send/receive (through the
-    fault and batching layers) -> decision -> Adj-RIB-Out flush -> FIB
-    install. Each event carries the id of the event that caused it, so the
-    log is a forest of DAG paths rooted at origin/config/restart events.
+    The causal chain behind every routing state change: origin
+    announce/withdraw -> per-hop message send/receive (through the fault
+    and batching layers) -> decision -> Adj-RIB-Out flush -> FIB install.
+    Each event carries the id of the event that caused it, so the DAG is a
+    forest of paths rooted at origin/config/restart events.
 
     On top of the DAG sit two analyses: {!critical_path}, the longest
     causal chain ending at a prefix's final FIB change with per-edge delay
@@ -13,16 +13,14 @@
     from {!Dataplane.Metrics.loss_integrals} to the FIB events that opened
     and closed them.
 
-    Like {!Span}, recording is ambient: sites guard with {!on} — a single
-    bool read — and pay nothing when no recorder is installed. Recording
-    never draws from any RNG or schedules events, so instrumented and
-    uninstrumented runs are bit-identical, and at a fixed seed the event
-    log itself is bit-reproducible (ids are assigned in deterministic
-    simulation order; only virtual time is stamped).
+    This module records nothing: {!Bgp.Trace.dag} builds a DAG from a
+    network's event log when that log holds provenance. Ids are assigned in
+    deterministic simulation order and only virtual time is stamped, so at
+    a fixed seed the DAG is bit-reproducible.
 
     The obs library sits below net, so devices and prefixes are plain
-    ints; callers pass [Net.Intern.Prefix_id.id] values and provide a
-    [prefix_name] rendering callback at export time. *)
+    ints: prefixes are [Net.Intern.Prefix_id.id] values, rendered through
+    a [prefix_name] callback at export time. *)
 
 type kind =
   | Origin
@@ -40,7 +38,7 @@ type kind =
 val kind_label : kind -> string
 
 type event = {
-  id : int;       (** position in the log; assigned in simulation order *)
+  id : int;       (** position in the DAG; assigned in simulation order *)
   parent : int;   (** causing event id, [-1] for roots *)
   kind : kind;
   time : float;   (** virtual seconds *)
@@ -55,117 +53,10 @@ type event = {
 }
 
 type t
-(** A recorder: an append-only event log plus the ambient cursor. *)
+(** A DAG snapshot. *)
 
-val create : unit -> t
-
-val with_recorder : t -> (unit -> 'a) -> 'a
-(** Installs [t] as the ambient recorder for the duration of the call
-    (restoring the previous state after, exceptions included). *)
-
-val on : unit -> bool
-(** Whether a recorder is installed — the one-bool-test guard for every
-    instrumentation site. *)
-
-val installed : unit -> t option
-
-(** {1 Context threading}
-
-    The cursor is the "current cause": the event that synchronous code is
-    running on behalf of. {!Bgp.Network} installs {!new_turn} as its event
-    queue's on-step hook so the cursor resets at every event boundary. *)
-
-val new_turn : unit -> unit
-(** Clears the cursor (no-op without a recorder). *)
-
-val cause : unit -> int
-(** Current cursor, [-1] when unset or no recorder. *)
-
-val set_cause : int -> unit
-
-(** {1 Recording sites}
-
-    All return the new event id, or [-1] when no recorder is installed.
-    Events that start a new causal context (origin, recv, restart,
-    session, sweep, config) also set the cursor to themselves. *)
-
-val origin : time:float -> device:int -> prefix:int -> withdraw:bool -> int
-
-val recv :
-  time:float ->
-  device:int ->
-  peer:int ->
-  session:int ->
-  prefix:int ->
-  note:string ->
-  parent:int ->
-  int
-(** [parent] is the Send event id carried with the message ([-1] when the
-    message predates the recorder). *)
-
-val decide : time:float -> device:int -> prefix:int -> int
-(** Parented to the cursor. Registered as the device's latest decision for
-    [prefix], so same-instant Send/Fib events parent to it. *)
-
-val send :
-  time:float ->
-  src:int ->
-  dst:int ->
-  session:int ->
-  prefix:int ->
-  note:string ->
-  parent_hint:int ->
-  d_prop:float ->
-  d_queue:float ->
-  d_fault:float ->
-  int
-(** Parent resolution: the sender's same-instant decision for [prefix] if
-    one exists, else [parent_hint] (the cause carried through the batching
-    queue, or the cursor). *)
-
-val drop_at_send :
-  time:float ->
-  src:int ->
-  dst:int ->
-  session:int ->
-  prefix:int ->
-  note:string ->
-  parent_hint:int ->
-  int
-(** A message the fault model dropped at the send site. *)
-
-val drop_in_flight :
-  time:float ->
-  device:int ->
-  peer:int ->
-  session:int ->
-  prefix:int ->
-  note:string ->
-  parent:int ->
-  int
-(** A message that died in flight (connection epoch bumped, session or
-    link down at delivery time). [parent] is its Send event. *)
-
-val fib : time:float -> device:int -> prefix:int -> note:string -> int
-(** A FIB change; parent is the same-instant decision else the cursor. *)
-
-val restart : time:float -> device:int -> int
-(** A speaker crash/restart. Forgets the device's decision registry (its
-    RIBs are gone) and becomes the cursor. *)
-
-val session_event :
-  time:float -> device:int -> peer:int -> session:int -> note:string ->
-  parent:int -> int
-
-val sweep :
-  time:float -> device:int -> peer:int -> session:int -> note:string ->
-  parent:int -> int
-(** A stale-path or GR sweep firing; [parent] is the session/restart event
-    that armed the timer. *)
-
-val config : time:float -> device:int -> peer:int -> note:string -> int
-(** An external management action (link up/down, policy change, drain) —
-    always a root. *)
+val of_array : event array -> t
+(** The DAG of the events, whose ids must be their positions. *)
 
 (** {1 Inspection & export} *)
 
@@ -179,7 +70,7 @@ val default_prefix_name : int -> string
 
 val event_to_json : ?prefix_name:(int -> string) -> event -> Json.t
 val to_json : ?prefix_name:(int -> string) -> t -> Json.t
-(** The full log as a JSON array, in id order. Deterministic at a fixed
+(** The whole DAG as a JSON array, in id order. Deterministic at a fixed
     seed. *)
 
 (** {1 Critical path} *)

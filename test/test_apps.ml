@@ -423,20 +423,35 @@ let test_debug_active_rpas_on_switch () =
   let lines = Debug.active_rpas net agent ~device in
   check_bool "rendered rpa shown" true (List.length lines > 3)
 
+(* Run with provenance off and on: only with it does the explanation cite
+   the critical path, which ends at the explained device's FIB install. *)
 let test_debug_explain_route_live () =
-  let f, net, controller = fabric_fixture () in
-  let agent = Controller.agent controller in
-  let device = List.nth f.Topology.Clos.ssws 0 in
-  check_bool "native: no explanation" true
-    (Debug.explain_route net agent ~device Net.Prefix.default_v4 = None);
-  Switch_agent.set_intended agent ~device
-    (Apps.Min_next_hop_guard.rpa ~destination:Destination.backbone_default
-       ~threshold:(Path_selection.Count 1) ~keep_fib_warm:false);
-  ignore (Switch_agent.reconcile_device agent device);
-  ignore (Bgp.Network.converge net);
-  match Debug.explain_route net agent ~device Net.Prefix.default_v4 with
-  | Some e -> check_bool "selected something" true (e.Debug.selected_count >= 1)
-  | None -> Alcotest.fail "expected an explanation"
+  let explain_live () =
+    let f, net, controller = fabric_fixture () in
+    let agent = Controller.agent controller in
+    let device = List.nth f.Topology.Clos.ssws 0 in
+    check_bool "native: no explanation" true
+      (Debug.explain_route net agent ~device Net.Prefix.default_v4 = None);
+    Switch_agent.set_intended agent ~device
+      (Apps.Min_next_hop_guard.rpa ~destination:Destination.backbone_default
+         ~threshold:(Path_selection.Count 1) ~keep_fib_warm:false);
+    ignore (Switch_agent.reconcile_device agent device);
+    ignore (Bgp.Network.converge net);
+    match Debug.explain_route net agent ~device Net.Prefix.default_v4 with
+    | Some e ->
+      check_bool "selected something" true (e.Debug.selected_count >= 1);
+      (device, e.Debug.critical_path)
+    | None -> Alcotest.fail "expected an explanation"
+  in
+  let _, bare = explain_live () in
+  check_bool "no provenance: no citation" true (bare = []);
+  let (device, cited), _ = Bgp.Trace.with_provenance explain_live in
+  match List.rev cited with
+  | last :: _ ->
+    let install = Printf.sprintf "fib install at device %d " device in
+    check_bool "citation ends at the device's FIB install" true
+      (Astring_like.contains_substring last install)
+  | [] -> Alcotest.fail "expected a citation with provenance on"
 
 (* ---------------- Fallback compiler (Section 7.4) ---------------- *)
 

@@ -1,8 +1,9 @@
 (* Causal provenance DAG: hand-checked critical path on a line topology,
-   byte-identical logs across runs at the same seed (chaos, both GR
-   modes), blackhole attribution accounting for 100% of the loss
-   integral's blackhole-seconds, and instrumentation neutrality (tracing
-   changes no simulation outcome). *)
+   byte-identical DAGs across runs at the same seed (chaos, both GR
+   modes) and equal to pinned digests, blackhole attribution accounting
+   for 100% of the loss integral's blackhole-seconds, and provenance
+   neutrality (switching it on changes no simulation outcome and no trace
+   view). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -29,13 +30,16 @@ let line n =
    1 ms each, and the per-edge delays must telescope to the convergence
    time (terminal FIB time - origin time = 2 ms). *)
 let test_line_hand_check () =
-  let causal = Obs.Causal.create () in
-  Obs.Causal.with_recorder causal (fun () ->
-      let net =
-        Bgp.Network.create ~seed:1 ~latency:(fun _ -> 0.001) (line 3)
-      in
-      Bgp.Network.originate net 0 Net.Prefix.default_v4 (Net.Attr.make ());
-      ignore (Bgp.Network.converge net));
+  let log, _ =
+    Bgp.Trace.with_provenance (fun () ->
+        let net =
+          Bgp.Network.create ~seed:1 ~latency:(fun _ -> 0.001) (line 3)
+        in
+        Bgp.Network.originate net 0 Net.Prefix.default_v4 (Net.Attr.make ());
+        ignore (Bgp.Network.converge net);
+        Bgp.Network.trace net)
+  in
+  let causal = Bgp.Trace.dag log in
   match Obs.Causal.critical_path causal ~prefix:default_pid with
   | None -> Alcotest.fail "no critical path recorded"
   | Some chain ->
@@ -79,12 +83,32 @@ let test_line_hand_check () =
 (* ---------------- Determinism across runs ---------------- *)
 
 let chaos_traced ~seed ~gr =
-  let causal = Obs.Causal.create () in
-  let m =
-    Obs.Causal.with_recorder causal (fun () ->
+  match
+    Bgp.Trace.with_provenance (fun () ->
         Experiments.Scenarios.Chaos.run_mode ~seed ~gr ())
-  in
-  (causal, m)
+  with
+  | m, [ log ] -> (Bgp.Trace.dag log, m)
+  | _, logs ->
+    Alcotest.failf "chaos ran %d networks, not one" (List.length logs)
+
+(* Digests of the chaos DAGs' JSON, recorded when provenance had its own
+   global recorder: any change to which acts are nodes, or to their ids,
+   parents or fields, shows up here. *)
+let pinned_dags =
+  [
+    ((7, false), "b0cb28b81e7103410e753aad73d3d5fb");
+    ((42, true), "94c08429056a47b7108b6af411a1a781");
+    ((42, false), "892b9e05df0cd291c32e6ffa62c33e90");
+  ]
+
+let check_pinned ~seed ~gr json =
+  match List.assoc_opt (seed, gr) pinned_dags with
+  | Some want ->
+    Alcotest.(check string)
+      (Printf.sprintf "DAG digest pinned (seed %d, gr=%b)" seed gr)
+      want
+      (Digest.to_hex (Digest.string json))
+  | None -> ()
 
 let render causal =
   let json = Obs.Json.to_string (Obs.Causal.to_json causal) in
@@ -109,6 +133,7 @@ let test_chaos_determinism () =
       checkb
         (Printf.sprintf "causal DAG byte-identical (gr=%b)" gr)
         true (j1 = j2);
+      check_pinned ~seed:42 ~gr j1;
       checkb "critical path found" true (r1 <> "");
       checkb
         (Printf.sprintf "critical path byte-identical (gr=%b)" gr)
@@ -156,18 +181,21 @@ let test_blackhole_attribution () =
 
 (* ---------------- Instrumentation neutrality ---------------- *)
 
-(* Recording draws no RNG and schedules nothing: the simulation outcome
-   with a recorder installed is bit-identical to the outcome without. *)
+(* Recording draws no RNG and schedules nothing, and the trace views skip
+   provenance: the whole chaos result — FIB digest, loss integrals and
+   segments, every count read from the trace views — is identical with
+   provenance on and off. *)
 let test_instrumentation_neutral () =
-  let bare = Experiments.Scenarios.Chaos.run_mode ~seed:7 ~gr:true () in
-  let causal, traced = chaos_traced ~seed:7 ~gr:true in
-  checkb "events were recorded" true (Obs.Causal.length causal > 0);
-  checkb "fib digest identical with tracing on" true
-    (bare.Experiments.Scenarios.Chaos.fib_digest
-     = traced.Experiments.Scenarios.Chaos.fib_digest);
-  checkb "blackhole-seconds identical with tracing on" true
-    (bare.Experiments.Scenarios.Chaos.blackhole_seconds
-     = traced.Experiments.Scenarios.Chaos.blackhole_seconds)
+  List.iter
+    (fun gr ->
+      let bare = Experiments.Scenarios.Chaos.run_mode ~seed:7 ~gr () in
+      let causal, traced = chaos_traced ~seed:7 ~gr in
+      checkb "events were recorded" true (Obs.Causal.length causal > 0);
+      check_pinned ~seed:7 ~gr (Obs.Json.to_string (Obs.Causal.to_json causal));
+      checkb
+        (Printf.sprintf "chaos result identical with provenance on (gr=%b)" gr)
+        true (bare = traced))
+    [ true; false ]
 
 let () =
   Alcotest.run "causal"

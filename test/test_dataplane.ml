@@ -404,7 +404,7 @@ let test_loss_only_bit_identical () =
     same "loss_seconds" (ref_integral (fun s -> s.seg_lost)) i.M.loss_seconds;
     (* the causal attribution still accounts for every blackhole-second *)
     let attributed =
-      Obs.Causal.attribute (Obs.Causal.create ()) ~prefix:0
+      Obs.Causal.attribute (Obs.Causal.of_array [||]) ~prefix:0
         ~segments:
           (List.map
              (fun (s : M.loss_segment) -> (s.seg_from, s.seg_until, s.seg_blackholed))

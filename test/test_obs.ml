@@ -319,18 +319,24 @@ let determinism_under_instrumentation () =
     ~finally:(fun () -> Obs.Metrics.set_enabled registry was)
     (fun () ->
       let bare = run_faulted () in
-      (* Instrumented: metrics on and a span recorder installed. *)
+      (* Instrumented: metrics on, a span recorder installed and
+         provenance on. *)
       Obs.Metrics.reset registry;
       Obs.Metrics.set_enabled registry true;
       let recorder = Obs.Span.create () in
-      let instrumented =
-        Obs.Span.with_recorder recorder (fun () -> run_faulted ())
+      let instrumented, logs =
+        Bgp.Trace.with_provenance (fun () ->
+            Obs.Span.with_recorder recorder (fun () -> run_faulted ()))
       in
       Obs.Metrics.set_enabled registry false;
       checkb "trace is bit-identical with instrumentation on" true
         (trace_json bare = trace_json instrumented);
       checkb "the instrumented run recorded spans" true
         (Obs.Span.spans recorder <> []);
+      checkb "the instrumented run recorded provenance" true
+        (List.exists
+           (fun log -> Obs.Causal.length (Bgp.Trace.dag log) > 0)
+           logs);
       (* And the metrics agree with the trace they observed. *)
       let dropped =
         List.length

@@ -142,7 +142,18 @@ let test_faulted_deterministic () =
      history. *)
   let c = Scenarios.Faulted.run ~seed:12 ~profile:Dsim.Fault.heavy () in
   check_bool "different seed, different trace" false
-    (trace_json a.Scenarios.Faulted.trace = trace_json c.Scenarios.Faulted.trace)
+    (trace_json a.Scenarios.Faulted.trace = trace_json c.Scenarios.Faulted.trace);
+  (* The seed-42 trace, one JSON line per event, pinned by digest: any
+     change to what the log records, or to its order, shows up here. *)
+  let pinned = Scenarios.Faulted.run ~seed:42 () in
+  let lines =
+    List.map
+      (fun e -> Obs.Json.to_string (Bgp.Trace.event_to_json e))
+      pinned.Scenarios.Faulted.trace
+  in
+  check_int "pinned trace length" 451 (List.length lines);
+  Alcotest.(check string) "pinned trace digest" "a01e40c03a7ff3efd1479262c37f03dd"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 let test_faulted_exercises_faults () =
   let r = Scenarios.Faulted.run ~seed:3 ~profile:Dsim.Fault.heavy () in

@@ -7,7 +7,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let p10 = Prefix.of_string_exn "10.0.0.0/8"
-let env = { Bgp.Speaker.now = 0.0; peer_layer = (fun _ -> None) }
+let env =
+  { Bgp.Speaker.now = 0.0; peer_layer = (fun _ -> None); log = Bgp.Trace.create () }
 
 let node id = Topology.Node.make ~id ~name:(Printf.sprintf "r%d" id)
     ~layer:(Topology.Node.Other "R") ()
@@ -661,7 +662,7 @@ let model_step m ~now = function
   | M_egress _ -> m
 
 let apply_model_op sp ~now op =
-  let env = { Bgp.Speaker.now; peer_layer = (fun _ -> None) } in
+  let env = { env with Bgp.Speaker.now } in
   match op with
   | M_add_peer (peer, sessions) ->
     Bgp.Speaker.add_peer sp ~peer ~sessions;
