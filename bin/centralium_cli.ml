@@ -254,6 +254,38 @@ let parse_cmd =
 
 (* ---------------- lint ---------------- *)
 
+(* The corpus report both self-tests print: one line (or JSON object) per
+   planted defect, exit 1 on any miss. *)
+let print_selftest json results =
+  let module D = Analysis.Diagnostic in
+  let module C = Analysis.Corpus in
+  if json then
+    print_endline
+      (Obs.Json.to_string
+         (Obs.Json.Obj
+            [
+              ( "selftest",
+                Obs.Json.List
+                  (List.map
+                     (fun r ->
+                       Obs.Json.Obj
+                         [
+                           ("case", Obs.Json.String r.C.r_case);
+                           ( "expect",
+                             Obs.Json.String (D.code_to_string r.C.r_expect) );
+                           ("detected", Obs.Json.Bool r.C.r_detected);
+                         ])
+                     results) );
+            ]))
+  else
+    List.iter
+      (fun r ->
+        pf "%-45s %s  [%s]\n" r.C.r_case
+          (D.code_to_string r.C.r_expect)
+          (if r.C.r_detected then "detected" else "MISSED"))
+      results;
+  if C.all_detected results then 0 else 1
+
 let lint_cmd =
   let module D = Analysis.Diagnostic in
   let print_human diags =
@@ -319,38 +351,7 @@ let lint_cmd =
     if List.exists (fun (_, diags) -> D.has_errors diags) results then 1
     else 0
   in
-  let run_selftest json =
-    let results = Analysis.Corpus.run () in
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [
-                ( "selftest",
-                  Obs.Json.List
-                    (List.map
-                       (fun r ->
-                         Obs.Json.Obj
-                           [
-                             ("case", Obs.Json.String r.Analysis.Corpus.r_case);
-                             ( "expect",
-                               Obs.Json.String
-                                 (D.code_to_string r.Analysis.Corpus.r_expect)
-                             );
-                             ( "detected",
-                               Obs.Json.Bool r.Analysis.Corpus.r_detected );
-                           ])
-                       results) );
-              ]))
-    else
-      List.iter
-        (fun r ->
-          pf "%-45s %s  [%s]\n" r.Analysis.Corpus.r_case
-            (D.code_to_string r.Analysis.Corpus.r_expect)
-            (if r.Analysis.Corpus.r_detected then "detected" else "MISSED"))
-        results;
-    if Analysis.Corpus.all_detected results then 0 else 1
-  in
+  let run_selftest json = print_selftest json (Analysis.Corpus.run ()) in
   let run file suite selftest json seed =
     if selftest then run_selftest json
     else if suite then run_suite seed json
@@ -444,36 +445,7 @@ let verify_plan_cmd =
     if List.exists (fun (_, r) -> has_errors r) results then 1 else 0
   in
   let run_selftest json =
-    let results = Analysis.Corpus.run_verifier () in
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [
-                ( "selftest",
-                  Obs.Json.List
-                    (List.map
-                       (fun r ->
-                         Obs.Json.Obj
-                           [
-                             ("case", Obs.Json.String r.Analysis.Corpus.r_case);
-                             ( "expect",
-                               Obs.Json.String
-                                 (D.code_to_string r.Analysis.Corpus.r_expect)
-                             );
-                             ( "detected",
-                               Obs.Json.Bool r.Analysis.Corpus.r_detected );
-                           ])
-                       results) );
-              ]))
-    else
-      List.iter
-        (fun r ->
-          pf "%-45s %s  [%s]\n" r.Analysis.Corpus.r_case
-            (D.code_to_string r.Analysis.Corpus.r_expect)
-            (if r.Analysis.Corpus.r_detected then "detected" else "MISSED"))
-        results;
-    if Analysis.Corpus.all_detected results then 0 else 1
+    print_selftest json (Analysis.Corpus.run_verifier ())
   in
   let run selftest json seed no_frontiers =
     if selftest then run_selftest json else run_suite seed json no_frontiers

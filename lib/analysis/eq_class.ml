@@ -69,17 +69,6 @@ let has_restrictive_filter rpa =
         rf.Route_filter.statements)
     rpa.Rpa.route_filter
 
-let rpa_touches rpa cls =
-  has_restrictive_filter rpa
-  ||
-  let prefixes, tags = rpa_selectors rpa in
-  let comms = communities cls in
-  List.exists (fun c -> Net.Community.Set.mem c comms) tags
-  (* Destination.matches tests [contains selector route]: a selector for a
-     more specific prefix never matches the broader route, so only
-     selectors covering the class touch it. *)
-  || List.exists (fun p -> Prefix.contains p cls.cls_prefix) prefixes
-
 let touched_by clss ~rpas =
   (* Delta-net: index the class prefixes in a trie, then map each policy
      selector to the classes it overlaps instead of scanning class-by-rule.

@@ -30,16 +30,6 @@ val communities : t -> Net.Community.Set.t
 (** Union of the origination communities across the class's origins — the
     set a [Tagged] destination is matched against. *)
 
-val rpa_touches : Centralium.Rpa.t -> t -> bool
-(** Can this RPA influence forwarding for the class? True when any
-    path-selection or route-attribute destination names the class (tagged
-    community present in {!communities}, or a destination prefix
-    {e covering} the class prefix — [Destination.matches] never lets a
-    more specific selector match a broader route), or any route-filter
-    statement is present (filters constrain every prefix a peer signature
-    matches, so an [Allow_list] that merely {e omits} the class still
-    blocks it). *)
-
 val touched_by : t list -> rpas:(int * Centralium.Rpa.t) list -> t list
 (** The classes any of the given per-device RPAs can influence — the
     delta-net re-verification set for a phase delta. Result preserves the

@@ -9,8 +9,6 @@ type t = {
    ever see canonical attributes (pointer-equality fast path everywhere). *)
 let make ~peer ~session ~attr = { peer; session; attr = Net.Attr.intern attr }
 
-let as_path_length t = Net.As_path.length t.attr.Net.Attr.as_path
-
 let compare a b =
   let c = Int.compare a.peer b.peer in
   if c <> 0 then c

@@ -13,8 +13,6 @@ type t = {
 
 val make : peer:int -> session:int -> attr:Net.Attr.t -> t
 
-val as_path_length : t -> int
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

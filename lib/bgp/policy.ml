@@ -22,8 +22,6 @@ type t = rule list
 
 let empty = []
 
-let accept_all = [ { matches = match_any; actions = [ Accept ] } ]
-
 let reject_all = [ { matches = match_any; actions = [ Reject ] } ]
 
 let drain =

@@ -34,8 +34,6 @@ type t = rule list
 val empty : t
 (** Accepts everything unchanged. *)
 
-val accept_all : t
-
 val reject_all : t
 
 val drain : t

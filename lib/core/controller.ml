@@ -327,8 +327,8 @@ let nsdb_fence_guard t ~epoch =
   match epoch with
   | None -> ()
   | Some e -> (
-    match Nsdb.Replicated.get_one t.state_db ~path:"ha/epoch" with
-    | Some (Nsdb.Int granted) when e < granted ->
+    match Nsdb_schema.int_at t.state_db Nsdb_schema.ha_epoch with
+    | Some granted when e < granted ->
       Obs.Metrics.incr m_fenced_writes;
       raise Fenced_signal
     | Some _ | None -> ())
@@ -380,8 +380,7 @@ let nsdb_set c ~path value =
 let record_plan c plan =
   List.iter
     (fun (device, rpa) ->
-      nsdb_set c
-        ~path:(Printf.sprintf "plans/%s/devices/%d" plan.plan_name device)
+      nsdb_set c ~path:(Nsdb_schema.plan_device plan.plan_name device)
         (Nsdb.Rpa rpa))
     plan.rpas
 
@@ -393,22 +392,17 @@ let clear_plan_record c plan =
 
    Persisted to the replicated NSDB so that a controller crashed
    mid-deploy can be replaced by a fresh process that picks the rollout up
-   where it stopped. Layout, per plan:
+   where it stopped. {!Nsdb_schema} spells the layout.
 
-     journal/<plan>/status       String: in-progress | completed | rolled-back
-     journal/<plan>/next_phase   Int: first phase not yet fully applied
-     journal/<plan>/total_phases Int
-
-   [next_phase] is a phase-granularity cursor: resuming re-runs the phase
-   that was in flight, which is safe because reconciliation is
+   The [next_phase] cursor has phase granularity: resuming re-runs the
+   phase that was in flight, which is safe because reconciliation is
    level-triggered — devices already in sync are no-ops. *)
 
-let journal_path plan what =
-  Printf.sprintf "journal/%s/%s" plan.plan_name what
+let journal_key plan field = Nsdb_schema.journal_key plan.plan_name field
 
-let journal_write c plan what value =
+let journal_write c plan field value =
   Obs.Metrics.incr m_journal_writes;
-  nsdb_set c ~path:(journal_path plan what) value
+  nsdb_set c ~path:(journal_key plan field) value
 
 (* Status transitions go through compare-and-set: the terminal states
    (completed / rolled-back) are only reachable from "in-progress", so two
@@ -419,7 +413,7 @@ let journal_transition c plan ~expected status =
   nsdb_attempt c (fun () ->
       let won =
         Nsdb.Replicated.compare_and_set c.ctl.state_db
-          ~path:(journal_path plan "status")
+          ~path:(journal_key plan `Status)
           ~expected:(Some (Nsdb.String expected))
           (Nsdb.String status)
       in
@@ -427,27 +421,16 @@ let journal_transition c plan ~expected status =
       won)
 
 let journal_status t plan =
-  match Nsdb.Replicated.get_one t.state_db ~path:(journal_path plan "status") with
-  | Some (Nsdb.String s) -> Some s
-  | Some _ | None -> None
+  Nsdb_schema.string_at t.state_db (journal_key plan `Status)
 
 let journal_next_phase t plan =
-  match
-    Nsdb.Replicated.get_one t.state_db ~path:(journal_path plan "next_phase")
-  with
-  | Some (Nsdb.Int n) -> Some n
-  | Some _ | None -> None
+  Nsdb_schema.int_at t.state_db (journal_key plan `Next_phase)
 
 let journal_remediation t plan =
-  match
-    Nsdb.Replicated.get_one t.state_db ~path:(journal_path plan "remediation")
-  with
-  | Some (Nsdb.String s) -> Some s
-  | Some _ | None -> None
+  Nsdb_schema.string_at t.state_db (journal_key plan `Remediation)
 
 let clear_journal t plan =
-  Nsdb.Replicated.delete t.state_db
-    ~path:(Printf.sprintf "journal/%s" plan.plan_name)
+  Nsdb.Replicated.delete t.state_db ~path:(Nsdb_schema.journal plan.plan_name)
 
 (* {1 Journal garbage collection}
 
@@ -462,31 +445,26 @@ let clear_journal t plan =
 
 (* {2 Admission-queue protection}
 
-   The admission layer (Ops) journals its queue under opsq/<seq>/
-   (see ops.mli for the schema). A plan that is queued but not yet
+   The admission layer (Ops) journals its queue in the same store
+   ({!Nsdb_schema}). A plan that is queued but not yet
    started must keep whatever journal it already has: pruning it would
    make a post-takeover controller mistake a resumable rollout for a
    fresh one. The GC therefore skips such plans, and completion defers
    the completed_seq stamp (the GC eligibility mark) while a queued
    resubmission exists. *)
 
-let ops_queue_root = "opsq"
-
 let queued_in_ops t name =
-  Nsdb.Replicated.get t.state_db ~path:(ops_queue_root ^ "/*/state")
+  Nsdb.Replicated.get t.state_db ~path:(Nsdb_schema.queue_all `State)
   |> List.exists (fun (path, v) ->
-         match (v, String.split_on_char '/' path) with
-         | Nsdb.String "queued", [ _; seq; _ ] -> (
-           match
-             Nsdb.Replicated.get_one t.state_db
-               ~path:(Printf.sprintf "%s/%s/plan" ops_queue_root seq)
-           with
-           | Some (Nsdb.String n) -> String.equal n name
-           | Some _ | None -> false)
+         match (v, Nsdb_schema.queue_seq path) with
+         | Nsdb.String state, Some seq
+           when Nsdb_schema.decode_queue_state state = Some Queued ->
+           Nsdb_schema.string_at t.state_db (Nsdb_schema.queue_key seq `Plan)
+           = Some name
          | _ -> false)
 
 let next_journal_seq t =
-  let path = "journal_meta/seq" in
+  let path = Nsdb_schema.journal_seq in
   let rec claim () =
     let current = Nsdb.Replicated.get_one t.state_db ~path in
     let n = match current with Some (Nsdb.Int n) -> n | Some _ | None -> 0 in
@@ -503,20 +481,16 @@ let journal_gc ?retain t =
     max 0 (match retain with Some r -> r | None -> t.journal_retain)
   in
   let completed =
-    Nsdb.Replicated.get t.state_db ~path:"journal/*/status"
+    Nsdb.Replicated.get t.state_db ~path:Nsdb_schema.journal_statuses
     |> List.filter_map (fun (path, v) ->
-           match (v, String.split_on_char '/' path) with
-           | Nsdb.String "completed", [ "journal"; name; "status" ]
-             when not (queued_in_ops t name) ->
+           match (v, Nsdb_schema.journal_plan path) with
+           | Nsdb.String "completed", Some name when not (queued_in_ops t name)
+             ->
              let seq =
-               match
-                 Nsdb.Replicated.get_one t.state_db
-                   ~path:(Printf.sprintf "journal/%s/completed_seq" name)
-               with
-               | Some (Nsdb.Int n) -> n
-               | Some _ | None -> 0
+               Nsdb_schema.int_at t.state_db
+                 (Nsdb_schema.journal_key name `Completed_seq)
              in
-             Some (seq, name)
+             Some (Option.value seq ~default:0, name)
            | _ -> None)
     |> List.sort compare
   in
@@ -525,7 +499,7 @@ let journal_gc ?retain t =
     List.iteri
       (fun i (_, name) ->
         if i < excess then begin
-          Nsdb.Replicated.delete t.state_db ~path:("journal/" ^ name);
+          Nsdb.Replicated.delete t.state_db ~path:(Nsdb_schema.journal name);
           Obs.Metrics.incr m_journal_pruned
         end)
       completed;
@@ -658,7 +632,7 @@ let execute_deploy c plan ~from_phase ~resumed_from_phase =
     run_phases_resilient c
       ~intent_of:(fun device -> List.assoc_opt device plan.rpas)
       ~phases:plan.phases ~from_phase
-      ~journal_cursor:(fun n -> journal_write c plan "next_phase" (Nsdb.Int n))
+      ~journal_cursor:(fun n -> journal_write c plan `Next_phase (Nsdb.Int n))
   with
   | () -> (
     match Health.failures plan.post_checks with
@@ -668,7 +642,7 @@ let execute_deploy c plan ~from_phase ~resumed_from_phase =
            resubmission of this plan exists, defer it: the journal must
            outlive the queue entry so a takeover still sees history. *)
         if not (queued_in_ops t plan.plan_name) then
-          journal_write c plan "completed_seq" (Nsdb.Int (next_journal_seq t));
+          journal_write c plan `Completed_seq (Nsdb.Int (next_journal_seq t));
         ignore (journal_gc t)
       end;
       Completed (report ())
@@ -697,7 +671,7 @@ let execute_deploy c plan ~from_phase ~resumed_from_phase =
        survives as audit — then run the same reverse-order rollback a
        blown failure budget triggers. *)
     Obs.Metrics.incr m_watchdog_rollbacks;
-    journal_write c plan "remediation"
+    journal_write c plan `Remediation
       (Nsdb.String
          (Printf.sprintf "watchdog phase %d: %s" idx
             (String.concat "; " breach_reasons)));
@@ -794,10 +768,10 @@ let rollout ~start ?(policy = default_retry_policy) ?fault ?fence
       (match start with
        | Resume -> ()
        | Fresh ->
-         journal_write c plan "status" (Nsdb.String "in-progress");
-         journal_write c plan "total_phases"
+         journal_write c plan `Status (Nsdb.String "in-progress");
+         journal_write c plan `Total_phases
            (Nsdb.Int (List.length plan.phases));
-         journal_write c plan "next_phase" (Nsdb.Int 0));
+         journal_write c plan `Next_phase (Nsdb.Int 0));
       execute_deploy c plan ~from_phase ~resumed_from_phase)
 
 let deploy_resilient ?policy ?fault ?fence ?between_phases ?watchdog ?lint

@@ -249,11 +249,6 @@ val journal_remediation : t -> plan -> string option
 (** The remediation event a watchdog breach recorded for this plan, if
     any — kept with the (never-pruned) rolled-back journal as audit. *)
 
-val ops_queue_root : string
-(** Root of the admission-queue journal ({!Ops} schema: [opsq/<seq>/plan],
-    [opsq/<seq>/state], ...). The journal GC consults it so that a plan
-    with a queued-but-not-started submission keeps its journal. *)
-
 val queued_in_ops : t -> string -> bool
 (** Whether the admission queue currently holds a [queued] (not yet
     started) entry for this plan name. Such plans are protected from

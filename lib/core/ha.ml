@@ -55,21 +55,6 @@ type t = {
   mutable running : bool;
 }
 
-let lease_path = "ha/lease"
-let epoch_path = "ha/epoch"
-
-let encode_lease ~holder ~epoch ~expiry =
-  (* %.17g round-trips the float bit-exactly: re-encoding a decoded lease
-     yields the same string, which compare_and_set relies on. *)
-  Printf.sprintf "%d:%d:%.17g" holder epoch expiry
-
-let decode_lease s =
-  match String.split_on_char ':' s with
-  | [ h; e; x ] -> (
-    try Some (int_of_string h, int_of_string e, float_of_string x)
-    with Failure _ -> None)
-  | _ -> None
-
 let create ?fault ~members net agent nsdb =
   if members < 1 then invalid_arg "Ha.create: need >= 1 member";
   {
@@ -105,14 +90,12 @@ let schedule t ~time ~member =
   t.agenda <- insert t.agenda
 
 let store_lease t =
-  match Nsdb.Replicated.get_one t.nsdb ~path:lease_path with
-  | Some (Nsdb.String s) -> decode_lease s
-  | Some _ | None -> None
+  Option.bind
+    (Nsdb_schema.string_at t.nsdb Nsdb_schema.ha_lease)
+    Nsdb_schema.decode_lease
 
 let max_epoch t =
-  match Nsdb.Replicated.get_one t.nsdb ~path:epoch_path with
-  | Some (Nsdb.Int e) -> e
-  | Some _ | None -> 0
+  Option.value (Nsdb_schema.int_at t.nsdb Nsdb_schema.ha_epoch) ~default:0
 
 let lease_reachable t ~at =
   match t.fault with
@@ -139,11 +122,11 @@ let apply_chaos t ~at =
 
 let try_acquire t m ~at =
   if lease_reachable t ~at then begin
-    let current = Nsdb.Replicated.get_one t.nsdb ~path:lease_path in
+    let current = Nsdb.Replicated.get_one t.nsdb ~path:Nsdb_schema.ha_lease in
     let holder_valid =
       match current with
       | Some (Nsdb.String s) -> (
-        match decode_lease s with
+        match Nsdb_schema.decode_lease s with
         | Some (_, _, expiry) -> expiry > at
         | None -> false)
       | Some _ | None -> false
@@ -156,13 +139,13 @@ let try_acquire t m ~at =
       let epoch = max_epoch t + 1 in
       let expiry = at +. lease_ttl in
       if
-        Nsdb.Replicated.compare_and_set t.nsdb ~path:lease_path
+        Nsdb.Replicated.compare_and_set t.nsdb ~path:Nsdb_schema.ha_lease
           ~expected:current
-          (Nsdb.String (encode_lease ~holder:m.id ~epoch ~expiry))
+          (Nsdb.String (Nsdb_schema.encode_lease ~holder:m.id ~epoch ~expiry))
       then begin
         (* Publish the fencing floor before acting under the lease: from
            here on, agents and the NSDB reject anything older. *)
-        Nsdb.Replicated.set t.nsdb ~path:epoch_path (Nsdb.Int epoch);
+        Nsdb.Replicated.set t.nsdb ~path:Nsdb_schema.ha_epoch (Nsdb.Int epoch);
         m.held_epoch <- epoch;
         m.held_expiry <- expiry;
         t.elections <- t.elections + 1;
@@ -186,13 +169,13 @@ let renew t m ~at =
   if lease_reachable t ~at then begin
     match store_lease t with
     | Some (h, e, expiry) when h = m.id && e = m.held_epoch ->
-      let expected =
-        Some (Nsdb.String (encode_lease ~holder:h ~epoch:e ~expiry))
+      let lease expiry =
+        Nsdb.String (Nsdb_schema.encode_lease ~holder:h ~epoch:e ~expiry)
       in
       let expiry' = at +. lease_ttl in
       if
-        Nsdb.Replicated.compare_and_set t.nsdb ~path:lease_path ~expected
-          (Nsdb.String (encode_lease ~holder:h ~epoch:e ~expiry:expiry'))
+        Nsdb.Replicated.compare_and_set t.nsdb ~path:Nsdb_schema.ha_lease
+          ~expected:(Some (lease expiry)) (lease expiry')
       then begin
         m.held_expiry <- expiry';
         Obs.Metrics.incr m_renewals;
@@ -275,8 +258,6 @@ let leader_id t = Option.map (fun m -> m.id) (current_leader t)
 
 let current_leader_epoch t =
   Option.map (fun m -> (m.id, m.held_epoch)) (current_leader t)
-
-let fence_for t i = fence t t.members.(i)
 
 let kill t i =
   let m = t.members.(i) in

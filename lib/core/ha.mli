@@ -76,12 +76,6 @@ val advance : t -> unit
 
 (** {1 Leadership} *)
 
-val fence_for : t -> int -> unit -> Controller.fence_status
-(** The fence closure of member [i] — what {!run_plan} passes to
-    {!Controller.deploy_resilient}. Exposed so tests can run a controller
-    under a specific member's fence by hand. Each evaluation pumps the
-    timer agenda first. *)
-
 val current_leader_epoch : t -> (int * int) option
 (** [(member id, epoch)] of the currently valid lease holder, if any. *)
 

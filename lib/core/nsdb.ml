@@ -11,15 +11,8 @@ let value_equal a b =
   | Int x, Int y -> Int.equal x y
   | Float x, Float y -> Float.equal x y
   | Bool x, Bool y -> Bool.equal x y
-  | Rpa x, Rpa y -> Rpa.config_lines x = Rpa.config_lines y
+  | Rpa x, Rpa y -> Rpa.equal x y
   | (String _ | Int _ | Float _ | Bool _ | Rpa _), _ -> false
-
-let pp_value ppf = function
-  | String s -> Format.fprintf ppf "%S" s
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.pp_print_float ppf f
-  | Bool b -> Format.pp_print_bool ppf b
-  | Rpa r -> Rpa.pp ppf r
 
 type node = {
   mutable node_value : value option;

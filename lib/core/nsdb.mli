@@ -9,7 +9,9 @@
 
     A {!Replicated} wrapper provides the eventual-consistency deployment
     model of Section 5.2: writes fan out to all replicas, reads go to the
-    elected leader, and leader failure transparently re-routes reads. *)
+    elected leader, and leader failure transparently re-routes reads. The
+    keys the controller, the admission queue and the HA layer keep there
+    are spelled in {!Nsdb_schema}. *)
 
 type value =
   | String of string
@@ -19,7 +21,8 @@ type value =
   | Rpa of Rpa.t
 
 val value_equal : value -> value -> bool
-val pp_value : Format.formatter -> value -> unit
+(** Same constructor and equal payload; RPAs compare with {!Rpa.equal},
+    never by their rendered text. *)
 
 type t
 

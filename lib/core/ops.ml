@@ -42,12 +42,7 @@ type config = { max_queue : int; per_tenant : int; per_class : int }
 
 let default_config = { max_queue = 8; per_tenant = 4; per_class = 6 }
 
-type state = Queued | Started | Done
-
-let state_name = function
-  | Queued -> "queued"
-  | Started -> "started"
-  | Done -> "done"
+type state = Nsdb_schema.queue_state = Queued | Started | Done
 
 type entry = {
   e_seq : int;
@@ -66,22 +61,23 @@ type t = {
   mutable sheds : (int * string * string * string) list;  (* reverse *)
 }
 
-let root = Controller.ops_queue_root
-
-let entry_path seq what = Printf.sprintf "%s/%08d/%s" root seq what
+let journal_state t seq state =
+  Nsdb.Replicated.set t.nsdb ~path:(Nsdb_schema.queue_key seq `State)
+    (Nsdb.String (Nsdb_schema.encode_queue_state state))
 
 let journal_entry t e =
-  Nsdb.Replicated.set t.nsdb ~path:(entry_path e.e_seq "plan")
-    (Nsdb.String e.e_plan.Controller.plan_name);
-  Nsdb.Replicated.set t.nsdb ~path:(entry_path e.e_seq "tenant")
-    (Nsdb.String e.e_tenant);
-  Nsdb.Replicated.set t.nsdb ~path:(entry_path e.e_seq "class")
-    (Nsdb.String (class_name e.e_class));
-  Nsdb.Replicated.set t.nsdb ~path:(entry_path e.e_seq "state")
-    (Nsdb.String (state_name e.e_state))
+  let set field v =
+    Nsdb.Replicated.set t.nsdb ~path:(Nsdb_schema.queue_key e.e_seq field)
+      (Nsdb.String v)
+  in
+  set `Plan e.e_plan.Controller.plan_name;
+  set `Tenant e.e_tenant;
+  set `Class (class_name e.e_class);
+  journal_state t e.e_seq e.e_state
 
 let journal_sub_count t =
-  Nsdb.Replicated.set t.nsdb ~path:"opsq_meta/subs" (Nsdb.Int t.sub_count)
+  Nsdb.Replicated.set t.nsdb ~path:Nsdb_schema.submissions
+    (Nsdb.Int t.sub_count)
 
 let create ?(config = default_config) nsdb =
   { nsdb; config; entries = []; next_seq = 0; sub_count = 0; sheds = [] }
@@ -133,13 +129,11 @@ let depth t = List.length (active t)
 let record_shed t ~tenant ~plan_name reason =
   let idx = t.sub_count - 1 in
   let detail =
-    Printf.sprintf "%s:%s:%s" tenant plan_name
+    Nsdb_schema.encode_shed ~tenant ~plan:plan_name
       (overload_reason_to_string reason)
   in
   t.sheds <- (idx, tenant, plan_name, detail) :: t.sheds;
-  Nsdb.Replicated.set t.nsdb
-    ~path:(Printf.sprintf "opsq_meta/shed/%08d" idx)
-    (Nsdb.String detail);
+  Nsdb.Replicated.set t.nsdb ~path:(Nsdb_schema.shed idx) (Nsdb.String detail);
   Obs.Metrics.incr m_shed
 
 let submit t ~tenant ~cls plan =
@@ -221,8 +215,7 @@ let set_state t seq state =
   | None -> invalid_arg (Printf.sprintf "Ops: unknown queue entry %d" seq)
   | Some e ->
     e.e_state <- state;
-    Nsdb.Replicated.set t.nsdb ~path:(entry_path seq "state")
-      (Nsdb.String (state_name state));
+    journal_state t seq state;
     Obs.Metrics.set_gauge g_queue_depth (float_of_int (depth t))
 
 let mark_started t seq = set_state t seq Started
@@ -246,8 +239,7 @@ let gc ?(retain = 16) t =
     let victims = List.filteri (fun i _ -> i < excess) done_entries in
     List.iter
       (fun e ->
-        Nsdb.Replicated.delete t.nsdb
-          ~path:(Printf.sprintf "%s/%08d" root e.e_seq))
+        Nsdb.Replicated.delete t.nsdb ~path:(Nsdb_schema.queue_entry e.e_seq))
       victims;
     t.entries <-
       List.filter (fun e -> not (List.memq e victims)) t.entries;
@@ -258,30 +250,24 @@ let gc ?(retain = 16) t =
 
 let recover ?(config = default_config) ~lookup nsdb =
   Obs.Metrics.incr m_queue_recoveries;
-  let states = Nsdb.Replicated.get nsdb ~path:(root ^ "/*/state") in
   let entries =
-    List.filter_map
-      (fun (path, v) ->
-        match (v, String.split_on_char '/' path) with
-        | Nsdb.String state, [ _; seq_s; _ ] -> (
-          match (int_of_string_opt seq_s, state) with
-          | Some seq, ("queued" | "started") -> Some (seq, state)
-          | Some _, _ | None, _ -> None)
-        | _ -> None)
-      states
+    Nsdb.Replicated.get nsdb ~path:(Nsdb_schema.queue_all `State)
+    |> List.filter_map (fun (path, v) ->
+           match (v, Nsdb_schema.queue_seq path) with
+           | Nsdb.String s, Some seq -> (
+             match Nsdb_schema.decode_queue_state s with
+             | Some ((Queued | Started) as state) -> Some (seq, state)
+             | Some Done | None -> None)
+           | _ -> None)
     |> List.sort compare
   in
-  let read what seq =
-    match
-      Nsdb.Replicated.get_one nsdb ~path:(entry_path seq what)
-    with
-    | Some (Nsdb.String s) -> Some s
-    | Some _ | None -> None
+  let read field seq =
+    Nsdb_schema.string_at nsdb (Nsdb_schema.queue_key seq field)
   in
   let rebuilt =
     List.filter_map
       (fun (seq, state) ->
-        match read "plan" seq with
+        match read `Plan seq with
         | None -> None
         | Some name ->
           (match lookup name with
@@ -295,45 +281,35 @@ let recover ?(config = default_config) ~lookup nsdb =
                {
                  e_seq = seq;
                  e_plan = plan;
-                 e_tenant = Option.value (read "tenant" seq) ~default:"?";
+                 e_tenant = Option.value (read `Tenant seq) ~default:"?";
                  e_class =
                    Option.value ~default:Standard
-                     (Option.bind (read "class" seq) class_of_string);
-                 e_state = (if state = "started" then Started else Queued);
+                     (Option.bind (read `Class seq) class_of_string);
+                 e_state = state;
                }))
       entries
   in
   let next_seq =
     (* Above every journaled entry, including done ones not rebuilt. *)
-    Nsdb.Replicated.get nsdb ~path:(root ^ "/*/plan")
+    Nsdb.Replicated.get nsdb ~path:(Nsdb_schema.queue_all `Plan)
     |> List.fold_left
          (fun acc (path, _) ->
-           match String.split_on_char '/' path with
-           | [ _; seq_s; _ ] ->
-             (match int_of_string_opt seq_s with
-              | Some s -> max acc (s + 1)
-              | None -> acc)
-           | _ -> acc)
+           match Nsdb_schema.queue_seq path with
+           | Some s -> max acc (s + 1)
+           | None -> acc)
          0
   in
   let sub_count =
-    match Nsdb.Replicated.get_one nsdb ~path:"opsq_meta/subs" with
-    | Some (Nsdb.Int n) -> n
-    | Some _ | None -> 0
+    Option.value (Nsdb_schema.int_at nsdb Nsdb_schema.submissions) ~default:0
   in
   let sheds =
-    Nsdb.Replicated.get nsdb ~path:"opsq_meta/shed/*"
+    Nsdb.Replicated.get nsdb ~path:Nsdb_schema.sheds
     |> List.filter_map (fun (path, v) ->
-           match (v, String.split_on_char '/' path) with
-           | Nsdb.String detail, [ _; _; idx_s ] -> (
-             match
-               (int_of_string_opt idx_s, String.split_on_char ':' detail)
-             with
-             (* [tenant:plan:reason]; an unsafe-plan reason quotes a
-                verifier error, which may hold more ':' *)
-             | Some idx, tenant :: plan :: _reason :: _ ->
-               Some (idx, tenant, plan, detail)
-             | _ -> None)
+           match (v, Nsdb_schema.shed_index path) with
+           | Nsdb.String detail, Some idx -> (
+             match Nsdb_schema.decode_shed detail with
+             | Some (tenant, plan, _) -> Some (idx, tenant, plan, detail)
+             | None -> None)
            | _ -> None)
     |> List.sort compare
     |> List.rev
@@ -384,17 +360,14 @@ module Watchdog = struct
     t.armed <- None
 
   let watch_journal t plan_name =
+    let remediation = Nsdb_schema.journal_key plan_name `Remediation in
     let record (path, v) =
       match v with
-      | Some (Nsdb.String detail)
-        when String.length path >= 12
-             && String.sub path (String.length path - 12) 12 = "/remediation"
-        ->
+      | Some (Nsdb.String detail) when String.equal path remediation ->
         t.remediations <- (plan_name, detail) :: t.remediations
       | _ -> ()
     in
-    Nsdb.Replicated.subscribe t.nsdb
-      ~path:(Printf.sprintf "journal/%s/**" plan_name)
+    Nsdb.Replicated.subscribe t.nsdb ~path:(Nsdb_schema.journal_watch plan_name)
       (function
         | `Changes changes -> List.iter record changes
         | `Resync snapshot ->

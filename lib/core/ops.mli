@@ -11,17 +11,11 @@
 
     {2 Queue journal schema}
 
-    Everything needed to rebuild the queue lives under
-    {!Controller.ops_queue_root} in the replicated NSDB:
-
-    {v
-      opsq/<seq>/plan     String  plan name
-      opsq/<seq>/tenant   String
-      opsq/<seq>/class    String  interactive | standard | bulk
-      opsq/<seq>/state    String  queued | started | done
-      opsq_meta/subs      Int     submissions so far (admitted + shed)
-      opsq_meta/shed/<n>  String  "<tenant>:<plan>:<reason>" audit records
-    v}
+    Everything needed to rebuild the queue lives in the replicated NSDB
+    under [opsq/<seq>/] (plan, tenant, class, state) and [opsq_meta/]
+    (submission count, shed audit records); {!Nsdb_schema} spells the
+    keys and encodes the values. Queue writes go straight to the store,
+    unfenced.
 
     Plan {e bodies} are not serialized (health checks are code): recovery
     takes a [lookup] from plan name to plan, which a deterministic driver

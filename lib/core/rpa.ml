@@ -40,6 +40,13 @@ let merge a b =
       a.advertise_least_favorable && b.advertise_least_favorable;
   }
 
+let equal a b =
+  a == b
+  || List.equal Path_selection.equal a.path_selection b.path_selection
+     && List.equal Route_attribute.equal a.route_attribute b.route_attribute
+     && List.equal Route_filter.equal a.route_filter b.route_filter
+     && Bool.equal a.advertise_least_favorable b.advertise_least_favorable
+
 let config_lines t =
   List.concat_map Path_selection.config_lines t.path_selection
   @ List.concat_map Route_attribute.config_lines t.route_attribute

@@ -3,8 +3,9 @@
     In practice a switch carries multiple orthogonal RPAs (footnote of
     Section 5.3): several path-selection statements over disjoint prefix
     groups, traffic-engineering weights, boundary filters. This module
-    bundles them, renders them in the paper's configuration syntax, and
-    measures their size (Table 3 reports "RPA LOC" per migration). *)
+    bundles them, defines their identity ({!equal}), renders them in the
+    paper's configuration syntax, and measures their size (Table 3
+    reports "RPA LOC" per migration). *)
 
 type t = {
   path_selection : Path_selection.t list;
@@ -35,7 +36,14 @@ val merge : t -> t -> t
     Table 3 RPA-LOC metric is not inflated by duplicates.
     [advertise_least_favorable] is and-ed. *)
 
+val equal : t -> t -> bool
+(** The one RPA identity: the three block lists compared block by block,
+    plus [advertise_least_favorable]. *)
+
 val config_lines : t -> string list
+(** The Figure 7 rendering, for display and {!loc}, never identity: it
+    omits [advertise_least_favorable], rounds [Fraction] thresholds to
+    whole percent and expiry times to milliseconds. *)
 
 val loc : t -> int
 (** Lines of rendered configuration — the Table 3 "RPA LOC" metric. *)

@@ -527,11 +527,6 @@ let parse_located src =
 
 let parse src = Result.map fst (parse_located src)
 
-let parse_exn src =
-  match parse src with
-  | Ok rpa -> rpa
-  | Error e -> invalid_arg (Printf.sprintf "Rpa_parser: %s" e)
-
 let find_statement index ~kind ~statement =
   List.find_opt
     (fun ls -> ls.ls_kind = kind && String.equal ls.ls_statement statement)

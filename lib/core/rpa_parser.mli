@@ -33,9 +33,6 @@ val parse : string -> (Rpa.t, string) result
 val parse_located : string -> (Rpa.t * located_statement list, string) result
 (** Like {!parse}, but also returns the statement index, in source order. *)
 
-val parse_exn : string -> Rpa.t
-(** Raises [Invalid_argument] with the parse error. *)
-
 val find_statement :
   located_statement list ->
   kind:[ `Path_selection | `Route_attribute | `Route_filter ] ->

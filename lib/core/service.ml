@@ -1,10 +1,5 @@
 type role = Storage | Io | Application of string
 
-let role_to_string = function
-  | Storage -> "storage"
-  | Io -> "io"
-  | Application s -> "app:" ^ s
-
 type t = {
   service_name : string;
   service_role : role;
@@ -27,38 +22,26 @@ let role t = t.service_role
 let intended t = t.intended_view
 let current t = t.current_view
 
+(* Missing on one side counts as different. *)
+let in_sync t path =
+  match
+    (Nsdb.get_one t.intended_view ~path, Nsdb.get_one t.current_view ~path)
+  with
+  | Some a, Some b -> Nsdb.value_equal a b
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
 let out_of_sync t =
-  let intended_paths = Nsdb.paths t.intended_view in
-  let current_paths = Nsdb.paths t.current_view in
-  let differs path =
-    match
-      (Nsdb.get_one t.intended_view ~path, Nsdb.get_one t.current_view ~path)
-    with
-    | Some a, Some b -> not (Nsdb.value_equal a b)
-    | None, None -> false
-    | Some _, None | None, Some _ -> true
-  in
-  List.sort_uniq compare (intended_paths @ current_paths)
-  |> List.filter differs
+  Nsdb.paths t.intended_view @ Nsdb.paths t.current_view
+  |> List.sort_uniq compare
+  |> List.filter (fun path -> not (in_sync t path))
 
 let sync_fraction t =
-  let intended_paths = Nsdb.paths t.intended_view in
-  match intended_paths with
+  match Nsdb.paths t.intended_view with
   | [] -> 1.0
-  | _ :: _ ->
-    let in_sync =
-      List.length
-        (List.filter
-           (fun path ->
-             match
-               ( Nsdb.get_one t.intended_view ~path,
-                 Nsdb.get_one t.current_view ~path )
-             with
-             | Some a, Some b -> Nsdb.value_equal a b
-             | Some _, None | None, (Some _ | None) -> false)
-           intended_paths)
-    in
-    float_of_int in_sync /. float_of_int (List.length intended_paths)
+  | paths ->
+    let synced = List.length (List.filter (in_sync t) paths) in
+    float_of_int synced /. float_of_int (List.length paths)
 
 let with_work t f =
   let start = Sys.time () in

@@ -12,8 +12,6 @@
 
 type role = Storage | Io | Application of string
 
-val role_to_string : role -> string
-
 type t
 
 val create : name:string -> role:role -> t

@@ -11,10 +11,6 @@ type t = {
   net : Bgp.Network.t;
   rng : Dsim.Rng.t;
   reachable : (int, bool) Hashtbl.t;
-  (* the actual RPA values live here; the NSDB views hold their rendered
-     form for comparison and display *)
-  intended_rpas : (int, Rpa.t) Hashtbl.t;
-  current_rpas : (int, Rpa.t) Hashtbl.t;
   mutable deploy_times : float list;  (* reverse order *)
   mutable management : (Openr.Network.t * int) option;
   mutable mgmt_fault : Dsim.Mgmt_fault.t option;
@@ -36,8 +32,6 @@ let create ?(seed = 7) net =
     net;
     rng = Dsim.Rng.create seed;
     reachable = Hashtbl.create 64;
-    intended_rpas = Hashtbl.create 64;
-    current_rpas = Hashtbl.create 64;
     deploy_times = [];
     management = None;
     mgmt_fault = None;
@@ -49,20 +43,28 @@ let service t = t.agent_service
 let network t = t.net
 
 let set_mgmt_fault t fault = t.mgmt_fault <- fault
-let mgmt_fault t = t.mgmt_fault
 
+(* A device's RPAs live only in the service's two views, as Figure 8
+   draws it: the controller writes the intended view, reconciliation the
+   current one. *)
 let set_intended t ~device rpa =
-  Hashtbl.replace t.intended_rpas device rpa;
   Nsdb.set (Service.intended t.agent_service) ~path:(rpa_path device)
     (Nsdb.Rpa rpa)
 
-let clear_intended t ~device =
-  Hashtbl.replace t.intended_rpas device Rpa.empty;
-  Nsdb.set (Service.intended t.agent_service) ~path:(rpa_path device)
-    (Nsdb.Rpa Rpa.empty)
+let clear_intended t ~device = set_intended t ~device Rpa.empty
 
-let intended_rpa t ~device = Hashtbl.find_opt t.intended_rpas device
-let current_rpa t ~device = Hashtbl.find_opt t.current_rpas device
+let view_rpa view device =
+  match Nsdb.get_one view ~path:(rpa_path device) with
+  | Some (Nsdb.Rpa rpa) -> Some rpa
+  | Some _ | None -> None
+
+let intended_rpa t ~device = view_rpa (Service.intended t.agent_service) device
+let current_rpa t ~device = view_rpa (Service.current t.agent_service) device
+
+(* A device with no current entry runs no RPA. *)
+let in_sync t ~device intended =
+  Rpa.equal intended
+    (Option.value (current_rpa t ~device) ~default:Rpa.empty)
 
 let set_maintenance t ~device down =
   Nsdb.set (Service.intended t.agent_service) ~path:(maint_path device)
@@ -97,8 +99,6 @@ let unexpected_unreachable t =
          else None)
   |> List.sort Int.compare
 
-let rpa_equal a b = Rpa.config_lines a = Rpa.config_lines b
-
 type rpc_failure = [ `Rpc_lost | `Rpc_timeout | `Transient of string ]
 type outcome = [ `Applied | `In_sync | `Unreachable | `Fenced | rpc_failure ]
 
@@ -119,7 +119,6 @@ let apply_rpa t device intended ~rpc_latency =
   t.deploy_times <- (rpc_latency +. apply_cost) :: t.deploy_times;
   Obs.Metrics.incr m_deploys;
   Obs.Metrics.observe h_deploy_ms ((rpc_latency +. apply_cost) *. 1000.0);
-  Hashtbl.replace t.current_rpas device intended;
   Nsdb.set (Service.current t.agent_service) ~path:(rpa_path device)
     (Nsdb.Rpa intended)
 
@@ -136,8 +135,7 @@ let reconcile_device ?epoch t device =
    | Some e -> t.accepted_epoch <- max t.accepted_epoch e
    | None -> ());
   let intended = Option.value (intended_rpa t ~device) ~default:Rpa.empty in
-  let current = Option.value (current_rpa t ~device) ~default:Rpa.empty in
-  if rpa_equal intended current then `In_sync
+  if in_sync t ~device intended then `In_sync
   else if not (is_reachable t device) then `Unreachable
   else begin
     let fate =
@@ -189,11 +187,13 @@ let reconcile t ~devices =
     0 devices
 
 let stragglers t =
-  Hashtbl.fold
-    (fun device intended acc ->
-      let current = Option.value (current_rpa t ~device) ~default:Rpa.empty in
-      if rpa_equal intended current then acc else device :: acc)
-    t.intended_rpas []
+  Nsdb.get (Service.intended t.agent_service) ~path:"devices/*/rpa"
+  |> List.filter_map (fun (path, value) ->
+         match (String.split_on_char '/' path, value) with
+         | [ _; d; _ ], Nsdb.Rpa intended ->
+           let device = int_of_string d in
+           if in_sync t ~device intended then None else Some device
+         | _ -> None)
   |> List.sort Int.compare
 
 let deploy_time_samples t = List.rev t.deploy_times

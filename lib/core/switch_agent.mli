@@ -5,12 +5,16 @@
     {!Engine}-backed hooks into the {!Bgp.Network} speakers) and by
     polling device state back into the current view.
 
-    Intended RPAs live in the agent's service views under
-    ["devices/<id>/rpa"]. Reconciliation applies the diff; each application
-    is timed (simulated RPC latency + apply cost), producing the Figure 12
-    deployment-time distribution. Unreachable devices become stragglers
-    unless their intended operational state says they are down for
-    maintenance (Section 5.2, Device Failures).
+    A device's RPAs live only in the agent's {!Service} views, as Figure 8
+    draws it: the intended view holds what the controller wants and the
+    current view what reconciliation installed, each as an {!Nsdb.Rpa}
+    value under ["devices/<id>/rpa"]. A device with no current entry runs
+    {!Rpa.empty}; it is in sync when {!Rpa.equal} holds. Reconciliation
+    applies the diff; each application is timed (simulated RPC latency +
+    apply cost), producing the Figure 12 deployment-time distribution.
+    Unreachable devices become stragglers unless their intended
+    operational state says they are down for maintenance (Section 5.2,
+    Device Failures).
 
     The agent RPC path can be made adversarial with
     {!set_mgmt_fault}: RPCs then draw a per-call fate (loss / timeout /
@@ -30,7 +34,10 @@ val network : t -> Bgp.Network.t
 (** {1 Intended state} *)
 
 val set_intended : t -> device:int -> Rpa.t -> unit
+
 val clear_intended : t -> device:int -> unit
+(** Intends {!Rpa.empty}. This and {!set_intended} write the view once. *)
+
 val intended_rpa : t -> device:int -> Rpa.t option
 val current_rpa : t -> device:int -> Rpa.t option
 
@@ -58,8 +65,6 @@ val unexpected_unreachable : t -> int list
 val set_mgmt_fault : t -> Dsim.Mgmt_fault.t option -> unit
 (** Attaches (or clears) a management-plane fault model. While attached,
     every reconcile RPC draws a fate from it. *)
-
-val mgmt_fault : t -> Dsim.Mgmt_fault.t option
 
 (** {1 Reconciliation} *)
 
@@ -103,7 +108,9 @@ val reconcile : t -> devices:int list -> int
     when to let BGP converge (e.g. between deployment phases). *)
 
 val stragglers : t -> int list
-(** Devices whose intended and current RPA differ. *)
+(** Devices whose current RPA does not equal the intended one. Unlike
+    {!Service.out_of_sync}, a device cleared but never applied is in
+    sync, and maintenance keys do not count. *)
 
 val deploy_time_samples : t -> float list
 (** Seconds per applied RPA update, most recent last (Figure 12 data). *)

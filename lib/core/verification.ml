@@ -13,67 +13,26 @@ type outcome = {
 let passed o = o.deployed && o.intent_failures = [] && o.errors = []
 
 let qualify spec =
+  let failed errors =
+    { outcome_name = spec.spec_name; deployed = false; intent_failures = [];
+      errors }
+  in
   match spec.build () with
-  | exception e ->
-    {
-      outcome_name = spec.spec_name;
-      deployed = false;
-      intent_failures = [];
-      errors = [ Printexc.to_string e ];
-    }
-  | net, plan, intent_checks ->
-    (* Static analysis first: a plan with error-severity lint findings
-       fails qualification without touching the emulated network. *)
-    let lint_errors =
-      match Controller.linter () with
-      | None -> []
-      | Some engine ->
-        List.filter_map
-          (fun f ->
-            if f.Controller.lint_error then
-              Some
-                (Printf.sprintf "lint %s: %s" f.Controller.lint_code
-                   f.Controller.lint_message)
-            else None)
-          (engine (Bgp.Network.graph net) plan)
-    in
-    if lint_errors <> [] then
-      { outcome_name = spec.spec_name; deployed = false;
-        intent_failures = []; errors = lint_errors }
-    else
-    (* Then the symbolic phase verifier: a plan with a provable forwarding
-       loop, blackhole or reachability loss in any deployment state fails
-       qualification before anything is deployed. *)
-    let verify_errors =
-      match Controller.verifier () with
-      | None -> []
-      | Some engine ->
-        List.filter_map
-          (fun f ->
-            if f.Controller.lint_error then
-              Some
-                (Printf.sprintf "verify %s: %s" f.Controller.lint_code
-                   f.Controller.lint_message)
-            else None)
-          (engine net plan)
-    in
-    if verify_errors <> [] then
-      { outcome_name = spec.spec_name; deployed = false;
-        intent_failures = []; errors = verify_errors }
-    else
+  | exception e -> failed [ Printexc.to_string e ]
+  | net, plan, intent_checks -> (
+    (* Both pre-flight gates enforce: a plan with error-severity lint or
+       verify findings fails qualification before anything is deployed. *)
     let controller = Controller.create net in
-    (match Controller.deploy controller plan with
-     | Error errors ->
-       { outcome_name = spec.spec_name; deployed = false;
-         intent_failures = []; errors }
-     | Ok _report ->
-       ignore (Bgp.Network.converge net);
-       {
-         outcome_name = spec.spec_name;
-         deployed = true;
-         intent_failures = Health.failures intent_checks;
-         errors = [];
-       })
+    match Controller.deploy ~lint:`Enforce ~verify:`Enforce controller plan with
+    | Error errors -> failed errors
+    | Ok _report ->
+      ignore (Bgp.Network.converge net);
+      {
+        outcome_name = spec.spec_name;
+        deployed = true;
+        intent_failures = Health.failures intent_checks;
+        errors = [];
+      })
 
 let qualify_all specs = List.map qualify specs
 

@@ -28,12 +28,12 @@ type outcome = {
 val passed : outcome -> bool
 
 val qualify : spec -> outcome
-(** Builds the spec, runs the registered static analyzer (see
-    {!Controller.set_linter}) and the registered symbolic phase verifier
-    (see {!Controller.set_verifier}) over its plan — error-severity
-    findings from either fail qualification before anything is deployed —
-    then deploys through the real controller and evaluates the intent
-    checks. *)
+(** Builds the spec and deploys it through the real controller with the
+    lint and verify gates enforced (see {!Controller.set_linter} and
+    {!Controller.set_verifier}): error-severity findings from either fail
+    qualification, as [lint CODE: msg] or [verify CODE: msg], before
+    anything is deployed. Then evaluates the intent checks. Each gate runs
+    once per spec. *)
 
 val qualify_all : spec list -> outcome list
 

@@ -64,11 +64,6 @@ let cdf ?(points = 50) samples =
         (sorted.(max 0 idx), frac))
   end
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g min=%.4g p50=%.4g p90=%.4g p95=%.4g p99=%.4g max=%.4g"
-    s.count s.mean s.min s.p50 s.p90 s.p95 s.p99 s.max
-
 let pp_cdf_ascii ?(width = 40) ?(unit_label = "") ppf points =
   List.iter
     (fun (value, frac) ->

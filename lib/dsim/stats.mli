@@ -29,8 +29,6 @@ val cdf : ?points:int -> float list -> (float * float) list
 val mean : float list -> float
 val stddev : float list -> float
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val pp_cdf_ascii :
   ?width:int -> ?unit_label:string -> Format.formatter -> (float * float) list -> unit
 (** Renders a CDF as an ASCII chart, one row per (value, cumfrac) point. *)

@@ -232,8 +232,6 @@ let contains outer inner =
   let clipped = canonicalize inner.fam inner.hi inner.lo outer.len in
   Int64.equal clipped.hi outer.hi && Int64.equal clipped.lo outer.lo
 
-let mem_address p host = contains p host
-
 let subdivide p =
   let total = bits_of_family p.fam in
   if p.len >= total then invalid_arg "Prefix.subdivide: host prefix";

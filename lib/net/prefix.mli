@@ -46,9 +46,6 @@ val contains : t -> t -> bool
 (** [contains outer inner] is [true] iff every address of [inner] is in
     [outer]. Always [false] across families. *)
 
-val mem_address : t -> t -> bool
-(** [mem_address p host] where [host] is a /32 or /128: address membership. *)
-
 val subdivide : t -> t * t
 (** [subdivide p] splits [p] into its two half-length children. Raises
     [Invalid_argument] on a host prefix. *)

@@ -1207,6 +1207,127 @@ let test_plan_loc_counts_distinct () =
   in
   check_bool "dedup" true (loc < naive)
 
+(* ---------------- RPA identity ---------------- *)
+
+(* The rendered Figure 7 text omits the dissemination flag and rounds
+   thresholds to whole percent and expiry times to milliseconds; each of
+   these changes must still count as a change to deploy. *)
+
+let guard ?(flag = true) threshold =
+  let rpa =
+    Apps.Min_next_hop_guard.rpa ~destination:Destination.backbone_default
+      ~threshold ~keep_fib_warm:false
+  in
+  { rpa with Rpa.advertise_least_favorable = flag }
+
+let weights ~expires_at =
+  Rpa.make
+    ~route_attribute:
+      [
+        Route_attribute.make
+          [
+            Route_attribute.statement ~expires_at Destination.backbone_default
+              [ Route_attribute.next_hop_weight Signature.any ~weight:3 ];
+          ];
+      ]
+    ()
+
+let check_redeploy name before after =
+  let x, _net, controller = controller_fixture () in
+  let agent = Controller.agent controller in
+  let device = List.nth x.Topology.Clos.xssws 0 in
+  Switch_agent.set_intended agent ~device before;
+  check_bool (name ^ ": first apply") true
+    (Switch_agent.reconcile_device agent device = `Applied);
+  check_bool (name ^ ": renders alike") true
+    (Rpa.config_lines before = Rpa.config_lines after);
+  check_bool (name ^ ": not equal") false (Rpa.equal before after);
+  Switch_agent.set_intended agent ~device after;
+  Alcotest.(check (list int)) (name ^ ": straggler") [ device ]
+    (Switch_agent.stragglers agent);
+  check_bool (name ^ ": applied") true
+    (Switch_agent.reconcile_device agent device = `Applied);
+  check_bool (name ^ ": current is the new RPA") true
+    (Option.equal Rpa.equal (Some after)
+       (Switch_agent.current_rpa agent ~device))
+
+let test_reconcile_flag_only_change () =
+  check_redeploy "flag" (guard (Path_selection.Fraction 0.75))
+    (guard ~flag:false (Path_selection.Fraction 0.75))
+
+let test_reconcile_fraction_change () =
+  check_redeploy "fraction" (guard (Path_selection.Fraction 0.75))
+    (guard (Path_selection.Fraction 0.751))
+
+let test_reconcile_expiry_change () =
+  check_redeploy "expiry" (weights ~expires_at:10.0)
+    (weights ~expires_at:10.0004)
+
+(* The default Figure 4 mesh: 16 SSWs, each with 4 FADU uplinks. *)
+let test_deploy_flag_flipped_guard () =
+  let d = Topology.Clos.decommission () in
+  let net = Bgp.Network.create ~seed:5 d.Topology.Clos.dgraph in
+  Bgp.Network.originate net d.Topology.Clos.north_origin Net.Prefix.default_v4
+    (Net.Attr.make
+       ~communities:
+         (Net.Community.Set.singleton
+            Net.Community.Well_known.backbone_default_route)
+       ());
+  ignore (Bgp.Network.converge net);
+  let controller = Controller.create net in
+  let plan ~flag =
+    let p =
+      Apps.Min_next_hop_guard.plan d.Topology.Clos.dgraph
+        ~destination:Destination.backbone_default
+        ~threshold:(Path_selection.Fraction 0.75) ~keep_fib_warm:false
+        ~targets:(List.concat d.Topology.Clos.planes)
+        ~origination_layer:Topology.Node.Eb
+    in
+    { p with
+      Controller.rpas =
+        List.map
+          (fun (device, rpa) ->
+            (device, { rpa with Rpa.advertise_least_favorable = flag }))
+          p.Controller.rpas }
+  in
+  let deploy p =
+    match Controller.deploy controller p with
+    | Ok r -> (r.Controller.applied, r.Controller.skipped_in_sync)
+    | Error es -> Alcotest.failf "deploy failed: %s" (String.concat "; " es)
+  in
+  let check_deploy name expected flag =
+    Alcotest.(check (pair int int)) name expected (deploy (plan ~flag))
+  in
+  check_deploy "first deploy" (16, 0) true;
+  check_deploy "flag flipped" (16, 0) false;
+  check_deploy "same again" (0, 16) false
+
+let test_sync_fraction_sees_flag_change () =
+  let x, _net, controller = controller_fixture () in
+  let agent = Controller.agent controller in
+  let service = Switch_agent.service agent in
+  let device = List.nth x.Topology.Clos.xssws 0 in
+  Switch_agent.set_intended agent ~device (guard (Path_selection.Count 1));
+  ignore (Switch_agent.reconcile_device agent device);
+  check_bool "in sync" true (Service.sync_fraction service = 1.0);
+  Switch_agent.set_intended agent ~device
+    (guard ~flag:false (Path_selection.Count 1));
+  check_bool "flag change pending" true (Service.sync_fraction service < 1.0);
+  ignore (Switch_agent.reconcile_device agent device);
+  check_bool "reconciled" true (Service.sync_fraction service = 1.0)
+
+(* A device with no current entry runs no RPA, so intending none is
+   already in sync: no straggler, and reconciling it is a no-op. *)
+let test_cleared_never_applied_not_straggler () =
+  let x, _net, controller = controller_fixture () in
+  let agent = Controller.agent controller in
+  let device = List.nth x.Topology.Clos.xssws 0 in
+  Switch_agent.clear_intended agent ~device;
+  Alcotest.(check (list int))
+    "no stragglers" [] (Switch_agent.stragglers agent);
+  check_bool "in sync" true
+    (Switch_agent.reconcile_device agent device = `In_sync)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -1298,5 +1419,15 @@ let () =
           quick "nsdb replica failure" test_controller_survives_nsdb_replica_failure;
           quick "trace timeline" test_trace_timeline_reflects_drain;
           quick "plan loc" test_plan_loc_counts_distinct;
+        ] );
+      ( "rpa-identity",
+        [
+          quick "flag-only change applies" test_reconcile_flag_only_change;
+          quick "fraction change applies" test_reconcile_fraction_change;
+          quick "expiry change applies" test_reconcile_expiry_change;
+          quick "flag-flipped guard redeploys" test_deploy_flag_flipped_guard;
+          quick "sync fraction sees flag" test_sync_fraction_sees_flag_change;
+          quick "cleared never applied"
+            test_cleared_never_applied_not_straggler;
         ] );
     ]

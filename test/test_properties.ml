@@ -921,6 +921,52 @@ let te_optimal_beats_ecmp =
       u_opt <= (u_ecmp *. 1.001) +. 1e-9
       && Te.Solver.max_utilization instance weights <= u_opt +. 1e-9)
 
+(* ---------------- NSDB schema ---------------- *)
+
+module Schema = Centralium.Nsdb_schema
+
+(* Renewal compare-and-sets on the exact stored lease string, so
+   decoding must give back the very float, and re-encoding the very
+   string. *)
+let lease_roundtrip =
+  let expiry =
+    QCheck.Gen.(oneof [ float; map Int64.float_of_bits ui64 ])
+  in
+  QCheck.Test.make ~name:"lease decode inverts encode bit-exactly" ~count:1000
+    QCheck.(triple int int (make ~print:Print.float expiry))
+    (fun (holder, epoch, expiry) ->
+      QCheck.assume (not (Float.is_nan expiry));
+      let s = Schema.encode_lease ~holder ~epoch ~expiry in
+      match Schema.decode_lease s with
+      | Some (h, e, x) ->
+        h = holder && e = epoch
+        && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float expiry)
+        && String.equal (Schema.encode_lease ~holder:h ~epoch:e ~expiry:x) s
+      | None -> false)
+
+(* Tenants and plans hold no ':'; a reason quoting a verifier error may
+   hold any number. *)
+let shed_roundtrip =
+  let text chars =
+    QCheck.make ~print:(Printf.sprintf "%S")
+      QCheck.Gen.(string_size ~gen:(oneofl chars) (int_range 0 8))
+  in
+  let name = text [ 'a'; 'z'; '-'; '0'; '/'; ' ' ] in
+  QCheck.Test.make ~name:"shed record decode inverts encode" ~count:1000
+    QCheck.(triple name name (text [ ':'; 'a'; '('; ','; ' ' ]))
+    (fun (tenant, plan, reason) ->
+      Schema.decode_shed (Schema.encode_shed ~tenant ~plan reason)
+      = Some (tenant, plan, reason))
+
+let sequence_roundtrip =
+  QCheck.Test.make ~name:"queue and shed keys carry their %08d number"
+    ~count:1000
+    QCheck.(pair (int_bound 2_000_000_000)
+              (oneofl [ `Plan; `Tenant; `Class; `State ]))
+    (fun (n, field) ->
+      Schema.queue_seq (Schema.queue_key n field) = Some n
+      && Schema.shed_index (Schema.shed n) = Some n)
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -966,4 +1012,7 @@ let () =
       ( "te",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
           [ te_optimal_beats_ecmp ] );
+      ( "nsdb",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [ lease_roundtrip; shed_roundtrip; sequence_roundtrip ] );
     ]

@@ -758,6 +758,34 @@ let test_verify_once_per_stamp () =
     (verifications "flipped" ~between:(fun () ->
          Topology.Graph.set_link_up g 2 3 false))
 
+
+(* Qualification deploys with both gates enforced and runs no copy of
+   its own: one linter call and one verifier call per spec. *)
+let test_qualify_runs_each_gate_once () =
+  let linter, verifier =
+    match (Controller.linter (), Controller.verifier ()) with
+    | Some l, Some v -> (l, v)
+    | _ -> Alcotest.fail "analysis gates not registered"
+  in
+  let lints = ref 0 and verifies = ref 0 in
+  Controller.set_linter (fun g plan -> incr lints; linter g plan);
+  Controller.set_verifier (fun net plan -> incr verifies; verifier net plan);
+  Fun.protect
+    ~finally:(fun () ->
+      Controller.set_linter linter;
+      Controller.set_verifier verifier)
+  @@ fun () ->
+  List.iter
+    (fun spec ->
+      lints := 0;
+      verifies := 0;
+      let o = Verification.qualify spec in
+      let name = spec.Verification.spec_name in
+      check_bool (name ^ " passes") true (Verification.passed o);
+      check_int (name ^ ": lint calls") 1 !lints;
+      check_int (name ^ ": verify calls") 1 !verifies)
+    (Verification.standard_suite ())
+
 let () =
   Alcotest.run "verifier"
     [
@@ -784,5 +812,6 @@ let () =
           quick "qualification verify pass" test_qualification_verify_pass;
           quick "ops admission rejects unsafe" test_ops_admission_rejects_unsafe;
           quick "verify once per stamp" test_verify_once_per_stamp;
+          quick "qualify runs each gate once" test_qualify_runs_each_gate_once;
         ] );
     ]
