@@ -5,7 +5,20 @@
     proportion to weights). The propagation is round-based; volume still in
     flight after 64 rounds (far above any Clos diameter) is classified as
     {e looped}, which is how persistent forwarding loops (Figure 9) show up
-    quantitatively. *)
+    quantitatively.
+
+    Contract of every propagation below:
+    - Each round visits its devices in one fixed order, a function of the
+      demands and the forwarding state alone. That order fixes the order
+      of every float addition, which is what keeps every total and ledger
+      bit-identical from run to run and between {!route_snapshot} and
+      {!loss_snapshot}.
+    - Device ids (demand sources and next hops) index arrays, so they must
+      be non-negative topology ids; a negative id raises
+      [Invalid_argument]. Memory is linear in the largest id reached.
+    - A round costs O(devices carrying volume + bucket width), where the
+      bucket width is 64 until a round holds more than 128 devices.
+    - [lookup] is called at most once per device per call. *)
 
 type result = {
   delivered : float;

@@ -82,6 +82,22 @@ let test_traffic_leaky_loop_drains () =
     (Option.value (Hashtbl.find_opt r.Dataplane.Traffic.transit 1) ~default:0.0
      > 1.0)
 
+let test_traffic_device_ids () =
+  (* Ids index arrays: far-apart ids grow them, a negative id is refused. *)
+  let lookup =
+    fib_of [ (3, entries [ (5000, 1) ]); (5000, entries [ (70_000, 1) ]);
+             (70_000, Bgp.Speaker.Local) ]
+  in
+  let r = Dataplane.Traffic.route ~lookup ~demands:[ (3, 1.0) ] () in
+  check_float "delivered" 1.0 r.Dataplane.Traffic.delivered;
+  check_float "delivered at 70000" 1.0
+    (Option.value (Hashtbl.find_opt r.Dataplane.Traffic.delivered_at 70_000)
+       ~default:0.0);
+  check_bool "negative id refused" true
+    (match Dataplane.Traffic.route ~lookup ~demands:[ (-1, 1.0) ] () with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 (* ---------------- Metrics ---------------- *)
 
 let test_funneling_metric () =
@@ -243,39 +259,91 @@ let test_flowsim_partial_loop_loses_bouncers () =
 
 (* ---------------- Loss-only propagation: bit identity ---------------- *)
 
-(* The propagation loop as [route] ran it before the loss-only path
-   existed, kept verbatim minus the bookkeeping the totals never read: the
-   oracle for "same insertion and iteration order, same float sums". *)
+(* The Hashtbl propagation loop [route] ran before its dense core, kept
+   verbatim with its ledger: the oracle for "same visit order, same float
+   sums, same ledgers". Also returns the widest bucket array any of its
+   [inflow] tables reached, so a test can tell which widths it covered. *)
 let reference_totals ?(max_rounds = 64) snapshot ~demands =
   let add table key v =
     let current = Option.value (Hashtbl.find_opt table key) ~default:0.0 in
     Hashtbl.replace table key (current +. v)
   in
-  let dropped = ref 0.0 in
+  let delivered = ref 0.0 and dropped = ref 0.0 in
+  let transit = Hashtbl.create 64
+  and link_load = Hashtbl.create 64
+  and delivered_at = Hashtbl.create 8 in
+  let widest = ref 0 in
+  let measure t = widest := max !widest (Hashtbl.stats t).Hashtbl.num_buckets in
   let inflow = Hashtbl.create 64 in
   List.iter (fun (device, volume) -> add inflow device volume) demands;
   let rounds = ref 0 in
   while Hashtbl.length inflow > 0 && !rounds < max_rounds do
+    measure inflow;
     incr rounds;
     let next = Hashtbl.create 64 in
     Hashtbl.iter
       (fun device volume ->
-        if volume > 0.0 then
+        if volume > 0.0 then begin
+          add transit device volume;
           match Hashtbl.find_opt snapshot device with
-          | Some Bgp.Speaker.Local -> ()
+          | Some Bgp.Speaker.Local ->
+            delivered := !delivered +. volume;
+            add delivered_at device volume
           | None -> dropped := !dropped +. volume
           | Some (Bgp.Speaker.Entries es) ->
             let sum = List.fold_left (fun a e -> a + e.Bgp.Speaker.weight) 0 es in
             List.iter
               (fun e ->
-                add next e.Bgp.Speaker.next_hop
-                  (volume *. float_of_int e.Bgp.Speaker.weight /. float_of_int sum))
-              es)
+                let share =
+                  volume *. float_of_int e.Bgp.Speaker.weight /. float_of_int sum
+                in
+                add link_load (device, e.Bgp.Speaker.next_hop) share;
+                add next e.Bgp.Speaker.next_hop share)
+              es
+        end)
       inflow;
     Hashtbl.reset inflow;
     Hashtbl.iter (fun d v -> Hashtbl.replace inflow d v) next
   done;
-  (!dropped, Hashtbl.fold (fun _ v acc -> acc +. v) inflow 0.0)
+  measure inflow;
+  ( {
+      Dataplane.Traffic.delivered = !delivered;
+      dropped = !dropped;
+      looped = Hashtbl.fold (fun _ v acc -> acc +. v) inflow 0.0;
+      transit;
+      link_load;
+      delivered_at;
+    },
+    !widest )
+
+let same msg a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then
+    Alcotest.failf "%s: %h <> %h" msg a b
+
+(* Equal bindings in the same [Hashtbl.fold] order: the ledgers were
+   filled by the same additions in the same order. *)
+let same_table msg a b =
+  let bindings t =
+    Hashtbl.fold (fun k v acc -> (k, Int64.bits_of_float v) :: acc) t []
+  in
+  if bindings a <> bindings b then Alcotest.failf "%s: ledgers differ" msg
+
+(* [route_snapshot] and [loss_snapshot] against the oracle, bit for bit;
+   returns the oracle's result and widest table. *)
+let check_against_reference snap ~demands =
+  let module T = Dataplane.Traffic in
+  let want, widest = reference_totals snap ~demands in
+  let r = T.route_snapshot snap ~demands in
+  let l = T.loss_snapshot snap ~demands in
+  same "delivered" want.T.delivered r.T.delivered;
+  same "dropped" want.T.dropped r.T.dropped;
+  same "looped" want.T.looped r.T.looped;
+  same_table "transit" want.T.transit r.T.transit;
+  same_table "link_load" want.T.link_load r.T.link_load;
+  same_table "delivered_at" want.T.delivered_at r.T.delivered_at;
+  same "loss-only dropped" want.T.dropped l.T.loss_dropped;
+  same "loss-only looped" want.T.looped l.T.loss_looped;
+  (want, widest)
 
 (* [loss_segments] as it was defined on the full [route_snapshot]. *)
 let reference_segments ~initial ~timeline ~demands ~from_time ~until =
@@ -350,10 +418,6 @@ let random_loss_case seed =
 
 let test_loss_only_bit_identical () =
   let module M = Dataplane.Metrics in
-  let bits = Int64.bits_of_float in
-  let same msg a b =
-    if bits a <> bits b then Alcotest.failf "%s: %h <> %h" msg a b
-  in
   let capped = ref 0 and holes = ref 0 and ucmp = ref 0 and zero = ref 0 in
   for seed = 0 to 299 do
     let initial, timeline, demands, from_time, until = random_loss_case seed in
@@ -365,15 +429,9 @@ let test_loss_only_bit_identical () =
     in
     List.iter
       (fun snap ->
-        let dropped, looped = reference_totals snap ~demands in
-        let l = Dataplane.Traffic.loss_snapshot snap ~demands in
-        let r = Dataplane.Traffic.route_snapshot snap ~demands in
-        same "loss-only dropped" dropped l.Dataplane.Traffic.loss_dropped;
-        same "loss-only looped" looped l.Dataplane.Traffic.loss_looped;
-        same "route dropped" dropped r.Dataplane.Traffic.dropped;
-        same "route looped" looped r.Dataplane.Traffic.looped;
-        if looped > 0.0 then incr capped;
-        if dropped > 0.0 then incr holes;
+        let want, _ = check_against_reference snap ~demands in
+        if want.Dataplane.Traffic.looped > 0.0 then incr capped;
+        if want.Dataplane.Traffic.dropped > 0.0 then incr holes;
         Hashtbl.iter
           (fun _ s ->
             match s with
@@ -419,6 +477,36 @@ let test_loss_only_bit_identical () =
   check_bool "UCMP weights covered" true (!ucmp > 0);
   check_bool "zero total demand covered" true (!zero > 0)
 
+(* Rounds of more than 128 and 256 devices, where the tables the dense
+   core replaced grew to 128 and 256 buckets. Weight-0 entries push
+   zero-volume devices, which count toward a table's width but are never
+   visited, and an all-zero entry list pushes NaN. *)
+let test_wide_rounds_bit_identical () =
+  let widths = Hashtbl.create 4 in
+  for seed = 0 to 59 do
+    let rng = Random.State.make [| seed |] in
+    let n = 150 + Random.State.int rng 450 in
+    let snap = Hashtbl.create n in
+    for d = 0 to n - 1 do
+      match Random.State.int rng 20 with
+      | 0 -> ()
+      | 1 -> Hashtbl.replace snap d Bgp.Speaker.Local
+      | _ ->
+        Hashtbl.replace snap d
+          (entries
+             (List.init (1 + Random.State.int rng 3) (fun _ ->
+                  (Random.State.int rng n, Random.State.int rng 5))))
+    done;
+    let demands =
+      List.init (1 + Random.State.int rng 400) (fun _ ->
+          (Random.State.int rng n, Random.State.float rng 10.0))
+    in
+    let _, widest = check_against_reference snap ~demands in
+    Hashtbl.replace widths widest ()
+  done;
+  check_bool "width 128 reached" true (Hashtbl.mem widths 128);
+  check_bool "width 256 reached" true (Hashtbl.mem widths 256)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dataplane"
@@ -431,6 +519,7 @@ let () =
           quick "loop detected" test_traffic_loop_detected;
           quick "partial loop" test_traffic_partial_loop;
           quick "leaky loop drains" test_traffic_leaky_loop_drains;
+          quick "device ids" test_traffic_device_ids;
         ] );
       ( "metrics",
         [
@@ -439,6 +528,7 @@ let () =
           quick "find loops" test_find_loops;
           quick "max link utilization" test_max_link_utilization;
           quick "loss-only routing bit-identical" test_loss_only_bit_identical;
+          quick "wide rounds bit-identical" test_wide_rounds_bit_identical;
         ] );
       ( "flowsim",
         [
