@@ -24,79 +24,11 @@ let entry_equal a b =
 
 let equal a b = Imap.equal entry_equal a.f_final b.f_final
 
-let compile graph ~engine_of ~cls =
-  let prefix = cls.Eq_class.cls_prefix in
-  let ids =
-    Array.of_list
-      (List.sort Int.compare
-         (List.map (fun n -> n.Topology.Node.id) (G.nodes graph)))
-  in
-  let n = Array.length ids in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i d -> Hashtbl.replace index d i) ids;
-  let origin_attr =
-    List.fold_left
-      (fun acc (d, attr) -> Imap.add d attr acc)
-      Imap.empty cls.Eq_class.cls_origins
-  in
-  let layer_of d =
-    Option.map (fun n -> n.Topology.Node.layer) (G.node_opt graph d)
-  in
-  (* Everything a decision reads besides the neighbours' adverts is fixed
-     for the whole compile, so it is computed once here: the engine, the
-     ctx, and each device's importable neighbours (route-filter verdicts
-     in both directions applied) with the session count of the link. *)
-  let engines = Array.map engine_of ids in
-  let filters_allow i direction ~peer =
-    match engines.(i) with
-    | None -> true
-    | Some eng ->
-      let layer = layer_of peer in
-      List.for_all
-        (fun rf -> Route_filter.allows rf direction ~peer ~layer prefix)
-        (Engine.rpa eng).Rpa.route_filter
-  in
-  let origin = Array.map (fun d -> Imap.find_opt d origin_attr) ids in
-  let asns = Array.map (fun d -> (G.node graph d).Topology.Node.asn) ids in
-  let neighbors = Array.map (G.neighbors graph) ids in
-  let ctxs =
-    Array.mapi
-      (fun i d ->
-        Option.map
-          (fun _ ->
-            let layers =
-              List.map (fun (m, _) -> m.Topology.Node.layer) neighbors.(i)
-            in
-            {
-              Bgp.Rib_policy.device = d;
-              prefix;
-              now = 0.0;
-              commit = false;
-              peer_layer = layer_of;
-              live_peers_in_layer =
-                (fun layer ->
-                  List.length
-                    (List.filter (Topology.Node.layer_equal layer) layers));
-            })
-          engines.(i))
-      ids
-  in
-  let imports =
-    Array.mapi
-      (fun i d ->
-        List.filter_map
-          (fun (m, (link : G.link)) ->
-            let j = Hashtbl.find index m.Topology.Node.id in
-            if
-              filters_allow j Route_filter.Egress ~peer:d
-              && filters_allow i Route_filter.Ingress ~peer:ids.(j)
-            then Some (j, max 1 link.G.sessions)
-            else None)
-          neighbors.(i))
-      ids
-  in
-  (* dependents.(j): the devices that import from [j], i.e. the ones whose
-     next decision can change when [j]'s advertisement does. *)
+(* dependents.(j): the devices that import from [j], i.e. the ones whose
+   next decision can change when [j]'s advertisement does; max_sessions.(j):
+   the most parallel sessions any importer holds to [j]. *)
+let wiring imports =
+  let n = Array.length imports in
   let dependents = Array.make n [] in
   for i = n - 1 downto 0 do
     List.iter (fun (j, _) -> dependents.(j) <- i :: dependents.(j)) imports.(i)
@@ -105,6 +37,138 @@ let compile graph ~engine_of ~cls =
   Array.iter
     (List.iter (fun (j, s) -> max_sessions.(j) <- max max_sessions.(j) s))
     imports;
+  (dependents, max_sessions)
+
+type frame = {
+  fr_graph : G.t;
+  fr_version : int;
+  fr_ids : int array;
+  fr_index : int array;
+  fr_asns : Net.Asn.t array;
+  fr_peer_layer : int -> Topology.Node.layer option;
+  fr_live_peers : (Topology.Node.layer -> int) array;
+  fr_imports : (int * int) list array;
+  fr_dependents : int list array;
+  fr_max_sessions : int array;
+}
+
+let frame graph =
+  let nodes = Array.of_list (G.nodes graph) in
+  let ids = Array.map (fun n -> n.Topology.Node.id) nodes in
+  (* index.(d): the position of device [d] in [ids], or -1. *)
+  let index = Array.make (Array.fold_left max (-1) ids + 1) (-1) in
+  Array.iteri (fun i d -> index.(d) <- i) ids;
+  let neighbors = Array.map (G.neighbors graph) ids in
+  let imports =
+    Array.map
+      (List.map (fun (m, (link : G.link)) ->
+           (index.(m.Topology.Node.id), max 1 link.G.sessions)))
+      neighbors
+  in
+  let dependents, max_sessions = wiring imports in
+  {
+    fr_graph = graph;
+    fr_version = G.version graph;
+    fr_ids = ids;
+    fr_index = index;
+    fr_asns = Array.map (fun n -> n.Topology.Node.asn) nodes;
+    fr_peer_layer =
+      (fun d ->
+        Option.map (fun n -> n.Topology.Node.layer) (G.node_opt graph d));
+    fr_live_peers =
+      Array.map
+        (fun nbrs ->
+          let layers = List.map (fun (m, _) -> m.Topology.Node.layer) nbrs in
+          fun layer ->
+            List.length (List.filter (Topology.Node.layer_equal layer) layers))
+        neighbors;
+    fr_imports = imports;
+    fr_dependents = dependents;
+    fr_max_sessions = max_sessions;
+  }
+
+let devices fr = Array.to_list fr.fr_ids
+
+let index fr d =
+  if d < 0 || d >= Array.length fr.fr_index || fr.fr_index.(d) < 0 then
+    raise Not_found
+  else fr.fr_index.(d)
+
+let neighbors fr d =
+  List.map (fun (j, _) -> fr.fr_ids.(j)) fr.fr_imports.(index fr d)
+
+let has_filter_statements eng =
+  List.exists
+    (fun rf -> rf.Route_filter.statements <> [])
+    (Engine.rpa eng).Rpa.route_filter
+
+let compile fr ~engine_of ~cls =
+  if G.version fr.fr_graph <> fr.fr_version then
+    invalid_arg
+      "Fwd_model.compile: the graph changed after its frame was built";
+  let prefix = cls.Eq_class.cls_prefix in
+  let ids = fr.fr_ids and asns = fr.fr_asns in
+  let n = Array.length ids in
+  let origin_attr =
+    List.fold_left
+      (fun acc (d, attr) -> Imap.add d attr acc)
+      Imap.empty cls.Eq_class.cls_origins
+  in
+  (* Everything a decision reads besides the neighbours' adverts is fixed
+     for the whole compile: the graph-derived part comes from the frame,
+     and only the engines, the ctxs and the class's origins are built
+     here. *)
+  let engines = Array.map engine_of ids in
+  let origin = Array.map (fun d -> Imap.find_opt d origin_attr) ids in
+  let ctxs =
+    Array.mapi
+      (fun i d ->
+        Option.map
+          (fun _ ->
+            {
+              Bgp.Rib_policy.device = d;
+              prefix;
+              now = 0.0;
+              commit = false;
+              peer_layer = fr.fr_peer_layer;
+              live_peers_in_layer = fr.fr_live_peers.(i);
+            })
+          engines.(i))
+      ids
+  in
+  (* A route filter without statements allows everything, so the frame's
+     unfiltered imports are exact unless some deployed engine filters. *)
+  let imports, dependents, max_sessions =
+    if
+      not
+        (Array.exists
+           (function Some eng -> has_filter_statements eng | None -> false)
+           engines)
+    then (fr.fr_imports, fr.fr_dependents, fr.fr_max_sessions)
+    else begin
+      let filters_allow i direction ~peer =
+        match engines.(i) with
+        | None -> true
+        | Some eng ->
+          let layer = fr.fr_peer_layer peer in
+          List.for_all
+            (fun rf -> Route_filter.allows rf direction ~peer ~layer prefix)
+            (Engine.rpa eng).Rpa.route_filter
+      in
+      let imports =
+        Array.mapi
+          (fun i d ->
+            List.filter
+              (fun (j, _) ->
+                filters_allow j Route_filter.Egress ~peer:d
+                && filters_allow i Route_filter.Ingress ~peer:ids.(j))
+              fr.fr_imports.(i))
+          ids
+      in
+      let dependents, max_sessions = wiring imports in
+      (imports, dependents, max_sessions)
+    end
+  in
   (* Per-device state: what the device offers peers (its advertised
      attributes, pre-prepend), the candidate paths that advertisement
      yields at every importer (one per session, prepended once), and its

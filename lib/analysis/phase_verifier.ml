@@ -82,30 +82,38 @@ let canonical_cycle cyc =
   List.init n (fun i -> arr.((i + !mi) mod n))
 
 (* All back-edge cycles of one FIB snapshot, in deterministic order (DFS
-   rooted at each device in snapshot order). *)
-let snapshot_cycles edges =
-  let adj = Hashtbl.create 32 in
-  List.iter (fun (d, nhs) -> Hashtbl.replace adj d nhs) edges;
-  let color = Hashtbl.create 32 in
+   rooted at each device in snapshot order). [color] and [adj] are work
+   arrays over the frame's device positions, reused across snapshots: all
+   0 and [] on entry and on return. *)
+let snapshot_cycles frame ~color ~adj edges =
+  let index = Fwd_model.index frame in
+  List.iter (fun (d, nhs) -> adj.(index d) <- nhs) edges;
   let cycles = ref [] in
   let rec dfs path d =
-    match Hashtbl.find_opt color d with
-    | Some 2 -> ()
-    | Some _ ->
+    let i = index d in
+    match color.(i) with
+    | 2 -> ()
+    | 1 ->
       (* back edge: the cycle is the suffix of [path] down to [d] *)
       let rec take acc = function
         | [] -> acc
         | x :: rest -> if x = d then x :: acc else take (x :: acc) rest
       in
       cycles := take [] path :: !cycles
-    | None ->
-      Hashtbl.replace color d 1;
-      List.iter
-        (fun nh -> dfs (d :: path) nh)
-        (Option.value ~default:[] (Hashtbl.find_opt adj d));
-      Hashtbl.replace color d 2
+    | _ ->
+      color.(i) <- 1;
+      List.iter (fun nh -> dfs (d :: path) nh) adj.(i);
+      color.(i) <- 2
   in
   List.iter (fun (d, _) -> dfs [] d) edges;
+  (* every coloured device is a root or a next hop of one *)
+  List.iter
+    (fun (d, nhs) ->
+      let i = index d in
+      color.(i) <- 0;
+      adj.(i) <- [];
+      List.iter (fun nh -> color.(index nh) <- 0) nhs)
+    edges;
   List.rev !cycles
 
 let verify ?origins ?(frontiers = true) ?(incremental = true) graph
@@ -119,10 +127,12 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
   in
   let cls_arr = Array.of_list clss in
   let n_classes = Array.length cls_arr in
-  let all_devices =
-    List.sort Int.compare
-      (List.map (fun n -> n.Topology.Node.id) (G.nodes graph))
-  in
+  (* The graph-derived set-up, shared by every compile and check of this
+     call. Nothing kept after the call refers to it. *)
+  let frame = Fwd_model.frame graph in
+  let all_devices = Fwd_model.devices frame in
+  let n_devices = List.length all_devices in
+  let color = Array.make n_devices 0 and adj = Array.make n_devices [] in
   let viols = ref [] in
   let diags = ref [] in
   let compiled = ref 0 in
@@ -135,23 +145,19 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
     diags := D.make ~device:v.v_device D.Error v.v_code v.v_message :: !diags
   in
   let add_info msg = diags := D.make D.Info D.Analysis_capped msg :: !diags in
-  (* One engine per device RPA, shared across every state and class that
-     deploys it. *)
+  (* One engine per device RPA, created on first use and shared across
+     every state and class that deploys it. A device bound twice in the
+     plan runs its first binding. *)
   let engines = Hashtbl.create 16 in
-  let engine_for d =
-    match Hashtbl.find_opt engines d with
-    | Some e -> Some e
-    | None ->
-      Option.map
-        (fun rpa ->
-          let e = Engine.create rpa in
-          Hashtbl.add engines d e;
-          e)
-        (List.assoc_opt d plan.Controller.rpas)
-  in
+  List.iter
+    (fun (d, rpa) ->
+      if not (Hashtbl.mem engines d) then
+        Hashtbl.add engines d (lazy (Engine.create rpa)))
+    plan.Controller.rpas;
+  let engine_for d = Option.map Lazy.force (Hashtbl.find_opt engines d) in
   let compile deployed cls =
     let m =
-      Fwd_model.compile graph
+      Fwd_model.compile frame
         ~engine_of:(fun d -> if Iset.mem d deployed then engine_for d else None)
         ~cls
     in
@@ -170,28 +176,36 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
      warm through a minimum-next-hop withdraw is assumed to retain its
      pre-violation (delivering) hops. *)
   let delivered_set m =
-    let memo = Hashtbl.create 64 in
-    let rec go stack d =
-      match Hashtbl.find_opt memo d with
-      | Some v -> v
-      | None ->
+    (* memo: 0 unknown, 1 delivered, 2 not; on_stack: on the current walk,
+       so a cycle back to it does not deliver *)
+    let memo = Array.make n_devices 0 in
+    let on_stack = Array.make n_devices false in
+    let rec go d =
+      let i = Fwd_model.index frame d in
+      match memo.(i) with
+      | 1 -> true
+      | 2 -> false
+      | _ ->
         let v =
-          if Iset.mem d stack then false
+          if on_stack.(i) then false
           else
             match Fwd_model.entry m d with
             | None -> false
             | Some e ->
               if e.Fwd_model.e_origin then true
               else if e.Fwd_model.e_next_hops = [] then e.Fwd_model.e_kept_warm
-              else
-                let stack = Iset.add d stack in
-                List.for_all (go stack) e.Fwd_model.e_next_hops
+              else begin
+                on_stack.(i) <- true;
+                let v = List.for_all go e.Fwd_model.e_next_hops in
+                on_stack.(i) <- false;
+                v
+              end
         in
-        Hashtbl.replace memo d v;
+        memo.(i) <- (if v then 1 else 2);
         v
     in
     List.fold_left
-      (fun acc d -> if go Iset.empty d then Iset.add d acc else acc)
+      (fun acc d -> if go d then Iset.add d acc else acc)
       Iset.empty all_devices
   in
   (* Shortest surviving physical path (over up links) from [d] to any
@@ -207,14 +221,13 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
       while !found = None && not (Queue.is_empty q) do
         let x = Queue.pop q in
         List.iter
-          (fun (n, _) ->
-            let nid = n.Topology.Node.id in
+          (fun nid ->
             if (not (Hashtbl.mem parent nid)) && !found = None then begin
               Hashtbl.replace parent nid x;
               if Iset.mem nid org_set then found := Some nid
               else Queue.add nid q
             end)
-          (G.neighbors graph x)
+          (Fwd_model.neighbors frame x)
       done;
       Option.map
         (fun o ->
@@ -281,7 +294,7 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
                       (path_str (cyc @ [ head ]));
                 }
             end)
-          (snapshot_cycles edges))
+          (snapshot_cycles frame ~color ~adj edges))
       (Fwd_model.round_edges m);
     if not (Fwd_model.converged m) then
       add_info

@@ -95,7 +95,11 @@ val verify :
     phases. [incremental] (default [true]) enables the delta-net reuse
     of untouched classes across states; [false] recompiles every class
     in every state — same verdicts, strictly more work (the bench's
-    full-verification reference point). *)
+    full-verification reference point).
+
+    Each call builds one {!Fwd_model.frame} of the graph and shares it
+    across every class and state it compiles and checks; the report keeps
+    no reference to it. The graph must not change during the call. *)
 
 val verify_network :
   ?frontiers:bool -> Bgp.Network.t -> Centralium.Controller.plan -> report

@@ -29,23 +29,32 @@ let phases graph ~targets ~origination_layer direction =
     ordered_distances
 
 let is_safe_order graph ~origination_layer direction phase_list =
+  (* A device listed twice deploys with the last phase that lists it. *)
   let position = Hashtbl.create 16 in
   List.iteri
     (fun i phase -> List.iter (fun d -> Hashtbl.replace position d i) phase)
     phase_list;
-  let devices = List.concat phase_list in
-  List.for_all
-    (fun a ->
-      List.for_all
-        (fun b ->
-          let da = distance_from_origination graph ~origination_layer a in
-          let db = distance_from_origination graph ~origination_layer b in
-          let pa = Hashtbl.find position a and pb = Hashtbl.find position b in
-          match direction with
-          | Install -> (not (da > db)) || pa <= pb
-          | Remove -> (not (da < db)) || pa <= pb)
-        devices)
-    devices
+  let n = List.length phase_list in
+  let lo = Array.make n max_int and hi = Array.make n min_int in
+  Hashtbl.iter
+    (fun d i ->
+      let dist = distance_from_origination graph ~origination_layer d in
+      lo.(i) <- min lo.(i) dist;
+      hi.(i) <- max hi.(i) dist)
+    position;
+  (* An unsafe pair is a device in a later phase that is further from the
+     origination layer (Install) or closer to it (Remove) than one in an
+     earlier phase, so each phase is compared with the extreme distance of
+     all phases before it. Empty phases keep [max_int]/[min_int] and never
+     trip a comparison. *)
+  let rec safe k earliest =
+    k >= n
+    ||
+    match direction with
+    | Install -> hi.(k) <= earliest && safe (k + 1) (min earliest lo.(k))
+    | Remove -> lo.(k) >= earliest && safe (k + 1) (max earliest hi.(k))
+  in
+  safe 0 (match direction with Install -> max_int | Remove -> min_int)
 
 let flatten = List.concat
 

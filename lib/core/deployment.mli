@@ -33,7 +33,10 @@ val is_safe_order :
   bool
 (** Checks the invariant: for [Install], every device must be deployed no
     earlier than all targets strictly further from the origination layer;
-    for [Remove], the reverse. *)
+    for [Remove], the reverse. A device listed in several phases counts
+    in the last of them. One pass: each phase's distance range is compared
+    with that of all earlier phases. Raises [Not_found] when a listed
+    device is not in the graph. *)
 
 val flatten : int list list -> int list
 

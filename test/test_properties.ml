@@ -498,6 +498,85 @@ let deployment_phases_partition =
            ~origination_layer:Topology.Node.Eb Centralium.Deployment.Install
            phases)
 
+(* The all-pairs form of the Section 5.3.2 order check: every device
+   against every other, a device listed twice counting in its last
+   phase. [Deployment.is_safe_order] must give the same verdict. *)
+let pairwise_safe_order graph ~origination_layer direction phase_list =
+  let position = Hashtbl.create 16 in
+  List.iteri
+    (fun i phase -> List.iter (fun d -> Hashtbl.replace position d i) phase)
+    phase_list;
+  let devices = List.concat phase_list in
+  let dist =
+    Centralium.Deployment.distance_from_origination graph ~origination_layer
+  in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          let pa = Hashtbl.find position a and pb = Hashtbl.find position b in
+          match direction with
+          | Centralium.Deployment.Install -> (not (dist a > dist b)) || pa <= pb
+          | Centralium.Deployment.Remove -> (not (dist a < dist b)) || pa <= pb)
+        devices)
+    devices
+
+(* Safe phase lists from [Deployment.phases] on a random Clos slice, then
+   up to three edits that may break them: two phases swapped, an empty
+   phase inserted, a device copied into another phase. *)
+let deployment_safe_order_oracle =
+  QCheck.Test.make ~name:"safe order = pairwise check" ~count:300
+    (QCheck.make
+       ~print:(fun (pods, fsws, seed) ->
+         Printf.sprintf "pods=%d fsws=%d seed=%d" pods fsws seed)
+       QCheck.Gen.(triple (int_range 1 2) (int_range 1 3) (int_bound 1_000_000)))
+    (fun (pods, fsws, seed) ->
+      let f = Topology.Clos.fabric ~pods ~rsws_per_pod:2 ~fsws_per_pod:fsws () in
+      let g = f.Topology.Clos.graph in
+      let rng = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let origination_layer = pick (Topology.Graph.layers g) in
+      let direction =
+        if Random.State.bool rng then Centralium.Deployment.Install
+        else Centralium.Deployment.Remove
+      in
+      let targets =
+        List.filter_map
+          (fun n ->
+            if Random.State.int rng 3 = 0 then Some n.Topology.Node.id else None)
+          (Topology.Graph.nodes g)
+      in
+      let edit phases =
+        let k = List.length phases in
+        let at = Random.State.int rng (k + 1) in
+        match Random.State.int rng 3 with
+        | 0 when k >= 2 ->
+          let i = Random.State.int rng (k - 1) in
+          List.mapi
+            (fun j p ->
+              if j = i then List.nth phases (i + 1)
+              else if j = i + 1 then List.nth phases i
+              else p)
+            phases
+        | 1 | 0 ->
+          List.filteri (fun j _ -> j < at) phases
+          @ [ [] ]
+          @ List.filteri (fun j _ -> j >= at) phases
+        | _ when targets <> [] ->
+          let d = pick targets in
+          List.mapi (fun j p -> if j = at then d :: p else p) phases
+        | _ -> phases
+      in
+      let rec edits n phases =
+        if n = 0 then phases else edits (n - 1) (edit phases)
+      in
+      let phases =
+        edits (Random.State.int rng 4)
+          (Centralium.Deployment.phases g ~targets ~origination_layer direction)
+      in
+      Centralium.Deployment.is_safe_order g ~origination_layer direction phases
+      = pairwise_safe_order g ~origination_layer direction phases)
+
 (* ---------------- invariant checker ---------------- *)
 
 let has_kind kind vs =
@@ -990,7 +1069,7 @@ let () =
           [ convergence_loop_free; convergence_deterministic; churn_consistency ] );
       ( "deployment",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ deployment_phases_partition ] );
+          [ deployment_phases_partition; deployment_safe_order_oracle ] );
       ( "invariant",
         [
           Alcotest.test_case "seeded loop is flagged" `Quick

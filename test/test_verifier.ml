@@ -320,9 +320,10 @@ let test_incremental_reuse () =
     (Eq.touched_by clss ~rpas:[ (1, steer_10) ]
     |> List.for_all (fun c -> not (Net.Prefix.is_default c.Eq.cls_prefix)));
   let eng = Engine.create steer_10 in
-  let base = FM.compile g ~engine_of:(fun _ -> None) ~cls:dflt in
+  let fr = FM.frame g in
+  let base = FM.compile fr ~engine_of:(fun _ -> None) ~cls:dflt in
   let after =
-    FM.compile g
+    FM.compile fr
       ~engine_of:(fun d -> if d = 1 || d = 2 then Some eng else None)
       ~cls:dflt
   in
@@ -532,11 +533,17 @@ let naive_compile graph ~engine_of ~(cls : Eq.t) =
 
 (* A random small fabric slice: a few links down, the backbone default
    (sometimes anycast from two EBs) plus a rack prefix, and every device
-   independently native, path-equalized or minimum-next-hop guarded. *)
+   independently native, path-equalized, minimum-next-hop guarded or
+   route-filtered (an ingress or egress allow list, on a random peer or
+   layer, that admits one of the two classes). [fc_states] are deployed
+   subsets of the RPA devices: the empty one, all of them and two random
+   ones. *)
 type fm_case = {
   fc_graph : G.t;
   fc_rpas : (int * Rpa.t) list;
+  fc_origins : (int * Net.Prefix.t * Net.Attr.t) list;
   fc_classes : Eq.t list;
+  fc_states : int list list;
 }
 
 let fm_case (pods, fsws, ssws, grids, ebs, seed) =
@@ -569,13 +576,39 @@ let fm_case (pods, fsws, ssws, grids, ebs, seed) =
     Apps.Min_next_hop_guard.rpa ~destination:(Destination.Tagged bb) ~threshold
       ~keep_fib_warm:(Random.State.bool rng)
   in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let filter d =
+    let peer =
+      match List.map fst (G.all_neighbors g d) with
+      | nbrs when nbrs <> [] && Random.State.bool rng ->
+        {
+          Route_filter.any_peer with
+          peer_devices = [ (pick nbrs).Topology.Node.id ];
+        }
+      | _ -> { Route_filter.any_peer with peer_layers = [ pick (G.layers g) ] }
+    in
+    let allow =
+      Route_filter.Allow_list
+        [
+          (if Random.State.bool rng then
+             Route_filter.prefix_rule ~max_mask_length:0 Net.Prefix.default_v4
+           else Route_filter.prefix_rule (p4 10 0 0 0 8));
+        ]
+    in
+    let st =
+      if Random.State.bool rng then Route_filter.statement ~ingress:allow peer
+      else Route_filter.statement ~egress:allow peer
+    in
+    Rpa.make ~route_filter:[ Route_filter.make [ st ] ] ()
+  in
   let rpas =
     List.filter_map
       (fun (d, rpa) ->
-        match Random.State.int rng 3 with
+        match Random.State.int rng 4 with
         | 0 -> None
         | 1 -> Some (d, rpa)
-        | _ -> Some (d, mnh ()))
+        | 2 -> Some (d, mnh ())
+        | _ -> Some (d, filter d))
       pe.Controller.rpas
   in
   let origins =
@@ -586,7 +619,15 @@ let fm_case (pods, fsws, ssws, grids, ebs, seed) =
         | _ -> [])
     @ [ (List.hd f.Topology.Clos.rsws, p4 10 1 0 0 24, Net.Attr.make ()) ]
   in
-  { fc_graph = g; fc_rpas = rpas; fc_classes = Eq.classes origins }
+  let devices = List.map fst rpas in
+  let subset () = List.filter (fun _ -> Random.State.bool rng) devices in
+  {
+    fc_graph = g;
+    fc_rpas = rpas;
+    fc_origins = origins;
+    fc_classes = Eq.classes origins;
+    fc_states = [ []; devices; subset (); subset () ];
+  }
 
 let fm_case_arb =
   QCheck.make
@@ -599,26 +640,127 @@ let fm_case_arb =
            (triple (int_range 1 2) (int_range 1 3) (int_range 1 2))
            (triple (int_range 1 2) (int_range 1 2) (int_bound 1_000_000))))
 
+(* One frame per case, shared by every class under every deployed subset,
+   as [Phase_verifier.verify] shares it across a plan's states. *)
 let fm_qcheck =
   QCheck.Test.make ~name:"semi-naive compile = naive stepper" ~count:250
     fm_case_arb (fun shape ->
       let c = fm_case shape in
-      let engines_of () =
+      let fr = FM.frame c.fc_graph in
+      let engines_of deployed =
         let tbl = Hashtbl.create 16 in
-        List.iter (fun (d, rpa) -> Hashtbl.replace tbl d (Engine.create rpa)) c.fc_rpas;
+        List.iter
+          (fun (d, rpa) ->
+            if List.mem d deployed then
+              Hashtbl.replace tbl d (Engine.create rpa))
+          c.fc_rpas;
         Hashtbl.find_opt tbl
       in
       List.for_all
-        (fun cls ->
-          let m = FM.compile c.fc_graph ~engine_of:(engines_of ()) ~cls in
-          let final, edges, rounds, converged =
-            naive_compile c.fc_graph ~engine_of:(engines_of ()) ~cls
+        (fun deployed ->
+          List.for_all
+            (fun cls ->
+              let m = FM.compile fr ~engine_of:(engines_of deployed) ~cls in
+              let final, edges, rounds, converged =
+                naive_compile c.fc_graph ~engine_of:(engines_of deployed) ~cls
+              in
+              FM.final m = final
+              && FM.round_edges m = edges
+              && FM.rounds_run m = rounds
+              && FM.converged m = converged)
+            c.fc_classes)
+        c.fc_states)
+
+(* The oracle for the verifier's blackhole evidence: a BFS over
+   [Topology.Graph.neighbors] from the device to the nearest origin. *)
+let neighbors_bfs graph org_set d =
+  if List.mem d org_set then Some [ d ]
+  else begin
+    let parent = Hashtbl.create 32 in
+    Hashtbl.replace parent d d;
+    let q = Queue.create () in
+    Queue.add d q;
+    let found = ref None in
+    while !found = None && not (Queue.is_empty q) do
+      let x = Queue.pop q in
+      List.iter
+        (fun (n, _) ->
+          let nid = n.Topology.Node.id in
+          if (not (Hashtbl.mem parent nid)) && !found = None then begin
+            Hashtbl.replace parent nid x;
+            if List.mem nid org_set then found := Some nid else Queue.add nid q
+          end)
+        (G.neighbors graph x)
+    done;
+    Option.map
+      (fun o ->
+        let rec build acc x =
+          if x = d then d :: acc else build (x :: acc) (Hashtbl.find parent x)
+        in
+        build [] o)
+      !found
+  end
+
+(* Random slices with links down and guards that can never be met (a
+   fractional minimum next hop above 1, not kept warm), so they withdraw
+   and blackhole: every blackhole counterexample the frame's BFS reports
+   is the path the neighbours BFS finds. *)
+let test_blackhole_paths () =
+  let checked = ref 0 and mismatches = ref [] in
+  for seed = 1 to 40 do
+    let c =
+      fm_case (1 + (seed mod 2), 1 + (seed mod 3), 2, 1 + (seed mod 2), 2, seed)
+    in
+    let guard =
+      Apps.Min_next_hop_guard.rpa
+        ~destination:
+          (Destination.Prefixes [ Net.Prefix.default_v4; p4 10 1 0 0 24 ])
+        ~threshold:(Path_selection.Fraction 1.5) ~keep_fib_warm:false
+    in
+    let guarded = List.filteri (fun i _ -> (i + seed) mod 3 = 0) c.fc_rpas in
+    let plan_v =
+      plan ~name:"guards"
+        ~rpas:(List.map (fun (d, _) -> (d, guard)) guarded)
+        ~phases:[ List.map fst guarded ]
+    in
+    let origins =
+      List.map
+        (fun (d, p, a) -> { PV.org_device = d; org_prefix = p; org_attr = a })
+        c.fc_origins
+    in
+    let r = PV.verify ~origins c.fc_graph plan_v in
+    List.iter
+      (fun v ->
+        if v.PV.v_code = D.Blackhole_static then begin
+          incr checked;
+          let org_set =
+            List.filter_map
+              (fun (d, p, _) ->
+                if Net.Prefix.equal p v.PV.v_prefix then Some d else None)
+              c.fc_origins
           in
-          FM.final m = final
-          && FM.round_edges m = edges
-          && FM.rounds_run m = rounds
-          && FM.converged m = converged)
-        c.fc_classes)
+          if neighbors_bfs c.fc_graph org_set v.PV.v_device <> Some v.PV.v_path
+          then
+            mismatches :=
+              Printf.sprintf "seed %d: %s" seed v.PV.v_message :: !mismatches
+        end)
+      r.PV.vr_violations
+  done;
+  check_bool "blackholes were found and compared" true (!checked > 0);
+  Alcotest.(check (list string)) "paths differing from the oracle" [] !mismatches
+
+let test_stale_frame_rejected () =
+  let g = slice_graph () in
+  let fr = FM.frame g in
+  let cls =
+    List.hd (Eq.classes [ (0, Net.Prefix.default_v4, tagged_attr ()) ])
+  in
+  ignore (FM.compile fr ~engine_of:(fun _ -> None) ~cls);
+  Topology.Graph.set_link_up g 2 3 false;
+  Alcotest.check_raises "moved graph"
+    (Invalid_argument
+       "Fwd_model.compile: the graph changed after its frame was built")
+    (fun () -> ignore (FM.compile fr ~engine_of:(fun _ -> None) ~cls))
 
 (* ---------------- wiring ---------------- *)
 
@@ -805,7 +947,12 @@ let () =
       ( "prefix-trie",
         List.map (QCheck_alcotest.to_alcotest ~long:false) trie_qcheck );
       ( "incremental", [ quick "delta-net reuse" test_incremental_reuse ] );
-      ( "fwd-model", [ QCheck_alcotest.to_alcotest ~long:false fm_qcheck ] );
+      ( "fwd-model",
+        [
+          QCheck_alcotest.to_alcotest ~long:false fm_qcheck;
+          quick "blackhole paths = neighbours BFS" test_blackhole_paths;
+          quick "moved graph rejects its frame" test_stale_frame_rejected;
+        ] );
       ( "wiring",
         [
           quick "controller enforce gate" test_controller_enforce_gate;
