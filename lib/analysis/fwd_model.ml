@@ -48,6 +48,7 @@ type frame = {
   fr_peer_layer : int -> Topology.Node.layer option;
   fr_live_peers : (Topology.Node.layer -> int) array;
   fr_imports : (int * int) list array;
+  fr_neighbors : int array array;
   fr_dependents : int list array;
   fr_max_sessions : int array;
 }
@@ -83,6 +84,7 @@ let frame graph =
             List.length (List.filter (Topology.Node.layer_equal layer) layers))
         neighbors;
     fr_imports = imports;
+    fr_neighbors = Array.map (fun l -> Array.of_list (List.map fst l)) imports;
     fr_dependents = dependents;
     fr_max_sessions = max_sessions;
   }
@@ -94,8 +96,7 @@ let index fr d =
     raise Not_found
   else fr.fr_index.(d)
 
-let neighbors fr d =
-  List.map (fun (j, _) -> fr.fr_ids.(j)) fr.fr_imports.(index fr d)
+let neighbor_positions fr i = fr.fr_neighbors.(i)
 
 let has_filter_statements eng =
   List.exists

@@ -45,8 +45,10 @@ type frame
     the [peer_layer] and per-device [live_peers_in_layer] functions of the
     decision ctx, and the unfiltered imports — for each device, every
     up neighbour's position with [max 1 sessions] — with the importer lists
-    and per-exporter session maxima derived from them. It depends on the
-    graph alone, not on the policy state or the class.
+    and per-exporter session maxima derived from them, and the same
+    neighbour positions as one array per device (the verifier's blackhole
+    search walks them). It depends on the graph alone, not on the policy
+    state or the class.
 
     A frame is meant to live for one verification: {!Phase_verifier.verify}
     builds one per call and shares it across every class and state, and
@@ -68,10 +70,11 @@ val index : frame -> int -> int
     callers index their own per-device arrays with it. Raises [Not_found]
     for a device not in the frame. *)
 
-val neighbors : frame -> int -> int list
-(** The device's neighbours over up links, sorted by id: the ids of
-    {!Topology.Graph.neighbors} when the frame was built. Raises
-    [Not_found] for a device not in the frame. *)
+val neighbor_positions : frame -> int -> int array
+(** The positions of the neighbours over up links of the device at
+    position [i], in id order: the neighbours {!Topology.Graph.neighbors}
+    gave when the frame was built. The frame's own array; do not mutate
+    it. *)
 
 type t
 

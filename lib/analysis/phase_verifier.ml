@@ -209,34 +209,49 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
       Iset.empty all_devices
   in
   (* Shortest surviving physical path (over up links) from [d] to any
-     origin of the class — the evidence a blackhole diagnosis needs. *)
+     origin of the class — the evidence a blackhole diagnosis needs. A
+     breadth-first search over frame positions, in the frame's neighbour
+     order. Its work arrays serve every search of this call: a position is
+     visited by the current search when its stamp is the search's. *)
+  let ids = Array.of_list all_devices in
+  let bfs_parent = Array.make n_devices 0
+  and bfs_stamp = Array.make n_devices 0
+  and bfs_queue = Array.make n_devices 0
+  and searches = ref 0 in
   let physical_path org_set d =
     if Iset.mem d org_set then Some [ d ]
     else begin
-      let parent = Hashtbl.create 32 in
-      Hashtbl.replace parent d d;
-      let q = Queue.create () in
-      Queue.add d q;
-      let found = ref None in
-      while !found = None && not (Queue.is_empty q) do
-        let x = Queue.pop q in
-        List.iter
-          (fun nid ->
-            if (not (Hashtbl.mem parent nid)) && !found = None then begin
-              Hashtbl.replace parent nid x;
-              if Iset.mem nid org_set then found := Some nid
-              else Queue.add nid q
-            end)
-          (Fwd_model.neighbors frame x)
+      incr searches;
+      let stamp = !searches in
+      let src = Fwd_model.index frame d in
+      bfs_stamp.(src) <- stamp;
+      bfs_queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 and found = ref (-1) in
+      while !found < 0 && !head < !tail do
+        let x = bfs_queue.(!head) in
+        incr head;
+        let nbrs = Fwd_model.neighbor_positions frame x in
+        let k = ref 0 in
+        while !found < 0 && !k < Array.length nbrs do
+          let j = nbrs.(!k) in
+          incr k;
+          if bfs_stamp.(j) <> stamp then begin
+            bfs_stamp.(j) <- stamp;
+            bfs_parent.(j) <- x;
+            if Iset.mem ids.(j) org_set then found := j
+            else begin
+              bfs_queue.(!tail) <- j;
+              incr tail
+            end
+          end
+        done
       done;
-      Option.map
-        (fun o ->
-          let rec build acc x =
-            if x = d then d :: acc
-            else build (x :: acc) (Hashtbl.find parent x)
-          in
-          build [] o)
-        !found
+      if !found < 0 then None
+      else
+        let rec build acc j =
+          if j = src then d :: acc else build (ids.(j) :: acc) bfs_parent.(j)
+        in
+        Some (build [] !found)
     end
   in
   (* The concrete walk behind a reachability loss: follow the first

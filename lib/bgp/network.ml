@@ -124,34 +124,23 @@ let create ?(seed = 42) ?(config = Speaker.default_config)
     (Some (fun () -> Trace.set_cause t.trace_log (-1)));
   t
 
-(* ---------------- FIB tracking ---------------- *)
+(* ---------------- FIB changes ---------------- *)
 
-let fib_assoc speaker = Speaker.fib speaker
+(* The network reports what its own acts change: an act starts by dropping
+   whatever the speaker recorded since its last report (a caller driving
+   the speaker directly), and ends by logging what the speaker reports. *)
+let begin_act sp = ignore (Speaker.take_fib_changes sp)
 
-let record_fib_diff t device before after =
-  let time = now t in
-  let find prefix l =
-    Option.map snd (List.find_opt (fun (p, _) -> Net.Prefix.equal p prefix) l)
-  in
-  let change prefix state =
-    Obs.Metrics.incr m_fib_changes;
-    Trace.fib_change t.trace_log ~time ~device prefix state
-  in
-  (* Removed or changed entries. Typed comparison: polymorphic [<>] on
-     attribute-bearing state would walk (or miscompare) interned values. *)
-  List.iter
-    (fun (prefix, state_before) ->
-      match find prefix after with
-      | None -> change prefix None
-      | Some state_after ->
-        if not (Speaker.fib_state_equal state_after state_before) then
-          change prefix (Some state_after))
-    before;
-  (* New entries. *)
-  List.iter
-    (fun (prefix, state_after) ->
-      if Option.is_none (find prefix before) then change prefix (Some state_after))
-    after
+let log_fib_changes t device sp =
+  match Speaker.take_fib_changes sp with
+  | [] -> ()
+  | changes ->
+    let time = now t in
+    List.iter
+      (fun (prefix, state) ->
+        Obs.Metrics.incr m_fib_changes;
+        Trace.fib_change t.trace_log ~time ~device prefix state)
+      changes
 
 (* ---------------- Message dispatch ---------------- *)
 
@@ -243,9 +232,9 @@ and deliver t ~src ~dst ~session ~send msg =
         Trace.delivered t.trace_log ~time:(now t) ~src ~dst ~session msg
           ~send;
         changed t;
-        let before = fib_assoc sp in
+        begin_act sp;
         let outbox = Speaker.receive sp (env t) ~peer:src ~session msg in
-        record_fib_diff t dst before (fib_assoc sp);
+        log_fib_changes t dst sp;
         dispatch t dst outbox
     end
     else lost "session-down"
@@ -256,9 +245,9 @@ and deliver t ~src ~dst ~session ~send msg =
 let transition t device f =
   changed t;
   let sp = speaker t device in
-  let before = fib_assoc sp in
+  begin_act sp;
   let outbox = f sp (env t) in
-  record_fib_diff t device before (fib_assoc sp);
+  log_fib_changes t device sp;
   dispatch t device outbox
 
 let schedule ?(delay = 0.0) t f =
@@ -508,7 +497,7 @@ let fault t = t.fault
 let restart_device ?(delay = 0.0) t device ~recovery =
   schedule ~delay t (fun () ->
       let sp = speaker t device in
-      let before = fib_assoc sp in
+      begin_act sp;
       (* The crash itself: no goodbye messages, state just vanishes.
          In-flight messages addressed to the device are discarded on
          arrival because its sessions are marked down. *)
@@ -519,7 +508,7 @@ let restart_device ?(delay = 0.0) t device ~recovery =
          stale marks and sweeps, the eventual recovery resync — parents to
          it. *)
       let rev = Trace.restarted t.trace_log ~time:(now t) ~device in
-      record_fib_diff t device before (fib_assoc sp);
+      log_fib_changes t device sp;
       let incident = Topology.Graph.all_neighbors t.topo device in
       (* Peers detect the dead sessions (holdtime expiry, modeled as
          immediate). Legacy: they flush routes learned from the device.

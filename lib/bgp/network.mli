@@ -30,13 +30,22 @@ val queue : t -> Dsim.Event_queue.t
 val trace : t -> Trace.t
 (** The network's event log: every act below recorded once, with its
     causal DAG when the network was created under
-    {!Trace.with_provenance}. *)
+    {!Trace.with_provenance}.
+
+    Its FIB events come from the speakers' own reports
+    ({!Speaker.take_fib_changes}): after each delivered Update, Withdraw or
+    End-of-RIB, each speaker transition and each {!restart_device} crash,
+    the network logs one {!Trace.Fib_change} per entry the speaker reports,
+    in the report's order. The network reports only changes made by its
+    own acts: whatever a caller did to a speaker directly (see {!speaker})
+    is dropped from the speaker's record when the next act on it starts. *)
 
 val now : t -> float
 
 val speaker : t -> int -> Speaker.t
 (** For inspection. Mutating the speaker directly bypasses the change
-    stamp (see {!stamp}). *)
+    stamp (see {!stamp}), and its FIB changes never reach the event log
+    (see {!trace}). *)
 
 (** {1 Change stamp}
 

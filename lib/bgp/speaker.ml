@@ -85,7 +85,13 @@ type t = {
   (* every peer record, sorted by device id *)
   mutable peer_records : peer array;
   mutable egress_all : Policy.t;
+  (* Written only by [set_fib]. *)
   fib_table : (int, fib_state) Hashtbl.t;
+  (* prefix id -> its FIB state before the first write since the last
+     [take_fib_changes]: what the speaker changed, kept by the one writer
+     instead of diffed from snapshots. [None] while nothing was written, so
+     a speaker at rest holds no table. *)
+  mutable fib_before : (int, fib_state option) Hashtbl.t option;
   mutable graceful_restart : bool;
   (* (prefix id, peer, session) -> time the route was marked stale. A stale
      route stays a forwarding candidate (RFC 4724 receiver side) until it is
@@ -117,6 +123,7 @@ let create ?(config = default_config) ?(hooks = Rib_policy.native) node =
     peer_records = [||];
     egress_all = Policy.empty;
     fib_table = Hashtbl.create 64;
+    fib_before = None;
     graceful_restart = false;
     stale = Hashtbl.create 16;
     fib_stale = Hashtbl.create 8;
@@ -469,6 +476,50 @@ let fan_out_adverts t ctx prefix ~adv ~total_weight =
   in
   from 0
 
+(* ---------------- FIB ---------------- *)
+
+(* The one writer of [fib_table]. The first write to a prefix since the
+   last report keeps the prefix's previous state; later writes find it
+   kept. O(1) per write, so a [mark_all_dirty] transition that rewrites
+   every prefix pays no scan. *)
+let set_fib t p state =
+  let before =
+    match t.fib_before with
+    | Some before -> before
+    | None ->
+      let before = Hashtbl.create 1 in
+      t.fib_before <- Some before;
+      before
+  in
+  if not (Hashtbl.mem before p) then
+    Hashtbl.add before p (Hashtbl.find_opt t.fib_table p);
+  match state with
+  | Some state -> Hashtbl.replace t.fib_table p state
+  | None -> Hashtbl.remove t.fib_table p
+
+let take_fib_changes t =
+  match t.fib_before with
+  | None -> []
+  | Some before ->
+    t.fib_before <- None;
+    (* Removed or changed entries, then new ones: each group by prefix. *)
+    let changed, added =
+      Hashtbl.fold
+        (fun p was (changed, added) ->
+          let after = Hashtbl.find_opt t.fib_table p in
+          match (was, after) with
+          | None, None -> (changed, added)
+          | None, Some _ -> (changed, (p, after) :: added)
+          | Some b, Some a when fib_state_equal a b -> (changed, added)
+          | Some _, (Some _ | None) -> ((p, after) :: changed, added))
+        before ([], [])
+    in
+    let by_prefix l =
+      List.sort (fun (a, _) (b, _) -> pid_compare a b) l
+      |> List.map (fun (p, state) -> (prefix_of p, state))
+    in
+    by_prefix changed @ by_prefix added
+
 (* ---------------- Evaluation ---------------- *)
 
 let total_weight_of_fib = function
@@ -517,15 +568,15 @@ let compute ~commit t env p : desired =
 
 let commit t p desired : outbox =
   (match desired.d_fib with
-   | Some state ->
-     Hashtbl.replace t.fib_table p state;
+   | Some _ as state ->
+     set_fib t p state;
      (* Fresh routing state supersedes any preserved-across-restart entry. *)
      Hashtbl.remove t.fib_stale p
    | None ->
      (* After our own graceful restart the FIB entry outlives its RIBs:
         keep forwarding on the preserved entry until it is either
         re-learned (Some above) or expired by the stale-path sweep. *)
-     if not (Hashtbl.mem t.fib_stale p) then Hashtbl.remove t.fib_table p);
+     if not (Hashtbl.mem t.fib_stale p) then set_fib t p None);
   List.concat_map (fun (r, d) -> advertise_to p r ~desired:d) desired.d_adverts
 
 (* The decision-process instrumentation lives here, on the state-driving
@@ -656,7 +707,7 @@ let originate t env prefix attr =
 let withdraw_origin t env prefix =
   let p = pid prefix in
   Hashtbl.remove t.origin_table p;
-  Hashtbl.remove t.fib_table p;
+  set_fib t p None;
   evaluate_pids t env [ p ]
 
 (* Removes routes from (peer, session) whose stale mark is at or before
@@ -898,7 +949,7 @@ let reset t =
     List.iter (fun p -> Hashtbl.replace t.fib_stale p ()) learned
   else begin
     Hashtbl.reset t.fib_stale;
-    List.iter (Hashtbl.remove t.fib_table) learned
+    List.iter (fun p -> set_fib t p None) learned
   end;
   Array.iter
     (fun r ->

@@ -148,9 +148,32 @@ val set_egress_policy_all : t -> env -> Policy.t -> outbox
 val set_hooks : t -> env -> Rib_policy.hooks -> outbox
 (** Deploying or removing an RPA re-evaluates every prefix. *)
 
+(** {1 FIB changes}
+
+    Every write to the FIB goes through one function of the speaker. The
+    first write to a prefix since the last report keeps that prefix's
+    previous state, so each write costs O(1) with no scan, even when a
+    transition rewrites every prefix. *)
+
+val take_fib_changes : t -> (Net.Prefix.t * fib_state option) list
+(** The FIB entries whose state differs from the last report (or from
+    {!create}), each with its state now ([None] = removed), and clears the
+    record. Order: removed or changed entries by prefix, then new entries
+    by prefix. That is exactly what diffing a {!fib} snapshot taken at the
+    last report against one taken now gives. A prefix written and then
+    restored to its old state does not appear.
+
+    The record is kept until someone asks for it: a speaker driven outside
+    a {!Network} accumulates the changes of every call since the last
+    [take_fib_changes]. *)
+
 (** {1 Inspection} *)
 
 val fib : t -> (Net.Prefix.t * fib_state) list
+(** The whole FIB, sorted by prefix. For inspection only: what a call
+    changed comes from {!take_fib_changes}, not from diffing two of
+    these. *)
+
 val fib_lookup : t -> Net.Prefix.t -> fib_state option
 (** Exact-match lookup. *)
 

@@ -816,6 +816,255 @@ let prop_speaker_matches_model =
       in
       true)
 
+(* ---------------- FIB change reports ----------------
+
+   [take_fib_changes] against the snapshot-and-diff the network ran before
+   speakers reported their own FIB changes: two [fib] snapshots matched
+   entry by entry, removed or changed entries by prefix, then new entries
+   by prefix. The property drives one speaker through random histories
+   (both eval modes, native hooks and RPA engines, restarts with graceful
+   restart on and off) and compares the report with the diff after every
+   call. *)
+
+let snapshot_diff before after =
+  let find prefix l =
+    Option.map snd (List.find_opt (fun (p, _) -> Prefix.equal p prefix) l)
+  in
+  let changed =
+    List.filter_map
+      (fun (prefix, b) ->
+        match find prefix after with
+        | None -> Some (prefix, None)
+        | Some a ->
+          if Bgp.Speaker.fib_state_equal a b then None else Some (prefix, Some a))
+      before
+  in
+  let added =
+    List.filter_map
+      (fun (prefix, a) ->
+        if Option.is_none (find prefix before) then Some (prefix, Some a) else None)
+      after
+  in
+  changed @ added
+
+let same_changes =
+  List.equal (fun (p, a) (q, b) ->
+      Prefix.equal p q && Option.equal Bgp.Speaker.fib_state_equal a b)
+
+let show_changes changes =
+  String.concat ", "
+    (List.map
+       (fun (p, state) ->
+         Prefix.to_string p
+         ^
+         match state with
+         | None -> " removed"
+         | Some Bgp.Speaker.Local -> " local"
+         | Some (Bgp.Speaker.Entries es) ->
+           " via "
+           ^ String.concat "+"
+               (List.map
+                  (fun e ->
+                    Printf.sprintf "%d.%d*%d" e.Bgp.Speaker.next_hop
+                      e.Bgp.Speaker.session e.Bgp.Speaker.weight)
+                  es))
+       changes)
+
+type fc_op =
+  | Fc_update of int * int * int * int * int  (* peer, session, prefix, first asn, lp *)
+  | Fc_withdraw of int * int * int  (* peer, session, prefix *)
+  | Fc_eor of int * int
+  | Fc_session of int * int * bool * bool  (* peer, session, up, stale *)
+  | Fc_sweep of int * int * int  (* peer, session, before *)
+  | Fc_reset of bool  (* graceful restart on *)
+  | Fc_sweep_own
+  | Fc_originate of int  (* prefix *)
+  | Fc_withdraw_origin of int
+  | Fc_hooks of int  (* 0 = native, else an index into [fc_rpas] plus one *)
+  | Fc_ingress of int * int  (* peer, policy *)
+
+let fc_peers = [ 1; 2; 3 ]
+
+let fc_rpas =
+  let module RF = Centralium.Route_filter in
+  let module PS = Centralium.Path_selection in
+  let module RA = Centralium.Route_attribute in
+  let everything = Centralium.Destination.Prefixes [ Prefix.default_v4 ] in
+  let only indices =
+    Centralium.Rpa.make
+      ~route_filter:
+        [
+          RF.make
+            [
+              RF.statement
+                ~ingress:
+                  (RF.Allow_list
+                     (List.map (fun i -> RF.prefix_rule model_prefixes.(i)) indices))
+                RF.any_peer;
+            ];
+        ]
+      ()
+  in
+  [|
+    only [ 0 ];
+    only [ 1; 2 ];
+    (* fewer than two next hops withdraws the route and its entry; paths
+       via AS 90 weigh 3 *)
+    Centralium.Rpa.make
+      ~path_selection:
+        [ PS.make [ PS.statement ~bgp_native_min_next_hop:(PS.Count 2) everything ] ]
+      ~route_attribute:
+        [
+          RA.make
+            [
+              RA.statement everything
+                [
+                  RA.next_hop_weight
+                    (Centralium.Signature.make ~neighbor_asn:(Asn.of_int 90) ())
+                    ~weight:3;
+                ];
+            ];
+        ]
+      ();
+  |]
+
+let show_fc_op = function
+  | Fc_update (p, s, i, a, lp) ->
+    Printf.sprintf "update %d.%d prefix %d asn %d lp %d" p s i a lp
+  | Fc_withdraw (p, s, i) -> Printf.sprintf "withdraw %d.%d prefix %d" p s i
+  | Fc_eor (p, s) -> Printf.sprintf "eor %d.%d" p s
+  | Fc_session (p, s, up, stale) ->
+    Printf.sprintf "session %d.%d %s%s" p s (if up then "up" else "down")
+      (if stale then " stale" else "")
+  | Fc_sweep (p, s, b) -> Printf.sprintf "sweep %d.%d before %d" p s b
+  | Fc_reset gr -> if gr then "reset gr" else "reset"
+  | Fc_sweep_own -> "sweep own stale"
+  | Fc_originate i -> Printf.sprintf "originate prefix %d" i
+  | Fc_withdraw_origin i -> Printf.sprintf "withdraw origin prefix %d" i
+  | Fc_hooks 0 -> "hooks native"
+  | Fc_hooks i -> Printf.sprintf "hooks rpa %d" (i - 1)
+  | Fc_ingress (p, i) -> Printf.sprintf "ingress %d policy %d" p i
+
+(* Every history starts with one call that both removes and adds entries:
+   all three prefixes learned under a filter admitting prefix 0, then a
+   filter admitting the other two. *)
+let fc_prelude =
+  Fc_hooks 1
+  :: List.init 3 (fun i -> Fc_update (1, 0, i, 90, 100))
+  @ [ Fc_hooks 2 ]
+
+let gen_fc_case =
+  let open QCheck.Gen in
+  let peer = oneofl fc_peers and session = int_bound 1 and prefix = int_bound 2 in
+  let op =
+    frequency
+      [
+        ( 8,
+          map3
+            (fun (p, s) i (a, lp) -> Fc_update (p, s, i, a, lp))
+            (pair peer session) prefix
+            (pair (oneofl [ 90; 91; 64517 ]) (oneofl [ 100; 200 ])) );
+        (3, map3 (fun p s i -> Fc_withdraw (p, s, i)) peer session prefix);
+        (1, map2 (fun p s -> Fc_eor (p, s)) peer session);
+        ( 4,
+          map3
+            (fun (p, s) up stale -> Fc_session (p, s, up, stale))
+            (pair peer session) bool bool );
+        (1, map3 (fun p s b -> Fc_sweep (p, s, b)) peer session (int_bound 40));
+        (1, map (fun gr -> Fc_reset gr) bool);
+        (1, return Fc_sweep_own);
+        (1, map (fun i -> Fc_originate i) prefix);
+        (1, map (fun i -> Fc_withdraw_origin i) prefix);
+        (2, map (fun i -> Fc_hooks i) (int_bound (Array.length fc_rpas)));
+        (1, map2 (fun p i -> Fc_ingress (p, i)) peer (int_bound 4));
+      ]
+  in
+  pair bool (map (fun ops -> fc_prelude @ ops) (list_size (int_range 1 40) op))
+
+let apply_fc_op sp hooks ~now op =
+  let env = { env with Bgp.Speaker.now } in
+  match op with
+  | Fc_update (peer, session, i, a, lp) ->
+    Bgp.Speaker.receive sp env ~peer ~session
+      (update ~lp ~asns:[ a; 99 ] model_prefixes.(i))
+  | Fc_withdraw (peer, session, i) ->
+    Bgp.Speaker.receive sp env ~peer ~session
+      (Bgp.Msg.Withdraw { prefix = model_prefixes.(i) })
+  | Fc_eor (peer, session) -> Bgp.Speaker.receive sp env ~peer ~session Bgp.Msg.Eor
+  | Fc_session (peer, session, up, stale) ->
+    Bgp.Speaker.set_session ~stale sp env ~peer ~session ~up
+  | Fc_sweep (peer, session, b) ->
+    Bgp.Speaker.sweep_stale sp env ~peer ~session ~before:(float_of_int b)
+  | Fc_reset gr ->
+    Bgp.Speaker.set_graceful_restart sp gr;
+    Bgp.Speaker.reset sp;
+    []
+  | Fc_sweep_own -> Bgp.Speaker.sweep_own_stale sp env
+  | Fc_originate i -> Bgp.Speaker.originate sp env model_prefixes.(i) (Attr.make ())
+  | Fc_withdraw_origin i -> Bgp.Speaker.withdraw_origin sp env model_prefixes.(i)
+  | Fc_hooks i -> Bgp.Speaker.set_hooks sp env hooks.(i)
+  | Fc_ingress (peer, i) ->
+    Bgp.Speaker.set_ingress_policy sp env ~peer model_policies.(i)
+
+let prop_fib_changes_match_diff =
+  QCheck.Test.make ~name:"fib changes = snapshot diff" ~count:400
+    (QCheck.make gen_fc_case
+       ~shrink:QCheck.Shrink.(pair bool (list ?shrink:None))
+       ~print:(fun (full, ops) ->
+         (if full then "full-table: " else "incremental: ")
+         ^ String.concat "; " (List.map show_fc_op ops)))
+    (fun (full, ops) ->
+      let sp = Bgp.Speaker.create (node 5) in
+      List.iter (fun peer -> Bgp.Speaker.add_peer sp ~peer ~sessions:2) fc_peers;
+      if full then Bgp.Speaker.set_eval_mode sp Bgp.Speaker.Full_table;
+      (* One engine per hook set, as one device would run it. *)
+      let hooks =
+        Array.append [| Bgp.Rib_policy.native |]
+          (Array.map
+             (fun rpa -> Centralium.Engine.hooks (Centralium.Engine.create rpa))
+             fc_rpas)
+      in
+      List.iteri
+        (fun step op ->
+          let before = Bgp.Speaker.fib sp in
+          ignore (apply_fc_op sp hooks ~now:(float_of_int step) op);
+          let want = snapshot_diff before (Bgp.Speaker.fib sp) in
+          let got = Bgp.Speaker.take_fib_changes sp in
+          if not (same_changes want got) then
+            QCheck.Test.fail_reportf "after step %d (%s): reported [%s], diff [%s]"
+              step (show_fc_op op) (show_changes got) (show_changes want))
+        ops;
+      true)
+
+(* A speaker driven on its own keeps its report across calls: changes
+   accumulate until taken, and a prefix restored to its old state drops
+   out. *)
+let test_fib_changes_accumulate () =
+  let sp = speaker 5 [ 1; 2 ] in
+  let p11 = model_prefixes.(1) in
+  ignore (Bgp.Speaker.receive sp env ~peer:1 ~session:0 (update p10));
+  ignore (Bgp.Speaker.receive sp env ~peer:1 ~session:0 (update p11));
+  check_bool "two new entries" true
+    (same_changes
+       [
+         (p10, Some (Bgp.Speaker.Entries [ { next_hop = 1; session = 0; weight = 1 } ]));
+         (p11, Some (Bgp.Speaker.Entries [ { next_hop = 1; session = 0; weight = 1 } ]));
+       ]
+       (Bgp.Speaker.take_fib_changes sp));
+  check_bool "taken" true (Bgp.Speaker.take_fib_changes sp = []);
+  ignore (Bgp.Speaker.receive sp env ~peer:2 ~session:0 (update p10));
+  ignore
+    (Bgp.Speaker.receive sp env ~peer:2 ~session:0 (Bgp.Msg.Withdraw { prefix = p10 }));
+  check_bool "restored prefix not reported" true
+    (Bgp.Speaker.take_fib_changes sp = []);
+  ignore
+    (Bgp.Speaker.receive sp env ~peer:1 ~session:0 (Bgp.Msg.Withdraw { prefix = p11 }));
+  ignore (Bgp.Speaker.originate sp env model_prefixes.(2) (Attr.make ()));
+  check_bool "removal before the new entry" true
+    (same_changes
+       [ (p11, None); (model_prefixes.(2), Some Bgp.Speaker.Local) ]
+       (Bgp.Speaker.take_fib_changes sp))
+
 (* ---------------- longest prefix match ---------------- *)
 
 let test_fib_longest_match () =
@@ -872,6 +1121,11 @@ let () =
       ( "decision",
         [ quick "candidates sorted" test_candidates_sorted_by_peer_session ] );
       ("fib", [ quick "longest match" test_fib_longest_match ]);
+      ( "fib-changes",
+        [
+          quick "report accumulates" test_fib_changes_accumulate;
+          QCheck_alcotest.to_alcotest ~long:false prop_fib_changes_match_diff;
+        ] );
       ( "model",
         [ QCheck_alcotest.to_alcotest ~long:false prop_speaker_matches_model ] );
     ]
