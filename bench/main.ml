@@ -555,6 +555,25 @@ let micro () =
   in
   let db = Centralium.Nsdb.create () in
   let nsdb_counter = ref 0 in
+  (* 256 periodic timers, as the liveness loops keep them: each run pops
+     the earliest, whose thunk reschedules it one period later. *)
+  let timers = Dsim.Event_queue.create () in
+  let rec timer period () =
+    Dsim.Event_queue.schedule timers ~delay:period (timer period)
+  in
+  for i = 0 to 255 do
+    Dsim.Event_queue.schedule timers
+      ~delay:(float_of_int i /. 256.0)
+      (timer (1.0 +. (0.01 *. float_of_int (i mod 7))))
+  done;
+  let fabric = (Topology.Clos.fabric ()).Topology.Clos.graph in
+  let link_ends =
+    Array.of_list
+      (List.map
+         (fun (l : Topology.Graph.link) -> (l.b, l.a))
+         (Topology.Graph.links fabric))
+  in
+  let link_counter = ref 0 in
   let tests =
     [
       Test.make ~name:"table2/rpa-eval-cache-miss"
@@ -570,6 +589,13 @@ let micro () =
              Centralium.Nsdb.set db
                ~path:(Printf.sprintf "devices/%d/rpa" (!nsdb_counter mod 512))
                (Centralium.Nsdb.Int !nsdb_counter)));
+      Test.make ~name:"dsim/event-queue-cycle"
+        (Staged.stage (fun () -> ignore (Dsim.Event_queue.step timers)));
+      Test.make ~name:"topology/find-link"
+        (Staged.stage (fun () ->
+             let a, b = link_ends.(!link_counter mod Array.length link_ends) in
+             incr link_counter;
+             ignore (Topology.Graph.find_link fabric a b)));
     ]
   in
   let ols =

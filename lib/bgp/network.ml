@@ -10,6 +10,13 @@ let m_reconnects = Obs.Metrics.counter "bgp.session.reconnects"
 
 type latency_model = Dsim.Rng.t -> float
 
+module Tbl = Net.Int_table
+module Triple = Net.Int_table.Triple
+
+(* A session channel's last scheduled delivery time (an all-float record,
+   so updating it allocates nothing). *)
+type channel = { mutable last : float }
+
 let default_latency rng = 0.0001 +. Dsim.Rng.exponential rng ~mean:0.001
 
 type t = {
@@ -19,13 +26,16 @@ type t = {
   event_queue : Dsim.Event_queue.t;
   rng : Dsim.Rng.t;
   latency : latency_model;
-  speakers : (int, Speaker.t) Hashtbl.t;
+  (* Keyed by device id. The folds over it sort or are order-free. *)
+  speakers : Speaker.t Tbl.t;
+  (* what a speaker's env reports for a device's layer, built once *)
+  peer_layer : int -> Topology.Node.layer option;
   (* (src, dst, session) -> last scheduled delivery time, for FIFO order *)
-  channels : (int * int * int, float ref) Hashtbl.t;
+  channels : channel Triple.t;
   (* (min end, max end, session) -> incarnation of the underlying transport
      connection. A session going down at either end kills the connection,
      and with it every message still in flight — in both directions. *)
-  epochs : (int * int * int, int) Hashtbl.t;
+  epochs : int Triple.t;
   trace_log : Trace.t;
   mutable fault : Dsim.Fault.t option;
   (* Session liveness (keepalive/hold/reconnect timers), opt-in via
@@ -36,7 +46,7 @@ type t = {
   mutable liveness_until : float;
   (* (device, peer, session) -> last time the device heard anything —
      keepalive or routing message — from the peer over the session. *)
-  last_heard : (int * int * int, float) Hashtbl.t;
+  last_heard : float Triple.t;
 }
 
 (* What a judge of the network's state reads: the speakers (through the
@@ -66,20 +76,12 @@ let stamp_equal a b =
 let changed t = t.generation <- t.generation + 1
 
 let speaker t device =
-  match Hashtbl.find_opt t.speakers device with
+  match Tbl.find_opt t.speakers device with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Network.speaker: unknown device %d" device)
 
 let env t : Speaker.env =
-  {
-    Speaker.now = now t;
-    peer_layer =
-      (fun peer ->
-        Option.map
-          (fun n -> n.Topology.Node.layer)
-          (Topology.Graph.node_opt t.topo peer));
-    log = t.trace_log;
-  }
+  { Speaker.now = now t; peer_layer = t.peer_layer; log = t.trace_log }
 
 let networks_created = ref 0
 
@@ -94,19 +96,24 @@ let create ?(seed = 42) ?(config = Speaker.default_config)
       event_queue = Dsim.Event_queue.create ();
       rng = Dsim.Rng.create seed;
       latency;
-      speakers = Hashtbl.create 64;
-      channels = Hashtbl.create 256;
-      epochs = Hashtbl.create 256;
+      speakers = Tbl.create 64;
+      peer_layer =
+        (fun peer ->
+          Option.map
+            (fun n -> n.Topology.Node.layer)
+            (Topology.Graph.node_opt topo peer));
+      channels = Triple.create 256;
+      epochs = Triple.create 256;
       trace_log = Trace.create ();
       fault = None;
       liveness = None;
       liveness_until = 0.0;
-      last_heard = Hashtbl.create 256;
+      last_heard = Triple.create 256;
     }
   in
   List.iter
     (fun node ->
-      Hashtbl.replace t.speakers node.Topology.Node.id
+      Tbl.replace t.speakers node.Topology.Node.id
         (Speaker.create ~config node))
     (Topology.Graph.nodes topo);
   List.iter
@@ -145,12 +152,12 @@ let log_fib_changes t device sp =
 (* ---------------- Message dispatch ---------------- *)
 
 let channel t key =
-  match Hashtbl.find_opt t.channels key with
-  | Some r -> r
+  match Triple.find_opt t.channels key with
+  | Some c -> c
   | None ->
-    let r = ref 0.0 in
-    Hashtbl.replace t.channels key r;
-    r
+    let c = { last = 0.0 } in
+    Triple.replace t.channels key c;
+    c
 
 let session_alive t src dst =
   match Topology.Graph.find_link t.topo src dst with
@@ -161,7 +168,7 @@ let session_alive t src dst =
 let conn_key a b session = if a < b then (a, b, session) else (b, a, session)
 
 let connection_epoch t a b session =
-  Option.value (Hashtbl.find_opt t.epochs (conn_key a b session)) ~default:0
+  Option.value (Triple.find_opt t.epochs (conn_key a b session)) ~default:0
 
 (* Invalidates every message currently in flight on the session, both
    directions: the TCP connection died with the session. A delayed message
@@ -169,7 +176,7 @@ let connection_epoch t a b session =
    re-established one — it would resurrect state the sender has since
    withdrawn, with no correction ever coming. *)
 let close_connection t a b session =
-  Hashtbl.replace t.epochs (conn_key a b session)
+  Triple.replace t.epochs (conn_key a b session)
     (connection_epoch t a b session + 1)
 
 let rec send_one t src (dst, session, msg) =
@@ -194,9 +201,9 @@ let rec send_one t src (dst, session, msg) =
       if fate.Dsim.Fault.reorder then
         (* Allowed to overtake earlier in-flight messages. *)
         arrival
-      else Float.max arrival (!chan +. 1e-9) (* FIFO within a session *)
+      else Float.max arrival (chan.last +. 1e-9) (* FIFO within a session *)
     in
-    chan := Float.max !chan delivery;
+    chan.last <- Float.max chan.last delivery;
     let send =
       Trace.sent t.trace_log ~time:(now t) ~src ~dst ~session msg ~prop:delay
         ~queue:(delivery -. arrival) ~fault:fate.Dsim.Fault.extra_delay
@@ -225,7 +232,7 @@ and deliver t ~src ~dst ~session ~send msg =
     if Speaker.session_up sp ~peer:src ~session then begin
       (* Anything heard from the peer proves the transport alive. *)
       if t.liveness <> None then
-        Hashtbl.replace t.last_heard (dst, src, session) (now t);
+        Triple.replace t.last_heard (dst, src, session) (now t);
       match msg with
       | Msg.Keepalive -> () (* liveness proof only; no RIB work *)
       | Msg.Update _ | Msg.Withdraw _ | Msg.Eor ->
@@ -255,14 +262,14 @@ let schedule ?(delay = 0.0) t f =
 
 let set_eval_mode t mode =
   changed t;
-  Hashtbl.iter (fun _ sp -> Speaker.set_eval_mode sp mode) t.speakers
+  Tbl.iter (fun _ sp -> Speaker.set_eval_mode sp mode) t.speakers
 
 (* ---------------- Session liveness ---------------- *)
 
 let liveness t = t.liveness
 
 let heard t device ~peer ~session =
-  Hashtbl.replace t.last_heard (device, peer, session) (now t)
+  Triple.replace t.last_heard (device, peer, session) (now t)
 
 (* Takes the session down at [device] with graceful-restart semantics when
    enabled (routes marked stale, sweep bounded by the stale-path timer)
@@ -352,15 +359,15 @@ let enable_liveness ?(config = Liveness.default) ~until t =
   t.liveness <- Some config;
   t.liveness_until <- until;
   if config.Liveness.graceful_restart then
-    Hashtbl.iter (fun _ sp -> Speaker.set_graceful_restart sp true) t.speakers;
+    Tbl.iter (fun _ sp -> Speaker.set_graceful_restart sp true) t.speakers;
   let start = now t in
   let links = Topology.Graph.links t.topo in
   (* Everyone has just been heard: the hold clock starts now. *)
   List.iter
     (fun (link : Topology.Graph.link) ->
       for session = 0 to link.Topology.Graph.sessions - 1 do
-        Hashtbl.replace t.last_heard (link.a, link.b, session) start;
-        Hashtbl.replace t.last_heard (link.b, link.a, session) start
+        Triple.replace t.last_heard (link.a, link.b, session) start;
+        Triple.replace t.last_heard (link.b, link.a, session) start
       done)
     links;
   let reschedule time f =
@@ -388,7 +395,7 @@ let enable_liveness ?(config = Liveness.default) ~until t =
     then
       let last =
         Option.value
-          (Hashtbl.find_opt t.last_heard (device, peer, session))
+          (Triple.find_opt t.last_heard (device, peer, session))
           ~default:start
       in
       if now t -. last > config.Liveness.hold_time then begin
@@ -598,7 +605,7 @@ let run_until t ~time = Dsim.Event_queue.run_until t.event_queue ~time
 let fib t device prefix = Speaker.fib_lookup (speaker t device) prefix
 
 let fib_snapshot t prefix =
-  Hashtbl.fold
+  Tbl.fold
     (fun device sp acc ->
       match Speaker.fib_lookup sp prefix with
       | Some state -> (device, state) :: acc
@@ -608,7 +615,7 @@ let fib_snapshot t prefix =
 
 let known_prefixes t =
   let set = Hashtbl.create 64 in
-  Hashtbl.iter
+  Tbl.iter
     (fun _ sp ->
       List.iter (fun p -> Hashtbl.replace set p ()) (Speaker.known_prefixes sp))
     t.speakers;

@@ -40,6 +40,12 @@ let prefix_of = Net.Intern.Prefix_id.value
 let pid_compare a b = Net.Prefix.compare (prefix_of a) (prefix_of b)
 let sort_pids pids = List.sort pid_compare pids
 
+(* Every table below is keyed by prefix id (or by (prefix id, peer,
+   session)). Their folds sort what they return or are order-free, so the
+   tables' bucket order never reaches a decision, a message or a report. *)
+module Tbl = Net.Int_table
+module Triple = Net.Int_table.Triple
+
 (* Everything the speaker keeps per peer device, in one record. A record is
    created the first time a device is seen — by [add_peer], [set_session],
    a policy, or a route received from it — and never removed, so Adj-RIB-In
@@ -61,7 +67,7 @@ type peer = {
      decision-input change re-derives the affected entries, so the table is
      always current and a session (re-)establishment can resend it
      directly. *)
-  rib_out : (int, Net.Attr.t) Hashtbl.t;
+  rib_out : Net.Attr.t Tbl.t;
 }
 
 (* One prefix's Adj-RIB-In: raw received attributes in the first [len] slots
@@ -80,35 +86,38 @@ type t = {
   mutable hooks : Rib_policy.hooks;
   (* prefix id -> Adj-RIB-In. A prefix whose routes are all gone keeps its
      (empty) entry: it is still a known prefix. *)
-  rib_in : (int, rib) Hashtbl.t;
-  origin_table : (int, Net.Attr.t) Hashtbl.t;
+  rib_in : rib Tbl.t;
+  (* Created on first write, like the graceful-restart tables below: off
+     the origin layer it stays empty, and an empty table still holds 16
+     buckets. *)
+  mutable origin_table : Net.Attr.t Tbl.t option;
   (* every peer record, sorted by device id *)
   mutable peer_records : peer array;
   mutable egress_all : Policy.t;
   (* Written only by [set_fib]. *)
-  fib_table : (int, fib_state) Hashtbl.t;
+  fib_table : fib_state Tbl.t;
   (* prefix id -> its FIB state before the first write since the last
      [take_fib_changes]: what the speaker changed, kept by the one writer
      instead of diffed from snapshots. [None] while nothing was written, so
      a speaker at rest holds no table. *)
-  mutable fib_before : (int, fib_state option) Hashtbl.t option;
+  mutable fib_before : fib_state option Tbl.t option;
   mutable graceful_restart : bool;
   (* (prefix id, peer, session) -> time the route was marked stale. A stale
      route stays a forwarding candidate (RFC 4724 receiver side) until it is
      refreshed by an Update, swept by an End-of-RIB, or expired by the
      stale-path timer. Every mark belongs to a route in the Adj-RIB-In. *)
-  stale : (int * int * int, float) Hashtbl.t;
+  mutable stale : float Triple.t option;
   (* Learned FIB prefixes preserved across our own restart (restarting
      speaker side of graceful restart): forwarding state survives the crash
      even though the RIBs that justified it are gone, until re-learned or
      swept. *)
-  fib_stale : (int, unit) Hashtbl.t;
+  mutable fib_stale : unit Tbl.t option;
   mutable mode : eval_mode;
   (* Prefix ids whose decision inputs changed since the last drain. Batch
      transitions drain this set instead of re-deciding the whole table;
      Full_table mode ignores it and re-decides everything (the debug
      oracle both modes must agree with bit-for-bit). *)
-  dirty : (int, unit) Hashtbl.t;
+  dirty : unit Tbl.t;
 }
 
 type outbox = (int * int * Msg.t) list
@@ -118,18 +127,70 @@ let create ?(config = default_config) ?(hooks = Rib_policy.native) node =
     node;
     config;
     hooks;
-    rib_in = Hashtbl.create 64;
-    origin_table = Hashtbl.create 8;
+    rib_in = Tbl.create 64;
+    origin_table = None;
     peer_records = [||];
     egress_all = Policy.empty;
-    fib_table = Hashtbl.create 64;
+    fib_table = Tbl.create 64;
     fib_before = None;
     graceful_restart = false;
-    stale = Hashtbl.create 16;
-    fib_stale = Hashtbl.create 8;
+    stale = None;
+    fib_stale = None;
     mode = Incremental;
-    dirty = Hashtbl.create 16;
+    dirty = Tbl.create 16;
   }
+
+(* ---------------- Tables created on first write ---------------- *)
+
+let origin_of t p =
+  match t.origin_table with None -> None | Some o -> Tbl.find_opt o p
+
+let origins t =
+  match t.origin_table with
+  | Some o -> o
+  | None ->
+    let o = Tbl.create 8 in
+    t.origin_table <- Some o;
+    o
+
+let iter_origins f t = Option.iter (Tbl.iter f) t.origin_table
+
+let fib_stale_mem t p =
+  match t.fib_stale with None -> false | Some s -> Tbl.mem s p
+
+let fib_stale_table t =
+  match t.fib_stale with
+  | Some s -> s
+  | None ->
+    let s = Tbl.create 8 in
+    t.fib_stale <- Some s;
+    s
+
+let fib_stale_pids t =
+  match t.fib_stale with
+  | None -> []
+  | Some s -> Tbl.fold (fun p () acc -> p :: acc) s [] |> sort_pids
+
+let stale_marks t =
+  match t.stale with
+  | Some marks -> marks
+  | None ->
+    let marks = Triple.create 16 in
+    t.stale <- Some marks;
+    marks
+
+(* Nothing is stale almost always: no key is built then. *)
+let has_stale_mark t p ~peer ~session =
+  match t.stale with
+  | Some marks when Triple.length marks > 0 ->
+    Triple.mem marks (p, peer, session)
+  | Some _ | None -> false
+
+let clear_stale_mark t p ~peer ~session =
+  match t.stale with
+  | Some marks when Triple.length marks > 0 ->
+    Triple.remove marks (p, peer, session)
+  | Some _ | None -> ()
 
 let set_graceful_restart t enabled = t.graceful_restart <- enabled
 let graceful_restart t = t.graceful_restart
@@ -175,7 +236,7 @@ let peer_record t device =
         up = [];
         ingress = None;
         egress = Policy.empty;
-        rib_out = Hashtbl.create 16;
+        rib_out = Tbl.create 16;
       }
     in
     t.peer_records <-
@@ -298,7 +359,7 @@ let rib_remove rib i =
 (* Removes the route from (device, session) if present; says whether it
    was. *)
 let rib_delete t p ~peer ~session =
-  match Hashtbl.find_opt t.rib_in p with
+  match Tbl.find_opt t.rib_in p with
   | None -> false
   | Some rib ->
     let i = rib_find rib peer session in
@@ -306,22 +367,19 @@ let rib_delete t p ~peer ~session =
     i >= 0
 
 let raw_routes t prefix =
-  match Hashtbl.find_opt t.rib_in (pid prefix) with
+  match Tbl.find_opt t.rib_in (pid prefix) with
   | None -> []
   | Some rib ->
     List.init rib.len (fun i -> (rib.from.(i).device, rib.sess.(i), rib.attrs.(i)))
 
-(* Stale probes cost a tuple hash; nothing is stale almost always. *)
-let has_stale_mark t key = Hashtbl.length t.stale > 0 && Hashtbl.mem t.stale key
-
-let is_stale t prefix ~peer ~session = has_stale_mark t (pid prefix, peer, session)
+let is_stale t prefix ~peer ~session = has_stale_mark t (pid prefix) ~peer ~session
 
 (* ---------------- Candidate gathering ---------------- *)
 
 let ingress_of r = Option.value r.ingress ~default:Policy.empty
 
 let post_policy_candidates t (ctx : Rib_policy.ctx) p ~use_hooks =
-  match Hashtbl.find_opt t.rib_in p with
+  match Tbl.find_opt t.rib_in p with
   | None -> []
   | Some rib ->
     let prefix = ctx.Rib_policy.prefix in
@@ -339,7 +397,7 @@ let post_policy_candidates t (ctx : Rib_policy.ctx) p ~use_hooks =
              while its session is down: the whole point of RFC 4724 is to
              keep forwarding on last-known-good state until resync or
              sweep. *)
-          if (not (is_up r session)) && not (has_stale_mark t (p, peer, session))
+          if (not (is_up r session)) && not (has_stale_mark t p ~peer ~session)
           then None
           else if Net.As_path.mem own_asn raw_attr.Net.Attr.as_path then
             None (* standard AS-path loop prevention *)
@@ -407,7 +465,7 @@ let prepare_advert t attr ~total_weight =
 (* Computes the desired advertisement toward [r] and emits messages if it
    differs from what was last sent. *)
 let advertise_to p r ~desired : outbox =
-  let previous = Hashtbl.find_opt r.rib_out p in
+  let previous = Tbl.find_opt r.rib_out p in
   let changed =
     match (previous, desired) with
     | None, None -> false
@@ -417,8 +475,8 @@ let advertise_to p r ~desired : outbox =
   if not changed then []
   else begin
     (match desired with
-     | Some attr -> Hashtbl.replace r.rib_out p attr
-     | None -> Hashtbl.remove r.rib_out p);
+     | Some attr -> Tbl.replace r.rib_out p attr
+     | None -> Tbl.remove r.rib_out p);
     let msg =
       match desired with
       | Some attr ->
@@ -487,15 +545,15 @@ let set_fib t p state =
     match t.fib_before with
     | Some before -> before
     | None ->
-      let before = Hashtbl.create 1 in
+      let before = Tbl.create 1 in
       t.fib_before <- Some before;
       before
   in
-  if not (Hashtbl.mem before p) then
-    Hashtbl.add before p (Hashtbl.find_opt t.fib_table p);
+  if not (Tbl.mem before p) then
+    Tbl.add before p (Tbl.find_opt t.fib_table p);
   match state with
-  | Some state -> Hashtbl.replace t.fib_table p state
-  | None -> Hashtbl.remove t.fib_table p
+  | Some state -> Tbl.replace t.fib_table p state
+  | None -> Tbl.remove t.fib_table p
 
 let take_fib_changes t =
   match t.fib_before with
@@ -504,9 +562,9 @@ let take_fib_changes t =
     t.fib_before <- None;
     (* Removed or changed entries, then new ones: each group by prefix. *)
     let changed, added =
-      Hashtbl.fold
+      Tbl.fold
         (fun p was (changed, added) ->
-          let after = Hashtbl.find_opt t.fib_table p in
+          let after = Tbl.find_opt t.fib_table p in
           match (was, after) with
           | None, None -> (changed, added)
           | None, Some _ -> (changed, (p, after) :: added)
@@ -540,7 +598,7 @@ type desired = {
 let compute ~commit t env p : desired =
   let prefix = prefix_of p in
   let ctx = make_ctx ~commit t env prefix in
-  match Hashtbl.find_opt t.origin_table p with
+  match origin_of t p with
   | Some origin_attr ->
     (* Locally originated: FIB is Local; advertise to every peer. *)
     let self_path = Path.make ~peer:(id t) ~session:(-1) ~attr:origin_attr in
@@ -571,12 +629,12 @@ let commit t p desired : outbox =
    | Some _ as state ->
      set_fib t p state;
      (* Fresh routing state supersedes any preserved-across-restart entry. *)
-     Hashtbl.remove t.fib_stale p
+     Option.iter (fun s -> Tbl.remove s p) t.fib_stale
    | None ->
      (* After our own graceful restart the FIB entry outlives its RIBs:
         keep forwarding on the preserved entry until it is either
         re-learned (Some above) or expired by the stale-path sweep. *)
-     if not (Hashtbl.mem t.fib_stale p) then set_fib t p None);
+     if not (fib_stale_mem t p) then set_fib t p None);
   List.concat_map (fun (r, d) -> advertise_to p r ~desired:d) desired.d_adverts
 
 (* The decision-process instrumentation lives here, on the state-driving
@@ -594,27 +652,27 @@ let evaluate t env p : outbox =
   @@ fun () -> commit t p (compute ~commit:true t env p)
 
 let known_pids t =
-  let set = Hashtbl.create 64 in
-  Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) t.rib_in;
-  Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) t.origin_table;
-  Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) t.fib_table;
+  let set = Tbl.create 64 in
+  Tbl.iter (fun p _ -> Tbl.replace set p ()) t.rib_in;
+  iter_origins (fun p _ -> Tbl.replace set p ()) t;
+  Tbl.iter (fun p _ -> Tbl.replace set p ()) t.fib_table;
   Array.iter
-    (fun r -> Hashtbl.iter (fun p _ -> Hashtbl.replace set p ()) r.rib_out)
+    (fun r -> Tbl.iter (fun p _ -> Tbl.replace set p ()) r.rib_out)
     t.peer_records;
-  Hashtbl.fold (fun p () acc -> p :: acc) set [] |> sort_pids
+  Tbl.fold (fun p () acc -> p :: acc) set [] |> sort_pids
 
 let known_prefixes t = List.map prefix_of (known_pids t)
 
 (* ---------------- Dirty-set bookkeeping ---------------- *)
 
-let mark_dirty t p = Hashtbl.replace t.dirty p ()
+let mark_dirty t p = Tbl.replace t.dirty p ()
 
 let mark_all_dirty t =
-  Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) t.rib_in;
-  Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) t.origin_table;
-  Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) t.fib_table;
+  Tbl.iter (fun p _ -> Tbl.replace t.dirty p ()) t.rib_in;
+  iter_origins (fun p _ -> Tbl.replace t.dirty p ()) t;
+  Tbl.iter (fun p _ -> Tbl.replace t.dirty p ()) t.fib_table;
   Array.iter
-    (fun r -> Hashtbl.iter (fun p _ -> Hashtbl.replace t.dirty p ()) r.rib_out)
+    (fun r -> Tbl.iter (fun p _ -> Tbl.replace t.dirty p ()) r.rib_out)
     t.peer_records
 
 (* Non-native hooks get a context whose answers (time, live peers per
@@ -626,10 +684,10 @@ let batch_invalidate t =
   if not (Rib_policy.is_native t.hooks) then mark_all_dirty t
 
 let drain_dirty t env : outbox =
-  if Hashtbl.length t.dirty = 0 then []
+  if Tbl.length t.dirty = 0 then []
   else begin
-    let pids = Hashtbl.fold (fun p () acc -> p :: acc) t.dirty [] |> sort_pids in
-    Hashtbl.reset t.dirty;
+    let pids = Tbl.fold (fun p () acc -> p :: acc) t.dirty [] |> sort_pids in
+    Tbl.reset t.dirty;
     List.concat_map (evaluate t env) pids
   end
 
@@ -642,7 +700,7 @@ let evaluate_batch t env : outbox =
   match t.mode with
   | Incremental -> drain_dirty t env
   | Full_table ->
-    Hashtbl.reset t.dirty;
+    Tbl.reset t.dirty;
     List.concat_map (evaluate t env) (known_pids t)
 
 (* A per-prefix transition: the mutated prefix is the only dirty one. *)
@@ -667,12 +725,12 @@ let divergences t env =
     (fun p ->
       let d = compute ~commit:false t env p in
       let fib_ok =
-        match (d.d_fib, Hashtbl.find_opt t.fib_table p) with
+        match (d.d_fib, Tbl.find_opt t.fib_table p) with
         | None, None -> true
         | Some a, Some b -> fib_state_equal a b
         (* A FIB entry preserved across our own graceful restart is
            deliberately not derivable from the (empty) RIBs yet. *)
-        | None, Some _ -> Hashtbl.mem t.fib_stale p
+        | None, Some _ -> fib_stale_mem t p
         | Some _, None -> false
       in
       let prefix = prefix_of p in
@@ -685,7 +743,7 @@ let divergences t env =
             if r.up = [] then None
             else
               let ok =
-                match (Hashtbl.find_opt r.rib_out p, want) with
+                match (Tbl.find_opt r.rib_out p, want) with
                 | None, None -> true
                 | Some a, Some b -> Net.Attr.equal a b
                 | None, Some _ | Some _, None -> false
@@ -701,12 +759,12 @@ let divergences t env =
 
 let originate t env prefix attr =
   let p = pid prefix in
-  Hashtbl.replace t.origin_table p (Net.Attr.intern attr);
+  Tbl.replace (origins t) p (Net.Attr.intern attr);
   evaluate_pids t env [ p ]
 
 let withdraw_origin t env prefix =
   let p = pid prefix in
-  Hashtbl.remove t.origin_table p;
+  Option.iter (fun o -> Tbl.remove o p) t.origin_table;
   set_fib t p None;
   evaluate_pids t env [ p ]
 
@@ -717,16 +775,19 @@ let withdraw_origin t env prefix =
    session loss that scheduled it, not routes re-marked by a later flap. *)
 let sweep_stale t env ~peer ~session ~before : outbox =
   let victims =
-    Hashtbl.fold
-      (fun (p, pr, s) marked_at acc ->
-        if pr = peer && s = session && marked_at <= before then p :: acc
-        else acc)
-      t.stale []
-    |> List.sort_uniq pid_compare
+    match t.stale with
+    | None -> []
+    | Some marks ->
+      Triple.fold
+        (fun (p, pr, s) marked_at acc ->
+          if pr = peer && s = session && marked_at <= before then p :: acc
+          else acc)
+        marks []
+      |> List.sort_uniq pid_compare
   in
   List.iter
     (fun p ->
-      Hashtbl.remove t.stale (p, peer, session);
+      clear_stale_mark t p ~peer ~session;
       Obs.Metrics.incr m_stale_swept;
       ignore (rib_delete t p ~peer ~session))
     victims;
@@ -746,11 +807,11 @@ let sweep_stale t env ~peer ~session ~before : outbox =
    adverts derived from the origin attributes) never read the Adj-RIB-In,
    so learned-route churn on it cannot change anything. *)
 let origin_shadows t p =
-  Rib_policy.is_native t.hooks && Hashtbl.mem t.origin_table p
+  Rib_policy.is_native t.hooks && Option.is_some (origin_of t p)
 
 let selected_entries t p =
-  match Hashtbl.find_opt t.fib_table p with
-  | Some (Entries entries) when not (Hashtbl.mem t.fib_stale p) -> Some entries
+  match Tbl.find_opt t.fib_table p with
+  | Some (Entries entries) when not (fib_stale_mem t p) -> Some entries
   | Some (Entries _ | Local) | None -> None
 
 let in_selection entries ~peer ~session =
@@ -802,11 +863,11 @@ let withdraw_cannot_affect t p ~peer ~session =
   origin_shadows t p
   || (Rib_policy.is_native t.hooks
      &&
-     match Hashtbl.find_opt t.fib_table p with
+     match Tbl.find_opt t.fib_table p with
      | None -> true
      | Some Local -> false (* unreachable without an origin entry; decide *)
      | Some (Entries entries) ->
-       (not (Hashtbl.mem t.fib_stale p))
+       (not (fib_stale_mem t p))
        && not (in_selection entries ~peer ~session))
 
 let receive t env ~peer ~session msg =
@@ -822,11 +883,11 @@ let receive t env ~peer ~session msg =
     let attr = Net.Attr.intern attr in
     let r = peer_record t peer in
     let rib =
-      match Hashtbl.find_opt t.rib_in p with
+      match Tbl.find_opt t.rib_in p with
       | Some rib -> rib
       | None ->
         let rib = empty_rib () in
-        Hashtbl.replace t.rib_in p rib;
+        Tbl.replace t.rib_in p rib;
         rib
     in
     (* Two skip proofs, both Incremental-only (the oracle re-decides):
@@ -840,7 +901,6 @@ let receive t env ~peer ~session msg =
        - changed attributes that provably cannot displace the current
          selection ([update_cannot_affect]). Only consulted with the
          session up — down-session refreshes interact with staleness. *)
-    let key = (p, peer, session) in
     let i = rib_index rib peer session in
     let present = i < rib.len && rib.from.(i) == r && rib.sess.(i) = session in
     let skip =
@@ -848,18 +908,17 @@ let receive t env ~peer ~session msg =
       && Rib_policy.is_native t.hooks
       &&
       if present && Net.Attr.equal rib.attrs.(i) attr then
-        is_up r session || not (has_stale_mark t key)
+        is_up r session || not (has_stale_mark t p ~peer ~session)
       else is_up r session && update_cannot_affect t rib p r ~session attr
     in
     if present then rib.attrs.(i) <- attr else rib_insert rib i r session attr;
-    if Hashtbl.length t.stale > 0 then Hashtbl.remove t.stale key;
+    clear_stale_mark t p ~peer ~session;
     if skip then [] else evaluate_pids t env [ p ]
   | Msg.Withdraw { prefix } ->
     let p = pid prefix in
     let had_route = rib_delete t p ~peer ~session in
-    let key = (p, peer, session) in
-    let had_mark = has_stale_mark t key in
-    if had_mark then Hashtbl.remove t.stale key;
+    let had_mark = has_stale_mark t p ~peer ~session in
+    if had_mark then clear_stale_mark t p ~peer ~session;
     let skip =
       t.mode = Incremental
       && (((not had_route) && not had_mark)
@@ -887,22 +946,22 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
            only collects marks from this loss). The candidate set is
            unchanged — stale routes select exactly as live ones — so no
            native decision can change and nothing needs to go dirty. *)
-        Hashtbl.iter
+        Tbl.iter
           (fun p rib ->
             if rib_find rib peer session >= 0 then begin
-              Hashtbl.replace t.stale (p, peer, session) env.now;
+              Triple.replace (stale_marks t) (p, peer, session) env.now;
               Obs.Metrics.incr m_stale_marked
             end)
           t.rib_in
       else
         (* Hard session reset flushes routes learned over it; each flushed
            prefix must be re-decided. *)
-        Hashtbl.iter
+        Tbl.iter
           (fun p rib ->
             let i = rib_find rib peer session in
             if i >= 0 then begin
               rib_remove rib i;
-              Hashtbl.remove t.stale (p, peer, session);
+              clear_stale_mark t p ~peer ~session;
               mark_dirty t p
             end)
           t.rib_in
@@ -915,7 +974,7 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
       (* Refresh: resend the mirrored Adj-RIB-Out over the new session, in
          canonical prefix order (the mirror is current — see [rib_out]). *)
       let resend =
-        Hashtbl.fold (fun p attr acc -> (p, attr) :: acc) r.rib_out []
+        Tbl.fold (fun p attr acc -> (p, attr) :: acc) r.rib_out []
         |> List.sort (fun (a, _) (b, _) -> pid_compare a b)
         |> List.map (fun (p, attr) ->
                (peer, session, Msg.Update { prefix = prefix_of p; attr }))
@@ -931,13 +990,13 @@ let set_session ?(stale = false) t env ~peer ~session ~up =
   end
 
 let reset t =
-  Hashtbl.reset t.rib_in;
-  Hashtbl.reset t.stale;
-  Hashtbl.reset t.dirty;
+  Tbl.reset t.rib_in;
+  t.stale <- None;
+  Tbl.reset t.dirty;
   (* Locally originated prefixes are configuration, not learned state; they
      survive the crash (and are re-advertised once sessions come back). *)
   let learned =
-    Hashtbl.fold
+    Tbl.fold
       (fun p state acc ->
         match state with Local -> acc | Entries _ -> p :: acc)
       t.fib_table []
@@ -946,14 +1005,14 @@ let reset t =
     (* Restarting-speaker side of RFC 4724: the forwarding plane is
        preserved across the control-plane restart. Learned entries stay
        installed, marked stale until re-derived from fresh RIBs or swept. *)
-    List.iter (fun p -> Hashtbl.replace t.fib_stale p ()) learned
+    List.iter (fun p -> Tbl.replace (fib_stale_table t) p ()) learned
   else begin
-    Hashtbl.reset t.fib_stale;
+    t.fib_stale <- None;
     List.iter (fun p -> set_fib t p None) learned
   end;
   Array.iter
     (fun r ->
-      Hashtbl.reset r.rib_out;
+      Tbl.reset r.rib_out;
       Array.fill r.state 0 (Array.length r.state) false;
       r.up <- [])
     t.peer_records;
@@ -965,10 +1024,8 @@ let reset t =
 (* Expires FIB entries preserved across our own restart that were never
    re-learned (stale-path timer on the restarting speaker). *)
 let sweep_own_stale t env : outbox =
-  let victims =
-    Hashtbl.fold (fun p () acc -> p :: acc) t.fib_stale [] |> sort_pids
-  in
-  Hashtbl.reset t.fib_stale;
+  let victims = fib_stale_pids t in
+  t.fib_stale <- None;
   List.iter (fun _ -> Obs.Metrics.incr m_stale_swept) victims;
   evaluate_pids t env victims
 
@@ -976,7 +1033,7 @@ let set_ingress_policy t env ~peer policy =
   (peer_record t peer).ingress <- Some policy;
   (* Only routes learned from [peer] pass through this policy: prefixes
      without an Adj-RIB-In entry from it cannot change. *)
-  Hashtbl.iter (fun p rib -> if rib_has_peer rib peer then mark_dirty t p) t.rib_in;
+  Tbl.iter (fun p rib -> if rib_has_peer rib peer then mark_dirty t p) t.rib_in;
   batch_invalidate t;
   evaluate_batch t env
 
@@ -999,13 +1056,13 @@ let set_hooks t env hooks =
 (* ---------------- Inspection ---------------- *)
 
 let fib t =
-  Hashtbl.fold (fun p state acc -> (prefix_of p, state) :: acc) t.fib_table []
+  Tbl.fold (fun p state acc -> (prefix_of p, state) :: acc) t.fib_table []
   |> List.sort (fun (a, _) (b, _) -> Net.Prefix.compare a b)
 
-let fib_lookup t prefix = Hashtbl.find_opt t.fib_table (pid prefix)
+let fib_lookup t prefix = Tbl.find_opt t.fib_table (pid prefix)
 
 let fib_longest_match t destination =
-  Hashtbl.fold
+  Tbl.fold
     (fun p state best ->
       let prefix = prefix_of p in
       if Net.Prefix.contains prefix destination then
@@ -1021,24 +1078,29 @@ let adj_rib_in = raw_routes
 
 let ingress_policy t ~peer = Option.bind (find_peer t peer) (fun r -> r.ingress)
 
-let rib_in_size t = Hashtbl.fold (fun _ rib acc -> acc + rib.len) t.rib_in 0
+let rib_in_size t = Tbl.fold (fun _ rib acc -> acc + rib.len) t.rib_in 0
 
 let advertised_to t ~peer =
   match find_peer t peer with
   | None -> []
   | Some r ->
-    Hashtbl.fold (fun p attr acc -> (prefix_of p, attr) :: acc) r.rib_out []
+    Tbl.fold (fun p attr acc -> (prefix_of p, attr) :: acc) r.rib_out []
     |> List.sort (fun (a, _) (b, _) -> Net.Prefix.compare a b)
 
 let originated t =
-  Hashtbl.fold (fun p attr acc -> (prefix_of p, attr) :: acc) t.origin_table []
+  Option.fold ~none:[]
+    ~some:(fun o -> Tbl.fold (fun p attr acc -> (prefix_of p, attr) :: acc) o [])
+    t.origin_table
   |> List.sort (fun (a, _) (b, _) -> Net.Prefix.compare a b)
 
 let stale_routes t =
-  Hashtbl.fold
-    (fun (p, peer, session) marked_at acc ->
-      (prefix_of p, peer, session, marked_at) :: acc)
-    t.stale []
+  Option.fold ~none:[]
+    ~some:(fun marks ->
+      Triple.fold
+        (fun (p, peer, session) marked_at acc ->
+          (prefix_of p, peer, session, marked_at) :: acc)
+        marks [])
+    t.stale
   |> List.sort (fun (p1, pe1, s1, _) (p2, pe2, s2, _) ->
          let c = Net.Prefix.compare p1 p2 in
          if c <> 0 then c
@@ -1046,12 +1108,10 @@ let stale_routes t =
            let c = Int.compare pe1 pe2 in
            if c <> 0 then c else Int.compare s1 s2)
 
-let fib_stale_prefixes t =
-  Hashtbl.fold (fun p () acc -> p :: acc) t.fib_stale []
-  |> sort_pids |> List.map prefix_of
+let fib_stale_prefixes t = List.map prefix_of (fib_stale_pids t)
 
 let routes_from t ~peer ~session =
-  Hashtbl.fold
+  Tbl.fold
     (fun p rib acc ->
       let i = rib_find rib peer session in
       if i >= 0 then (prefix_of p, rib.attrs.(i)) :: acc else acc)

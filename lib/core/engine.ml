@@ -9,21 +9,14 @@ type mutable_stats = {
   mutable selection_count : int;
 }
 
-(* (attribute intern id, signature index) packed into one int -> did the
-   signature match. Equal attributes share an intern id, so the key tells
-   apart exactly what the attributes do; keys of one attribute are
-   consecutive, so the identity hash spreads them over the buckets. *)
-module Sig_cache = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
-
 type t = {
   rpa : Rpa.t;
   cache_enabled : bool;
-  sig_cache : bool Sig_cache.t;
+  (* (attribute intern id, signature index) packed into one int -> did the
+     signature match. Equal attributes share an intern id, so the key tells
+     apart exactly what the attributes do; keys of one attribute are
+     consecutive, so the identity hash spreads them over the buckets. *)
+  sig_cache : bool Net.Int_table.t;
   (* signatures indexed by physical identity *)
   signatures : Signature.t array;
   (* the RPA's statements flattened across its policies, in order; the
@@ -64,7 +57,7 @@ let create ?(cache = true) rpa =
   {
     rpa;
     cache_enabled = cache;
-    sig_cache = Sig_cache.create 256;
+    sig_cache = Net.Int_table.create 256;
     signatures = Array.of_list signatures;
     ps_statements;
     ra_statements;
@@ -83,7 +76,7 @@ let stats t =
     hits = t.m_stats.hit_count;
     misses = t.m_stats.miss_count;
     selections = t.m_stats.selection_count;
-    max_bucket = (Sig_cache.stats t.sig_cache).Hashtbl.max_bucket_length;
+    max_bucket = (Net.Int_table.stats t.sig_cache).Hashtbl.max_bucket_length;
   }
 
 let reset_stats t =
@@ -91,7 +84,7 @@ let reset_stats t =
   t.m_stats.miss_count <- 0;
   t.m_stats.selection_count <- 0
 
-let clear_cache t = Sig_cache.reset t.sig_cache
+let clear_cache t = Net.Int_table.reset t.sig_cache
 
 (* Physical-identity lookup: RPA structures are immutable, so the same
    signature value keeps its index for the engine's lifetime. *)
@@ -113,7 +106,7 @@ let sig_matches t s attr =
       let key =
         (Net.Attr.id (Net.Attr.intern attr) * Array.length t.signatures) + id
       in
-      match Sig_cache.find_opt t.sig_cache key with
+      match Net.Int_table.find_opt t.sig_cache key with
       | Some result ->
         t.m_stats.hit_count <- t.m_stats.hit_count + 1;
         Obs.Metrics.incr m_cache_hits;
@@ -122,7 +115,7 @@ let sig_matches t s attr =
         t.m_stats.miss_count <- t.m_stats.miss_count + 1;
         Obs.Metrics.incr m_cache_misses;
         let result = Signature.matches s attr in
-        Sig_cache.replace t.sig_cache key result;
+        Net.Int_table.replace t.sig_cache key result;
         result
   end
 

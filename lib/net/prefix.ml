@@ -223,7 +223,16 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash t = Hashtbl.hash (t.fam, t.hi, t.lo, t.len)
+(* Typed, so interning a received prefix (once per BGP message) hashes
+   without a tuple or [caml_hash]. Host bits are clear, so a short
+   prefix's low bits are zero: the shifts fold the multiplied-up address
+   bits into the low bits a bucket index reads. *)
+let hash t =
+  let fam = match t.fam with V4 -> 0 | V6 -> 1 in
+  let h = (Int64.to_int t.hi * 0x9E3779B1) + Int64.to_int t.lo in
+  let h = (h * 0x85EBCA77) + (t.len * 2) + fam in
+  let h = (h lxor (h lsr 32)) * 0xC2B2AE3D in
+  (h lxor (h lsr 29)) land max_int
 
 let contains outer inner =
   outer.fam = inner.fam

@@ -6,74 +6,80 @@ type link = {
   mutable up : bool;
 }
 
+module Tbl = Net.Int_table
+
+(* Keyed by device id. Every fold below sorts what it returns or is
+   order-free, so bucket order never shows. *)
 type t = {
-  node_table : (int, Node.t) Hashtbl.t;
-  adjacency : (int, (int, link) Hashtbl.t) Hashtbl.t;
+  node_table : Node.t Tbl.t;
+  adjacency : link Tbl.t Tbl.t;
   mutable version : int;
 }
 
 let create () =
-  { node_table = Hashtbl.create 64; adjacency = Hashtbl.create 64; version = 0 }
+  { node_table = Tbl.create 64; adjacency = Tbl.create 64; version = 0 }
 
 let version t = t.version
 let bump t = t.version <- t.version + 1
 
 let add_node t node =
-  if Hashtbl.mem t.node_table node.Node.id then
+  if Tbl.mem t.node_table node.Node.id then
     invalid_arg (Printf.sprintf "Graph.add_node: duplicate id %d" node.Node.id);
-  Hashtbl.replace t.node_table node.Node.id node;
-  Hashtbl.replace t.adjacency node.Node.id (Hashtbl.create 8);
+  Tbl.replace t.node_table node.Node.id node;
+  Tbl.replace t.adjacency node.Node.id (Tbl.create 8);
   bump t
 
 let adjacency_of t id =
-  match Hashtbl.find_opt t.adjacency id with
+  match Tbl.find_opt t.adjacency id with
   | Some adj -> adj
   | None -> invalid_arg (Printf.sprintf "Graph: unknown node %d" id)
 
 let add_link ?(capacity = 1.0) ?(sessions = 1) t a b =
   if a = b then invalid_arg "Graph.add_link: self loop";
-  if not (Hashtbl.mem t.node_table a) then
+  if not (Tbl.mem t.node_table a) then
     invalid_arg (Printf.sprintf "Graph.add_link: unknown node %d" a);
-  if not (Hashtbl.mem t.node_table b) then
+  if not (Tbl.mem t.node_table b) then
     invalid_arg (Printf.sprintf "Graph.add_link: unknown node %d" b);
   let adj_a = adjacency_of t a in
-  if Hashtbl.mem adj_a b then
+  if Tbl.mem adj_a b then
     invalid_arg (Printf.sprintf "Graph.add_link: duplicate link %d-%d" a b);
   let link = { a; b; capacity; sessions; up = true } in
-  Hashtbl.replace adj_a b link;
-  Hashtbl.replace (adjacency_of t b) a link;
+  Tbl.replace adj_a b link;
+  Tbl.replace (adjacency_of t b) a link;
   bump t
 
 let node t id =
-  match Hashtbl.find_opt t.node_table id with
+  match Tbl.find_opt t.node_table id with
   | Some n -> n
   | None -> raise Not_found
 
-let node_opt t id = Hashtbl.find_opt t.node_table id
+let node_opt t id = Tbl.find_opt t.node_table id
 
 let nodes t =
-  Hashtbl.fold (fun _ n acc -> n :: acc) t.node_table []
+  Tbl.fold (fun _ n acc -> n :: acc) t.node_table []
   |> List.sort Node.compare
 
-let node_count t = Hashtbl.length t.node_table
+let node_count t = Tbl.length t.node_table
 
 let links t =
-  Hashtbl.fold
+  Tbl.fold
     (fun id adj acc ->
-      Hashtbl.fold
+      Tbl.fold
         (fun peer link acc -> if id < peer then link :: acc else acc)
         adj acc)
     t.adjacency []
-  |> List.sort (fun l r -> compare (l.a, l.b) (r.a, r.b))
+  |> List.sort (fun l r ->
+         let c = Int.compare l.a r.a in
+         if c <> 0 then c else Int.compare l.b r.b)
 
 let find_link t a b =
-  match Hashtbl.find_opt t.adjacency a with
+  match Tbl.find_opt t.adjacency a with
   | None -> None
-  | Some adj -> Hashtbl.find_opt adj b
+  | Some adj -> Tbl.find_opt adj b
 
 let all_neighbors t id =
   let adj = adjacency_of t id in
-  Hashtbl.fold (fun peer link acc -> (node t peer, link) :: acc) adj []
+  Tbl.fold (fun peer link acc -> (node t peer, link) :: acc) adj []
   |> List.sort (fun (a, _) (b, _) -> Node.compare a b)
 
 let neighbors t id =
@@ -87,17 +93,17 @@ let set_link_up t a b up =
     bump t
 
 let remove_node t id =
-  (match Hashtbl.find_opt t.adjacency id with
+  (match Tbl.find_opt t.adjacency id with
    | None -> ()
    | Some adj ->
-     Hashtbl.iter
+     Tbl.iter
        (fun peer _ ->
-         match Hashtbl.find_opt t.adjacency peer with
-         | Some peer_adj -> Hashtbl.remove peer_adj id
+         match Tbl.find_opt t.adjacency peer with
+         | Some peer_adj -> Tbl.remove peer_adj id
          | None -> ())
        adj);
-  Hashtbl.remove t.adjacency id;
-  Hashtbl.remove t.node_table id;
+  Tbl.remove t.adjacency id;
+  Tbl.remove t.node_table id;
   bump t
 
 let by_layer t layer =

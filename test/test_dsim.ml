@@ -167,6 +167,286 @@ let test_queue_heap_stress () =
   check_bool "monotone" true (observed = sorted);
   check_int "count" 500 (List.length observed)
 
+(* ---------------- Event_queue against the boxed heap ---------------- *)
+
+(* The boxed {time; seq; thunk} heap the simulator ran on before the queue
+   became parallel arrays, kept verbatim as the model: (time, seq) is a
+   total order, so both must run the same events at the same clocks. *)
+module Boxed_queue = struct
+  type entry = { time : float; seq : int; thunk : unit -> unit }
+
+  type t = {
+    mutable heap : entry array;
+    mutable size : int;
+    mutable clock : float;
+    mutable next_seq : int;
+  }
+
+  let dummy = { time = 0.0; seq = 0; thunk = ignore }
+  let create () = { heap = Array.make 64 dummy; size = 0; clock = 0.0; next_seq = 0 }
+  let now t = t.clock
+  let entry_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let grow t =
+    let bigger = Array.make (2 * Array.length t.heap) dummy in
+    Array.blit t.heap 0 bigger 0 t.size;
+    t.heap <- bigger
+
+  let push t entry =
+    if t.size = Array.length t.heap then grow t;
+    let heap = t.heap in
+    let i = ref t.size in
+    t.size <- t.size + 1;
+    heap.(!i) <- entry;
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      if entry_lt heap.(!i) heap.(parent) then begin
+        let tmp = heap.(parent) in
+        heap.(parent) <- heap.(!i);
+        heap.(!i) <- tmp;
+        i := parent
+      end
+      else continue := false
+    done
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let heap = t.heap in
+      let top = heap.(0) in
+      t.size <- t.size - 1;
+      heap.(0) <- heap.(t.size);
+      heap.(t.size) <- dummy;
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < t.size && entry_lt heap.(l) heap.(!smallest) then smallest := l;
+        if r < t.size && entry_lt heap.(r) heap.(!smallest) then smallest := r;
+        if !smallest <> !i then begin
+          let tmp = heap.(!smallest) in
+          heap.(!smallest) <- heap.(!i);
+          heap.(!i) <- tmp;
+          i := !smallest
+        end
+        else continue := false
+      done;
+      Some top
+    end
+
+  let schedule_at t ~time thunk =
+    let time = Float.max time t.clock in
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    push t { time; seq; thunk }
+
+  let schedule t ~delay thunk =
+    schedule_at t ~time:(t.clock +. Float.max 0.0 delay) thunk
+
+  let is_empty t = t.size = 0
+  let pending t = t.size
+
+  let step t =
+    match pop t with
+    | None -> false
+    | Some { time; thunk; seq = _ } ->
+      t.clock <- time;
+      thunk ();
+      true
+
+  let run ?max_events t =
+    let limit = Option.value max_events ~default:max_int in
+    let rec go n = if n >= limit then n else if step t then go (n + 1) else n in
+    go 0
+
+  let run_until t ~time =
+    let rec go n =
+      match (if t.size > 0 then Some t.heap.(0) else None) with
+      | Some head when head.time <= time ->
+        ignore (step t);
+        go (n + 1)
+      | Some _ | None ->
+        t.clock <- Float.max t.clock time;
+        n
+    in
+    go 0
+end
+
+module type QUEUE = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (unit -> unit) -> unit
+  val schedule_at : t -> time:float -> (unit -> unit) -> unit
+  val is_empty : t -> bool
+  val pending : t -> int
+  val step : t -> bool
+  val run : ?max_events:int -> t -> int
+  val run_until : t -> time:float -> int
+end
+
+(* A queue program. An event, when it runs, schedules its children: a
+   thunk that schedules further events. *)
+type timing = Delay of float | At of float
+type event = { timing : timing; children : event list }
+
+type op =
+  | Add of event
+  | Burst of int * float  (* n events, delays cycling from 0 up to the bound *)
+  | Step
+  | Run of int  (* run ~max_events *)
+  | Drain  (* run with no bound *)
+  | Run_until of float
+
+(* Everything a caller can observe: which events ran at which clock, each
+   call's result, and after every op the clock and the pending count. *)
+module Exec (Q : QUEUE) = struct
+  let observe ops =
+    let q = Q.create () in
+    let ran = ref [] and seen = ref [] and next_id = ref 0 in
+    let rec add ev =
+      let id = !next_id in
+      incr next_id;
+      let thunk () =
+        ran := (id, Q.now q) :: !ran;
+        List.iter add ev.children
+      in
+      match ev.timing with
+      | Delay d -> Q.schedule q ~delay:d thunk
+      | At time -> Q.schedule_at q ~time thunk
+    in
+    List.iter
+      (fun op ->
+        let result =
+          match op with
+          | Add ev ->
+            add ev;
+            0
+          | Burst (n, bound) ->
+            for i = 1 to n do
+              let d = bound *. float_of_int (i mod 7) /. 6.0 in
+              add { timing = Delay d; children = [] }
+            done;
+            n
+          | Step -> Bool.to_int (Q.step q)
+          | Run max_events -> Q.run ~max_events q
+          | Drain -> Q.run q
+          | Run_until time -> Q.run_until q ~time
+        in
+        seen := (result, Q.now q, Q.pending q, Q.is_empty q) :: !seen)
+      ops;
+    (List.rev !ran, List.rev !seen)
+end
+
+module Exec_model = Exec (Boxed_queue)
+module Exec_arrays = Exec (Event_queue)
+
+let show_timing = function
+  | Delay d -> Printf.sprintf "+%g" d
+  | At t -> Printf.sprintf "@%g" t
+
+let rec show_event ev =
+  match ev.children with
+  | [] -> show_timing ev.timing
+  | cs ->
+    Printf.sprintf "%s{%s}" (show_timing ev.timing)
+      (String.concat "," (List.map show_event cs))
+
+let show_op = function
+  | Add ev -> show_event ev
+  | Burst (n, b) -> Printf.sprintf "burst(%d,%g)" n b
+  | Step -> "step"
+  | Run n -> Printf.sprintf "run(%d)" n
+  | Drain -> "drain"
+  | Run_until t -> Printf.sprintf "until(%g)" t
+
+let gen_program =
+  let open QCheck.Gen in
+  (* Few distinct values, so equal times (FIFO ties) are common; negative
+     delays and absolute times behind the clock are clamped. *)
+  let delay =
+    oneof
+      [ oneofl [ -1.0; 0.0; 0.0; 0.5; 1.0; 1.0; 2.5 ]; float_range (-0.5) 3.0 ]
+  in
+  let time =
+    oneof [ oneofl [ -1.0; 0.0; 0.5; 1.0; 2.0; 4.0 ]; float_range 0.0 6.0 ]
+  in
+  let timing =
+    frequency
+      [ (3, map (fun d -> Delay d) delay); (1, map (fun t -> At t) time) ]
+  in
+  let event =
+    fix (fun self depth ->
+        let children =
+          if depth = 0 then return []
+          else
+            frequency
+              [
+                (3, return []);
+                (1, list_size (int_range 1 3) (self (depth - 1)));
+              ]
+        in
+        map2 (fun timing children -> { timing; children }) timing children)
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun ev -> Add ev) (event 2));
+        ( 1,
+          map2 (fun n b -> Burst (n, b)) (int_range 1 150) (float_range 0.0 3.0)
+        );
+        (3, return Step);
+        (1, map (fun n -> Run n) (int_range 0 40));
+        (1, return Drain);
+        (2, map (fun t -> Run_until t) time);
+      ]
+  in
+  list_size (int_range 0 60) op
+
+let prop_queue_matches_boxed_heap =
+  QCheck.Test.make ~name:"event queue = boxed heap" ~count:500
+    (QCheck.make gen_program ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops)))
+    (fun ops -> Exec_arrays.observe ops = Exec_model.observe ops)
+
+(* Drained twice, each time past the initial capacity of 64: the arrays are
+   given back on the first drain and grown again by the refill. *)
+let test_queue_refill_past_capacity () =
+  let wave n = Burst (n, 2.0) in
+  let ops =
+    [
+      wave 200;
+      Run 10;
+      Drain;
+      Step;
+      wave 300;
+      Run_until 0.7;
+      Add { timing = Delay 0.0; children = [] };
+      Drain;
+      wave 65;
+      Drain;
+    ]
+  in
+  let ran, seen = Exec_arrays.observe ops in
+  check_int "every event ran" 566 (List.length ran);
+  check_bool "same as the boxed heap" true
+    ((ran, seen) = Exec_model.observe ops);
+  let q = Event_queue.create () in
+  for i = 1 to 500 do
+    Event_queue.schedule q ~delay:(float_of_int (i mod 3)) ignore
+  done;
+  check_int "drained" 500 (Event_queue.run q);
+  check_bool "empty" true (Event_queue.is_empty q);
+  let log = ref [] in
+  List.iter
+    (fun i -> Event_queue.schedule q ~delay:0.0 (fun () -> log := i :: !log))
+    [ 1; 2; 3 ];
+  check_int "refilled" 3 (Event_queue.run q);
+  Alcotest.(check (list int)) "fifo after drain" [ 1; 2; 3 ] (List.rev !log)
+
 (* ---------------- Stats ---------------- *)
 
 let test_stats_percentiles () =
@@ -276,6 +556,8 @@ let () =
           quick "run_until" test_queue_run_until;
           quick "max events" test_queue_max_events;
           quick "heap stress" test_queue_heap_stress;
+          quick "refill past capacity" test_queue_refill_past_capacity;
+          QCheck_alcotest.to_alcotest ~long:false prop_queue_matches_boxed_heap;
         ] );
       ( "stats",
         [

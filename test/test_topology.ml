@@ -333,6 +333,85 @@ let test_sub_dc_smaller_than_fleet () =
   in
   check_bool "sub-DC smaller" true (sub_total < fleet_total)
 
+(* ---------------- Insertion order ---------------- *)
+
+(* The graph keeps nodes and adjacency in tables hashed by device id, whose
+   iteration order depends on the order of insertion once ids share a
+   bucket. Nothing built on the graph may show that order: the same fabric
+   inserted two ways must read the same through every accessor, and
+   converge to the same FIBs. *)
+let same_fabric_inserted_otherwise g =
+  let g' = Graph.create () in
+  List.iter (Graph.add_node g') (List.rev (Graph.nodes g));
+  let links = Array.of_list (Graph.links g) in
+  Dsim.Rng.shuffle (Dsim.Rng.create 5) links;
+  Array.iter
+    (fun (l : Graph.link) ->
+      Graph.add_link ~capacity:l.capacity ~sessions:l.sessions g' l.a l.b)
+    links;
+  g'
+
+let insertion_order_invisible (f : Clos.fabric) =
+  let g = f.Clos.graph in
+  let g' = same_fabric_inserted_otherwise g in
+  let link_key (l : Graph.link) = (l.a, l.b, l.capacity, l.sessions, l.up) in
+  let neighbor_keys =
+    List.map (fun ((n : Node.t), l) -> (n.Node.id, link_key l))
+  in
+  (* One link down, so [neighbors] and [all_neighbors] differ. *)
+  let down = List.nth (Graph.links g) 7 in
+  List.iter (fun g -> Graph.set_link_up g down.a down.b false) [ g; g' ];
+  check_bool "nodes" true (Graph.nodes g = Graph.nodes g');
+  check_bool "links" true
+    (List.map link_key (Graph.links g) = List.map link_key (Graph.links g'));
+  List.iter
+    (fun (n : Node.t) ->
+      let id = n.Node.id in
+      check_bool "all_neighbors" true
+        (neighbor_keys (Graph.all_neighbors g id)
+        = neighbor_keys (Graph.all_neighbors g' id));
+      check_bool "neighbors" true
+        (neighbor_keys (Graph.neighbors g id)
+        = neighbor_keys (Graph.neighbors g' id)))
+    (Graph.nodes g);
+  check_bool "layers" true (Graph.layers g = Graph.layers g');
+  List.iter
+    (fun layer ->
+      check_bool "by_layer" true
+        (Graph.by_layer g layer = Graph.by_layer g' layer))
+    (Graph.layers g);
+  List.iter (fun g -> Graph.set_link_up g down.a down.b true) [ g; g' ];
+  let converged g =
+    let net = Bgp.Network.create ~seed:3 g in
+    List.iter
+      (fun eb ->
+        Bgp.Network.originate net eb Net.Prefix.default_v4 (Net.Attr.make ()))
+      f.Clos.ebs;
+    List.iteri
+      (fun i rsw ->
+        Bgp.Network.originate net rsw
+          (Net.Prefix.v4 10 (i / 256) (i mod 256) 0 24)
+          (Net.Attr.make ()))
+      f.Clos.rsws;
+    ignore (Bgp.Network.converge net);
+    net
+  in
+  let net = converged g and net' = converged g' in
+  check_bool "known_prefixes" true
+    (List.equal Net.Prefix.equal
+       (Bgp.Network.known_prefixes net)
+       (Bgp.Network.known_prefixes net'));
+  check_int "every prefix known" (1 + List.length f.Clos.rsws)
+    (List.length (Bgp.Network.known_prefixes net));
+  Alcotest.(check string) "fib_digest" (Bgp.Network.fib_digest net)
+    (Bgp.Network.fib_digest net')
+
+(* The default fabric has 64 devices, one per bucket of a fresh node table;
+   eight pods make 96, so ids share buckets there too. *)
+let test_insertion_order_invisible () =
+  insertion_order_invisible (Clos.fabric ());
+  insertion_order_invisible (Clos.fabric ~pods:8 ())
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "topology"
@@ -344,6 +423,7 @@ let () =
           quick "link state" test_graph_link_state;
           quick "remove node" test_graph_remove_node;
           quick "by layer" test_graph_by_layer;
+          quick "insertion order invisible" test_insertion_order_invisible;
         ] );
       ( "clos",
         [
