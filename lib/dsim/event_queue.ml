@@ -53,17 +53,16 @@ let push t time seq thunk =
   let times = t.times and seqs = t.seqs and thunks = t.thunks in
   let i = ref t.size in
   t.size <- t.size + 1;
-  while
-    !i > 0
-    &&
+  let sifting = ref true in
+  while !sifting && !i > 0 do
     let parent = (!i - 1) / 2 in
-    time < times.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    times.(!i) <- times.(parent);
-    seqs.(!i) <- seqs.(parent);
-    thunks.(!i) <- thunks.(parent);
-    i := parent
+    if time < times.(parent) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      thunks.(!i) <- thunks.(parent);
+      i := parent
+    end
+    else sifting := false
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
