@@ -16,8 +16,8 @@ let ps_rpa statements =
 let path_set ?min_next_hop name sg = Path_selection.path_set ?min_next_hop ~name sg
 
 (* A three-layer line topology (EB 0 — FA 1 — FSW 2) for the plan-level
-   cases; the Section 5.3.2 install rule requires FSW before FA when
-   routes originate at EB. *)
+   cases; when routes originate at EB, the Section 5.3.2 install rule
+   requires FSW before FA and the removal rule FA before FSW. *)
 let line_graph () =
   let g = Topology.Graph.create () in
   List.iter
@@ -207,6 +207,16 @@ let cases =
           check_plan_case
             ~rpas:[ (1, benign_rpa ()); (2, benign_rpa ()) ]
             ~phases:[ [ 1 ]; [ 2 ] ] ());
+    };
+    {
+      case_name = "unsafe-removal-order";
+      expect = Diagnostic.Unsafe_phase_order;
+      findings =
+        (fun () ->
+          (* removal must leave FA (closest to EB) before FSW *)
+          check_plan_case
+            ~rpas:[ (1, Rpa.empty); (2, Rpa.empty) ]
+            ~phases:[ [ 2 ]; [ 1 ] ] ());
     };
     {
       case_name = "duplicate-target";

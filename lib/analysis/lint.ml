@@ -593,16 +593,20 @@ let check_plan ?(origination_layer = Topology.Node.Eb) graph plan =
       add ~device:d D.Error D.Plan_coverage "device %d is not in the topology"
         d)
     unknown;
+  let direction = Controller.direction plan in
   if
     Int_set.is_empty unknown
     && flat <> []
     && not
-         (Deployment.is_safe_order graph ~origination_layer Deployment.Install
+         (Deployment.is_safe_order graph ~origination_layer direction
             plan.Controller.phases)
   then
     add D.Error D.Unsafe_phase_order
-      "phase order violates the Section 5.3.2 install rule (furthest from \
-       the %s origination layer first)"
+      "phase order violates the Section 5.3.2 %s the %s origination layer \
+       first)"
+      (match direction with
+       | Deployment.Install -> "install rule (furthest from"
+       | Deployment.Remove -> "removal rule (closest to")
       (Topology.Node.layer_to_string origination_layer);
   D.sort !diags
 

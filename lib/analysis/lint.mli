@@ -18,9 +18,9 @@
 
     Loading this module registers the analyzer with
     {!Centralium.Controller.set_linter}, which arms the [?lint] gate of
-    [Controller.deploy*] and the lint pass of
-    [Verification.standard_suite] in any binary linked against
-    [analysis]. *)
+    [Controller.deploy*], the lint gate of [Controller.remove] and the
+    lint pass of [Verification.standard_suite] in any binary linked
+    against [analysis]. *)
 
 val check_rpa :
   ?device:int ->
@@ -41,9 +41,12 @@ val check_plan :
   Diagnostic.t list
 (** {!check_rpa} for every device, plus plan-level checks: phase/RPA
     coverage, devices targeted twice, and
-    {!Centralium.Deployment.is_safe_order} for an [Install] rollout from
-    [origination_layer] (default [Eb], the backbone origination of every
-    standard-suite plan). *)
+    {!Centralium.Deployment.is_safe_order} from [origination_layer]
+    (default [Eb], the backbone origination of every standard-suite plan)
+    in the plan's own direction ({!Centralium.Controller.direction}): a
+    plan whose every RPA is empty is a removal and must start closest to
+    the origination layer; any other plan is an install and must start
+    furthest from it. *)
 
 val plans_conflict :
   Centralium.Controller.plan -> Centralium.Controller.plan -> bool

@@ -27,6 +27,18 @@ let plan_loc plan =
   |> List.sort_uniq compare
   |> List.fold_left (fun acc lines -> acc + List.length lines) 0
 
+let direction plan =
+  if List.for_all (fun (_, rpa) -> Rpa.equal rpa Rpa.empty) plan.rpas then
+    Deployment.Remove
+  else Deployment.Install
+
+let removal plan =
+  {
+    plan with
+    rpas = List.map (fun (device, _) -> (device, Rpa.empty)) plan.rpas;
+    phases = Deployment.rollback_order plan.phases;
+  }
+
 (* {1 Lint hook}
 
    The static analyzer lives in lib/analysis, which depends on this
@@ -283,20 +295,6 @@ type ctx = {
   watchdog : int -> [ `Ok | `Breach of string list ];
 }
 
-(* No fault model, no fence and no phase hooks: what {!remove} runs with.
-   A rollout overrides those four from its arguments. *)
-let context t policy =
-  {
-    ctl = t;
-    policy;
-    fault = None;
-    fence = None;
-    jrng = Dsim.Rng.create policy.jitter_seed;
-    prog = fresh_progress ();
-    between_phases = (fun _ -> ());
-    watchdog = (fun _ -> `Ok);
-  }
-
 let check_crash c =
   match c.fault with
   | Some f when Dsim.Mgmt_fault.crashed f -> raise Crash_signal
@@ -383,10 +381,6 @@ let record_plan c plan =
       nsdb_set c ~path:(Nsdb_schema.plan_device plan.plan_name device)
         (Nsdb.Rpa rpa))
     plan.rpas
-
-let clear_plan_record c plan =
-  record_plan c
-    { plan with rpas = List.map (fun (device, _) -> (device, Rpa.empty)) plan.rpas }
 
 (* {1 Deployment journal}
 
@@ -544,11 +538,11 @@ let reconcile_with_retries c device =
   in
   go 1
 
-(* Run phases [from_phase ..]; raises [Crash_signal] on a scheduled
-   controller crash and [Budget_exceeded phase] when a phase accumulates
-   more hard failures than the budget. [journal_cursor] persists the
-   phase cursor after each completed phase. *)
-let run_phases_resilient c ~intent_of ~phases ~from_phase ~journal_cursor =
+(* Run the plan's phases [from_phase ..] (validated: every phased device
+   has an RPA); raises [Crash_signal] on a scheduled controller crash and
+   [Budget_exceeded phase] when a phase accumulates more hard failures
+   than the budget. Each completed phase advances the journal cursor. *)
+let run_phases_resilient c plan ~from_phase =
   let agent = c.ctl.switch_agent in
   List.iteri
     (fun idx phase ->
@@ -558,9 +552,8 @@ let run_phases_resilient c ~intent_of ~phases ~from_phase ~journal_cursor =
           (fun device ->
             check_crash c;
             ignore (fence_epoch c.fence);
-            (match intent_of device with
-             | Some rpa -> Switch_agent.set_intended agent ~device rpa
-             | None -> Switch_agent.clear_intended agent ~device);
+            Switch_agent.set_intended agent ~device
+              (List.assoc device plan.rpas);
             reconcile_with_retries c device)
           phase;
         (* Let BGP converge before the next phase picks up the RPA
@@ -577,9 +570,9 @@ let run_phases_resilient c ~intent_of ~phases ~from_phase ~journal_cursor =
         (match c.watchdog idx with
          | `Ok -> ()
          | `Breach reasons -> raise (Watchdog_breach (idx, reasons)));
-        journal_cursor (idx + 1)
+        journal_write c plan `Next_phase (Nsdb.Int (idx + 1))
       end)
-    phases
+    plan.phases
 
 (* Reverse-order rollback of the install phases applied so far (last
    phase first, last device first — {!Deployment.rollback_order}), then
@@ -596,13 +589,13 @@ let rollback c plan ~through_phase =
     (fun phase ->
       List.iter
         (fun device ->
-          Switch_agent.clear_intended c.ctl.switch_agent ~device;
+          Switch_agent.set_intended c.ctl.switch_agent ~device Rpa.empty;
           reconcile_with_retries scratch device;
           Obs.Metrics.incr m_rollback_devices)
         phase;
       ignore (Bgp.Network.converge c.ctl.net))
     (Deployment.rollback_order touched);
-  clear_plan_record scratch plan;
+  record_plan scratch (removal plan);
   ignore
     (journal_transition scratch plan ~expected:"in-progress" "rolled-back")
 
@@ -628,12 +621,7 @@ let execute_deploy c plan ~from_phase ~resumed_from_phase =
     ~completed_phases:(fun () ->
       Option.value (journal_next_phase t plan) ~default:from_phase)
   @@ fun () ->
-  match
-    run_phases_resilient c
-      ~intent_of:(fun device -> List.assoc_opt device plan.rpas)
-      ~phases:plan.phases ~from_phase
-      ~journal_cursor:(fun n -> journal_write c plan `Next_phase (Nsdb.Int n))
-  with
+  match run_phases_resilient c plan ~from_phase with
   | () -> (
     match Health.failures plan.post_checks with
     | [] ->
@@ -758,7 +746,9 @@ let rollout ~start ?(policy = default_retry_policy) ?fault ?fence
         match start with Fresh -> None | Resume -> Some from_phase
       in
       let c =
-        { (context t policy) with fault; fence; between_phases; watchdog }
+        let jrng = Dsim.Rng.create policy.jitter_seed in
+        let prog = fresh_progress () in
+        { ctl = t; policy; fault; fence; jrng; prog; between_phases; watchdog }
       in
       Switch_agent.clear_deploy_times t.switch_agent;
       interruptible c ~resumed_from_phase
@@ -784,11 +774,10 @@ let resume ?policy ?fault ?fence ?between_phases ?watchdog ?lint ?verify t
   rollout ~start:Resume ?policy ?fault ?fence ?between_phases ?watchdog ?lint
     ?verify t plan
 
-let deploy ?(lint = `Warn) ?(verify = `Warn) t plan =
-  match deploy_resilient ~policy:single_shot_policy ~lint ~verify t plan with
+(* Single-shot rollouts run with no fault model and no fence. *)
+let single_shot_result = function
   | Completed report -> Ok report
-  | Rolled_back { reasons; _ } -> Error reasons
-  | Aborted reasons -> Error reasons
+  | Rolled_back { reasons; _ } | Aborted reasons -> Error reasons
   | Crashed _ ->
     (* Unreachable without a fault model; kept for exhaustiveness. *)
     Error [ "controller crashed mid-deploy" ]
@@ -796,34 +785,16 @@ let deploy ?(lint = `Warn) ?(verify = `Warn) t plan =
     (* Unreachable without a fence; kept for exhaustiveness. *)
     Error [ "controller fenced mid-deploy" ]
 
+let deploy ?lint ?verify t plan =
+  single_shot_result
+    (rollout ~start:Fresh ~policy:single_shot_policy ?lint ?verify t plan)
+
+(* Deleting the removal's journal keeps "no journal" meaning "not
+   deployed" to {!resume} and [Ha.run_plan]; an aborted removal touched
+   nothing and keeps the install's. *)
 let remove t plan =
-  let admitted =
-    let* () = Result.map_error (fun e -> [ e ]) (validate_plan t plan) in
-    run_pre_checks plan
+  let outcome =
+    rollout ~start:Fresh ~policy:single_shot_policy t (removal plan)
   in
-  match admitted with
-  | Error reasons -> Error reasons
-  | Ok () -> (
-    let c = context t single_shot_policy in
-    Switch_agent.clear_deploy_times t.switch_agent;
-    match
-      run_phases_resilient c
-        ~intent_of:(fun _ -> None)
-        ~phases:(Deployment.rollback_order plan.phases) ~from_phase:0
-        ~journal_cursor:(fun _ -> ())
-    with
-    | () ->
-      clear_plan_record c plan;
-      clear_journal t plan;
-      let report = report_of_progress t c.prog ~resumed_from_phase:None in
-      (match Health.failures plan.post_checks with
-       | [] -> Ok report
-       | failures ->
-         (* The removal is kept — re-installing a possibly-broken RPA
-            is worse than paging; the errors tell operators what to
-            look at. *)
-         Error (fmt_failures "post-check" failures))
-    | exception (Budget_exceeded _ | Crash_signal) ->
-      (* Unreachable with the single-shot policy and no fault model;
-         kept for exhaustiveness. *)
-      Error [ "removal aborted" ])
+  (match outcome with Aborted _ -> () | _ -> clear_journal t plan);
+  single_shot_result outcome

@@ -15,11 +15,12 @@
     their installed RPA engines keep running and distributed BGP keeps
     routing while the controller is degraded.
 
-    {!deploy_resilient} and {!resume} (and {!deploy}, through
-    {!deploy_resilient}) run one rollout body: validate, lint gate, verify
-    gate, pre-checks, setup writes, phases. {!resume} is a journal
-    dispatch followed by that body, started at the journalled cursor and
-    without the pre-checks. *)
+    {!deploy_resilient}, {!resume}, {!deploy} and {!remove} run one
+    rollout body: validate, lint gate, verify gate, pre-checks, setup
+    writes, phases. {!resume} is a journal dispatch followed by that body,
+    started at the journalled cursor and without the pre-checks. A removal
+    is an ordinary plan ({!removal}), so it gets the same gates and
+    journal as an install. *)
 
 type plan = {
   plan_name : string;
@@ -35,6 +36,18 @@ val plan_loc : plan -> int
 (** Total rendered LOC of the distinct RPAs in the plan (Table 3's
     "RPA LOC"). Identical per-device RPAs are counted once, matching how
     operators author one RPA template per layer. *)
+
+val direction : plan -> Deployment.direction
+(** [Remove] exactly when every RPA in the plan is {!Rpa.empty} (a plan
+    with no RPAs included), [Install] otherwise. Derived, not stored, so
+    it holds for hand-built plans too: the lint gate checks the
+    Section 5.3.2 order rule of this direction. *)
+
+val removal : plan -> plan
+(** The plan that removes [plan]: the same name, checks and devices, each
+    set to {!Rpa.empty}, phased in {!Deployment.rollback_order} of
+    [plan]'s phases (closest to the origination layer first when [plan]
+    was phased for an install). Its {!direction} is [Remove]. *)
 
 (** {1 Lint hook}
 
@@ -267,11 +280,15 @@ val journal_gc : ?retain:int -> t -> int
     automatically after each successful deployment. *)
 
 val remove : t -> plan -> (report, string list) result
-(** Removes the plan's RPAs in the {e reverse} phase order (the
-    Section 5.3.2 removal rule), restoring native BGP. Honors the plan's
-    health checks like {!deploy}: pre-check failures abort the removal;
-    post-check failures are returned as [Error] but the removal is kept
-    (re-installing a possibly-broken RPA is worse than paging). *)
+(** Runs [removal plan] through the rollout body with {!deploy}'s
+    single-shot policy and gates at [`Warn]: validate, lint, verify,
+    pre-checks, journal, phases, post-checks. An abort (a failed
+    pre-check, say) returns [Error] and touches nothing, so the install's
+    journal stays. Otherwise the journal is written, then deleted:
+    {!journal_status} is [None], as for a plan never deployed. A failed
+    post-check returns [Error] but keeps the removal, since the body's
+    rollback rewrites {!Rpa.empty} (re-installing a possibly-broken RPA
+    is worse than paging). *)
 
 val validate_plan : t -> plan -> (unit, string) result
 (** Structural validation: phases cover exactly the plan's devices, and

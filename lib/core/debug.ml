@@ -29,21 +29,10 @@ let statements_of engine =
     (fun (ps : Path_selection.t) -> ps.Path_selection.statements)
     (Engine.rpa engine).Rpa.path_selection
 
-let denominator (ctx : Bgp.Rib_policy.ctx) (paths : Bgp.Path.t list) =
-  match paths with
-  | [] -> 0
-  | first :: _ ->
-    (match ctx.Bgp.Rib_policy.peer_layer first.Bgp.Path.peer with
-     | None -> List.length paths
-     | Some layer -> ctx.Bgp.Rib_policy.live_peers_in_layer layer)
-
 let required_of ctx mnh ~reference =
   match mnh with
   | None -> 1
-  | Some (Path_selection.Count n) -> max 1 n
-  | Some (Path_selection.Fraction _ as f) ->
-    max 1
-      (Path_selection.required_count f ~denominator:(denominator ctx reference))
+  | Some mnh -> Engine.required ctx mnh ~reference
 
 let trials_of ctx (st : Path_selection.statement) candidates =
   let rec walk chosen_already acc = function

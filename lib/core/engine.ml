@@ -133,15 +133,16 @@ let fraction_denominator (ctx : Bgp.Rib_policy.ctx) (paths : Bgp.Path.t list) =
      | None -> List.length paths
      | Some layer -> ctx.Bgp.Rib_policy.live_peers_in_layer layer)
 
+let required ctx mnh ~reference =
+  max 1
+    (match mnh with
+     | Path_selection.Count n -> n
+     | Path_selection.Fraction _ ->
+       Path_selection.required_count mnh
+         ~denominator:(fraction_denominator ctx reference))
+
 let threshold_met ctx mnh ~matching ~reference =
-  let required =
-    match mnh with
-    | Path_selection.Count n -> n
-    | Path_selection.Fraction _ ->
-      Path_selection.required_count mnh
-        ~denominator:(fraction_denominator ctx reference)
-  in
-  List.length matching >= max 1 required
+  List.length matching >= required ctx mnh ~reference
 
 let find_statement (type a) (statements : a list) ~destination_of ctx candidates =
   let attrs = candidate_attrs candidates in

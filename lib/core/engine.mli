@@ -62,6 +62,14 @@ val evaluate_selection :
   native:(Bgp.Path.t list * Bgp.Path.t option) ->
   Bgp.Rib_policy.selection
 
+val required :
+  Bgp.Rib_policy.ctx -> Path_selection.min_next_hop ->
+  reference:Bgp.Path.t list -> int
+(** How many matching paths a [min_next_hop] threshold asks for, never
+    fewer than one. A [Fraction] is of the live peers in the layer of
+    [reference]'s first path, or of [reference] when that layer is
+    unknown. Selection and {!Debug} both use it. *)
+
 val evaluate_weights :
   t ->
   ctx:Bgp.Rib_policy.ctx ->

@@ -51,8 +51,6 @@ let set_intended t ~device rpa =
   Nsdb.set (Service.intended t.agent_service) ~path:(rpa_path device)
     (Nsdb.Rpa rpa)
 
-let clear_intended t ~device = set_intended t ~device Rpa.empty
-
 let view_rpa view device =
   match Nsdb.get_one view ~path:(rpa_path device) with
   | Some (Nsdb.Rpa rpa) -> Some rpa

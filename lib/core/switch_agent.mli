@@ -34,9 +34,7 @@ val network : t -> Bgp.Network.t
 (** {1 Intended state} *)
 
 val set_intended : t -> device:int -> Rpa.t -> unit
-
-val clear_intended : t -> device:int -> unit
-(** Intends {!Rpa.empty}. This and {!set_intended} write the view once. *)
+(** Writes the intended view once. {!Rpa.empty} intends no RPA. *)
 
 val intended_rpa : t -> device:int -> Rpa.t option
 val current_rpa : t -> device:int -> Rpa.t option

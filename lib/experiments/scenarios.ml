@@ -1279,16 +1279,7 @@ module Continuous = struct
     let install_of name =
       { base with Centralium.Controller.plan_name = name }
     in
-    let clear_of name =
-      {
-        base with
-        Centralium.Controller.plan_name = name;
-        rpas =
-          List.map
-            (fun (d, _) -> (d, Centralium.Rpa.empty))
-            base.Centralium.Controller.rpas;
-      }
-    in
+    let clear_of name = Centralium.Controller.removal (install_of name) in
     (* The canary: a min-next-hop guard whose [Fraction 1.1] threshold can
        never be met, so its SSW targets withdraw the default and the FSWs
        below black-hole — exactly the regression the watchdog's SLO budget

@@ -43,6 +43,7 @@ let test_corpus_expected_severity () =
       "signature-overlap-same-destination";
       "filter-blackhole-steered-prefix";
       "unsafe-phase-order";
+      "unsafe-removal-order";
       "duplicate-target";
       "plan-coverage-mismatch";
       "community-collision";
@@ -266,6 +267,43 @@ let test_verification_lint_pass () =
        (string_starts_with ~prefix:"lint unsafe-phase-order:")
        o.Verification.errors)
 
+(* bench/rollout's plan pair on the default fabric: path equalization on
+   every non-EB device, and its removal, the same devices set to
+   [Rpa.empty] and phased by the Section 5.3.2 removal rule. Lint judges
+   each plan by the rule of its own direction. *)
+let test_order_rule_follows_direction () =
+  let f = Topology.Clos.fabric () in
+  let g = f.Topology.Clos.graph in
+  let targets =
+    Topology.Clos.(f.rsws @ f.fsws @ f.ssws @ f.fadus @ f.fauus)
+  in
+  let install =
+    Apps.Path_equalize.plan g ~destination:Destination.backbone_default
+      ~origin_asn:(Topology.Graph.node g (List.hd f.Topology.Clos.ebs)).Topology.Node.asn
+      ~targets ~origination_layer:Topology.Node.Eb
+  in
+  let removal =
+    {
+      install with
+      Controller.rpas =
+        List.map (fun (d, _) -> (d, Rpa.empty)) install.Controller.rpas;
+      phases =
+        Deployment.phases g ~targets ~origination_layer:Topology.Node.Eb
+          Deployment.Remove;
+    }
+  in
+  let flagged plan =
+    List.exists
+      (fun d -> d.D.code = D.Unsafe_phase_order)
+      (Lint.check_plan g plan)
+  in
+  check_bool "install order is clean" false (flagged install);
+  check_bool "removal order is clean" false (flagged removal);
+  check_bool "removal phased in install order is flagged" true
+    (flagged { removal with Controller.phases = install.Controller.phases });
+  check_bool "Controller.removal is clean" false
+    (flagged (Controller.removal install))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -296,5 +334,7 @@ let () =
           quick "standard suite clean" test_standard_suite_clean;
           quick "controller enforce gate" test_controller_enforce_gate;
           quick "verification lint pass" test_verification_lint_pass;
+          quick "order rule follows the plan's direction"
+            test_order_rule_follows_direction;
         ] );
     ]

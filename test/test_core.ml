@@ -1322,7 +1322,7 @@ let test_cleared_never_applied_not_straggler () =
   let x, _net, controller = controller_fixture () in
   let agent = Controller.agent controller in
   let device = List.nth x.Topology.Clos.xssws 0 in
-  Switch_agent.clear_intended agent ~device;
+  Switch_agent.set_intended agent ~device Rpa.empty;
   Alcotest.(check (list int))
     "no stragglers" [] (Switch_agent.stragglers agent);
   check_bool "in sync" true

@@ -496,7 +496,10 @@ let deployment_phases_partition =
       = List.sort Int.compare targets
       && Centralium.Deployment.is_safe_order f.Topology.Clos.graph
            ~origination_layer:Topology.Node.Eb Centralium.Deployment.Install
-           phases)
+           phases
+      && Centralium.Deployment.is_safe_order f.Topology.Clos.graph
+           ~origination_layer:Topology.Node.Eb Centralium.Deployment.Remove
+           (Centralium.Deployment.rollback_order phases))
 
 (* The all-pairs form of the Section 5.3.2 order check: every device
    against every other, a device listed twice counting in its last

@@ -928,6 +928,67 @@ let test_qualify_runs_each_gate_once () =
       check_int (name ^ ": verify calls") 1 !verifies)
     (Verification.standard_suite ())
 
+(* [Controller.remove] runs the removal through the rollout body: one
+   linter and one verifier call, a journal written then deleted, and the
+   recorded intent set to [Rpa.empty]. An aborted removal touches
+   nothing, so the install's journal stays. *)
+let test_remove_runs_the_body () =
+  let linter, verifier =
+    match (Controller.linter (), Controller.verifier ()) with
+    | Some l, Some v -> (l, v)
+    | _ -> Alcotest.fail "analysis gates not registered"
+  in
+  let lints = ref 0 and verifies = ref 0 in
+  Controller.set_linter (fun g plan -> incr lints; linter g plan);
+  Controller.set_verifier (fun net plan -> incr verifies; verifier net plan);
+  Fun.protect
+    ~finally:(fun () ->
+      Controller.set_linter linter;
+      Controller.set_verifier verifier)
+  @@ fun () ->
+  let x = Topology.Clos.expansion () in
+  let net = Bgp.Network.create ~seed:3 x.Topology.Clos.xgraph in
+  Bgp.Network.originate net x.Topology.Clos.backbone Net.Prefix.default_v4
+    (tagged_attr ());
+  ignore (Bgp.Network.converge net);
+  let controller = Controller.create ~seed:11 net in
+  let plan = Apps.Expansion_equalizer.plan x in
+  let deploy () =
+    match Controller.deploy controller plan with
+    | Ok _ -> ()
+    | Error es -> Alcotest.failf "deploy: %s" (String.concat "; " es)
+  in
+  deploy ();
+  lints := 0;
+  verifies := 0;
+  (match Controller.remove controller plan with
+   | Ok _ -> ()
+   | Error es -> Alcotest.failf "remove: %s" (String.concat "; " es));
+  check_int "remove: lint calls" 1 !lints;
+  check_int "remove: verify calls" 1 !verifies;
+  check_bool "no journal after the removal" true
+    (Controller.journal_status controller plan = None);
+  List.iter
+    (fun (device, _) ->
+      let path =
+        Printf.sprintf "plans/%s/devices/%d" plan.Controller.plan_name device
+      in
+      check_bool (path ^ " holds the empty RPA") true
+        (match Nsdb.Replicated.get_one (Controller.nsdb controller) ~path with
+         | Some (Nsdb.Rpa rpa) -> Rpa.equal rpa Rpa.empty
+         | Some _ | None -> false))
+    plan.Controller.rpas;
+  deploy ();
+  let failing = { Health.check_name = "gate"; run = (fun () -> Error "synthetic") } in
+  (match
+     Controller.remove controller { plan with Controller.pre_checks = [ failing ] }
+   with
+   | Ok _ -> Alcotest.fail "a failing pre-check let the removal run"
+   | Error _ -> ());
+  Alcotest.(check (option string))
+    "aborted removal keeps the install's journal" (Some "completed")
+    (Controller.journal_status controller plan)
+
 let () =
   Alcotest.run "verifier"
     [
@@ -960,5 +1021,6 @@ let () =
           quick "ops admission rejects unsafe" test_ops_admission_rejects_unsafe;
           quick "verify once per stamp" test_verify_once_per_stamp;
           quick "qualify runs each gate once" test_qualify_runs_each_gate_once;
+          quick "remove runs the rollout body" test_remove_runs_the_body;
         ] );
     ]
