@@ -574,6 +574,58 @@ let micro () =
          (Topology.Graph.links fabric))
   in
   let link_counter = ref 0 in
+  (* Invariant sweeps alternate between two networks built alike, so the
+     sweep kept for an unmoved stamp never answers. *)
+  let alternate build =
+    let nets = [| build (); build () |] and turn = ref 0 in
+    fun () ->
+      incr turn;
+      ignore (Centralium.Invariant.check nets.(!turn land 1))
+  in
+  let tagged =
+    Net.Attr.make
+      ~communities:
+        (Net.Community.Set.singleton
+           Net.Community.Well_known.backbone_default_route)
+      ()
+  in
+  let sweep_fabric =
+    alternate (fun () ->
+        let f = Topology.Clos.fabric () in
+        let net = Bgp.Network.create ~seed:42 f.Topology.Clos.graph in
+        List.iter
+          (fun eb -> Bgp.Network.originate net eb Net.Prefix.default_v4 tagged)
+          f.Topology.Clos.ebs;
+        ignore (Bgp.Network.converge net);
+        net)
+  in
+  (* The rollout benchmark's chaos episode set-up (the expansion fabric,
+     the default route at the backbone, a /24 per FSW), caught in a
+     graceful restart of the backbone, after the crash and before the
+     first reconnect: its peers hold stale marks and it holds preserved
+     FIB entries, all reported as stale-route violations. *)
+  let sweep_expansion =
+    alternate (fun () ->
+        let x = Topology.Clos.expansion () in
+        let net = Bgp.Network.create ~seed:42 x.Topology.Clos.xgraph in
+        Bgp.Network.originate net x.Topology.Clos.backbone Net.Prefix.default_v4
+          tagged;
+        List.iteri
+          (fun i fsw ->
+            Bgp.Network.originate net fsw
+              (Net.Prefix.of_string_exn (Printf.sprintf "10.%d.0.0/24" i))
+              tagged)
+          x.Topology.Clos.xfsws;
+        ignore (Bgp.Network.converge net);
+        let t0 = Bgp.Network.now net in
+        Bgp.Network.enable_liveness
+          ~config:(Bgp.Liveness.with_gr Bgp.Liveness.default)
+          ~until:(t0 +. 0.12) net;
+        Bgp.Network.restart_device ~delay:0.01 net x.Topology.Clos.backbone
+          ~recovery:0.02;
+        ignore (Bgp.Network.run_until net ~time:(t0 +. 0.012));
+        net)
+  in
   let tests =
     [
       Test.make ~name:"table2/rpa-eval-cache-miss"
@@ -596,6 +648,8 @@ let micro () =
              let a, b = link_ends.(!link_counter mod Array.length link_ends) in
              incr link_counter;
              ignore (Topology.Graph.find_link fabric a b)));
+      Test.make ~name:"invariant/sweep-fabric" (Staged.stage sweep_fabric);
+      Test.make ~name:"invariant/sweep-expansion" (Staged.stage sweep_expansion);
     ]
   in
   let ols =

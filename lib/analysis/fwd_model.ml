@@ -40,39 +40,31 @@ let wiring imports =
   (dependents, max_sessions)
 
 type frame = {
-  fr_graph : G.t;
-  fr_version : int;
-  fr_ids : int array;
-  fr_index : int array;
+  fr_topo : Topology.Frame.t;
   fr_asns : Net.Asn.t array;
   fr_peer_layer : int -> Topology.Node.layer option;
   fr_live_peers : (Topology.Node.layer -> int) array;
   fr_imports : (int * int) list array;
-  fr_neighbors : int array array;
   fr_dependents : int list array;
   fr_max_sessions : int array;
 }
 
 let frame graph =
-  let nodes = Array.of_list (G.nodes graph) in
-  let ids = Array.map (fun n -> n.Topology.Node.id) nodes in
-  (* index.(d): the position of device [d] in [ids], or -1. *)
-  let index = Array.make (Array.fold_left max (-1) ids + 1) (-1) in
-  Array.iteri (fun i d -> index.(d) <- i) ids;
-  let neighbors = Array.map (G.neighbors graph) ids in
+  let topo = Topology.Frame.make graph in
+  let neighbors = Array.init (Topology.Frame.size topo) (Topology.Frame.neighbors topo) in
   let imports =
-    Array.map
-      (List.map (fun (m, (link : G.link)) ->
-           (index.(m.Topology.Node.id), max 1 link.G.sessions)))
+    Array.mapi
+      (fun i nbrs ->
+        List.map2
+          (fun j (_, (link : G.link)) -> (j, max 1 link.G.sessions))
+          (Array.to_list (Topology.Frame.up topo i))
+          nbrs)
       neighbors
   in
   let dependents, max_sessions = wiring imports in
   {
-    fr_graph = graph;
-    fr_version = G.version graph;
-    fr_ids = ids;
-    fr_index = index;
-    fr_asns = Array.map (fun n -> n.Topology.Node.asn) nodes;
+    fr_topo = topo;
+    fr_asns = Array.map (fun n -> n.Topology.Node.asn) (Topology.Frame.nodes topo);
     fr_peer_layer =
       (fun d ->
         Option.map (fun n -> n.Topology.Node.layer) (G.node_opt graph d));
@@ -84,19 +76,11 @@ let frame graph =
             List.length (List.filter (Topology.Node.layer_equal layer) layers))
         neighbors;
     fr_imports = imports;
-    fr_neighbors = Array.map (fun l -> Array.of_list (List.map fst l)) imports;
     fr_dependents = dependents;
     fr_max_sessions = max_sessions;
   }
 
-let devices fr = Array.to_list fr.fr_ids
-
-let index fr d =
-  if d < 0 || d >= Array.length fr.fr_index || fr.fr_index.(d) < 0 then
-    raise Not_found
-  else fr.fr_index.(d)
-
-let neighbor_positions fr i = fr.fr_neighbors.(i)
+let topology fr = fr.fr_topo
 
 let has_filter_statements eng =
   List.exists
@@ -104,11 +88,12 @@ let has_filter_statements eng =
     (Engine.rpa eng).Rpa.route_filter
 
 let compile fr ~engine_of ~cls =
-  if G.version fr.fr_graph <> fr.fr_version then
+  let topo = fr.fr_topo in
+  if G.version (Topology.Frame.graph topo) <> Topology.Frame.version topo then
     invalid_arg
       "Fwd_model.compile: the graph changed after its frame was built";
   let prefix = cls.Eq_class.cls_prefix in
-  let ids = fr.fr_ids and asns = fr.fr_asns in
+  let ids = Topology.Frame.ids topo and asns = fr.fr_asns in
   let n = Array.length ids in
   let origin_attr =
     List.fold_left

@@ -40,15 +40,13 @@ type entry = {
 
 type frame
 (** What every compile on one graph shares, built once by {!frame}: the
-    sorted device ids and an id→position table, the ASNs, each device's
-    up-neighbour list (one {!Topology.Graph.neighbors} call per device),
-    the [peer_layer] and per-device [live_peers_in_layer] functions of the
-    decision ctx, and the unfiltered imports — for each device, every
-    up neighbour's position with [max 1 sessions] — with the importer lists
-    and per-exporter session maxima derived from them, and the same
-    neighbour positions as one array per device (the verifier's blackhole
-    search walks them). It depends on the graph alone, not on the policy
-    state or the class.
+    graph in dense positions ({!Topology.Frame}: sorted ids, an id→position
+    table, each device's up neighbours as a list and as positions), the
+    ASNs, the [peer_layer] and per-device [live_peers_in_layer] functions
+    of the decision ctx, and the unfiltered imports — for each device,
+    every up neighbour's position with [max 1 sessions] — with the importer
+    lists and per-exporter session maxima derived from them. It depends on
+    the graph alone, not on the policy state or the class.
 
     A frame is meant to live for one verification: {!Phase_verifier.verify}
     builds one per call and shares it across every class and state, and
@@ -62,19 +60,9 @@ val frame : Topology.Graph.t -> frame
     ids index an array, so they must be non-negative: a negative id raises
     [Invalid_argument]. *)
 
-val devices : frame -> int list
-(** Every device of the frame's graph, sorted by id. *)
-
-val index : frame -> int -> int
-(** The device's position in {!devices}, from [0] to its length minus one:
-    callers index their own per-device arrays with it. Raises [Not_found]
-    for a device not in the frame. *)
-
-val neighbor_positions : frame -> int -> int array
-(** The positions of the neighbours over up links of the device at
-    position [i], in id order: the neighbours {!Topology.Graph.neighbors}
-    gave when the frame was built. The frame's own array; do not mutate
-    it. *)
+val topology : frame -> Topology.Frame.t
+(** The frame's graph part: the verifier's checks index their work arrays
+    by its positions and walk its neighbour positions. *)
 
 type t
 

@@ -85,8 +85,8 @@ let canonical_cycle cyc =
    rooted at each device in snapshot order). [color] and [adj] are work
    arrays over the frame's device positions, reused across snapshots: all
    0 and [] on entry and on return. *)
-let snapshot_cycles frame ~color ~adj edges =
-  let index = Fwd_model.index frame in
+let snapshot_cycles topo ~color ~adj edges =
+  let index = Topology.Frame.index topo in
   List.iter (fun (d, nhs) -> adj.(index d) <- nhs) edges;
   let cycles = ref [] in
   let rec dfs path d =
@@ -130,7 +130,8 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
   (* The graph-derived set-up, shared by every compile and check of this
      call. Nothing kept after the call refers to it. *)
   let frame = Fwd_model.frame graph in
-  let all_devices = Fwd_model.devices frame in
+  let topo = Fwd_model.topology frame in
+  let all_devices = Topology.Frame.devices topo in
   let n_devices = List.length all_devices in
   let color = Array.make n_devices 0 and adj = Array.make n_devices [] in
   let viols = ref [] in
@@ -181,7 +182,7 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
     let memo = Array.make n_devices 0 in
     let on_stack = Array.make n_devices false in
     let rec go d =
-      let i = Fwd_model.index frame d in
+      let i = Topology.Frame.index topo d in
       match memo.(i) with
       | 1 -> true
       | 2 -> false
@@ -213,7 +214,7 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
      breadth-first search over frame positions, in the frame's neighbour
      order. Its work arrays serve every search of this call: a position is
      visited by the current search when its stamp is the search's. *)
-  let ids = Array.of_list all_devices in
+  let ids = Topology.Frame.ids topo in
   let bfs_parent = Array.make n_devices 0
   and bfs_stamp = Array.make n_devices 0
   and bfs_queue = Array.make n_devices 0
@@ -223,14 +224,14 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
     else begin
       incr searches;
       let stamp = !searches in
-      let src = Fwd_model.index frame d in
+      let src = Topology.Frame.index topo d in
       bfs_stamp.(src) <- stamp;
       bfs_queue.(0) <- src;
       let head = ref 0 and tail = ref 1 and found = ref (-1) in
       while !found < 0 && !head < !tail do
         let x = bfs_queue.(!head) in
         incr head;
-        let nbrs = Fwd_model.neighbor_positions frame x in
+        let nbrs = Topology.Frame.up topo x in
         let k = ref 0 in
         while !found < 0 && !k < Array.length nbrs do
           let j = nbrs.(!k) in
@@ -309,7 +310,7 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
                       (path_str (cyc @ [ head ]));
                 }
             end)
-          (snapshot_cycles frame ~color ~adj edges))
+          (snapshot_cycles topo ~color ~adj edges))
       (Fwd_model.round_edges m);
     if not (Fwd_model.converged m) then
       add_info

@@ -613,14 +613,16 @@ let fib_snapshot t prefix =
     t.speakers []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let known_prefixes t =
-  let set = Hashtbl.create 64 in
-  Tbl.iter
-    (fun _ sp ->
-      List.iter (fun p -> Hashtbl.replace set p ()) (Speaker.known_prefixes sp))
-    t.speakers;
-  Hashtbl.fold (fun p () acc -> p :: acc) set []
-  |> List.sort Net.Prefix.compare
+(* The union is order-free; the list is sorted by prefix, never by id. *)
+let known_pids t =
+  let set = Tbl.create 64 in
+  Tbl.iter (fun _ sp -> Speaker.iter_known (fun p -> Tbl.replace set p ()) sp) t.speakers;
+  Tbl.fold (fun p () acc -> p :: acc) set []
+  |> List.sort (fun a b ->
+         Net.Prefix.compare (Net.Intern.Prefix_id.value a)
+           (Net.Intern.Prefix_id.value b))
+
+let known_prefixes t = List.map Net.Intern.Prefix_id.value (known_pids t)
 
 (* Next hops and weights are plain ints, so Marshal is
    representation-stable. *)

@@ -184,8 +184,12 @@ val fib_snapshot : t -> Net.Prefix.t -> (int * Speaker.fib_state) list
 (** FIB state of every device for the prefix (devices without a route are
     omitted). *)
 
+val known_pids : t -> int list
+(** Union of every speaker's known prefixes ({!Speaker.iter_known}) as
+    prefix ids, sorted by prefix (never by id). *)
+
 val known_prefixes : t -> Net.Prefix.t list
-(** Union of every speaker's known prefixes, sorted. *)
+(** {!known_pids} as prefixes. *)
 
 val fib_digest : t -> string
 (** One digest over every speaker's installed FIB for every known prefix:

@@ -651,29 +651,29 @@ let evaluate t env p : outbox =
       ])
   @@ fun () -> commit t p (compute ~commit:true t env p)
 
+(* Every prefix id in any RIB (in, origin, FIB, or out), once per table
+   that holds it, in no particular order. *)
+let iter_known f t =
+  Tbl.iter (fun p _ -> f p) t.rib_in;
+  iter_origins (fun p _ -> f p) t;
+  Tbl.iter (fun p _ -> f p) t.fib_table;
+  Array.iter (fun r -> Tbl.iter (fun p _ -> f p) r.rib_out) t.peer_records
+
+let knows t p =
+  Tbl.mem t.rib_in p
+  || Option.is_some (origin_of t p)
+  || Tbl.mem t.fib_table p
+  || Array.exists (fun r -> Tbl.mem r.rib_out p) t.peer_records
+
 let known_pids t =
   let set = Tbl.create 64 in
-  Tbl.iter (fun p _ -> Tbl.replace set p ()) t.rib_in;
-  iter_origins (fun p _ -> Tbl.replace set p ()) t;
-  Tbl.iter (fun p _ -> Tbl.replace set p ()) t.fib_table;
-  Array.iter
-    (fun r -> Tbl.iter (fun p _ -> Tbl.replace set p ()) r.rib_out)
-    t.peer_records;
+  iter_known (fun p -> Tbl.replace set p ()) t;
   Tbl.fold (fun p () acc -> p :: acc) set [] |> sort_pids
-
-let known_prefixes t = List.map prefix_of (known_pids t)
 
 (* ---------------- Dirty-set bookkeeping ---------------- *)
 
 let mark_dirty t p = Tbl.replace t.dirty p ()
-
-let mark_all_dirty t =
-  Tbl.iter (fun p _ -> Tbl.replace t.dirty p ()) t.rib_in;
-  iter_origins (fun p _ -> Tbl.replace t.dirty p ()) t;
-  Tbl.iter (fun p _ -> Tbl.replace t.dirty p ()) t.fib_table;
-  Array.iter
-    (fun r -> Tbl.iter (fun p _ -> Tbl.replace t.dirty p ()) r.rib_out)
-    t.peer_records
+let mark_all_dirty t = iter_known (mark_dirty t) t
 
 (* Non-native hooks get a context whose answers (time, live peers per
    layer) can feed into any prefix's decision, so a transition that changes
@@ -717,10 +717,10 @@ type divergence =
   | Stale_fib of { prefix : Net.Prefix.t }
   | Stale_advert of { prefix : Net.Prefix.t; peer : int }
 
-(* Always the full-table walk, never the dirty set: the checker's job is to
-   catch incremental-invalidation bugs, so it must not share the machinery
-   it audits. [compute] mutates nothing. *)
-let divergences t env =
+(* Always a walk over the ids the caller names, never the dirty set: the
+   checker's job is to catch incremental-invalidation bugs, so it must not
+   share the machinery it audits. [compute] mutates nothing. *)
+let divergences_at t env pids =
   List.concat_map
     (fun p ->
       let d = compute ~commit:false t env p in
@@ -753,7 +753,9 @@ let divergences t env =
           d.d_adverts
       in
       fib_div @ advert_divs)
-    (known_pids t)
+    pids
+
+let divergences t env = divergences_at t env (known_pids t)
 
 (* ---------------- Transitions ---------------- *)
 
@@ -1109,6 +1111,26 @@ let stale_routes t =
            if c <> 0 then c else Int.compare s1 s2)
 
 let fib_stale_prefixes t = List.map prefix_of (fib_stale_pids t)
+
+let fib_find t p = Tbl.find_opt t.fib_table p
+let fib_preserved = fib_stale_mem
+let stale_marked = has_stale_mark
+
+let rib_in_attr t p ~peer ~session =
+  match Tbl.find_opt t.rib_in p with
+  | None -> None
+  | Some rib ->
+    let i = rib_find rib peer session in
+    if i >= 0 then Some rib.attrs.(i) else None
+
+let rib_out_attr t ~peer p =
+  match find_peer t peer with
+  | None -> None
+  | Some r -> Tbl.find_opt r.rib_out p
+
+let has_stale_state t =
+  (match t.stale with Some marks -> Triple.length marks > 0 | None -> false)
+  || match t.fib_stale with Some s -> Tbl.length s > 0 | None -> false
 
 let routes_from t ~peer ~session =
   Tbl.fold

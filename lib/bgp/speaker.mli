@@ -214,8 +214,43 @@ val adj_rib_in : t -> Net.Prefix.t -> (int * int * Net.Attr.t) list
 val ingress_policy : t -> peer:int -> Policy.t option
 (** The ingress policy installed for the peer, if any. *)
 
-val known_prefixes : t -> Net.Prefix.t list
-(** Every prefix present in any RIB (in, origin, FIB, or out), sorted. *)
+(** {1 Reads by prefix id}
+
+    Read-only probes for a judge that walks many prefixes at once (an
+    invariant sweep): each takes a prefix id ({!Net.Intern.Prefix_id.id})
+    and reads one table slot, building no list and changing nothing. The
+    lists above answer the same questions one prefix or one peer at a
+    time. *)
+
+val fib_find : t -> int -> fib_state option
+(** {!fib_lookup} by prefix id. *)
+
+val fib_preserved : t -> int -> bool
+(** Is the prefix's FIB entry preserved from before this speaker's own
+    restart and not yet re-derived (one of {!fib_stale_prefixes})? *)
+
+val stale_marked : t -> int -> peer:int -> session:int -> bool
+(** {!is_stale} by prefix id. *)
+
+val rib_in_attr : t -> int -> peer:int -> session:int -> Net.Attr.t option
+(** The raw Adj-RIB-In attributes of the route from (peer, session), if
+    one is held: the entry of {!adj_rib_in} or {!routes_from}. *)
+
+val rib_out_attr : t -> peer:int -> int -> Net.Attr.t option
+(** What the Adj-RIB-Out toward [peer] holds for the prefix: the entry of
+    {!advertised_to}. *)
+
+val has_stale_state : t -> bool
+(** Does the speaker hold any stale mark or preserved FIB entry? When it
+    does not, {!stale_routes} and {!fib_stale_prefixes} are both empty. *)
+
+val knows : t -> int -> bool
+(** Is the prefix present in any RIB (in, origin, FIB, or out)? *)
+
+val iter_known : (int -> unit) -> t -> unit
+(** Calls the function on every prefix id present in any RIB, once per
+    table holding it, in no particular order: a caller that needs a set or
+    an order builds it. *)
 
 (** {1 Invariant support}
 
@@ -233,3 +268,9 @@ val divergences : t -> env -> divergence list
     and Adj-RIB-Out. The hooks see a dry run ([ctx.commit = false]), so
     they fire no side effect either. An empty list means the speaker is
     internally converged. *)
+
+val divergences_at : t -> env -> int list -> divergence list
+(** {!divergences} over the given prefix ids, in the given order: the
+    caller names the prefixes the speaker {!knows}, sorted by prefix, and
+    gets exactly {!divergences}' list. Each id is re-decided from scratch,
+    as a dry run. *)

@@ -67,16 +67,20 @@ type node =
     }
   | Only of Obs.Causal.event
 
+module Tbl = Net.Int_table
+
 (* Provenance: the DAG nodes, the current cause ("cursor") that threads
    causality through synchronous call chains (deliver -> receive -> decide
    -> FIB change), and each device's latest decision per prefix, so that a
    send or FIB change made at the decision's instant parents to it even
-   after the cursor has moved on. *)
+   after the cursor has moved on. The decisions are one table of prefix ids
+   per device: a restart drops its own device's table. Nothing folds over
+   them. *)
 type provenance = {
   mutable nodes : node array;
   mutable len : int;
   mutable cursor : int;
-  decisions : (int * int, int * float) Hashtbl.t;
+  decisions : (int * float) Tbl.t Tbl.t;
 }
 
 (* Events live in an append-friendly growable array; the forward list the
@@ -98,7 +102,7 @@ let create () =
   let prov =
     Option.map
       (fun _ ->
-        { nodes = [||]; len = 0; cursor = -1; decisions = Hashtbl.create 512 })
+        { nodes = [||]; len = 0; cursor = -1; decisions = Tbl.create 64 })
       !scope
   in
   let t = { arr = [||]; count = 0; memo = []; memo_count = 0; prov } in
@@ -230,9 +234,12 @@ let only p ~kind ~parent ~time ~device ~peer ~session ~prefix ~note =
    [prefix] at exactly [time], if any, else the current cause. An older
    decision is stale state (a session resend replaying Adj-RIB-Out). *)
 let cause p ~device ~prefix ~time =
-  match Hashtbl.find_opt p.decisions (device, prefix) with
-  | Some (id, at) when at = time -> id
-  | Some _ | None -> p.cursor
+  match Tbl.find_opt p.decisions device with
+  | None -> p.cursor
+  | Some decided -> (
+    match Tbl.find_opt decided prefix with
+    | Some (id, at) when at = time -> id
+    | Some _ | None -> p.cursor)
 
 let set_cause t id = match t.prov with Some p -> p.cursor <- id | None -> ()
 
@@ -289,7 +296,15 @@ let decided t ~time ~device ~prefix =
       only p ~kind:Decide ~parent:p.cursor ~time ~device ~peer:(-1)
         ~session:(-1) ~prefix ~note:""
     in
-    Hashtbl.replace p.decisions (device, prefix) (id, time)
+    let decided =
+      match Tbl.find_opt p.decisions device with
+      | Some decided -> decided
+      | None ->
+        let decided = Tbl.create 16 in
+        Tbl.replace p.decisions device decided;
+        decided
+    in
+    Tbl.replace decided prefix (id, time)
 
 let originated t ~time ~device prefix ~withdraw =
   match t.prov with
@@ -317,9 +332,7 @@ let restarted t ~time ~device =
   | Some p ->
     (* The crash wipes the device's RIBs: its old decisions can no longer
        cause anything. Peers' decisions stay valid. *)
-    Hashtbl.filter_map_inplace
-      (fun (d, _) decision -> if d = device then None else Some decision)
-      p.decisions;
+    Tbl.remove p.decisions device;
     p.cursor <- push p (Logged { event; kind = Restart; parent = -1 });
     p.cursor
 

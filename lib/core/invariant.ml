@@ -8,7 +8,6 @@ type kind =
   | Rib_inconsistency
   | Dead_next_hop
   | Unstable
-  | Compiled_mismatch
   | Session_stale
   | Stale_route
   | Dual_leader
@@ -20,7 +19,6 @@ let kind_name = function
   | Rib_inconsistency -> "rib-inconsistency"
   | Dead_next_hop -> "dead-next-hop"
   | Unstable -> "unstable"
-  | Compiled_mismatch -> "compiled-mismatch"
   | Session_stale -> "session-stale"
   | Stale_route -> "stale-route"
   | Dual_leader -> "dual-leader"
@@ -39,6 +37,48 @@ let pp_violation ppf v =
   Option.iter (fun p -> Format.fprintf ppf " %a" Net.Prefix.pp p) v.prefix;
   Format.fprintf ppf ": %s" v.detail
 
+(* ---------------- The sweep frame ---------------- *)
+
+(* What every check of one sweep reads, built once per sweep: the graph in
+   dense positions with each device's speaker, and the network's known
+   prefix ids sorted by prefix. The checks probe speaker state by prefix id
+   and push what they find onto [out], newest first; the sweep reverses it
+   once. Nothing keeps a frame after its sweep. *)
+type frame = {
+  net : Bgp.Network.t;
+  topo : Topology.Frame.t;
+  devices : int list;  (* sorted *)
+  speakers : Bgp.Speaker.t array;  (* by position *)
+  known : int list;
+  (* The blackhole search's work arrays, by position: a position is
+     reached by the current search when its stamp is the search's. *)
+  reached : int array;
+  queue : int array;
+  mutable search : int;
+  mutable out : violation list;
+}
+
+let frame net =
+  let topo = Topology.Frame.make (Bgp.Network.graph net) in
+  let n = Topology.Frame.size topo in
+  {
+    net;
+    topo;
+    devices = Topology.Frame.devices topo;
+    speakers = Array.map (Bgp.Network.speaker net) (Topology.Frame.ids topo);
+    known = Bgp.Network.known_pids net;
+    reached = Array.make n 0;
+    queue = Array.make n 0;
+    search = 0;
+    out = [];
+  }
+
+let push fr v = fr.out <- v :: fr.out
+
+let speaker_of fr d =
+  let i = Topology.Frame.position fr.topo d in
+  if i >= 0 then fr.speakers.(i) else Bgp.Network.speaker fr.net d
+
 (* ---------------- Forwarding loops ---------------- *)
 
 let check_forwarding ?prefix ~lookup ~devices () =
@@ -53,168 +93,149 @@ let check_forwarding ?prefix ~lookup ~devices () =
       })
     (Dataplane.Metrics.find_forwarding_loops ~lookup ~devices)
 
+let forwarding fr prefix p =
+  List.iter (push fr)
+    (check_forwarding ~prefix
+       ~lookup:(fun d -> Bgp.Speaker.fib_find (speaker_of fr d) p)
+       ~devices:fr.devices ())
+
 (* ---------------- Blackholes ---------------- *)
 
-(* Devices physically connected to any of [origins] over up links. *)
-let reachable_from graph origins =
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter
-    (fun d ->
-      Hashtbl.replace seen d ();
-      Queue.push d queue)
-    origins;
-  while not (Queue.is_empty queue) do
-    let d = Queue.pop queue in
-    List.iter
-      (fun ((n : Topology.Node.t), _link) ->
-        if not (Hashtbl.mem seen n.Topology.Node.id) then begin
-          Hashtbl.replace seen n.Topology.Node.id ();
-          Queue.push n.Topology.Node.id queue
+(* One breadth-first search from every origin of the prefix at once, over
+   up links: a device it reaches with no route has a surviving physical
+   path to some origin. Origins hold [Local], so they are never reported. *)
+let blackholes fr prefix p =
+  fr.search <- fr.search + 1;
+  let stamp = fr.search and reached = fr.reached and queue = fr.queue in
+  let route i = Bgp.Speaker.fib_find fr.speakers.(i) p in
+  let tail = ref 0 in
+  Array.iteri
+    (fun i _ ->
+      match route i with
+      | Some Bgp.Speaker.Local ->
+        reached.(i) <- stamp;
+        queue.(!tail) <- i;
+        incr tail
+      | Some (Bgp.Speaker.Entries _) | None -> ())
+    fr.speakers;
+  let head = ref 0 in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    Array.iter
+      (fun j ->
+        if reached.(j) <> stamp then begin
+          reached.(j) <- stamp;
+          queue.(!tail) <- j;
+          incr tail
         end)
-      (Topology.Graph.neighbors graph d)
+      (Topology.Frame.up fr.topo x)
   done;
-  seen
-
-let check_blackholes net graph devices prefix =
-  let lookup d = Bgp.Network.fib net d prefix in
-  let origins =
-    List.filter
-      (fun d -> match lookup d with Some Bgp.Speaker.Local -> true | _ -> false)
-      devices
-  in
-  if origins = [] then []
-  else begin
-    let reachable = reachable_from graph origins in
-    List.filter_map
-      (fun d ->
-        if
-          Hashtbl.mem reachable d
-          && (not (List.mem d origins))
-          && lookup d = None
-        then
-          Some
+  let ids = Topology.Frame.ids fr.topo in
+  Array.iteri
+    (fun i d ->
+      if reached.(i) = stamp then
+        match route i with
+        | None ->
+          push fr
             {
               device = Some d;
               prefix = Some prefix;
               kind = Blackhole;
-              detail =
-                "no route although a physical path to an origin survives";
+              detail = "no route although a physical path to an origin survives";
             }
-        else None)
-      devices
-  end
+        | Some _ -> ())
+    ids
 
 (* ---------------- Per-entry RIB / liveness checks ---------------- *)
 
-let check_entries net graph devices prefix =
-  List.concat_map
-    (fun d ->
-      let sp = Bgp.Network.speaker net d in
-      match Bgp.Speaker.fib_lookup sp prefix with
-      | Some Bgp.Speaker.Local | None -> []
-      | Some (Bgp.Speaker.Entries _)
-        when List.exists (Net.Prefix.equal prefix)
-               (Bgp.Speaker.fib_stale_prefixes sp) ->
+let entries fr prefix p =
+  let graph = Topology.Frame.graph fr.topo in
+  Array.iteri
+    (fun i d ->
+      let sp = fr.speakers.(i) in
+      match Bgp.Speaker.fib_find sp p with
+      | Some Bgp.Speaker.Local | None -> ()
+      | Some (Bgp.Speaker.Entries _) when Bgp.Speaker.fib_preserved sp p ->
         (* The whole entry set is preserved from before the device's own
            graceful restart; its justifying RIBs are deliberately gone.
-           [check_stale] reports it instead (a leak only at quiescence). *)
-        []
-      | Some (Bgp.Speaker.Entries entries) ->
-        let rib = Bgp.Speaker.adj_rib_in sp prefix in
-        List.concat_map
+           The stale check reports it instead (a leak only at
+           quiescence). *)
+        ()
+      | Some (Bgp.Speaker.Entries es) ->
+        List.iter
           (fun (e : Bgp.Speaker.entry) ->
-            let justified =
-              List.exists
-                (fun (peer, session, _) ->
-                  peer = e.Bgp.Speaker.next_hop
-                  && session = e.Bgp.Speaker.session)
-                rib
-            in
-            let rib_v =
-              if justified then []
-              else
-                [ {
-                    device = Some d;
-                    prefix = Some prefix;
-                    kind = Rib_inconsistency;
-                    detail =
-                      Printf.sprintf
-                        "FIB entry via %d session %d has no Adj-RIB-In route"
-                        e.Bgp.Speaker.next_hop e.Bgp.Speaker.session;
-                  } ]
-            in
+            let peer = e.Bgp.Speaker.next_hop
+            and session = e.Bgp.Speaker.session in
+            if Option.is_none (Bgp.Speaker.rib_in_attr sp p ~peer ~session)
+            then
+              push fr
+                {
+                  device = Some d;
+                  prefix = Some prefix;
+                  kind = Rib_inconsistency;
+                  detail =
+                    Printf.sprintf
+                      "FIB entry via %d session %d has no Adj-RIB-In route"
+                      peer session;
+                };
             let link_up =
-              match Topology.Graph.find_link graph d e.Bgp.Speaker.next_hop with
+              match Topology.Graph.find_link graph d peer with
               | Some link -> link.Topology.Graph.up
               | None -> false
             in
-            let alive =
-              link_up
-              && Bgp.Speaker.session_up sp ~peer:e.Bgp.Speaker.next_hop
-                   ~session:e.Bgp.Speaker.session
-            in
-            (* Forwarding on a stale route over an up link is the sanctioned
-               graceful-restart state (reported by [check_stale] if it
-               persists), not a dead next hop. *)
-            let stale_sanctioned =
-              link_up
-              && Bgp.Speaker.is_stale sp prefix ~peer:e.Bgp.Speaker.next_hop
-                   ~session:e.Bgp.Speaker.session
-            in
-            let dead_v =
-              if alive || stale_sanctioned then []
-              else
-                [ {
-                    device = Some d;
-                    prefix = Some prefix;
-                    kind = Dead_next_hop;
-                    detail =
-                      Printf.sprintf
-                        "FIB entry via %d session %d references a dead next \
-                         hop"
-                        e.Bgp.Speaker.next_hop e.Bgp.Speaker.session;
-                  } ]
-            in
-            rib_v @ dead_v)
-          entries)
-    devices
+            (* Forwarding on a stale route over an up link is the
+               sanctioned graceful-restart state (reported by the stale
+               check if it persists), not a dead next hop. *)
+            if
+              not
+                (link_up
+                && (Bgp.Speaker.session_up sp ~peer ~session
+                   || Bgp.Speaker.stale_marked sp p ~peer ~session))
+            then
+              push fr
+                {
+                  device = Some d;
+                  prefix = Some prefix;
+                  kind = Dead_next_hop;
+                  detail =
+                    Printf.sprintf
+                      "FIB entry via %d session %d references a dead next \
+                       hop"
+                      peer session;
+                })
+          es)
+    (Topology.Frame.ids fr.topo)
 
 (* ---------------- Graceful-restart stale state ---------------- *)
 
 (* Stale marks are legitimate only while a restart/resync is in progress; a
-   mark that survives to quiescence means the sweep machinery leaked. *)
-let check_stale net devices =
-  List.concat_map
-    (fun d ->
-      let sp = Bgp.Network.speaker net d in
-      let route_leaks =
-        List.map
-          (fun (prefix, peer, session, marked_at) ->
-            {
-              device = Some d;
-              prefix = Some prefix;
-              kind = Stale_route;
-              detail =
-                Printf.sprintf
-                  "route from peer %d session %d still stale (marked at %.4fs)"
-                  peer session marked_at;
-            })
-          (Bgp.Speaker.stale_routes sp)
-      in
-      let fib_leaks =
-        List.map
-          (fun prefix ->
-            {
-              device = Some d;
-              prefix = Some prefix;
-              kind = Stale_route;
-              detail = "FIB entry preserved across restart was never re-learned";
-            })
-          (Bgp.Speaker.fib_stale_prefixes sp)
-      in
-      route_leaks @ fib_leaks)
-    devices
+   mark that survives to quiescence means the sweep machinery leaked. A
+   speaker with neither marks nor preserved entries has nothing to list. *)
+let stale d sp =
+  if not (Bgp.Speaker.has_stale_state sp) then []
+  else
+    List.map
+      (fun (prefix, peer, session, marked_at) ->
+        {
+          device = Some d;
+          prefix = Some prefix;
+          kind = Stale_route;
+          detail =
+            Printf.sprintf
+              "route from peer %d session %d still stale (marked at %.4fs)"
+              peer session marked_at;
+        })
+      (Bgp.Speaker.stale_routes sp)
+    @ List.map
+        (fun prefix ->
+          {
+            device = Some d;
+            prefix = Some prefix;
+            kind = Stale_route;
+            detail = "FIB entry preserved across restart was never re-learned";
+          })
+        (Bgp.Speaker.fib_stale_prefixes sp)
 
 (* ---------------- Session staleness ---------------- *)
 
@@ -222,142 +243,142 @@ let check_stale net devices =
    Adj-RIB-Out holds must match what the receiver's Adj-RIB-In heard. A
    divergence at quiescence means the transport silently ate messages — the
    blinded-session failure mode that, without liveness timers, no other
-   check can see (each end is internally converged on its own inputs). *)
-let check_session_staleness net =
-  let graph = Bgp.Network.graph net in
-  let direction src dst session =
-    let sender = Bgp.Network.speaker net src in
-    let receiver = Bgp.Network.speaker net dst in
-    if
-      not
-        (Bgp.Speaker.session_up sender ~peer:dst ~session
-        && Bgp.Speaker.session_up receiver ~peer:src ~session)
-    then []
-    else begin
-      let sent = Bgp.Speaker.advertised_to sender ~peer:dst in
-      let heard = Bgp.Speaker.routes_from receiver ~peer:src ~session in
-      let stale prefix =
-        Bgp.Speaker.is_stale receiver prefix ~peer:src ~session
-      in
-      let missing =
-        List.filter_map
-          (fun (prefix, attr) ->
-            if stale prefix then None
-            else
-              match List.assoc_opt prefix heard with
-              | Some got when Net.Attr.equal got attr -> None
-              | Some _ ->
-                Some
-                  {
-                    device = Some dst;
-                    prefix = Some prefix;
-                    kind = Session_stale;
-                    detail =
-                      Printf.sprintf
-                        "route from %d session %d differs from what the peer \
-                         advertised"
-                        src session;
-                  }
-              | None ->
-                Some
-                  {
-                    device = Some dst;
-                    prefix = Some prefix;
-                    kind = Session_stale;
-                    detail =
-                      Printf.sprintf
-                        "peer %d advertised this prefix on session %d but it \
-                         was never received"
-                        src session;
-                  })
-          sent
-      in
-      let ghost =
-        List.filter_map
-          (fun (prefix, _) ->
-            if stale prefix || List.mem_assoc prefix sent then None
-            else
-              Some
-                {
-                  device = Some dst;
-                  prefix = Some prefix;
-                  kind = Session_stale;
-                  detail =
-                    Printf.sprintf
-                      "route held from %d session %d is no longer in the \
-                       peer's Adj-RIB-Out"
-                      src session;
-                })
-          heard
-      in
-      missing @ ghost
-    end
-  in
-  List.concat_map
+   check can see (each end is internally converged on its own inputs).
+   One walk over the known ids probes both tables: a route sent and not
+   heard (or heard differently) is reported in prefix order, then every
+   route heard and no longer sent. *)
+let session_direction fr ~src ~dst session =
+  let sender = speaker_of fr src and receiver = speaker_of fr dst in
+  if
+    Bgp.Speaker.session_up sender ~peer:dst ~session
+    && Bgp.Speaker.session_up receiver ~peer:src ~session
+  then begin
+    let violation p detail =
+      {
+        device = Some dst;
+        prefix = Some (Net.Intern.Prefix_id.value p);
+        kind = Session_stale;
+        detail;
+      }
+    in
+    let ghosts =
+      List.fold_left
+        (fun ghosts p ->
+          match
+            ( Bgp.Speaker.rib_out_attr sender ~peer:dst p,
+              Bgp.Speaker.rib_in_attr receiver p ~peer:src ~session )
+          with
+          | None, None -> ghosts
+          | _ when Bgp.Speaker.stale_marked receiver p ~peer:src ~session ->
+            ghosts
+          | Some sent, Some got ->
+            if not (Net.Attr.equal got sent) then
+              push fr
+                (violation p
+                   (Printf.sprintf
+                      "route from %d session %d differs from what the peer \
+                       advertised"
+                      src session));
+            ghosts
+          | Some _, None ->
+            push fr
+              (violation p
+                 (Printf.sprintf
+                    "peer %d advertised this prefix on session %d but it was \
+                     never received"
+                    src session));
+            ghosts
+          | None, Some _ -> p :: ghosts)
+        [] fr.known
+    in
+    List.iter
+      (fun p ->
+        push fr
+          (violation p
+             (Printf.sprintf
+                "route held from %d session %d is no longer in the peer's \
+                 Adj-RIB-Out"
+                src session)))
+      (List.rev ghosts)
+  end
+
+let session_staleness fr =
+  List.iter
     (fun (link : Topology.Graph.link) ->
-      if not link.Topology.Graph.up then []
-      else
-        List.concat_map
-          (fun session ->
-            direction link.a link.b session @ direction link.b link.a session)
-          (List.init link.Topology.Graph.sessions Fun.id))
-    (Topology.Graph.links graph)
+      if link.Topology.Graph.up then
+        for session = 0 to link.Topology.Graph.sessions - 1 do
+          session_direction fr ~src:link.a ~dst:link.b session;
+          session_direction fr ~src:link.b ~dst:link.a session
+        done)
+    (Topology.Graph.links (Topology.Frame.graph fr.topo))
 
 (* ---------------- Stability ---------------- *)
 
-let check_stability net devices =
-  let env = Bgp.Network.env net in
-  List.concat_map
-    (fun d ->
-      let sp = Bgp.Network.speaker net d in
-      List.map
-        (function
-          | Bgp.Speaker.Stale_fib { prefix } ->
-            {
-              device = Some d;
-              prefix = Some prefix;
-              kind = Unstable;
-              detail = "installed FIB differs from decision-process output";
-            }
-          | Bgp.Speaker.Stale_advert { prefix; peer } ->
-            {
-              device = Some d;
-              prefix = Some prefix;
-              kind = Unstable;
-              detail =
-                Printf.sprintf
-                  "advertisement to peer %d differs from decision-process \
-                   output"
-                  peer;
-            })
-        (Bgp.Speaker.divergences sp env))
-    devices
+(* Every device re-decides, from scratch, exactly the prefixes it knows:
+   the frame's sorted list filtered by the speaker, so the ids come in
+   prefix order as the speaker's own walk would give them. *)
+let stability fr =
+  let env = Bgp.Network.env fr.net in
+  Array.iteri
+    (fun i d ->
+      let sp = fr.speakers.(i) in
+      List.iter
+        (fun div ->
+          push fr
+            (match div with
+             | Bgp.Speaker.Stale_fib { prefix } ->
+               {
+                 device = Some d;
+                 prefix = Some prefix;
+                 kind = Unstable;
+                 detail = "installed FIB differs from decision-process output";
+               }
+             | Bgp.Speaker.Stale_advert { prefix; peer } ->
+               {
+                 device = Some d;
+                 prefix = Some prefix;
+                 kind = Unstable;
+                 detail =
+                   Printf.sprintf
+                     "advertisement to peer %d differs from decision-process \
+                      output"
+                     peer;
+               }))
+        (Bgp.Speaker.divergences_at sp env
+           (List.filter (Bgp.Speaker.knows sp) fr.known)))
+    (Topology.Frame.ids fr.topo)
 
 (* ---------------- Entry points ---------------- *)
 
+let found fr = List.rev fr.out
+
+let check_stale net devices =
+  List.concat_map (fun d -> stale d (Bgp.Network.speaker net d)) devices
+
+let check_session_staleness net =
+  let fr = frame net in
+  session_staleness fr;
+  found fr
+
 let sweep ?prefixes net =
   Obs.Span.with_span "invariant.sweep" @@ fun () ->
-  let graph = Bgp.Network.graph net in
-  let devices =
-    List.map (fun n -> n.Topology.Node.id) (Topology.Graph.nodes graph)
+  let fr = frame net in
+  let per_prefix prefix p =
+    forwarding fr prefix p;
+    blackholes fr prefix p;
+    entries fr prefix p
   in
-  let prefixes =
-    match prefixes with
-    | Some ps -> ps
-    | None -> Bgp.Network.known_prefixes net
-  in
-  let per_prefix =
-    List.concat_map
-      (fun prefix ->
-        check_forwarding ~prefix
-          ~lookup:(fun d -> Bgp.Network.fib net d prefix)
-          ~devices ()
-        @ check_blackholes net graph devices prefix
-        @ check_entries net graph devices prefix)
-      prefixes
-  in
-  per_prefix @ check_stability net devices @ check_stale net devices
-  @ check_session_staleness net
+  (match prefixes with
+   | Some ps ->
+     List.iter (fun prefix -> per_prefix prefix (Net.Intern.Prefix_id.id prefix)) ps
+   | None ->
+     List.iter (fun p -> per_prefix (Net.Intern.Prefix_id.value p) p) fr.known);
+  stability fr;
+  Array.iteri
+    (fun i d -> List.iter (push fr) (stale d fr.speakers.(i)))
+    (Topology.Frame.ids fr.topo);
+  session_staleness fr;
+  found fr
 
 (* The last sweep: the stamp of the network it read, the prefixes it was
    asked about, and what it found. A sweep reads only state the stamp
@@ -381,24 +402,6 @@ let check ?prefixes net =
   in
   Obs.Metrics.incr ~by:(List.length found) m_violations;
   found
-
-let check_compiled net (compiled : Fallback_compiler.compiled) =
-  List.filter_map
-    (fun (device, peer, policy) ->
-      let sp = Bgp.Network.speaker net device in
-      match Bgp.Speaker.ingress_policy sp ~peer with
-      | Some installed when installed = policy -> None
-      | Some _ | None ->
-        Some
-          {
-            device = Some device;
-            prefix = None;
-            kind = Compiled_mismatch;
-            detail =
-              Printf.sprintf
-                "compiled ingress policy for peer %d is not installed" peer;
-          })
-    compiled.Fallback_compiler.ingress_policies
 
 let record net violations =
   let time = Bgp.Network.now net in

@@ -33,9 +33,6 @@ type kind =
           or RPA — the speaker currently has) yields a different FIB or
           advertisement than what is installed; at quiescence the two must
           agree *)
-  | Compiled_mismatch
-      (** an ingress policy produced by {!Fallback_compiler} is not (or no
-          longer) installed on its device *)
   | Session_stale
       (** both ends consider the session established, yet what the sender's
           Adj-RIB-Out holds differs from what the receiver heard — the
@@ -121,12 +118,6 @@ val check_ha :
     any commit made under an epoch after a higher one was granted.
     Commits with epoch 0 (unfenced single-controller operation) are
     exempt. *)
-
-val check_compiled :
-  Bgp.Network.t -> Fallback_compiler.compiled -> violation list
-(** Verifies every ingress policy the fallback compiler produced is
-    installed verbatim on its device ({!Compiled_mismatch} otherwise) —
-    the drift check for the paper's "transitory configuration" liability. *)
 
 (** {1 Recording} *)
 

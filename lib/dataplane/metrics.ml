@@ -24,7 +24,7 @@ let find_forwarding_loops ~lookup ~devices =
      [path] holds the devices from the current one's parent back to the
      root, so hitting a gray node yields the cycle as the path segment back
      to that node. *)
-  let color = Hashtbl.create 64 in
+  let color = Net.Int_table.create 64 in
   let cycles = ref [] in
   let normalize cycle =
     (* Rotate so the smallest id leads: the same cycle found from different
@@ -41,7 +41,7 @@ let find_forwarding_loops ~lookup ~devices =
       rotate 0 cycle
   in
   let rec visit path device =
-    match Hashtbl.find_opt color device with
+    match Net.Int_table.find_opt color device with
     | Some 2 -> ()
     | Some 1 ->
       let rec back_to = function
@@ -49,17 +49,18 @@ let find_forwarding_loops ~lookup ~devices =
         | d :: rest -> if d = device then [] else d :: back_to rest
       in
       let cycle = normalize (device :: List.rev (back_to path)) in
-      if cycle <> [] && not (List.mem cycle !cycles) then
+      if cycle <> [] && not (List.exists (List.equal Int.equal cycle) !cycles)
+      then
         cycles := cycle :: !cycles
     | Some _ | None ->
-      Hashtbl.replace color device 1;
+      Net.Int_table.replace color device 1;
       (match lookup device with
        | Some (Bgp.Speaker.Entries entries) ->
          List.iter
            (fun e -> visit (device :: path) e.Bgp.Speaker.next_hop)
            entries
        | Some Bgp.Speaker.Local | None -> ());
-      Hashtbl.replace color device 2
+      Net.Int_table.replace color device 2
   in
   List.iter (fun d -> visit [] d) devices;
   List.rev !cycles
