@@ -205,16 +205,17 @@ let hooks t = t.hooks
 
 (* ---------------- Peering ---------------- *)
 
-(* Index of the first record whose device id is at least [device]. *)
+(* Index of the first record in [a.(lo) .. a.(hi - 1)] whose device id is
+   at least [device]. Top-level, so a lookup allocates no closure. *)
+let rec peer_search a device lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if a.(mid).device < device then peer_search a device (mid + 1) hi
+    else peer_search a device lo mid
+
 let peer_index t device =
-  let a = t.peer_records in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if a.(mid).device < device then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+  peer_search t.peer_records device 0 (Array.length t.peer_records)
 
 let find_peer t device =
   let i = peer_index t device in
@@ -308,18 +309,18 @@ let decision_ctx t env prefix = make_ctx ~commit:false t env prefix
 
 let empty_rib () = { len = 0; from = [||]; sess = [||]; attrs = [||] }
 
-(* Index of the first route at or after (device, session). *)
-let rib_index rib device session =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      let d = rib.from.(mid).device in
-      if d < device || (d = device && rib.sess.(mid) < session) then
-        go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 rib.len
+(* Index of the first route at or after (device, session), like
+   [peer_search]. *)
+let rec rib_search rib device session lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let d = rib.from.(mid).device in
+    if d < device || (d = device && rib.sess.(mid) < session) then
+      rib_search rib device session (mid + 1) hi
+    else rib_search rib device session lo mid
+
+let rib_index rib device session = rib_search rib device session 0 rib.len
 
 (* The slot of the route from (device, session), or -1. *)
 let rib_find rib device session =

@@ -83,17 +83,29 @@ val check : ?prefixes:Net.Prefix.t list -> Bgp.Network.t -> violation list
     between-phases hook and a watchdog probe at one phase boundary. Only a
     sweep that runs opens an [invariant.sweep] span; the [invariant.checks]
     and [invariant.violations] counters count every call. The kept result
-    holds no reference to the network. *)
+    holds no reference to the network.
+
+    {b Cost.} A sweep builds one frame: the graph in dense positions
+    ({!Topology.Frame}) with each device's speaker, and the network's
+    known prefix ids sorted by prefix ({!Bgp.Network.known_pids}). Every
+    check then probes speaker tables by prefix id through {!Bgp.Speaker}'s
+    read-only accessors: one multi-source breadth-first search per prefix
+    for blackholes, one walk over the known ids per session direction,
+    and, for stability, one dry-run decision per prefix each device
+    {!Bgp.Speaker.knows}. Besides the frame and those decisions, what a
+    sweep allocates is its violations. The frame is dropped when the sweep
+    returns. *)
 
 val check_session_staleness : Bgp.Network.t -> violation list
-(** The cross-end session check alone: for every session both ends consider
-    up, the receiver's raw Adj-RIB-In must mirror the sender's Adj-RIB-Out
-    (stale-marked routes exempt). Works with liveness timers disabled —
-    this is the only detector for silently blinded sessions in legacy
-    mode. *)
+(** The cross-end session check alone, the same code a sweep runs: for
+    every session both ends consider up, the receiver's raw Adj-RIB-In
+    must mirror the sender's Adj-RIB-Out (stale-marked routes exempt).
+    Works with liveness timers disabled — this is the only detector for
+    silently blinded sessions in legacy mode. *)
 
 val check_stale : Bgp.Network.t -> int list -> violation list
-(** The graceful-restart leak check alone, over the given device ids. *)
+(** The graceful-restart leak check alone, over the given device ids, the
+    same code a sweep runs per device. *)
 
 val check_forwarding :
   ?prefix:Net.Prefix.t ->
