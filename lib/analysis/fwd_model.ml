@@ -51,15 +51,13 @@ type frame = {
 
 let frame graph =
   let topo = Topology.Frame.make graph in
-  let neighbors = Array.init (Topology.Frame.size topo) (Topology.Frame.neighbors topo) in
+  let n = Topology.Frame.size topo in
   let imports =
-    Array.mapi
-      (fun i nbrs ->
-        List.map2
-          (fun j (_, (link : G.link)) -> (j, max 1 link.G.sessions))
-          (Array.to_list (Topology.Frame.up topo i))
-          nbrs)
-      neighbors
+    Array.init n (fun i ->
+        let up = Topology.Frame.up topo i in
+        List.mapi
+          (fun k (_, (link : G.link)) -> (up.(k), max 1 link.G.sessions))
+          (Topology.Frame.neighbors topo i))
   in
   let dependents, max_sessions = wiring imports in
   {
@@ -69,12 +67,14 @@ let frame graph =
       (fun d ->
         Option.map (fun n -> n.Topology.Node.layer) (G.node_opt graph d));
     fr_live_peers =
-      Array.map
-        (fun nbrs ->
-          let layers = List.map (fun (m, _) -> m.Topology.Node.layer) nbrs in
+      Array.init n (fun i ->
+          let layers =
+            List.map
+              (fun (m, _) -> m.Topology.Node.layer)
+              (Topology.Frame.neighbors topo i)
+          in
           fun layer ->
-            List.length (List.filter (Topology.Node.layer_equal layer) layers))
-        neighbors;
+            List.length (List.filter (Topology.Node.layer_equal layer) layers));
     fr_imports = imports;
     fr_dependents = dependents;
     fr_max_sessions = max_sessions;
