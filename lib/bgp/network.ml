@@ -616,7 +616,9 @@ let fib_snapshot t prefix =
 (* The union is order-free; the list is sorted by prefix, never by id. *)
 let known_pids t =
   let set = Tbl.create 64 in
-  Tbl.iter (fun _ sp -> Speaker.iter_known (fun p -> Tbl.replace set p ()) sp) t.speakers;
+  Tbl.iter
+    (fun _ sp -> Speaker.iter_known (fun p -> Tbl.replace set p ()) sp)
+    t.speakers;
   Tbl.fold (fun p () acc -> p :: acc) set []
   |> List.sort (fun a b ->
          Net.Prefix.compare (Net.Intern.Prefix_id.value a)
