@@ -272,5 +272,5 @@ val divergences : t -> env -> divergence list
 val divergences_at : t -> env -> int list -> divergence list
 (** {!divergences} over the given prefix ids, in the given order: the
     caller names the prefixes the speaker {!knows}, sorted by prefix, and
-    gets exactly {!divergences}' list. Each id is re-decided from scratch,
+    gets exactly {!divergences}' list. Each id is re-decided afresh,
     as a dry run. *)

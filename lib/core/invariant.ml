@@ -314,7 +314,7 @@ let session_staleness fr =
 
 (* ---------------- Stability ---------------- *)
 
-(* Every device re-decides, from scratch, exactly the prefixes it knows:
+(* Every device re-decides, afresh, exactly the prefixes it knows:
    the frame's sorted list filtered by the speaker, so the ids come in
    prefix order as the speaker's own walk would give them. *)
 let stability fr =
