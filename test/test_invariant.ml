@@ -333,8 +333,9 @@ type topo =
 type step =
   | Advance of int  (* run the queue this many ms: a mid-convergence instant *)
   | Settle  (* converge: quiescence *)
-  | Originate of int  (* the device's own /24 *)
-  | Withdraw of int  (* withdraws the device's /24, or its default route *)
+  | Originate of int  (* the device's own /24, or a shared anycast /24 *)
+  | Withdraw of int  (* withdraws what [Originate] of the device adds, or its
+                        default route *)
   | Faults of int  (* none, light or severe message faults *)
   | Restart of int
   | Flap of int * bool  (* Network.set_link *)
@@ -418,7 +419,12 @@ let tagged_default () =
       (Net.Community.Set.singleton Net.Community.Well_known.backbone_default_route)
     ()
 
-let rack d = Net.Prefix.of_string_exn (Printf.sprintf "10.%d.0.0/24" (d mod 256))
+(* The prefix [Originate i] adds at device [d]: a third of the draws share
+   one anycast prefix, so a prefix can have origins on both sides of a
+   partition. *)
+let rack i d =
+  if i mod 3 = 0 then Net.Prefix.of_string_exn "10.254.0.0/24"
+  else Net.Prefix.of_string_exn (Printf.sprintf "10.%d.0.0/24" (d mod 254))
 
 let policies =
   [|
@@ -524,11 +530,11 @@ let apply (graph, origins, net) step =
   | Settle -> (
     try ignore (Bgp.Network.converge ~max_events:200_000 net)
     with Failure _ -> ())
-  | Originate d -> Bgp.Network.originate net (node d) (rack (node d)) (Net.Attr.make ())
+  | Originate d -> Bgp.Network.originate net (node d) (rack d (node d)) (Net.Attr.make ())
   | Withdraw d ->
     let device = node d in
     Bgp.Network.withdraw_origin net device
-      (if List.mem device origins then Net.Prefix.default_v4 else rack device)
+      (if List.mem device origins then Net.Prefix.default_v4 else rack d device)
   | Faults k ->
     Bgp.Network.set_fault net
       (match k with
