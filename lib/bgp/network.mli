@@ -30,7 +30,10 @@ val queue : t -> Dsim.Event_queue.t
 val trace : t -> Trace.t
 (** The network's event log: every act below recorded once, with its
     causal DAG when the network was created under
-    {!Trace.with_provenance}.
+    {!Trace.with_provenance}. Only such a log stores message records;
+    any other counts its messages ({!Trace.messages_sent},
+    {!Trace.messages_dropped}, {!Trace.keepalives_sent}) and stores the
+    rest.
 
     Its FIB events come from the speakers' own reports
     ({!Speaker.take_fib_changes}): after each delivered Update, Withdraw or
@@ -150,8 +153,9 @@ val set_fault : t -> Dsim.Fault.t option -> unit
 (** Installs (or removes) a message-level fault model. Once installed,
     every transmitted message's fate — dropped, extra-delayed, or allowed
     to overtake earlier messages of its session — is drawn from the model.
-    A drop is logged as a {!Trace.Message_sent} followed by a
-    {!Trace.Message_dropped}, one drop node in the causal DAG. *)
+    A drop counts as a send and a drop; under provenance it is logged as
+    a {!Trace.Message_sent} followed by a {!Trace.Message_dropped}, one
+    drop node in the causal DAG. *)
 
 val fault : t -> Dsim.Fault.t option
 

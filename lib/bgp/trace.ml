@@ -86,34 +86,43 @@ type provenance = {
 (* Events live in an append-friendly growable array; the forward list the
    public API exposes is memoized against the current length so repeated
    [events] calls on an unchanged trace (fib_timeline, the invariant
-   monitor, exporters) cost nothing after the first. *)
+   monitor, exporters) cost nothing after the first. Messages are counted
+   in [sent] (dropped ones included), [dropped] and [keepalives], and their
+   records stored only under provenance: nothing else reads them. *)
 type t = {
   mutable arr : event array;
   mutable count : int;
   mutable memo : event list;
   mutable memo_count : int;
+  mutable sent : int;
+  mutable dropped : int;
+  mutable keepalives : int;
   prov : provenance option;
 }
 
-(* The logs created inside [with_provenance], newest first. *)
-let scope : t list ref option ref = ref None
+(* The log lists of the [with_provenance] calls in progress, innermost
+   first; each list is newest first. *)
+let scopes : t list ref list ref = ref []
 
 let create () =
   let prov =
-    Option.map
-      (fun _ ->
-        { nodes = [||]; len = 0; cursor = -1; decisions = Tbl.create 64 })
-      !scope
+    match !scopes with
+    | [] -> None
+    | _ :: _ ->
+      Some { nodes = [||]; len = 0; cursor = -1; decisions = Tbl.create 64 }
   in
-  let t = { arr = [||]; count = 0; memo = []; memo_count = 0; prov } in
-  Option.iter (fun logs -> logs := t :: !logs) !scope;
+  let t =
+    { arr = [||]; count = 0; memo = []; memo_count = 0; sent = 0; dropped = 0;
+      keepalives = 0; prov }
+  in
+  List.iter (fun logs -> logs := t :: !logs) !scopes;
   t
 
 let with_provenance f =
-  let previous = !scope in
+  let outer = !scopes in
   let logs = ref [] in
-  scope := Some logs;
-  let result = Fun.protect ~finally:(fun () -> scope := previous) f in
+  scopes := logs :: outer;
+  let result = Fun.protect ~finally:(fun () -> scopes := outer) f in
   (result, List.rev !logs)
 
 (* A full array [a], doubled. *)
@@ -122,12 +131,33 @@ let grown a fill =
   Array.blit a 0 bigger 0 (Array.length a);
   bigger
 
-let record t event =
+let append t event =
   if t.count = Array.length t.arr then t.arr <- grown t.arr event;
   t.arr.(t.count) <- event;
   t.count <- t.count + 1
 
-let length t = t.count
+(* A send, dropped or not. *)
+let count_sent t msg =
+  t.sent <- t.sent + 1;
+  match msg with
+  | Msg.Keepalive -> t.keepalives <- t.keepalives + 1
+  | Msg.Update _ | Msg.Withdraw _ | Msg.Eor -> ()
+
+let record t event =
+  match event with
+  | Message_sent { msg; _ } ->
+    count_sent t msg;
+    if Option.is_some t.prov then append t event
+  | Message_dropped _ ->
+    t.dropped <- t.dropped + 1;
+    if Option.is_some t.prov then append t event
+  | Fib_change _ | Speaker_restarted _ | Session_event _ | Violation _ ->
+    append t event
+
+let length t =
+  match t.prov with
+  | Some _ -> t.count
+  | None -> t.count + t.sent + t.dropped
 
 let iter t f =
   for i = 0 to t.count - 1 do
@@ -152,11 +182,9 @@ let count p t =
   iter t (fun e -> if p e then incr n);
   !n
 
-let messages_sent t =
-  count (function Message_sent _ -> true | _ -> false) t
-
-let messages_dropped t =
-  count (function Message_dropped _ -> true | _ -> false) t
+let messages_sent t = t.sent
+let messages_dropped t = t.dropped
+let keepalives_sent t = t.keepalives
 
 let fib_change_count t =
   count (function Fib_change _ -> true | _ -> false) t
@@ -178,7 +206,10 @@ let clear t =
   t.arr <- [||];
   t.count <- 0;
   t.memo <- [];
-  t.memo_count <- 0
+  t.memo_count <- 0;
+  t.sent <- 0;
+  t.dropped <- 0;
+  t.keepalives <- 0
 
 let fib_timeline t ~prefix ~initial =
   let current = Hashtbl.create 16 in
@@ -245,7 +276,7 @@ let set_cause t id = match t.prov with Some p -> p.cursor <- id | None -> ()
 
 let fib_change t ~time ~device prefix state =
   let event = Fib_change { time; device; prefix; state } in
-  record t event;
+  append t event;
   match t.prov with
   | None -> ()
   | Some p ->
@@ -253,24 +284,31 @@ let fib_change t ~time ~device prefix state =
     let parent = cause p ~device ~prefix ~time in
     ignore (push p (Logged { event; kind = Fib; parent }))
 
+(* Without provenance a message is only counted: no record is built. *)
 let sent t ~time ~src ~dst ~session msg ~prop ~queue ~fault =
-  let event = Message_sent { time; src; dst; session; msg } in
-  record t event;
+  count_sent t msg;
   match t.prov with
-  | Some p when routing msg ->
-    let parent = cause p ~device:src ~prefix:(msg_pid msg) ~time in
-    push p (Sent { event; parent; prop; queue; fault })
-  | Some _ | None -> -1
+  | None -> -1
+  | Some p ->
+    let event = Message_sent { time; src; dst; session; msg } in
+    append t event;
+    if routing msg then
+      let parent = cause p ~device:src ~prefix:(msg_pid msg) ~time in
+      push p (Sent { event; parent; prop; queue; fault })
+    else -1
 
 let dropped t ~time ~src ~dst ~session msg =
-  record t (Message_sent { time; src; dst; session; msg });
-  let event = Message_dropped { time; src; dst; session; msg } in
-  record t event;
+  count_sent t msg;
+  t.dropped <- t.dropped + 1;
   match t.prov with
-  | Some p when routing msg ->
-    let parent = cause p ~device:src ~prefix:(msg_pid msg) ~time in
-    ignore (push p (Logged { event; kind = Drop; parent }))
-  | Some _ | None -> ()
+  | None -> ()
+  | Some p ->
+    append t (Message_sent { time; src; dst; session; msg });
+    let event = Message_dropped { time; src; dst; session; msg } in
+    append t event;
+    if routing msg then
+      let parent = cause p ~device:src ~prefix:(msg_pid msg) ~time in
+      ignore (push p (Logged { event; kind = Drop; parent }))
 
 let delivered t ~time ~src ~dst ~session msg ~send =
   match t.prov with
@@ -326,7 +364,7 @@ let configured t ~time ~device ~peer note =
 
 let restarted t ~time ~device =
   let event = Speaker_restarted { time; device } in
-  record t event;
+  append t event;
   match t.prov with
   | None -> -1
   | Some p ->
@@ -338,7 +376,7 @@ let restarted t ~time ~device =
 
 let session_act t ~kind ~logged ~time ~device ~peer ~session ~parent tag =
   let event = Session_event { time; device; peer; session; event = tag } in
-  if logged then record t event;
+  if logged then append t event;
   match t.prov with
   | None -> -1
   | Some p ->

@@ -13,8 +13,14 @@
     events: origins, receives, decisions, configuration changes, in-flight
     losses, recoveries and session losses without liveness. Keepalive
     traffic, the send of a dropped message and violations are not DAG
-    nodes. Without provenance the log holds just the trace events; with it
-    the trace views return the same events. *)
+    nodes.
+
+    Message records ({!Message_sent}, {!Message_dropped}) are stored only
+    in a log with provenance. Without it the log counts them
+    ({!messages_sent}, {!messages_dropped}, {!keepalives_sent}, {!length})
+    and stores every other trace event, so {!events}, {!iter} and
+    {!count} see no message record. With provenance the trace views
+    return every trace event. *)
 
 (** What the FIB holds for a prefix ({!Speaker} re-exports it). *)
 type fib_state =
@@ -79,27 +85,39 @@ val create : unit -> t
 
 val record : t -> event -> unit
 (** Appends a trace event that is not a DAG node: violations, and events
-    written by tests. *)
+    written by tests. A message record is counted, and stored only under
+    provenance. *)
 
 (** {1 Trace views} *)
 
 val events : t -> event list
-(** In recording order. Memoized: repeated calls on an unchanged trace
+(** The stored events (no message record without provenance), in
+    recording order. Memoized: repeated calls on an unchanged trace
     return the same (physically equal) list — events are stored in an
     append-friendly array, never re-reversed per call. *)
 
 val length : t -> int
+(** Every trace event recorded since creation or the last {!clear},
+    message records included whether the log stores them or not. *)
 
 val iter : t -> (event -> unit) -> unit
-(** In recording order, without materializing a list. *)
+(** The stored events in recording order, without materializing a list. *)
+
+(** The counters cost O(1) and read the same with provenance on or off,
+    from creation or the last {!clear}. *)
 
 val messages_sent : t -> int
+(** Messages sent, dropped ones included. *)
 
 val messages_dropped : t -> int
 
+val keepalives_sent : t -> int
+(** Keepalives sent, dropped ones included. *)
+
 val count : (event -> bool) -> t -> int
-(** Number of recorded events satisfying the predicate, without
-    materializing the event list. *)
+(** Number of stored events satisfying the predicate, without
+    materializing the event list. Without provenance it sees no message
+    record: count those with the counters above. *)
 
 val fib_change_count : t -> int
 
@@ -111,8 +129,8 @@ val violations :
 val violation_count : t -> int
 
 val clear : t -> unit
-(** Empties the trace views. Provenance is kept: DAG ids keep counting from
-    the log's creation. *)
+(** Empties the trace views and zeroes the counters. Provenance is kept:
+    DAG ids keep counting from the log's creation. *)
 
 (** Replays the FIB time series for one prefix: for each instant at which
     any device's FIB changed, the map of device -> entries. Used by the
@@ -131,10 +149,11 @@ val event_to_json : event -> Obs.Json.t
 
 val with_provenance : (unit -> 'a) -> 'a * t list
 (** Runs the function with provenance switched on and returns its result
-    with the logs created meanwhile, oldest first. Provenance is fixed when
-    a log is created: it stays on for the log's lifetime. Recording draws
-    no RNG and schedules nothing, so the run is bit-identical to one
-    without provenance. *)
+    with the logs created meanwhile, oldest first. Calls nest: a log
+    created in an inner call is returned by every call around it too.
+    Provenance is fixed when a log is created: it stays on for the log's
+    lifetime. Recording draws no RNG and schedules nothing, so the run is
+    bit-identical to one without provenance. *)
 
 val dag : t -> Obs.Causal.t
 (** A snapshot of the causal DAG, ids counted from the log's creation.
@@ -165,7 +184,8 @@ val sent :
 
 val dropped :
   t -> time:float -> src:int -> dst:int -> session:int -> Msg.t -> unit
-(** A message the fault model dropped: a send and a drop in the trace. *)
+(** A message the fault model dropped: a send and a drop in the trace,
+    and in the counters. *)
 
 (** The provenance-only acts. [send] is the message's send node;
     [decided] takes an interned prefix id. *)

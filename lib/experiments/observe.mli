@@ -11,7 +11,8 @@
     - zero or more trace-event lines ({!Bgp.Trace.event_to_json}: type tags
       [fib_change], [message_sent], [message_dropped], [speaker_restarted],
       [violation]) — currently only the [faulted] scenario retains its full
-      trace;
+      trace, from a network created under {!Bgp.Trace.with_provenance}
+      (no other log stores message records);
     - one [span] line per completed span ({!Obs.Span.span_to_json} plus the
       type tag), in start order;
     - one [metrics] line carrying {!Obs.Metrics.snapshot};

@@ -477,7 +477,12 @@ module Faulted = struct
     @@ fun () ->
     let default = Net.Prefix.default_v4 in
     let x = Topology.Clos.expansion () in
-    let net = Bgp.Network.create ~seed x.Topology.Clos.xgraph in
+    (* The result carries the whole trace, message records included, and a
+       log stores those only under provenance. *)
+    let net, _ =
+      Bgp.Trace.with_provenance (fun () ->
+          Bgp.Network.create ~seed x.Topology.Clos.xgraph)
+    in
     (* Independent seeds: the message-fate stream, the control-fault
        schedule, and the latency stream never share an RNG, so any one can
        be changed without perturbing the others. *)
@@ -518,10 +523,9 @@ module Faulted = struct
       events_executed;
       messages_dropped = Bgp.Trace.messages_dropped trace_log;
       speaker_restarts =
-        List.length
-          (List.filter
-             (function Bgp.Trace.Speaker_restarted _ -> true | _ -> false)
-             (Bgp.Trace.events trace_log));
+        Bgp.Trace.count
+          (function Bgp.Trace.Speaker_restarted _ -> true | _ -> false)
+          trace_log;
       transient_violations;
       final_violations;
       trace = Bgp.Trace.events trace_log;
@@ -933,12 +937,11 @@ module Chaos = struct
   let horizon = 0.12
 
   let count_session_events trace event =
-    List.length
-      (List.filter
-         (function
-           | Bgp.Trace.Session_event { event = e; _ } -> e = event
-           | _ -> false)
-         (Bgp.Trace.events trace))
+    Bgp.Trace.count
+      (function
+        | Bgp.Trace.Session_event { event = e; _ } -> e = event
+        | _ -> false)
+      trace
 
   let run_mode ?(seed = 42) ?eval_mode ~gr () =
     Obs.Span.with_span "scenario.chaos"
@@ -1023,12 +1026,7 @@ module Chaos = struct
       loss_seconds = integral.Dataplane.Metrics.loss_seconds;
       window = integral.Dataplane.Metrics.duration;
       messages_dropped = Bgp.Trace.messages_dropped trace_log;
-      keepalives_sent =
-        Bgp.Trace.count
-          (function
-            | Bgp.Trace.Message_sent { msg = Bgp.Msg.Keepalive; _ } -> true
-            | _ -> false)
-          trace_log;
+      keepalives_sent = Bgp.Trace.keepalives_sent trace_log;
       hold_expiries = count_session_events trace_log "hold-expired";
       reconnects = count_session_events trace_log "reconnected";
       stale_sweeps =

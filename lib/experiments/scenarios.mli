@@ -133,7 +133,9 @@ module Faulted : sig
             messages can legitimately strand state (no retransmission is
             modeled), so this reports rather than asserts emptiness *)
     trace : Bgp.Trace.event list;
-        (** full event trace, for bit-determinism comparisons *)
+        (** full event trace, message records included (the network is
+            created under {!Bgp.Trace.with_provenance}), for
+            bit-determinism comparisons *)
   }
 
   val run :
@@ -299,7 +301,7 @@ module Chaos : sig
     loss_seconds : float;  (** same, for dropped + looped demand *)
     window : float;  (** width of the integration window, seconds *)
     messages_dropped : int;
-    keepalives_sent : int;
+    keepalives_sent : int;  (** dropped ones included *)
     hold_expiries : int;  (** sessions torn down by the hold timer *)
     reconnects : int;
     stale_sweeps : int;  (** stale-path timer sweeps that removed routes *)
@@ -307,7 +309,7 @@ module Chaos : sig
     transient_violations : (float * string) list;
     final_violations : (int option * Net.Prefix.t option * string) list;
         (** must be empty: the healed network has no excuse *)
-    trace_events : int;
+    trace_events : int;  (** {!Bgp.Trace.length} of the chaos window *)
     fib_digest : string;
     loss_segments : Dataplane.Metrics.loss_segment list;
         (** the piecewise decomposition the integrals summed (default

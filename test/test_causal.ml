@@ -197,6 +197,25 @@ let test_instrumentation_neutral () =
         true (bare = traced))
     [ true; false ]
 
+(* ---------------- Nested scopes ---------------- *)
+
+(* A log created in an inner [with_provenance] is returned by the outer one
+   too, in creation order, and has provenance. *)
+let test_nested_scopes () =
+  let (a, (b, inner), c), outer =
+    Bgp.Trace.with_provenance (fun () ->
+        let a = Bgp.Trace.create () in
+        let inner = Bgp.Trace.with_provenance Bgp.Trace.create in
+        (a, inner, Bgp.Trace.create ()))
+  in
+  checkb "inner scope returns its log" true (List.equal ( == ) [ b ] inner);
+  checkb "outer scope returns every log, oldest first" true
+    (List.equal ( == ) [ a; b; c ] outer);
+  let id = Bgp.Trace.restarted b ~time:0.0 ~device:0 in
+  checki "the nested log has provenance" 0 id;
+  checkb "a log outside every scope has none" true
+    (Bgp.Trace.restarted (Bgp.Trace.create ()) ~time:0.0 ~device:0 = -1)
+
 let () =
   Alcotest.run "causal"
     [
@@ -218,4 +237,6 @@ let () =
           Alcotest.test_case "tracing changes nothing" `Quick
             test_instrumentation_neutral;
         ] );
+      ( "scopes",
+        [ Alcotest.test_case "nested logs" `Quick test_nested_scopes ] );
     ]

@@ -90,8 +90,12 @@ let chunks k ops =
   go [] [] 0 ops
 
 let run_oracle_sequence seed =
+  (* Under provenance, so the logs keep the message records compared below. *)
   let make mode =
-    let net = Bgp.Network.create ~seed (fabric ()) in
+    let net, _ =
+      Bgp.Trace.with_provenance (fun () ->
+          Bgp.Network.create ~seed (fabric ()))
+    in
     Bgp.Network.set_eval_mode net mode;
     net
   in

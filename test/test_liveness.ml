@@ -64,12 +64,7 @@ let test_hold_expiry_tears_down_session () =
   (* Keepalives are real messages through the fault model: the blackout
      must be dropping them. *)
   check_bool "keepalives were sent" true
-    (Bgp.Trace.count
-       (function
-         | Bgp.Trace.Message_sent { msg = Bgp.Msg.Keepalive; _ } -> true
-         | _ -> false)
-       (Bgp.Network.trace net)
-    >= 2);
+    (Bgp.Trace.keepalives_sent (Bgp.Network.trace net) >= 2);
   (* Heal: the transport recovers and every session is force-resynced
      ([~all]: the last reconnect bounce left the session nominally up at
      both ends, but its resend was eaten — a blinded session a plain
@@ -84,7 +79,11 @@ let test_hold_expiry_tears_down_session () =
 
 let test_hold_expiry_deterministic () =
   let run () =
-    let net = Bgp.Network.create ~seed:11 (line 3) in
+    (* Under provenance, so the compared traces keep their messages. *)
+    let net, _ =
+      Bgp.Trace.with_provenance (fun () ->
+          Bgp.Network.create ~seed:11 (line 3))
+    in
     Bgp.Network.originate net 0 p10 (Attr.make ());
     ignore (Bgp.Network.converge net);
     let t0 = Bgp.Network.now net in
@@ -234,6 +233,60 @@ let test_chaos_bit_reproducible () =
     (r1.Experiments.Scenarios.Chaos.gr_on.fib_digest
     = r2.Experiments.Scenarios.Chaos.gr_on.fib_digest)
 
+(* ---------------- message counts without message records ---------------- *)
+
+(* One seeded run with light message faults, GR liveness and a restart, so
+   that every message counter is non-zero. *)
+let counted_run () =
+  let net = Bgp.Network.create ~seed:11 (line 4) in
+  Bgp.Network.originate net 0 p10 (Attr.make ());
+  ignore (Bgp.Network.converge net);
+  let t0 = Bgp.Network.now net in
+  Bgp.Network.set_fault net
+    (Some (Dsim.Fault.create ~seed:12 Dsim.Fault.light));
+  let config = Bgp.Liveness.with_gr Bgp.Liveness.default in
+  Bgp.Network.enable_liveness ~config ~until:(t0 +. 0.1) net;
+  Bgp.Network.restart_device ~delay:0.02 net 1 ~recovery:0.01;
+  ignore (Bgp.Network.run_until net ~time:(t0 +. 0.1));
+  Bgp.Network.set_fault net None;
+  Bgp.Network.reestablish_sessions ~all:true net;
+  ignore (Bgp.Network.converge net);
+  Bgp.Network.trace net
+
+let counters log =
+  Bgp.Trace.
+    [ messages_sent log; messages_dropped log; keepalives_sent log;
+      length log ]
+
+let is_message = function
+  | Bgp.Trace.Message_sent _ | Bgp.Trace.Message_dropped _ -> true
+  | _ -> false
+
+let test_messages_counted_not_stored () =
+  let bare = counted_run () in
+  let traced =
+    match Bgp.Trace.with_provenance counted_run with
+    | log, [ _ ] -> log
+    | _, logs -> Alcotest.failf "%d logs, not one" (List.length logs)
+  in
+  check_bool "every counter non-zero" true
+    (List.for_all (fun n -> n > 0) (counters bare));
+  check_int "no message record without provenance" 0
+    (Bgp.Trace.count is_message bare);
+  check_bool "message records under provenance" true
+    (Bgp.Trace.count is_message traced > 0);
+  Alcotest.(check (list int)) "counters agree with provenance on and off"
+    (counters traced) (counters bare);
+  check_int "length counts what is not stored"
+    (Bgp.Trace.length traced)
+    (Bgp.Trace.count (fun _ -> true) bare
+    + Bgp.Trace.messages_sent bare + Bgp.Trace.messages_dropped bare);
+  List.iter Bgp.Trace.clear [ bare; traced ];
+  Alcotest.(check (list int)) "clear zeroes the counters" [ 0; 0; 0; 0 ]
+    (counters bare);
+  Alcotest.(check (list int)) "clear zeroes the counters under provenance"
+    [ 0; 0; 0; 0 ] (counters traced)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "liveness"
@@ -259,5 +312,10 @@ let () =
           quick "gr strictly reduces blackhole-seconds"
             test_chaos_gr_strictly_reduces_blackhole_seconds;
           quick "bit-reproducible" test_chaos_bit_reproducible;
+        ] );
+      ( "event-log",
+        [
+          quick "messages counted, not stored"
+            test_messages_counted_not_stored;
         ] );
     ]
