@@ -14,12 +14,23 @@ let value_equal a b =
   | Rpa x, Rpa y -> Rpa.equal x y
   | (String _ | Int _ | Float _ | Bool _ | Rpa _), _ -> false
 
+(* A leaf holds no children table: one is made when the node gets its first
+   child, at the size every node once started with, so iteration over a
+   node's children keeps its order. Once made, it stays. *)
 type node = {
   mutable node_value : value option;
-  children : (string, node) Hashtbl.t;
+  mutable children : (string, node) Hashtbl.t option;
 }
 
-let new_node () = { node_value = None; children = Hashtbl.create 4 }
+let new_node () = { node_value = None; children = None }
+
+let child node seg =
+  match node.children with None -> None | Some c -> Hashtbl.find_opt c seg
+
+let iter_children f node = Option.iter (Hashtbl.iter f) node.children
+
+let fold_children f node acc =
+  match node.children with None -> acc | Some c -> Hashtbl.fold f c acc
 
 type subscription = { pattern : string list; callback : string -> value option -> unit }
 
@@ -68,15 +79,23 @@ let set t ~path value =
   let rec go node = function
     | [] -> node.node_value <- Some value
     | seg :: rest ->
-      let child =
-        match Hashtbl.find_opt node.children seg with
+      let children =
+        match node.children with
+        | Some c -> c
+        | None ->
+          let c = Hashtbl.create 4 in
+          node.children <- Some c;
+          c
+      in
+      let next =
+        match Hashtbl.find_opt children seg with
         | Some c -> c
         | None ->
           let c = new_node () in
-          Hashtbl.replace node.children seg c;
+          Hashtbl.replace children seg c;
           c
       in
-      go child rest
+      go next rest
   in
   go t.root segments;
   notify t segments (Some value)
@@ -85,8 +104,8 @@ let find_node t segments =
   let rec go node = function
     | [] -> Some node
     | seg :: rest ->
-      (match Hashtbl.find_opt node.children seg with
-       | Some child -> go child rest
+      (match child node seg with
+       | Some c -> go c rest
        | None -> None)
   in
   go t.root segments
@@ -108,14 +127,11 @@ let get t ~path =
       (* Zero segments... *)
       go node prefix rest;
       (* ...or descend one level, keeping the pattern. *)
-      Hashtbl.iter
-        (fun seg child -> go child (seg :: prefix) pattern)
-        node.children
-    | "*" :: rest ->
-      Hashtbl.iter (fun seg child -> go child (seg :: prefix) rest) node.children
+      iter_children (fun seg c -> go c (seg :: prefix) pattern) node
+    | "*" :: rest -> iter_children (fun seg c -> go c (seg :: prefix) rest) node
     | seg :: rest ->
-      (match Hashtbl.find_opt node.children seg with
-       | Some child -> go child (seg :: prefix) rest
+      (match child node seg with
+       | Some c -> go c (seg :: prefix) rest
        | None -> ())
   in
   go t.root [] segments;
@@ -128,9 +144,7 @@ let rec collect_values node prefix acc =
     | Some v -> (join (List.rev prefix), v) :: acc
     | None -> acc
   in
-  Hashtbl.fold
-    (fun seg child acc -> collect_values child (seg :: prefix) acc)
-    node.children acc
+  fold_children (fun seg c acc -> collect_values c (seg :: prefix) acc) node acc
 
 let get_subtree t ~path =
   let segments = split path in
@@ -146,19 +160,19 @@ let delete t ~path =
     let rec parent_of node = function
       | [ last ] -> Some (node, last)
       | seg :: rest ->
-        (match Hashtbl.find_opt node.children seg with
-         | Some child -> parent_of child rest
+        (match child node seg with
+         | Some c -> parent_of c rest
          | None -> None)
       | [] -> None
     in
     (match parent_of t.root segments with
      | None -> ()
      | Some (parent, last) ->
-       (match Hashtbl.find_opt parent.children last with
+       (match child parent last with
         | None -> ()
         | Some victim ->
           let removed = collect_values victim (List.rev segments) [] in
-          Hashtbl.remove parent.children last;
+          Option.iter (fun c -> Hashtbl.remove c last) parent.children;
           List.iter
             (fun (concrete, _) ->
               notify t (String.split_on_char '/' concrete) None)
@@ -181,14 +195,14 @@ let memory_estimate_bytes t =
       | Some (Int _ | Float _ | Bool _) -> 24
       | Some (Rpa r) -> 64 * Rpa.loc r
     in
-    Hashtbl.fold (fun _ child acc -> acc + count child) node.children own
+    fold_children (fun _ c acc -> acc + count c) node own
   in
   count t.root
 
 let snapshot t = List.sort compare (collect_values t.root [] [])
 
 let restore t entries =
-  Hashtbl.reset t.root.children;
+  Option.iter Hashtbl.reset t.root.children;
   t.root.node_value <- None;
   List.iter (fun (path, v) -> set t ~path v) entries
 
