@@ -626,6 +626,57 @@ let micro () =
         ignore (Bgp.Network.run_until net ~time:(t0 +. 0.012));
         net)
   in
+  (* A Section 6.2 FSW: 36 SSWs (devices 1-36) advertise the tagged
+     default route and 48 RSWs (37-84) take it. Each run re-delivers one
+     SSW's unchanged route in [Full_table] mode, so the speaker re-decides
+     the prefix and its advert to the 84 peers does not change: the case
+     of most decisions in the rollout benchmark's [fulldc_rollout]. A
+     recorder that keeps no span stands in for the section's, so a run does
+     not time span recording. *)
+  let fan_out_84 ~rpa =
+    let fsw = Topology.Node.make ~id:0 ~name:"fsw" ~layer:Topology.Node.Fsw () in
+    let eb = Net.Asn.of_int 64600 and fauu = Net.Asn.of_int 64700 in
+    let hooks =
+      if rpa then
+        Centralium.Engine.hooks
+          (Centralium.Engine.create
+             (Centralium.Apps.Path_equalize.rpa
+                ~destination:Centralium.Destination.backbone_default ~origin_asn:eb
+                ~via:(List.init 36 (fun i -> Net.Asn.of_int (64513 + i)))))
+      else Bgp.Rib_policy.native
+    in
+    let sp = Bgp.Speaker.create ~hooks fsw in
+    Bgp.Speaker.set_eval_mode sp Bgp.Speaker.Full_table;
+    for peer = 1 to 84 do
+      Bgp.Speaker.add_peer sp ~peer ~sessions:1
+    done;
+    let env =
+      {
+        Bgp.Speaker.now = 0.0;
+        peer_layer =
+          (fun d -> Some (if d <= 36 then Topology.Node.Ssw else Topology.Node.Rsw));
+        log = Bgp.Trace.create ();
+      }
+    in
+    let route ssw =
+      Bgp.Msg.Update
+        {
+          prefix = Net.Prefix.default_v4;
+          attr =
+            Net.Attr.intern
+              (Net.Attr.make
+                 ~as_path:(Net.As_path.of_asns [ Net.Asn.of_int (64512 + ssw); fauu; eb ])
+                 ~communities:tagged.Net.Attr.communities ());
+        }
+    in
+    for ssw = 1 to 36 do
+      ignore (Bgp.Speaker.receive sp env ~peer:ssw ~session:0 (route ssw))
+    done;
+    let again = route 1 and no_spans = Obs.Span.create ~max_spans:0 () in
+    fun () ->
+      Obs.Span.with_recorder no_spans (fun () ->
+          ignore (Bgp.Speaker.receive sp env ~peer:1 ~session:0 again))
+  in
   let tests =
     [
       Test.make ~name:"table2/rpa-eval-cache-miss"
@@ -650,6 +701,8 @@ let micro () =
              ignore (Topology.Graph.find_link fabric a b)));
       Test.make ~name:"invariant/sweep-fabric" (Staged.stage sweep_fabric);
       Test.make ~name:"invariant/sweep-expansion" (Staged.stage sweep_expansion);
+      Test.make ~name:"speaker/fan-out-84" (Staged.stage (fan_out_84 ~rpa:false));
+      Test.make ~name:"speaker/fan-out-84-rpa" (Staged.stage (fan_out_84 ~rpa:true));
     ]
   in
   let ols =

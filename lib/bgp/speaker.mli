@@ -7,14 +7,25 @@
     out of the speaker makes unit testing the protocol logic trivial.
 
     {b Layout.} Each peer device has one record holding its session flags,
-    its list of established sessions, its ingress and egress policies and
-    its Adj-RIB-Out. The records sit in an array sorted by device id that
-    changes only when a device is first seen, and a decision's fan-out walks
-    it in order. Each prefix's Adj-RIB-In is a set of parallel arrays sorted
-    by (peer id, session) whose slots point at the peer records: a lookup
-    bisects, a refresh replaces the slot in place, and a decision reads its
-    candidates in that order with no sort and no hashing of peers or
-    sessions. The order is by device id, never by an intern id. *)
+    its list of established sessions and its ingress and egress policies.
+    The records sit in an array sorted by device id that changes only when
+    a device is first seen, and a decision's fan-out walks it in order.
+    Each prefix's Adj-RIB-In is a set of parallel arrays sorted by (peer
+    id, session) whose slots point at the peer records: a lookup bisects, a
+    refresh replaces the slot in place, and a decision reads its candidates
+    in that order with no sort and no hashing of peers or sessions. The
+    order is by device id, never by an intern id.
+
+    The speaker keeps one Adj-RIB-Out, not one per peer. Per prefix it
+    holds the advert every added peer without an egress policy of its own
+    was last sent, and a short list of per-peer exceptions sorted by device
+    id: the split-horizon peer, peers the egress hook rejected, peers with
+    their own egress policy, and peers whose view was pinned when they
+    joined or changed egress policy. A peer's {e view} of a prefix is its
+    exception if it has one, else the shared advert if it takes it, else
+    nothing; a view changes only when its prefix is decided. A decision
+    prepares the shared advert once and compares the whole entry once, and
+    walks the peers only when the entry changed. *)
 
 type config = {
   multipath : bool;  (** ECMP across equal-cost paths (default true) *)
@@ -181,7 +192,12 @@ val fib_longest_match : t -> Net.Prefix.t -> (Net.Prefix.t * fib_state) option
 (** Longest-prefix match for a destination (given as a host prefix). *)
 
 val rib_in_size : t -> int
+
 val advertised_to : t -> peer:int -> (Net.Prefix.t * Net.Attr.t) list
+(** The peer's views that are adverts, sorted by prefix. Views are kept
+    whether or not a session is open, so this is what an established
+    session has been sent. *)
+
 val candidates : ?env:env -> t -> Net.Prefix.t -> Path.t list
 (** Post-policy paths currently admitted for the prefix (before selection),
     as used by the decision process. Pass the live [env] when inspecting a
@@ -237,7 +253,7 @@ val rib_in_attr : t -> int -> peer:int -> session:int -> Net.Attr.t option
     one is held: the entry of {!adj_rib_in} or {!routes_from}. *)
 
 val rib_out_attr : t -> peer:int -> int -> Net.Attr.t option
-(** What the Adj-RIB-Out toward [peer] holds for the prefix: the entry of
+(** [peer]'s view of the prefix in the Adj-RIB-Out: the entry of
     {!advertised_to}. *)
 
 val has_stale_state : t -> bool
@@ -249,8 +265,9 @@ val knows : t -> int -> bool
 
 val iter_known : (int -> unit) -> t -> unit
 (** Calls the function on every prefix id present in any RIB, once per
-    table holding it, in no particular order: a caller that needs a set or
-    an order builds it. *)
+    table holding it (Adj-RIB-In, origin, FIB, and the one Adj-RIB-Out,
+    which holds a prefix when some peer's view of it is an advert), in no
+    particular order: a caller that needs a set or an order builds it. *)
 
 (** {1 Invariant support}
 

@@ -1081,6 +1081,282 @@ let test_fib_longest_match () =
     check_bool "default catches the rest" true (Prefix.equal matched Prefix.default_v4)
   | None -> Alcotest.fail "no default match"
 
+(* ---------------- One Adj-RIB-Out against per-peer tables ----------------
+
+   [Per_peer_speaker] is the speaker as it was when every peer record held
+   its own Adj-RIB-Out table. The property drives it and [Bgp.Speaker]
+   through the same random histories: the model ops above, originations,
+   egress hooks that reject by peer device, RPA engines, export policies
+   for every peer, and devices first added once adverts exist. After every
+   step the two must agree on the messages and their order, the advert and
+   withdrawal counters, and everything a caller reads of what was
+   advertised. *)
+
+module type SPEAKER = sig
+  type t
+  type config
+
+  type env = {
+    now : float;
+    peer_layer : int -> Topology.Node.layer option;
+    log : Bgp.Trace.t;
+  }
+
+  type eval_mode = Incremental | Full_table
+
+  type divergence =
+    | Stale_fib of { prefix : Prefix.t }
+    | Stale_advert of { prefix : Prefix.t; peer : int }
+
+  type outbox = (int * int * Bgp.Msg.t) list
+
+  val create : ?config:config -> ?hooks:Bgp.Rib_policy.hooks -> Topology.Node.t -> t
+  val set_eval_mode : t -> eval_mode -> unit
+  val add_peer : t -> peer:int -> sessions:int -> unit
+
+  val set_session :
+    ?stale:bool -> t -> env -> peer:int -> session:int -> up:bool -> outbox
+
+  val receive : t -> env -> peer:int -> session:int -> Bgp.Msg.t -> outbox
+  val sweep_stale : t -> env -> peer:int -> session:int -> before:float -> outbox
+  val reset : t -> unit
+  val originate : t -> env -> Prefix.t -> Attr.t -> outbox
+  val withdraw_origin : t -> env -> Prefix.t -> outbox
+  val set_ingress_policy : t -> env -> peer:int -> Bgp.Policy.t -> outbox
+  val set_egress_policy : t -> env -> peer:int -> Bgp.Policy.t -> outbox
+  val set_egress_policy_all : t -> env -> Bgp.Policy.t -> outbox
+  val set_hooks : t -> env -> Bgp.Rib_policy.hooks -> outbox
+  val advertised_to : t -> peer:int -> (Prefix.t * Attr.t) list
+  val rib_out_attr : t -> peer:int -> int -> Attr.t option
+  val knows : t -> int -> bool
+  val iter_known : (int -> unit) -> t -> unit
+  val divergences : t -> env -> divergence list
+end
+
+type ao_op =
+  | Ao_model of model_op
+  | Ao_originate of int  (* prefix *)
+  | Ao_withdraw_origin of int
+  | Ao_hooks of int  (* index into [ao_hooks] *)
+  | Ao_egress_all of int  (* index into [model_policies] *)
+
+(* Devices 6 and 7 are first added once adverts exist (see [ao_prelude]);
+   device 4 only ever joins through a session. *)
+let ao_peers = [ 1; 2; 3; 4; 6; 7 ]
+let ao_devices = List.init 8 (fun i -> i + 1)
+
+let egress_rejecting devices =
+  {
+    Bgp.Rib_policy.native with
+    name = "egress-reject";
+    egress_accept = (fun _ ~peer _ -> not (List.mem peer devices));
+  }
+
+(* Native hooks, two egress hooks that reject by peer device, then the RPA
+   engines of [fc_rpas]: one fresh set per speaker, as one device would run
+   them. *)
+let ao_hooks () =
+  Array.append
+    [| Bgp.Rib_policy.native; egress_rejecting [ 2 ]; egress_rejecting [ 3; 6 ] |]
+    (Array.map (fun rpa -> Centralium.Engine.hooks (Centralium.Engine.create rpa)) fc_rpas)
+
+let show_ao_op = function
+  | Ao_model op -> show_model_op op
+  | Ao_originate i -> Printf.sprintf "originate prefix %d" i
+  | Ao_withdraw_origin i -> Printf.sprintf "withdraw origin prefix %d" i
+  | Ao_hooks i -> Printf.sprintf "hooks %d" i
+  | Ao_egress_all i -> Printf.sprintf "egress all policy %d" i
+
+(* Adverts exist from the start: one prefix originated, one learned. *)
+let ao_prelude =
+  [
+    Ao_model (M_add_peer (1, 2));
+    Ao_model (M_add_peer (2, 1));
+    Ao_originate 0;
+    Ao_model (M_update (1, 0, 1, 90, 100));
+  ]
+
+let gen_ao_case =
+  let open QCheck.Gen in
+  let peer = oneofl ao_peers and added = oneofl [ 1; 2; 3; 6; 7 ] in
+  let session = int_bound 1 and prefix = int_bound 2 in
+  let model op = map (fun op -> Ao_model op) op in
+  let op =
+    frequency
+      [
+        (3, model (map2 (fun p n -> M_add_peer (p, n)) added (int_range 1 2)));
+        ( 4,
+          model
+            (map3
+               (fun (p, s) up stale -> M_session (p, s, up, stale))
+               (pair peer session) bool bool) );
+        ( 8,
+          model
+            (map3
+               (fun (p, s) i (a, lp) -> M_update (p, s, i, a, lp))
+               (pair peer session) prefix
+               (pair (oneofl [ 90; 91; 64517 ]) (oneofl [ 100; 200 ]))) );
+        (3, model (map3 (fun p s i -> M_withdraw (p, s, i)) peer session prefix));
+        (1, model (map2 (fun p s -> M_eor (p, s)) peer session));
+        (1, model (map3 (fun p s b -> M_sweep (p, s, b)) peer session (int_bound 40)));
+        (1, model (return M_reset));
+        (1, model (map2 (fun p i -> M_ingress (p, i)) peer (int_bound 4)));
+        (2, model (map2 (fun p i -> M_egress (p, i)) peer (int_bound 4)));
+        (2, map (fun i -> Ao_originate i) prefix);
+        (1, map (fun i -> Ao_withdraw_origin i) prefix);
+        (2, map (fun i -> Ao_hooks i) (int_bound (Array.length (ao_hooks ()) - 1)));
+        (1, map (fun i -> Ao_egress_all i) (int_bound 4));
+      ]
+  in
+  pair bool (map (fun ops -> ao_prelude @ ops) (list_size (int_range 1 40) op))
+
+(* What a caller can read of one speaker, as plain values. *)
+type seen = {
+  adverts : (int * (Prefix.t * Attr.t) list) list;  (* by device *)
+  rib_out : ((int * int) * Attr.t option) list;  (* (device, prefix index) *)
+  known : int list;  (* [knows], by prefix index *)
+  iterated : int list;  (* the ids [iter_known] reports, sorted *)
+  divergences : (Prefix.t * int option) list;  (* [None]: the FIB *)
+}
+
+module Drive (S : SPEAKER) = struct
+  let env_at now = { S.now; peer_layer = (fun _ -> None); log = env.Bgp.Speaker.log }
+
+  let create ~full =
+    let sp = S.create (node 5) in
+    if full then S.set_eval_mode sp S.Full_table;
+    sp
+
+  let apply sp hooks ~now op =
+    let env = env_at now in
+    match op with
+    | Ao_model (M_add_peer (peer, sessions)) ->
+      S.add_peer sp ~peer ~sessions;
+      []
+    | Ao_model (M_session (peer, session, up, stale)) ->
+      S.set_session ~stale sp env ~peer ~session ~up
+    | Ao_model (M_update (peer, session, i, a, lp)) ->
+      S.receive sp env ~peer ~session (update ~lp ~asns:[ a; 99 ] model_prefixes.(i))
+    | Ao_model (M_withdraw (peer, session, i)) ->
+      S.receive sp env ~peer ~session (Bgp.Msg.Withdraw { prefix = model_prefixes.(i) })
+    | Ao_model (M_eor (peer, session)) -> S.receive sp env ~peer ~session Bgp.Msg.Eor
+    | Ao_model (M_sweep (peer, session, b)) ->
+      S.sweep_stale sp env ~peer ~session ~before:(float_of_int b)
+    | Ao_model M_reset ->
+      S.reset sp;
+      []
+    | Ao_model (M_ingress (peer, i)) -> S.set_ingress_policy sp env ~peer model_policies.(i)
+    | Ao_model (M_egress (peer, i)) -> S.set_egress_policy sp env ~peer model_policies.(i)
+    | Ao_originate i -> S.originate sp env model_prefixes.(i) (Attr.make ())
+    | Ao_withdraw_origin i -> S.withdraw_origin sp env model_prefixes.(i)
+    | Ao_hooks i -> S.set_hooks sp env hooks.(i)
+    | Ao_egress_all i -> S.set_egress_policy_all sp env model_policies.(i)
+
+  let seen sp ~now =
+    let pids = Array.to_list (Array.map Net.Intern.Prefix_id.id model_prefixes) in
+    let iterated = ref [] in
+    S.iter_known (fun p -> iterated := p :: !iterated) sp;
+    {
+      adverts = List.map (fun d -> (d, S.advertised_to sp ~peer:d)) ao_devices;
+      rib_out =
+        List.concat_map
+          (fun d -> List.mapi (fun i p -> ((d, i), S.rib_out_attr sp ~peer:d p)) pids)
+          ao_devices;
+      known = List.filter_map (fun (i, p) -> if S.knows sp p then Some i else None)
+          (List.mapi (fun i p -> (i, p)) pids);
+      iterated = List.sort_uniq Int.compare !iterated;
+      divergences =
+        List.map
+          (function
+            | S.Stale_fib { prefix } -> (prefix, None)
+            | S.Stale_advert { prefix; peer } -> (prefix, Some peer))
+          (S.divergences sp (env_at now));
+    }
+end
+
+module Per_peer = Drive (Per_peer_speaker)
+module Shared = Drive (Bgp.Speaker)
+
+let same_msg a b =
+  match (a, b) with
+  | Bgp.Msg.Update { prefix = p; attr = x }, Bgp.Msg.Update { prefix = q; attr = y } ->
+    Prefix.equal p q && Attr.equal x y
+  | Bgp.Msg.Withdraw { prefix = p }, Bgp.Msg.Withdraw { prefix = q } -> Prefix.equal p q
+  | Bgp.Msg.Keepalive, Bgp.Msg.Keepalive | Bgp.Msg.Eor, Bgp.Msg.Eor -> true
+  | (Bgp.Msg.Update _ | Bgp.Msg.Withdraw _ | Bgp.Msg.Keepalive | Bgp.Msg.Eor), _ -> false
+
+let same_outbox =
+  List.equal (fun (p, s, m) (q, r, n) -> p = q && s = r && same_msg m n)
+
+let same_attrs =
+  List.equal (fun (p, x) (q, y) -> Prefix.equal p q && Attr.equal x y)
+
+(* Every difference between the per-peer model and the shared speaker, as
+   text. *)
+let shared_mismatches ~want ~got (w : seen) (g : seen) =
+  let wrong = ref [] in
+  let expect what ok = if not ok then wrong := what :: !wrong in
+  expect "outbox" (same_outbox want got);
+  List.iter2
+    (fun (d, a) (_, b) -> expect (Printf.sprintf "advertised_to %d" d) (same_attrs a b))
+    w.adverts g.adverts;
+  List.iter2
+    (fun ((d, i), a) (_, b) ->
+      expect (Printf.sprintf "rib_out_attr %d prefix %d" d i) (Option.equal Attr.equal a b))
+    w.rib_out g.rib_out;
+  expect "knows" (w.known = g.known);
+  expect "iter_known" (w.iterated = g.iterated);
+  expect "divergences"
+    (List.equal
+       (fun (p, a) (q, b) -> Prefix.equal p q && Option.equal Int.equal a b)
+       w.divergences g.divergences);
+  List.rev !wrong
+
+let ao_counters =
+  List.map Obs.Metrics.counter
+    [ "bgp.speaker.advertisements"; "bgp.speaker.withdrawals"; "bgp.speaker.decisions" ]
+
+(* The counters' increments over [f ()], with the shared registry on. *)
+let counted f =
+  let before = List.map Obs.Metrics.value ao_counters in
+  let r = f () in
+  (r, List.map2 (fun c b -> Obs.Metrics.value c - b) ao_counters before)
+
+let prop_shared_rib_out_matches_per_peer =
+  QCheck.Test.make ~name:"shared Adj-RIB-Out = per-peer tables" ~count:400
+    (QCheck.make gen_ao_case
+       ~shrink:QCheck.Shrink.(pair bool (list ?shrink:None))
+       ~print:(fun (full, ops) ->
+         (if full then "full-table: " else "incremental: ")
+         ^ String.concat "; " (List.map show_ao_op ops)))
+    (fun (full, ops) ->
+      let model = Per_peer.create ~full and shared = Shared.create ~full in
+      let model_hooks = ao_hooks () and shared_hooks = ao_hooks () in
+      let was_enabled = Obs.Metrics.is_enabled Obs.Metrics.default in
+      Obs.Metrics.set_enabled Obs.Metrics.default true;
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.set_enabled Obs.Metrics.default was_enabled)
+        (fun () ->
+          List.iteri
+            (fun step op ->
+              let now = float_of_int step in
+              let want, want_counts =
+                counted (fun () -> Per_peer.apply model model_hooks ~now op)
+              in
+              let got, got_counts =
+                counted (fun () -> Shared.apply shared shared_hooks ~now op)
+              in
+              let wrong =
+                shared_mismatches ~want ~got (Per_peer.seen model ~now)
+                  (Shared.seen shared ~now)
+                @ if want_counts = got_counts then [] else [ "counters" ]
+              in
+              if wrong <> [] then
+                QCheck.Test.fail_reportf "after step %d (%s): %s" step (show_ao_op op)
+                  (String.concat ", " wrong))
+            ops);
+      true)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "speaker"
@@ -1127,5 +1403,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_fib_changes_match_diff;
         ] );
       ( "model",
-        [ QCheck_alcotest.to_alcotest ~long:false prop_speaker_matches_model ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_speaker_matches_model;
+          QCheck_alcotest.to_alcotest ~long:false prop_shared_rib_out_matches_per_peer;
+        ] );
     ]
