@@ -14,9 +14,9 @@ let value_equal a b =
   | Rpa x, Rpa y -> Rpa.equal x y
   | (String _ | Int _ | Float _ | Bool _ | Rpa _), _ -> false
 
-(* A leaf holds no children table: one is made when the node gets its first
-   child, at the size every node once started with, so iteration over a
-   node's children keeps its order. Once made, it stays. *)
+(* A leaf holds no children table: a node makes one on its first child and
+   keeps it. [delete] notifies in the tables' iteration order, so every
+   table starts at the same size, [Hashtbl.create 4]. *)
 type node = {
   mutable node_value : value option;
   mutable children : (string, node) Hashtbl.t option;

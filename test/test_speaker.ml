@@ -1214,7 +1214,7 @@ let gen_ao_case =
 type seen = {
   adverts : (int * (Prefix.t * Attr.t) list) list;  (* by device *)
   rib_out : ((int * int) * Attr.t option) list;  (* (device, prefix index) *)
-  known : int list;  (* [knows], by prefix index *)
+  known : int list;  (* the prefix ids [knows] holds *)
   iterated : int list;  (* the ids [iter_known] reports, sorted *)
   divergences : (Prefix.t * int option) list;  (* [None]: the FIB *)
 }
@@ -1262,8 +1262,7 @@ module Drive (S : SPEAKER) = struct
         List.concat_map
           (fun d -> List.mapi (fun i p -> ((d, i), S.rib_out_attr sp ~peer:d p)) pids)
           ao_devices;
-      known = List.filter_map (fun (i, p) -> if S.knows sp p then Some i else None)
-          (List.mapi (fun i p -> (i, p)) pids);
+      known = List.filter (S.knows sp) pids;
       iterated = List.sort_uniq Int.compare !iterated;
       divergences =
         List.map
