@@ -12,11 +12,13 @@ type mutable_stats = {
 type t = {
   rpa : Rpa.t;
   cache_enabled : bool;
-  (* (attribute intern id, signature index) packed into one int -> did the
-     signature match. Equal attributes share an intern id, so the key tells
-     apart exactly what the attributes do; keys of one attribute are
-     consecutive, so the identity hash spreads them over the buckets. *)
-  sig_cache : bool Net.Int_table.t;
+  (* (attribute intern id, signature index) packed into one int -> the
+     attribute and whether the signature matched it. Holding the attribute
+     keeps it interned, so an equal attribute met later gets the same id
+     and the key tells apart exactly what the attributes do; keys of one
+     attribute are consecutive, so the identity hash spreads them over the
+     buckets. *)
+  sig_cache : (Net.Attr.t * bool) Net.Int_table.t;
   (* signatures indexed by physical identity *)
   signatures : Signature.t array;
   (* the RPA's statements flattened across its policies, in order; the
@@ -103,11 +105,10 @@ let sig_matches t s attr =
     let id = sig_id t s in
     if id < 0 then Signature.matches s attr
     else
-      let key =
-        (Net.Attr.id (Net.Attr.intern attr) * Array.length t.signatures) + id
-      in
+      let attr = Net.Attr.intern attr in
+      let key = (Net.Attr.id attr * Array.length t.signatures) + id in
       match Net.Int_table.find_opt t.sig_cache key with
-      | Some result ->
+      | Some (_, result) ->
         t.m_stats.hit_count <- t.m_stats.hit_count + 1;
         Obs.Metrics.incr m_cache_hits;
         result
@@ -115,7 +116,7 @@ let sig_matches t s attr =
         t.m_stats.miss_count <- t.m_stats.miss_count + 1;
         Obs.Metrics.incr m_cache_misses;
         let result = Signature.matches s attr in
-        Net.Int_table.replace t.sig_cache key result;
+        Net.Int_table.replace t.sig_cache key (attr, result);
         result
   end
 

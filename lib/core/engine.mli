@@ -12,8 +12,11 @@
     cache-hit/cache-miss split of Table 2. The key is one int that packs
     the signature's index in the RPA with the attributes' intern id
     ({!Net.Attr.id}; an attribute that is not interned yet is interned
-    first). Equal attributes share an id, so the cache hits exactly when a
-    cache keyed by {!Net.Attr.equal} would, and a lookup hashes and
+    first), and the cache stores the interned attribute next to each
+    answer. Holding it keeps it canonical ({!Net.Attr.intern} lets go of
+    values nothing holds), so an attribute this engine has seen keeps its
+    id for the engine's lifetime: the cache hits exactly when one keyed by
+    {!Net.Attr.equal} would, whenever collections run. A lookup hashes and
     compares one int: a switch's equal-length paths that differ only in
     their ASNs have distinct ids and spread over the buckets. The id is
     never used for ordering. *)
@@ -49,6 +52,7 @@ val stats : t -> stats
 val reset_stats : t -> unit
 
 val clear_cache : t -> unit
+(** Drops every cached answer and the attributes the cache held. *)
 
 (** {1 Direct evaluation}
 

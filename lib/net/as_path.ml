@@ -34,10 +34,17 @@ let rec prepend_n n asn t =
 
 let length t = t.len
 
-let mem asn t =
-  List.exists
-    (function Seq asns | Set asns -> List.exists (Asn.equal asn) asns)
-    t.segs
+(* A direct walk: it runs on every candidate of every decision (the loop
+   check), so it allocates no closure. *)
+let rec mem_asns asn = function
+  | [] -> false
+  | a :: rest -> Asn.equal asn a || mem_asns asn rest
+
+let rec mem_segs asn = function
+  | [] -> false
+  | (Seq asns | Set asns) :: rest -> mem_asns asn asns || mem_segs asn rest
+
+let mem asn t = mem_segs asn t.segs
 
 let asns t =
   List.concat_map (function Seq asns | Set asns -> asns) t.segs

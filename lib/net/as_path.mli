@@ -34,7 +34,8 @@ val length : t -> int
     process consults it on every preference comparison. *)
 
 val mem : Asn.t -> t -> bool
-(** Loop detection: is the ASN anywhere in the path? *)
+(** Loop detection: is the ASN anywhere in the path? It runs for every
+    candidate of every decision, and allocates nothing. *)
 
 val origin_asn : t -> Asn.t option
 (** The last ASN of the path: the originating AS. *)

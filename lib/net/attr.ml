@@ -66,7 +66,10 @@ let compare a b =
           let c = Int.compare a.med b.med in
           if c <> 0 then c
           else
-            let c = Community.Set.compare a.communities b.communities in
+            let c =
+              if a.communities == b.communities then 0
+              else Community.Set.compare a.communities b.communities
+            in
             if c <> 0 then c
             else Option.compare Int.compare a.link_bandwidth b.link_bandwidth
 
@@ -74,46 +77,48 @@ let compare a b =
    the same value. *)
 let equal a b = a == b || ((a.id < 0 || b.id < 0) && compare a b = 0)
 
+(* Mixes one int into a running hash: the odd multiplier carries every
+   earlier word into the bits a bucket index reads. *)
+let mix h x = (h * 0x9E3779B1) + x
+
+(* By value, in one pass. The AS path hashes its segments as [caml_hash]
+   does (up to nine ASNs, breadth first, so equal-length paths that differ
+   only in their first ASN spread); the community set folds its elements
+   without building a list. *)
+let hash t =
+  let h = Hashtbl.hash (As_path.segments t.as_path) in
+  let h = Community.Set.fold (fun c h -> mix h (Community.hash c)) t.communities h in
+  let h = mix (mix (mix h (origin_rank t.origin)) t.local_pref) t.med in
+  let h = mix h (Option.value t.link_bandwidth ~default:(-1)) in
+  (h lxor (h lsr 29)) land max_int
+
 (* Hash-consing: RIB slots across the fleet hold a handful of distinct
    attribute values, so interning makes storage shared and turns the
-   hot-path [equal] (Adj-RIB-Out change detection runs it once per peer per
-   decision) into a pointer check. Hashing goes through the interned ids of
-   the two structured fields — flat integer hashing instead of a structural
-   walk. An interned value carries its id, so interning it again, or
-   comparing it with another interned value, costs no lookup. *)
-module Hc = Hashtbl.Make (struct
+   hot-path [equal] into a pointer check. The set holds its values
+   weakly: a value stays canonical exactly as long as something outside
+   the set holds it, so the attributes a converge explored and dropped are
+   collected with their AS paths. Ids come from a counter and are never
+   reused, so no live value carries the id a collected one had. An
+   interned value carries its id, so interning it again, or comparing it
+   with another interned value, costs no lookup. *)
+module Hc = Weak.Make (struct
   type nonrec t = t
 
   let equal a b = compare a b = 0
-
-  let hash t =
-    Hashtbl.hash
-      ( origin_rank t.origin,
-        Intern.As_path_id.id t.as_path,
-        t.local_pref,
-        t.med,
-        Intern.Community_set_id.id t.communities,
-        t.link_bandwidth )
+  let hash = hash
 end)
 
-let hc : t Hc.t = Hc.create 1024
+let hc = Hc.create 1024
+let next_id = ref 0
 
+(* [merge] hashes once and probes once: it returns the live equal value,
+   or adds the candidate, which already carries the next id. *)
 let intern t =
   if t.id >= 0 then t
   else
-    match Hc.find_opt hc t with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          t with
-          as_path = Intern.As_path_id.canonical t.as_path;
-          communities = Intern.Community_set_id.canonical t.communities;
-          id = Hc.length hc;
-        }
-      in
-      Hc.replace hc c c;
-      c
+    let c = Hc.merge hc { t with id = !next_id } in
+    if c.id = !next_id then incr next_id;
+    c
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>lp=%d med=%d origin=%s path=[%a] comms=%a%a@]"

@@ -30,6 +30,7 @@ let to_string t = Printf.sprintf "%d:%d" (high t) (low t)
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 let compare = Int.compare
 let equal = Int.equal
+let hash t = t
 
 module Set = struct
   include Set.Make (Int)

@@ -25,6 +25,9 @@ val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** The community's 32 bits. *)
+
 module Set : sig
   include Set.S with type elt = t
 

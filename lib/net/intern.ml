@@ -1,15 +1,8 @@
-module type VALUE = sig
-  type t
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
-module Make (V : VALUE) = struct
-  module Tbl = Hashtbl.Make (V)
+module Prefix_id = struct
+  module Tbl = Hashtbl.Make (Prefix)
 
   let ids : int Tbl.t = Tbl.create 256
-  let values : V.t array ref = ref [||]
+  let values : Prefix.t array ref = ref [||]
   let next = ref 0
 
   let grow filler =
@@ -21,44 +14,19 @@ module Make (V : VALUE) = struct
       values := bigger
     end
 
-  let id v =
-    match Tbl.find_opt ids v with
+  let id p =
+    match Tbl.find_opt ids p with
     | Some i -> i
     | None ->
       let i = !next in
-      grow v;
-      !values.(i) <- v;
+      grow p;
+      !values.(i) <- p;
       incr next;
-      Tbl.replace ids v i;
+      Tbl.replace ids p i;
       i
-
-  let canonical v = !values.(id v)
 
   let value i =
     if i < 0 || i >= !next then
-      invalid_arg (Printf.sprintf "Intern.value: unknown id %d" i)
+      invalid_arg (Printf.sprintf "Intern.Prefix_id.value: unknown id %d" i)
     else !values.(i)
-
-  let count () = !next
 end
-
-module Prefix_id = Make (struct
-  type t = Prefix.t
-
-  let equal = Prefix.equal
-  let hash = Prefix.hash
-end)
-
-module As_path_id = Make (struct
-  type t = As_path.t
-
-  let equal = As_path.equal
-  let hash p = Hashtbl.hash (As_path.segments p)
-end)
-
-module Community_set_id = Make (struct
-  type t = Community.Set.t
-
-  let equal = Community.Set.equal
-  let hash s = Hashtbl.hash (Community.Set.elements s)
-end)

@@ -1,61 +1,23 @@
-(** Hash-consing interners for the route-state hot path.
+(** Interned IP prefixes.
 
-    A fleet-scale simulation holds the same prefix, AS-path, and community
-    set in thousands of RIB slots. Interning maps each distinct value to a
-    small integer id and a canonical (physically shared) representative, so
-    hot-path hashing is integer hashing and equality checks hit the
-    pointer-equality fast path.
+    Every speaker table is keyed by a prefix's id: a small integer, dense
+    from 0, so hot-path hashing is integer hashing ({!Int_table}). A run
+    sees few distinct prefixes, so the table is process-wide and keeps
+    every prefix it has seen. Attributes are interned by {!Attr.intern},
+    whose table lets go of values nothing else holds.
 
     {b Ids are valid for equality and hashing only.} Id assignment order
-    depends on which values a run encounters first, which differs across
-    scenarios and evaluation modes — any {e ordering} of interned values
-    must go through the value's own structural [compare], never through id
-    comparison, or determinism across modes breaks. *)
+    depends on which prefixes a run encounters first, which differs across
+    scenarios and evaluation modes — any {e ordering} of prefixes must go
+    through {!Prefix.compare}, never through id comparison, or determinism
+    across modes breaks. *)
 
-module type VALUE = sig
-  type t
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
-module Make (V : VALUE) : sig
-  val id : V.t -> int
-  (** The value's interned id, allocating one on first sight. Equal values
-      always yield the same id within a process. *)
-
-  val canonical : V.t -> V.t
-  (** The canonical representative: structurally equal to the argument, and
-      physically identical for every equal value interned after it. *)
-
-  val value : int -> V.t
-  (** The value behind an id. Raises [Invalid_argument] on an id never
-      returned by {!id}. *)
-
-  val count : unit -> int
-  (** Number of distinct values interned so far. *)
-end
-
-(** Interned IP prefixes. *)
 module Prefix_id : sig
   val id : Prefix.t -> int
-  val canonical : Prefix.t -> Prefix.t
+  (** The prefix's id, allocating one on first sight. Equal prefixes
+      always yield the same id within a process. *)
+
   val value : int -> Prefix.t
-  val count : unit -> int
-end
-
-(** Interned AS-paths. *)
-module As_path_id : sig
-  val id : As_path.t -> int
-  val canonical : As_path.t -> As_path.t
-  val value : int -> As_path.t
-  val count : unit -> int
-end
-
-(** Interned community sets. *)
-module Community_set_id : sig
-  val id : Community.Set.t -> int
-  val canonical : Community.Set.t -> Community.Set.t
-  val value : int -> Community.Set.t
-  val count : unit -> int
+  (** The prefix behind an id. Raises [Invalid_argument] on an id never
+      returned by {!id}. *)
 end

@@ -541,6 +541,42 @@ let test_engine_cache_equal_length_paths () =
   check_bool "hit pass selects as the miss pass" true (same_selection first second);
   check_bool "cached selects as uncached" true (same_selection first uncached)
 
+(* The engine's answers do not depend on when collections run: each pass
+   builds fresh copies of the same candidate attributes (whose AS paths
+   are this test's own), so between passes nothing but the engine holds
+   them. A cache that keyed its answers by intern id without holding the
+   attribute would miss after a collection, since an equal attribute
+   interned after it was collected gets a new id. *)
+let test_engine_cache_across_collections () =
+  let firsts = List.init 12 (fun i -> 3000 + i) in
+  let engine =
+    Engine.create
+      (Apps.Path_equalize.rpa ~destination:(Destination.Tagged bb)
+         ~origin_asn:(asn 9) ~via:(List.map asn firsts))
+  in
+  let[@inline never] pass () =
+    let candidates =
+      List.mapi
+        (fun i first ->
+          path ~peer:(i + 1) (attr ~communities:[ bb ] [ first; 3100; 9 ]))
+        firsts
+    in
+    let native = Bgp.Decision.select ~multipath:true candidates in
+    Engine.reset_stats engine;
+    ignore
+      (Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates ~native);
+    let s = Engine.stats engine in
+    (s.Engine.hits, s.Engine.misses)
+  in
+  let cold = pass () in
+  let warm = pass () in
+  Gc.full_major ();
+  let collected = pass () in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "cold pass misses every candidate" (0, 12) cold;
+  Alcotest.check pair "warm pass hits every candidate" (12, 0) warm;
+  Alcotest.check pair "a collection changes no hit" warm collected
+
 (* ---------------- Engine: route filter ---------------- *)
 
 let test_engine_route_filter () =
@@ -1370,6 +1406,7 @@ let () =
           quick "cache stats" test_engine_cache_stats;
           quick "cache disabled" test_engine_cache_disabled;
           quick "cache equal-length paths" test_engine_cache_equal_length_paths;
+          quick "cache across collections" test_engine_cache_across_collections;
           quick "route filter" test_engine_route_filter;
         ] );
       ( "rpa-parser",

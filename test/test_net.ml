@@ -167,6 +167,30 @@ let test_as_path_set_counts_one () =
   check_int "set counts 1" 2 (As_path.length p);
   check_bool "mem in set" true (As_path.mem (asn 3) p)
 
+(* Segments of both kinds, some empty (which [of_segments] drops), over a
+   small ASN range so that hits and misses both come up. *)
+let as_path_mem_qcheck =
+  let open QCheck.Gen in
+  let asns = list_size (int_bound 4) (int_range 1 8) in
+  let segment =
+    map2
+      (fun set l ->
+        let l = List.map asn l in
+        if set then As_path.Set l else As_path.Seq l)
+      bool asns
+  in
+  let case = pair (int_range 1 9) (list_size (int_bound 4) segment) in
+  let print (a, segs) =
+    Printf.sprintf "%d in [%s]" a (As_path.to_string (As_path.of_segments segs))
+  in
+  [
+    QCheck.Test.make ~name:"mem = List.mem over asns" ~count:500
+      (QCheck.make ~print case)
+      (fun (a, segs) ->
+        let p = As_path.of_segments segs in
+        Bool.equal (As_path.mem (asn a) p) (List.mem (asn a) (As_path.asns p)));
+  ]
+
 let test_as_path_empty () =
   check_int "empty len" 0 (As_path.length As_path.empty);
   check Alcotest.(option int) "empty origin" None
@@ -371,6 +395,7 @@ type attr_step =
   | Prepend of int
   | Set_path of int list
   | Intern
+  | Collect
 
 let show_attr_step = function
   | Set_lp v -> Printf.sprintf "lp %d" v
@@ -382,6 +407,7 @@ let show_attr_step = function
   | Prepend a -> Printf.sprintf "prepend %d" a
   | Set_path l -> "path " ^ String.concat " " (List.map string_of_int l)
   | Intern -> "intern"
+  | Collect -> "collect"
 
 let comm c = Community.make 65100 c
 let path_of l = As_path.of_asns (List.map asn l)
@@ -395,6 +421,9 @@ let apply_attr_step a = function
   | Prepend n -> Attr.with_prepended (asn n) a
   | Set_path l -> Attr.set_as_path (path_of l) a
   | Intern -> Attr.intern a
+  | Collect ->
+    Gc.full_major ();
+    a
 
 (* A fresh, not interned value with [a]'s contents. *)
 let fresh_copy (a : Attr.t) =
@@ -428,6 +457,7 @@ let attr_intern_qcheck =
         map (fun n -> Prepend (n + 1)) small;
         map (fun l -> Set_path l) (list_size (int_bound 2) (int_range 1 3));
         return Intern;
+        return Collect;
       ]
   in
   let base =
@@ -461,8 +491,47 @@ let attr_intern_qcheck =
         && Attr.compare ia a = 0
         && Attr.intern ia == ia
         && Bool.equal (Attr.equal a b) (ia == ib)
+        && ((not (Attr.equal a b)) || Attr.hash a = Attr.hash b)
         && ((not (Attr.equal a b && Attr.id a >= 0 && Attr.id b >= 0)) || a == b));
   ]
+
+(* The intern set holds its values weakly: an interned attribute that only
+   a weak pointer holds is collected, and an equal value interned later
+   gets a new id. The AS path is this test's own, so no other live value
+   keeps the contents interned. *)
+let test_attr_intern_frees () =
+  let held = Weak.create 1 in
+  let contents () =
+    Attr.make ~as_path:(path_of [ 4_200_000_001; 4_200_000_002 ]) ()
+  in
+  let[@inline never] intern_and_drop () =
+    let a = Attr.intern (contents ()) in
+    Weak.set held 0 (Some a);
+    Attr.id a
+  in
+  let id = intern_and_drop () in
+  check_bool "held before a collection" true (Weak.check held 0);
+  Gc.full_major ();
+  check_bool "collected once only a weak pointer holds it" false
+    (Weak.check held 0);
+  check_bool "a later equal value gets a new id" true
+    (Attr.id (Attr.intern (contents ())) > id)
+
+(* A Section 6.2 FSW's 36 upstream paths have equal length and differ only
+   in the SSW ASN. A hash that stops before the ASNs files all of them
+   under one hash, so every intern walks them all (DESIGN 4.1). *)
+let test_attr_hash_spreads_upstream_paths () =
+  let tagged =
+    Community.Set.singleton Community.Well_known.backbone_default_route
+  in
+  let hashes =
+    List.init 36 (fun i ->
+        Attr.hash
+          (Attr.make ~as_path:(path_of [ 64513 + i; 64700; 64600 ])
+             ~communities:tagged ()))
+  in
+  check_int "36 distinct hashes" 36
+    (List.length (List.sort_uniq Int.compare hashes))
 
 (* ---------------- Suite ---------------- *)
 
@@ -495,7 +564,8 @@ let () =
           quick "prepend" test_as_path_prepend;
           quick "set counts one" test_as_path_set_counts_one;
           quick "empty" test_as_path_empty;
-        ] );
+        ]
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false) as_path_mem_qcheck );
       ( "path_regex",
         [
           quick "literal" test_regex_literal;
@@ -522,6 +592,8 @@ let () =
           quick "prepend and communities" test_attr_prepend_and_communities;
           quick "origin rank" test_attr_origin_rank;
           quick "equal" test_attr_equal;
+          quick "interning frees" test_attr_intern_frees;
+          quick "hash spreads upstream paths" test_attr_hash_spreads_upstream_paths;
         ]
         @ List.map (QCheck_alcotest.to_alcotest ~long:false) attr_intern_qcheck );
     ]
