@@ -428,13 +428,13 @@ let clear_journal t plan =
 
 (* {1 Journal garbage collection}
 
-   Completed journals used to accumulate forever in the replicated NSDB.
-   Each completion now stamps a monotonic sequence number (allocated with
+   Each completion stamps a monotonic sequence number (allocated with
    compare-and-set on journal_meta/seq, so concurrent controllers get
    distinct numbers) and GC prunes completed journal/<plan>/ subtrees
-   beyond the [retain] most recent — keeping enough history for failover
-   tests to inspect while bounding NSDB growth. In-progress and
-   rolled-back journals are never pruned: the former is a rollout to
+   beyond the [retain] most recent, each with the plan's plans/<plan>/
+   intent records — keeping enough history for failover tests to inspect
+   while bounding NSDB growth. In-progress and rolled-back journals, and
+   their plans' records, are never pruned: the former is a rollout to
    resume, the latter an audit trail operators asked to keep. *)
 
 (* {2 Admission-queue protection}
@@ -494,6 +494,7 @@ let journal_gc ?retain t =
       (fun i (_, name) ->
         if i < excess then begin
           Nsdb.Replicated.delete t.state_db ~path:(Nsdb_schema.journal name);
+          Nsdb.Replicated.delete t.state_db ~path:(Nsdb_schema.plan_records name);
           Obs.Metrics.incr m_journal_pruned
         end)
       completed;

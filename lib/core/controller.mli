@@ -276,8 +276,10 @@ val set_journal_retention : t -> int -> unit
 val journal_gc : ?retain:int -> t -> int
 (** Prunes completed journals beyond the [retain] most recent (default:
     the controller's retention setting), ordered by their completion
-    sequence numbers. Returns how many subtrees were pruned. Also runs
-    automatically after each successful deployment. *)
+    sequence numbers. Returns how many journals were pruned. A pruned
+    plan's [plans/<plan>/] intent records are deleted with its journal;
+    an in-progress or rolled-back plan keeps both. Also runs automatically
+    after each successful deployment. *)
 
 val remove : t -> plan -> (report, string list) result
 (** Runs [removal plan] through the rollout body with {!deploy}'s

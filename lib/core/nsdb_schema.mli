@@ -13,7 +13,7 @@
       journal/<plan>/completed_seq  Int     GC order of completed journals
       journal/<plan>/remediation    String  a watchdog breach, as audit
       journal_meta/seq              Int     last completion number handed out
-      plans/<plan>/devices/<d>      Rpa     recorded intent
+      plans/<plan>/devices/<d>      Rpa     recorded intent, pruned with the journal
       opsq/<seq>/plan               String  plan name
       opsq/<seq>/tenant             String
       opsq/<seq>/class              String  interactive | standard | bulk
@@ -46,6 +46,10 @@ val journal_watch : string -> string
 val journal_statuses : string
 val journal_plan : string -> string option
 val journal_seq : string
+val plan_records : string -> string
+(** The [plans/<plan>] subtree: the plan's recorded intent.
+    {!Controller.journal_gc} deletes it with the plan's journal. *)
+
 val plan_device : string -> int -> string
 
 (** {1 Admission queue} *)

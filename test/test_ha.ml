@@ -121,6 +121,57 @@ let test_journal_retention_knob () =
     (Nsdb.Replicated.get_one nsdb ~path:"journal/p3/status"
     = Some (Nsdb.String "completed"))
 
+(* A plan's intent records are pruned with its journal: real deployments
+   through the controller, more completed than the retention keeps, and
+   one rolled back by a failing post-check, whose records stay as audit. *)
+let test_journal_gc_prunes_plan_records () =
+  let x = Topology.Clos.expansion () in
+  let net = Bgp.Network.create ~seed:1 x.Topology.Clos.xgraph in
+  Bgp.Network.originate net x.Topology.Clos.backbone Net.Prefix.default_v4
+    (Net.Attr.make ~as_path:(Net.As_path.of_asns [ Net.Asn.of_int 65000 ]) ());
+  ignore (Bgp.Network.converge net);
+  let nsdb = Nsdb.Replicated.create ~replicas:2 in
+  let controller = Controller.create ~nsdb net in
+  Controller.set_journal_retention controller 2;
+  let plan = Apps.Expansion_equalizer.plan x in
+  let named name = { plan with Controller.plan_name = name } in
+  let records name =
+    List.length
+      (Nsdb.Replicated.get nsdb
+         ~path:(Nsdb_schema.plan_records name ^ "/devices/*"))
+  in
+  let red =
+    { Health.check_name = "always-red"; run = (fun () -> Error "synthetic") }
+  in
+  (match
+     Controller.deploy controller
+       { (named "red") with Controller.post_checks = [ red ] }
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "expected the red plan to roll back");
+  List.iter
+    (fun name ->
+      match Controller.deploy controller (named name) with
+      | Ok _ -> ()
+      | Error es -> Alcotest.fail (String.concat "; " es))
+    [ "p1"; "p2"; "p3"; "p4" ];
+  let devices = List.length plan.Controller.rpas in
+  check_bool "the plan has devices" true (devices > 0);
+  List.iter
+    (fun name ->
+      check_int (name ^ ": journal pruned") 0
+        (List.length
+           (Nsdb.Replicated.get nsdb ~path:(Nsdb_schema.journal_watch name)));
+      check_int (name ^ ": records pruned with it") 0 (records name))
+    [ "p1"; "p2" ];
+  List.iter
+    (fun name -> check_int (name ^ ": records kept") devices (records name))
+    [ "p3"; "p4"; "red" ];
+  check_string "the rolled-back journal stays" "rolled-back"
+    (Option.value
+       (Controller.journal_status controller (named "red"))
+       ~default:"<none>")
+
 (* ---------------- Fencing at the switch agent ---------------- *)
 
 let agent_fixture () =
@@ -347,6 +398,8 @@ let () =
             test_journal_gc_prunes_oldest_completed;
           Alcotest.test_case "retention knob" `Quick
             test_journal_retention_knob;
+          Alcotest.test_case "prunes plan records" `Quick
+            test_journal_gc_prunes_plan_records;
         ] );
       ( "fencing",
         [
