@@ -626,16 +626,43 @@ let micro () =
         ignore (Bgp.Network.run_until net ~time:(t0 +. 0.012));
         net)
   in
+  (* An SSW's route as a Section 6.2 FSW receives it: the SSW, a FAUU and
+     the EB that originated the tagged default route. *)
+  let eb = Net.Asn.of_int 64600 and fauu = Net.Asn.of_int 64700 in
+  let upstream ssw =
+    Net.Attr.intern
+      (Net.Attr.make
+         ~as_path:(Net.As_path.of_asns [ Net.Asn.of_int (64512 + ssw); fauu; eb ])
+         ~communities:tagged.Net.Attr.communities ())
+  in
+  (* Interning a fresh copy of a live attribute: the lookup every
+     rewritten candidate and every unchanged advert pays. The run checks
+     it got the live value, which also keeps that value interned. *)
+  let intern_hit =
+    let live = upstream 1 in
+    let copy =
+      Net.Attr.make ~as_path:live.Net.Attr.as_path
+        ~communities:live.Net.Attr.communities ()
+    in
+    fun () -> if Net.Attr.intern copy != live then failwith "intern-hit: missed"
+  in
+  (* A decision's advert preparation when the advert does not change: the
+     FSW prepends its ASN to the best path and interns the result, which
+     the Adj-RIB-Out still holds. *)
+  let prepare_advert =
+    let best = upstream 1 and fsw = Net.Asn.of_int 65001 in
+    let advert = Net.Attr.intern (Net.Attr.with_prepended fsw best) in
+    fun () ->
+      if Net.Attr.intern (Net.Attr.with_prepended fsw best) != advert then
+        failwith "prepare-advert: missed"
+  in
   (* A Section 6.2 FSW: 36 SSWs (devices 1-36) advertise the tagged
      default route and 48 RSWs (37-84) take it. Each run re-delivers one
      SSW's unchanged route in [Full_table] mode, so the speaker re-decides
      the prefix and its advert to the 84 peers does not change: the case
-     of most decisions in the rollout benchmark's [fulldc_rollout]. A
-     recorder that keeps no span stands in for the section's, so a run does
-     not time span recording. *)
+     of most decisions in the rollout benchmark's [fulldc_rollout]. *)
   let fan_out_84 ~rpa =
     let fsw = Topology.Node.make ~id:0 ~name:"fsw" ~layer:Topology.Node.Fsw () in
-    let eb = Net.Asn.of_int 64600 and fauu = Net.Asn.of_int 64700 in
     let hooks =
       if rpa then
         Centralium.Engine.hooks
@@ -659,23 +686,13 @@ let micro () =
       }
     in
     let route ssw =
-      Bgp.Msg.Update
-        {
-          prefix = Net.Prefix.default_v4;
-          attr =
-            Net.Attr.intern
-              (Net.Attr.make
-                 ~as_path:(Net.As_path.of_asns [ Net.Asn.of_int (64512 + ssw); fauu; eb ])
-                 ~communities:tagged.Net.Attr.communities ());
-        }
+      Bgp.Msg.Update { prefix = Net.Prefix.default_v4; attr = upstream ssw }
     in
     for ssw = 1 to 36 do
       ignore (Bgp.Speaker.receive sp env ~peer:ssw ~session:0 (route ssw))
     done;
-    let again = route 1 and no_spans = Obs.Span.create ~max_spans:0 () in
-    fun () ->
-      Obs.Span.with_recorder no_spans (fun () ->
-          ignore (Bgp.Speaker.receive sp env ~peer:1 ~session:0 again))
+    let again = route 1 in
+    fun () -> ignore (Bgp.Speaker.receive sp env ~peer:1 ~session:0 again)
   in
   let tests =
     [
@@ -703,6 +720,8 @@ let micro () =
       Test.make ~name:"invariant/sweep-expansion" (Staged.stage sweep_expansion);
       Test.make ~name:"speaker/fan-out-84" (Staged.stage (fan_out_84 ~rpa:false));
       Test.make ~name:"speaker/fan-out-84-rpa" (Staged.stage (fan_out_84 ~rpa:true));
+      Test.make ~name:"net/intern-hit" (Staged.stage intern_hit);
+      Test.make ~name:"net/prepare-advert" (Staged.stage prepare_advert);
     ]
   in
   let ols =
@@ -712,8 +731,13 @@ let micro () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None ()
   in
+  (* Under the section's recorder, every test that opens spans would time
+     span recording until the recorder's cap filled, so its estimate would
+     depend on the tests run before it. A recorder that keeps no span
+     stands in. *)
   let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"centralium" tests)
+    Obs.Span.with_recorder (Obs.Span.create ~max_spans:0 ()) (fun () ->
+        Benchmark.all cfg instances (Test.make_grouped ~name:"centralium" tests))
   in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let estimates = ref [] in
