@@ -494,7 +494,8 @@ let journal_gc ?retain t =
       (fun i (_, name) ->
         if i < excess then begin
           Nsdb.Replicated.delete t.state_db ~path:(Nsdb_schema.journal name);
-          Nsdb.Replicated.delete t.state_db ~path:(Nsdb_schema.plan_records name);
+          Nsdb.Replicated.delete t.state_db
+            ~path:(Nsdb_schema.plan_records name);
           Obs.Metrics.incr m_journal_pruned
         end)
       completed;

@@ -34,7 +34,8 @@ let journal_statuses = "journal/*/status"
 let journal_plan = segment 1
 let journal_seq = "journal_meta/seq"
 let plan_records plan = "plans/" ^ plan
-let plan_device plan device = Printf.sprintf "%s/devices/%d" (plan_records plan) device
+let plan_device plan device =
+  Printf.sprintf "%s/devices/%d" (plan_records plan) device
 
 type queue_field = [ `Plan | `Tenant | `Class | `State ]
 

@@ -13,7 +13,7 @@
       journal/<plan>/completed_seq  Int     GC order of completed journals
       journal/<plan>/remediation    String  a watchdog breach, as audit
       journal_meta/seq              Int     last completion number handed out
-      plans/<plan>/devices/<d>      Rpa     recorded intent, pruned with the journal
+      plans/<plan>/devices/<d>      Rpa     recorded intent, GC'd with journal
       opsq/<seq>/plan               String  plan name
       opsq/<seq>/tenant             String
       opsq/<seq>/class              String  interactive | standard | bulk

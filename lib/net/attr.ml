@@ -87,7 +87,9 @@ let mix h x = (h * 0x9E3779B1) + x
    without building a list. *)
 let hash t =
   let h = Hashtbl.hash (As_path.segments t.as_path) in
-  let h = Community.Set.fold (fun c h -> mix h (Community.hash c)) t.communities h in
+  let h =
+    Community.Set.fold (fun c h -> mix h (Community.hash c)) t.communities h
+  in
   let h = mix (mix (mix h (origin_rank t.origin)) t.local_pref) t.med in
   let h = mix h (Option.value t.link_bandwidth ~default:(-1)) in
   (h lxor (h lsr 29)) land max_int
