@@ -194,14 +194,23 @@ let fmt_failures kind failures =
 
 (* The lint pass and the symbolic verification pass share one contract:
    [`Warn] logs findings, [`Enforce] refuses plans with error-severity
-   findings, and with no engine registered (binary not linked against
-   lib/analysis) the gate is a no-op. [input] is what the engine reads
+   findings. With no engine registered (binary not linked against
+   lib/analysis) [`Warn] is a no-op and [`Enforce] refuses every plan: a
+   check that cannot run must not pass. [input] is what the engine reads
    besides the plan: the graph for lint; the network for the phase
    verifier, which proves the plan loop- and blackhole-free across every
    phase boundary and mixed frontier before anything touches a device. *)
 let gate ~label mode engine input plan =
   match (mode, engine) with
-  | `Off, _ | _, None -> Ok ()
+  | `Off, _ | `Warn, None -> Ok ()
+  | `Enforce, None ->
+    Error
+      [
+        Printf.sprintf
+          "%s: enforced, but no %s engine is registered (lib/analysis is \
+           not linked)"
+          label label;
+      ]
   | ((`Warn | `Enforce) as mode), Some engine ->
     let findings = engine input plan in
     let errors = List.filter (fun f -> f.lint_error) findings in

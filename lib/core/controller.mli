@@ -56,7 +56,9 @@ val removal : plan -> plan
     registers its engine here at link time. Deployments then run a
     pre-flight lint pass controlled by the [?lint] mode: [`Off] skips it,
     [`Warn] (the default) logs findings, [`Enforce] aborts the deployment
-    when any error-severity finding is present. *)
+    when any error-severity finding is present. With no engine
+    registered, [`Warn] does nothing and [`Enforce] aborts every
+    deployment with an error naming the missing engine. *)
 
 type lint_finding = {
   lint_error : bool;  (** error severity (vs warning/info) *)

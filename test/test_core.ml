@@ -1114,6 +1114,35 @@ let test_debug_explain_withdrawn_and_pp () =
     check_bool "pp flags the warm FIB" true
       (string_contains ~needle:"FIB kept warm" rendered)
 
+(* This executable links no analysis library, so no gate engine is
+   registered: an enforced gate must refuse the plan, not pass it
+   unchecked. A gate at [`Warn] stays a no-op (the other controller tests
+   deploy that way). *)
+let test_enforce_without_engine_aborts () =
+  check_bool "no linter" true (Option.is_none (Controller.linter ()));
+  check_bool "no verifier" true (Option.is_none (Controller.verifier ()));
+  let x, net, controller = controller_fixture () in
+  let plan = Apps.Expansion_equalizer.plan x in
+  List.iter
+    (fun (label, deploy) ->
+      match deploy () with
+      | Ok _ -> Alcotest.failf "%s enforced without an engine deployed" label
+      | Error es ->
+        check_bool (label ^ " error names the missing engine") true
+          (List.exists
+             (string_contains ~needle:(Printf.sprintf "no %s engine" label))
+             es))
+    [
+      ("lint", fun () -> Controller.deploy ~lint:`Enforce controller plan);
+      ("verify", fun () -> Controller.deploy ~verify:`Enforce controller plan);
+    ];
+  List.iter
+    (fun (device, _) ->
+      check_bool "nothing deployed" true
+        (Bgp.Rib_policy.is_native
+           (Bgp.Speaker.hooks (Bgp.Network.speaker net device))))
+    plan.Controller.rpas
+
 let test_controller_deploy_and_remove () =
   let x, net, controller = controller_fixture () in
   let plan = Apps.Expansion_equalizer.plan x in
@@ -1452,6 +1481,8 @@ let () =
           quick "deploy and remove" test_controller_deploy_and_remove;
           quick "pre-check aborts" test_controller_pre_check_aborts;
           quick "invalid plan" test_controller_invalid_plan;
+          quick "enforce without engine aborts"
+            test_enforce_without_engine_aborts;
           quick "health checks" test_health_checks;
           quick "nsdb replica failure" test_controller_survives_nsdb_replica_failure;
           quick "trace timeline" test_trace_timeline_reflects_drain;
