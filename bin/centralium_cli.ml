@@ -410,13 +410,13 @@ let verify_plan_cmd =
   let has_errors report =
     List.exists (fun d -> d.D.severity = D.Error) report.PV.vr_diagnostics
   in
-  let run_suite seed json no_frontiers =
+  let run_suite seed json =
     let specs = Centralium.Verification.standard_suite ~seed () in
     let results =
       List.map
         (fun spec ->
           let net, plan, _ = spec.Centralium.Verification.build () in
-          let report = PV.verify_network ~frontiers:(not no_frontiers) net plan in
+          let report = PV.verify_network net plan in
           (spec.Centralium.Verification.spec_name, report))
         specs
     in
@@ -447,8 +447,8 @@ let verify_plan_cmd =
   let run_selftest json =
     print_selftest json (Analysis.Corpus.run_verifier ())
   in
-  let run selftest json seed no_frontiers =
-    if selftest then run_selftest json else run_suite seed json no_frontiers
+  let run selftest json seed =
+    if selftest then run_selftest json else run_suite seed json
   in
   let selftest =
     Arg.(
@@ -470,19 +470,12 @@ let verify_plan_cmd =
       value & opt int 31
       & info [ "seed" ] ~doc:"base network seed for suite plan building")
   in
-  let no_frontiers =
-    Arg.(
-      value & flag
-      & info [ "no-frontiers" ]
-          ~doc:"check phase boundaries only, skipping the per-device mixed \
-                frontier states inside each phase")
-  in
   Cmd.v
     (Cmd.info "verify-plan"
        ~doc:"Symbolically prove deployment plans loop- and blackhole-free \
              across every phase boundary and mixed frontier, without \
              running the simulator; non-zero exit on violations")
-    Term.(const run $ selftest $ json $ seed $ no_frontiers)
+    Term.(const run $ selftest $ json $ seed)
 
 (* ---------------- verify ---------------- *)
 

@@ -116,7 +116,7 @@ let snapshot_cycles topo ~color ~adj edges =
     edges;
   List.rev !cycles
 
-let verify ?origins ?(frontiers = true) ?(incremental = true) graph
+let verify ?origins ?(incremental = true) graph
     (plan : Controller.plan) =
   let origins =
     match origins with Some o -> o | None -> default_origins graph
@@ -430,39 +430,37 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
       let boundary = List.fold_left (fun s d -> Iset.add d s) !base_deployed phase in
       (* Mixed frontiers: each device deployed alone ahead of its phase
          peers is a legal transient the rollout passes through. *)
-      if frontiers then begin
-        let with_rpa = List.filter (fun d -> Iset.mem d rpa_devices) phase in
-        if List.length with_rpa > 1 then begin
-          let modelled, rest =
-            if List.length with_rpa <= frontier_limit then (with_rpa, [])
-            else begin
-              let rec split n = function
-                | [] -> ([], [])
-                | x :: tl ->
-                  if n = 0 then ([], x :: tl)
-                  else
-                    let a, b = split (n - 1) tl in
-                    (x :: a, b)
-              in
-              split frontier_limit with_rpa
-            end
-          in
-          if rest <> [] then
-            add_info
-              (Printf.sprintf
-                 "phase %d has %d RPA-bearing devices; frontier modelling \
-                  capped at the first %d by id (devices %s not modelled \
-                  individually)"
-                 k (List.length with_rpa) frontier_limit (path_str rest));
-          List.iter
-            (fun x ->
-              ignore
-                (check_state ~base_models:!base_models
-                   ~base_deployed:!base_deployed
-                   (Printf.sprintf "phase %d frontier device %d" k x)
-                   (Iset.add x !base_deployed)))
-            modelled
-        end
+      let with_rpa = List.filter (fun d -> Iset.mem d rpa_devices) phase in
+      if List.length with_rpa > 1 then begin
+        let modelled, rest =
+          if List.length with_rpa <= frontier_limit then (with_rpa, [])
+          else begin
+            let rec split n = function
+              | [] -> ([], [])
+              | x :: tl ->
+                if n = 0 then ([], x :: tl)
+                else
+                  let a, b = split (n - 1) tl in
+                  (x :: a, b)
+            in
+            split frontier_limit with_rpa
+          end
+        in
+        if rest <> [] then
+          add_info
+            (Printf.sprintf
+               "phase %d has %d RPA-bearing devices; frontier modelling \
+                capped at the first %d by id (devices %s not modelled \
+                individually)"
+               k (List.length with_rpa) frontier_limit (path_str rest));
+        List.iter
+          (fun x ->
+            ignore
+              (check_state ~base_models:!base_models
+                 ~base_deployed:!base_deployed
+                 (Printf.sprintf "phase %d frontier device %d" k x)
+                 (Iset.add x !base_deployed)))
+          modelled
       end;
       let models =
         check_state ~base_models:!base_models ~base_deployed:!base_deployed
@@ -490,21 +488,18 @@ let verify ?origins ?(frontiers = true) ?(incremental = true) graph
    the same plan on an unmoved network gets the same report. *)
 let last_report = ref None
 
-let verify_network ?frontiers net plan =
+let verify_network net plan =
   let stamp = Bgp.Network.stamp net in
   match Option.bind !last_report (fun e -> Ephemeron.K1.query e plan) with
-  | Some (s, f, report)
-    when Bgp.Network.stamp_equal s stamp && Option.equal Bool.equal f frontiers
-    ->
-    report
+  | Some (s, report) when Bgp.Network.stamp_equal s stamp -> report
   | Some _ | None ->
     let origins =
       match origins_of_network net with
       | [] -> default_origins (Bgp.Network.graph net)
       | os -> os
     in
-    let report = verify ~origins ?frontiers (Bgp.Network.graph net) plan in
-    last_report := Some (Ephemeron.K1.make plan (stamp, frontiers, report));
+    let report = verify ~origins (Bgp.Network.graph net) plan in
+    last_report := Some (Ephemeron.K1.make plan (stamp, report));
     report
 
 let violation_json v =

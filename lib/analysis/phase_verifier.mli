@@ -85,34 +85,33 @@ val origins_of_network : Bgp.Network.t -> origin list
 
 val verify :
   ?origins:origin list ->
-  ?frontiers:bool ->
   ?incremental:bool ->
   Topology.Graph.t ->
   Centralium.Controller.plan ->
   report
-(** Verifies the plan against the topology. [frontiers] (default [true])
-    also checks single-device frontier states inside multi-device
-    phases. [incremental] (default [true]) enables the delta-net reuse
-    of untouched classes across states; [false] recompiles every class
-    in every state — same verdicts, strictly more work (the bench's
-    full-verification reference point).
+(** Verifies the plan against the topology: the baseline, every phase
+    boundary, and the single-device frontier states inside each
+    multi-device phase ({!frontier_limit}). [incremental] (default
+    [true]) enables the delta-net reuse of untouched classes across
+    states; [false] recompiles every class in every state — same
+    verdicts, strictly more work (the bench's full-verification
+    reference point).
 
     Each call builds one {!Fwd_model.frame} of the graph and shares it
     across every class and state it compiles and checks; the report keeps
     no reference to it. The graph must not change during the call. *)
 
-val verify_network :
-  ?frontiers:bool -> Bgp.Network.t -> Centralium.Controller.plan -> report
+val verify_network : Bgp.Network.t -> Centralium.Controller.plan -> report
 (** {!verify} with {!origins_of_network} (falling back to
     {!default_origins} for a network that originates nothing yet).
 
     It reads only the graph's links, the speakers' origins and the plan,
-    so it keeps its last report, keyed by the plan (physically equal), the
-    [frontiers] flag and the network's {!Bgp.Network.stamp}, and returns
-    it again while none of them changes — e.g. when the admission probe and
-    the deploy gate verify one plan with no event in between. The plan is
-    held weakly (its health checks may close over a network), and nothing
-    kept refers to the network. *)
+    so it keeps its last report, keyed by the plan (physically equal) and
+    the network's {!Bgp.Network.stamp}, and returns it again while
+    neither changes — e.g. when the admission probe and the deploy gate
+    verify one plan with no event in between. The plan is held weakly
+    (its health checks may close over a network), and nothing kept
+    refers to the network. *)
 
 val report_json : report -> Obs.Json.t
 (** Fixed field order, no wall-clock content: byte-identical across runs

@@ -340,7 +340,8 @@ type sev = {
   sfsws : int list;
 }
 
-let sev ?(fas = 4) ?(ssws = 4) ?(fsws = 4) () =
+let sev ?(ssws = 4) ?(fsws = 4) () =
+  let fas = 4 in
   let alloc = fresh (Graph.create ()) in
   let backbone = new_node alloc ~name:"backbone" ~layer:Node.Eb () in
   let fa_ids =

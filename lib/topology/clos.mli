@@ -125,6 +125,7 @@ type sev = {
   sfsws : int list;
 }
 
-val sev : ?fas:int -> ?ssws:int -> ?fsws:int -> unit -> sev
-(** All FAs connect to SSWs below; all but [bad_fa] also connect to the
-    backbone above (the bad FA is missing its backbone cabling). *)
+val sev : ?ssws:int -> ?fsws:int -> unit -> sev
+(** Four FAs, all connected to the SSWs below; all but [bad_fa] also
+    connect to the backbone above (the bad FA is missing its backbone
+    cabling). *)
