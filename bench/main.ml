@@ -24,18 +24,7 @@ let pct x = 100.0 *. x
    its wall time, per-span wall-time percentiles, the full metrics
    snapshot, and whatever section-specific figures it pushed via [emit]. *)
 
-let summary_json (s : Dsim.Stats.summary) =
-  Obs.Json.Obj
-    [
-      ("count", Obs.Json.Int s.Dsim.Stats.count);
-      ("mean", Obs.Json.Float s.Dsim.Stats.mean);
-      ("min", Obs.Json.Float s.Dsim.Stats.min);
-      ("max", Obs.Json.Float s.Dsim.Stats.max);
-      ("p50", Obs.Json.Float s.Dsim.Stats.p50);
-      ("p90", Obs.Json.Float s.Dsim.Stats.p90);
-      ("p95", Obs.Json.Float s.Dsim.Stats.p95);
-      ("p99", Obs.Json.Float s.Dsim.Stats.p99);
-    ]
+let summary_json s = Obs.Json.Obj (Obs.Metrics.summary_fields s)
 
 let bench_extra : (string * Obs.Json.t) list ref = ref []
 
@@ -888,12 +877,20 @@ let scale () =
 (* ------------------------------------------------------------------ *)
 (* Management-plane chaos: resilient deploy under faults, crash+resume *)
 
+(* The verdict count of a seed sweep: printed, and emitted as [passed]
+   out of [seeds]. *)
+let emit_passed passed seeds =
+  pf "passed: %d/%d seeds\n" passed (List.length seeds);
+  emit "passed" (Obs.Json.Int passed);
+  emit "seeds" (Obs.Json.Int (List.length seeds))
+
 let chaos () =
   header "Chaos: resilient deployment under management-plane faults"
     "crash+resume vs uninterrupted, flaky RPC/NSDB fates, 3 seeds";
-  let digests_matched = ref 0 in
+  let passed = ref 0 in
   let retries = ref [] in
   let backoffs = ref [] in
+  let rows = ref [] in
   let seeds = [ 42; 43; 44 ] in
   List.iter
     (fun seed ->
@@ -901,18 +898,23 @@ let chaos () =
         Experiments.Scenarios.Faulted_deploy.crash_vs_uninterrupted ~seed ()
       in
       let i = c.Experiments.Scenarios.Faulted_deploy.interrupted in
-      if c.Experiments.Scenarios.Faulted_deploy.digests_match then
-        incr digests_matched;
+      let ok = Experiments.Scenarios.Faulted_deploy.passed c in
+      if ok then incr passed;
       retries := float_of_int i.retries :: !retries;
       backoffs := List.map (fun s -> s *. 1000.0) i.backoff_seconds @ !backoffs;
       pf "seed %d: %s after crash+resume, %d retries, digests %s\n" seed
         i.outcome i.retries
         (if c.Experiments.Scenarios.Faulted_deploy.digests_match then "match"
-         else "DIFFER"))
+         else "DIFFER");
+      rows :=
+        Obs.Json.Obj
+          (("seed", Obs.Json.Int seed)
+           :: ("passed", Obs.Json.Bool ok)
+           :: Experiments.Scenarios.Faulted_deploy.comparison_json c)
+        :: !rows)
     seeds;
-  pf "digest matches: %d/%d\n" !digests_matched (List.length seeds);
-  emit "digests_matched" (Obs.Json.Int !digests_matched);
-  emit "seeds" (Obs.Json.Int (List.length seeds));
+  emit_passed !passed seeds;
+  emit "rows" (Obs.Json.List (List.rev !rows));
   emit_summary "retries" !retries;
   emit_summary "backoff_ms" !backoffs
 
@@ -924,7 +926,7 @@ let chaos_gr () =
     "severe message faults + origin/FA restarts, session liveness timers, \
      identical seeds per mode, 3 seeds";
   let seeds = [ 42; 43; 44 ] in
-  let wins = ref 0 and clean = ref 0 in
+  let passed = ref 0 in
   let bh_on = ref [] and bh_off = ref [] in
   pf "%6s %14s %14s %10s %8s %8s\n" "seed" "bh-sec GR on" "bh-sec GR off"
     "reduction" "sweeps" "finals";
@@ -934,11 +936,11 @@ let chaos_gr () =
       let r = Experiments.Scenarios.Chaos.run ~seed () in
       let on = r.Experiments.Scenarios.Chaos.gr_on
       and off = r.Experiments.Scenarios.Chaos.gr_off in
-      if r.Experiments.Scenarios.Chaos.gr_wins then incr wins;
+      let ok = Experiments.Scenarios.Chaos.passed r in
+      if ok then incr passed;
       let finals =
         List.length on.final_violations + List.length off.final_violations
       in
-      if finals = 0 then incr clean;
       bh_on := on.blackhole_seconds :: !bh_on;
       bh_off := off.blackhole_seconds :: !bh_off;
       pf "%6d %14.6f %14.6f %9.1f%% %8d %8d\n" seed on.blackhole_seconds
@@ -949,20 +951,16 @@ let chaos_gr () =
         Obs.Json.Obj
           [
             ("seed", Obs.Json.Int seed);
-            ("gr_on_blackhole_seconds", Obs.Json.Float on.blackhole_seconds);
-            ("gr_off_blackhole_seconds", Obs.Json.Float off.blackhole_seconds);
-            ("gr_on_loss_seconds", Obs.Json.Float on.loss_seconds);
-            ("gr_off_loss_seconds", Obs.Json.Float off.loss_seconds);
-            ("gr_wins", Obs.Json.Bool r.gr_wins);
-            ("final_violations", Obs.Json.Int finals);
+            ("passed", Obs.Json.Bool ok);
+            ( "gr_on",
+              Obs.Json.Obj (Experiments.Scenarios.Chaos.mode_json on) );
+            ( "gr_off",
+              Obs.Json.Obj (Experiments.Scenarios.Chaos.mode_json off) );
           ]
         :: !rows)
     seeds;
-  pf "graceful restart won %d/%d seeds; %d/%d quiesced violation-free\n"
-    !wins (List.length seeds) !clean (List.length seeds);
+  emit_passed !passed seeds;
   emit "rows" (Obs.Json.List (List.rev !rows));
-  emit "gr_wins" (Obs.Json.Int !wins);
-  emit "seeds" (Obs.Json.Int (List.length seeds));
   emit_summary "blackhole_seconds_gr_on" !bh_on;
   emit_summary "blackhole_seconds_gr_off" !bh_off
 
@@ -974,7 +972,7 @@ let ha () =
     "leader killed mid-rollout at per-seed offsets, 3-member cluster, \
      standby resumes from the journal, digests vs uninterrupted, 3 seeds";
   let seeds = [ 42; 43; 44 ] in
-  let matched = ref 0 and clean = ref 0 in
+  let passed = ref 0 in
   let takeovers = ref [] and elections = ref [] in
   let rows = ref [] in
   pf "%6s %9s %10s %12s %11s %8s %8s\n" "seed" "crash@ms" "elections"
@@ -987,13 +985,8 @@ let ha () =
           ~leader_crash_offsets:[ offset ] ()
       in
       let i = c.Experiments.Scenarios.Failover.interrupted in
-      if c.Experiments.Scenarios.Failover.digests_match then incr matched;
-      let violations =
-        List.length i.ha_violations
-        + List.length i.phase_violations
-        + List.length i.final_violations
-      in
-      if violations = 0 then incr clean;
+      let ok = Experiments.Scenarios.Failover.passed c in
+      if ok then incr passed;
       takeovers := List.rev_append i.takeover_ms !takeovers;
       elections := float_of_int i.elections :: !elections;
       pf "%6d %9.0f %10d %12s %11s %8d %8d\n" seed (offset *. 1000.)
@@ -1006,30 +999,14 @@ let ha () =
         i.applied i.skipped_in_sync;
       rows :=
         Obs.Json.Obj
-          [
-            ("seed", Obs.Json.Int seed);
-            ("crash_at_s", Obs.Json.Float offset);
-            ("outcome", Obs.Json.String i.outcome);
-            ("elections", Obs.Json.Int i.elections);
-            ( "takeover_ms",
-              Obs.Json.List
-                (List.map (fun t -> Obs.Json.Float t) i.takeover_ms) );
-            ("applied", Obs.Json.Int i.applied);
-            ("skipped_in_sync", Obs.Json.Int i.skipped_in_sync);
-            ("violations", Obs.Json.Int violations);
-            ( "digests_match",
-              Obs.Json.Bool c.Experiments.Scenarios.Failover.digests_match );
-          ]
+          (("seed", Obs.Json.Int seed)
+           :: ("passed", Obs.Json.Bool ok)
+           :: ("crash_at_s", Obs.Json.Float offset)
+           :: Experiments.Scenarios.Failover.comparison_json c)
         :: !rows)
     seeds;
-  pf
-    "digest matches: %d/%d; violation-free (dual-leader, stale-epoch, \
-     forwarding): %d/%d\n"
-    !matched (List.length seeds) !clean (List.length seeds);
+  emit_passed !passed seeds;
   emit "rows" (Obs.Json.List (List.rev !rows));
-  emit "digests_matched" (Obs.Json.Int !matched);
-  emit "violation_free" (Obs.Json.Int !clean);
-  emit "seeds" (Obs.Json.Int (List.length seeds));
   emit_summary "takeover_ms" !takeovers;
   emit_summary "elections" !elections
 
@@ -1172,20 +1149,9 @@ let ops () =
         r.replica_lag_p99 r.plans_per_hour;
       rows :=
         Obs.Json.Obj
-          [
-            ("seed", Obs.Json.Int seed);
-            ("admitted", Obs.Json.Int r.admitted);
-            ("shed", Obs.Json.Int r.shed);
-            ("rolled_back", Obs.Json.Int r.rolled_back);
-            ("remediations", Obs.Json.Int r.remediations);
-            ("queue_wait_p99_s", Obs.Json.Float r.queue_wait_p99_s);
-            ("replica_lag_p99", Obs.Json.Float r.replica_lag_p99);
-            ("replica_lag_peak", Obs.Json.Int r.replica_lag_peak);
-            ("snapshot_ships", Obs.Json.Int r.snapshot_ships);
-            ("plans_per_hour", Obs.Json.Float r.plans_per_hour);
-            ( "unremediated_violations",
-              Obs.Json.Int r.unremediated_violations );
-          ]
+          (("seed", Obs.Json.Int seed)
+           :: ("hours", Obs.Json.Int r.hours)
+           :: Experiments.Scenarios.Continuous.report_json r)
         :: !rows)
     seeds;
   let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in

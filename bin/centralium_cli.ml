@@ -286,6 +286,40 @@ let print_selftest json results =
       results;
   if C.all_detected results then 0 else 1
 
+(* The report both suite commands print: [check] on every plan of the
+   standard qualification suite, each spec's report as text ([print]) or
+   all of them as one JSON document [{"suite": [{"spec": name, key:
+   report}, ...]}]; exit 1 when any report has an error-severity
+   diagnostic. *)
+let run_suite ~key ~check ~to_json ~print ~diagnostics seed json =
+  let results =
+    List.map
+      (fun spec ->
+        let net, plan, _ = spec.Centralium.Verification.build () in
+        (spec.Centralium.Verification.spec_name, check net plan))
+      (Centralium.Verification.standard_suite ~seed ())
+  in
+  if json then
+    print_endline
+      (Obs.Json.to_string
+         (Obs.Json.Obj
+            [
+              ( "suite",
+                Obs.Json.List
+                  (List.map
+                     (fun (name, r) ->
+                       Obs.Json.Obj
+                         [ ("spec", Obs.Json.String name); (key, to_json r) ])
+                     results) );
+            ]))
+  else List.iter (fun (name, r) -> print name r) results;
+  if
+    List.exists
+      (fun (_, r) -> Analysis.Diagnostic.has_errors (diagnostics r))
+      results
+  then 1
+  else 0
+
 let lint_cmd =
   let module D = Analysis.Diagnostic in
   let print_human diags =
@@ -314,42 +348,15 @@ let lint_cmd =
       end;
       if D.has_errors diags then 1 else 0
   in
-  let run_suite seed json =
-    let specs = Centralium.Verification.standard_suite ~seed () in
-    let results =
-      List.map
-        (fun spec ->
-          let net, plan, _ = spec.Centralium.Verification.build () in
-          let diags =
-            Analysis.Lint.check_plan (Bgp.Network.graph net) plan
-          in
-          (spec.Centralium.Verification.spec_name, diags))
-        specs
-    in
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [
-                ( "suite",
-                  Obs.Json.List
-                    (List.map
-                       (fun (name, diags) ->
-                         Obs.Json.Obj
-                           [
-                             ("spec", Obs.Json.String name);
-                             ("report", D.report_json diags);
-                           ])
-                       results) );
-              ]))
-    else
-      List.iter
-        (fun (name, diags) ->
-          pf "%s: %d finding(s)\n" name (List.length diags);
-          print_human diags)
-        results;
-    if List.exists (fun (_, diags) -> D.has_errors diags) results then 1
-    else 0
+  let run_suite =
+    run_suite ~key:"report"
+      ~check:(fun net plan ->
+        Analysis.Lint.check_plan (Bgp.Network.graph net) plan)
+      ~to_json:D.report_json
+      ~print:(fun name diags ->
+        pf "%s: %d finding(s)\n" name (List.length diags);
+        print_human diags)
+      ~diagnostics:Fun.id
   in
   let run_selftest json = print_selftest json (Analysis.Corpus.run ()) in
   let run file suite selftest json seed =
@@ -407,42 +414,12 @@ let verify_plan_cmd =
       report.PV.vr_reused
       (List.length report.PV.vr_violations)
   in
-  let has_errors report =
-    List.exists (fun d -> d.D.severity = D.Error) report.PV.vr_diagnostics
-  in
-  let run_suite seed json =
-    let specs = Centralium.Verification.standard_suite ~seed () in
-    let results =
-      List.map
-        (fun spec ->
-          let net, plan, _ = spec.Centralium.Verification.build () in
-          let report = PV.verify_network net plan in
-          (spec.Centralium.Verification.spec_name, report))
-        specs
-    in
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [
-                ( "suite",
-                  Obs.Json.List
-                    (List.map
-                       (fun (name, report) ->
-                         Obs.Json.Obj
-                           [
-                             ("spec", Obs.Json.String name);
-                             ("verify", PV.report_json report);
-                           ])
-                       results) );
-              ]))
-    else
-      List.iter
-        (fun (name, report) ->
-          pf "%s:\n" name;
-          print_human report)
-        results;
-    if List.exists (fun (_, r) -> has_errors r) results then 1 else 0
+  let run_suite =
+    run_suite ~key:"verify" ~check:PV.verify_network ~to_json:PV.report_json
+      ~print:(fun name report ->
+        pf "%s:\n" name;
+        print_human report)
+      ~diagnostics:(fun report -> report.PV.vr_diagnostics)
   in
   let run_selftest json =
     print_selftest json (Analysis.Corpus.run_verifier ())
@@ -537,9 +514,7 @@ let observe_cmd =
     Arg.(
       value & pos 0 string "faulted"
       & info [] ~docv:"SCENARIO"
-          ~doc:
-            "fig2 | fig4 | fig5 | fig9 | fig10 | fig13 | fig14 | faulted | \
-             faulted_deploy")
+          ~doc:(String.concat " | " Experiments.Observe.scenario_names))
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"simulation seed")
@@ -557,92 +532,40 @@ let observe_cmd =
 
 (* ---------------- chaos ---------------- *)
 
-(* Data-plane chaos sweep: session liveness + graceful restart under the
-   severe message-fault profile, with blackhole-seconds accounting
-   (ISSUE: `centralium chaos --gr on|off|both`). *)
-let chaos_gr_sweep seeds base_seed gr_mode out =
-  let mode_line seed (m : Experiments.Scenarios.Chaos.mode_result) ok =
-    Obs.Json.Obj
-      [
-        ("type", Obs.Json.String "chaos_gr_seed");
-        ("seed", Obs.Json.Int seed);
-        ("gr", Obs.Json.Bool m.gr);
-        ("ok", Obs.Json.Bool ok);
-        ("blackhole_seconds", Obs.Json.Float m.blackhole_seconds);
-        ("loss_seconds", Obs.Json.Float m.loss_seconds);
-        ("window", Obs.Json.Float m.window);
-        ("messages_dropped", Obs.Json.Int m.messages_dropped);
-        ("keepalives_sent", Obs.Json.Int m.keepalives_sent);
-        ("hold_expiries", Obs.Json.Int m.hold_expiries);
-        ("reconnects", Obs.Json.Int m.reconnects);
-        ("stale_sweeps", Obs.Json.Int m.stale_sweeps);
-        ("speaker_restarts", Obs.Json.Int m.speaker_restarts);
-        ( "transient_violations",
-          Obs.Json.Int (List.length m.transient_violations) );
-        ("final_violations", Obs.Json.Int (List.length m.final_violations));
-        ("fib_digest", Obs.Json.String m.fib_digest);
-      ]
-  in
+(* One seed sweep. [run_seed k seed] runs the [k]th of [seeds] consecutive
+   seeds from [base_seed] and returns its verdict, the rest of its printed
+   line and its JSONL records, which the sweep writes to [out] after the
+   [record] type tag and the seed. The closing line names the sweep and,
+   when every seed passed, says [passed]; the exit code is 1 on any
+   failure. *)
+let sweep seeds base_seed out ~name ~record ~passed run_seed =
   let oc = open_out out in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       let failures = ref 0 in
-      let emit line =
-        output_string oc (Obs.Json.to_string line);
-        output_char oc '\n'
-      in
       for k = 0 to seeds - 1 do
         let seed = base_seed + k in
-        match gr_mode with
-        | `Both ->
-          let r = Experiments.Scenarios.Chaos.run ~seed () in
-          let on = r.Experiments.Scenarios.Chaos.gr_on
-          and off = r.Experiments.Scenarios.Chaos.gr_off in
-          let clean (m : Experiments.Scenarios.Chaos.mode_result) =
-            m.final_violations = []
-          in
-          let ok =
-            r.Experiments.Scenarios.Chaos.gr_wins && clean on && clean off
-          in
-          if not ok then incr failures;
-          pf
-            "seed %d: %s — blackhole-seconds GR on %.6f vs off %.6f \
-             (loss %.6f vs %.6f), final violations %d/%d\n"
-            seed
-            (if ok then "OK" else "FAIL")
-            on.blackhole_seconds off.blackhole_seconds on.loss_seconds
-            off.loss_seconds
-            (List.length on.final_violations)
-            (List.length off.final_violations);
-          emit (mode_line seed on ok);
-          emit (mode_line seed off ok)
-        | `One gr ->
-          let m = Experiments.Scenarios.Chaos.run_mode ~seed ~gr () in
-          let ok = m.Experiments.Scenarios.Chaos.final_violations = [] in
-          if not ok then incr failures;
-          pf
-            "seed %d: %s — gr=%b blackhole-seconds %.6f loss-seconds %.6f \
-             (hold expiries %d, stale sweeps %d, final violations %d)\n"
-            seed
-            (if ok then "OK" else "FAIL")
-            gr m.blackhole_seconds m.loss_seconds m.hold_expiries
-            m.stale_sweeps
-            (List.length m.final_violations)
+        let ok, line, records = run_seed k seed in
+        if not ok then incr failures;
+        pf "seed %d: %s — %s\n" seed (if ok then "OK" else "FAIL") line;
+        List.iter
+          (fun fields ->
+            output_string oc
+              (Obs.Json.to_string
+                 (Obs.Json.Obj
+                    (("type", Obs.Json.String record)
+                     :: ("seed", Obs.Json.Int seed)
+                     :: fields)));
+            output_char oc '\n')
+          records
       done;
       if !failures > 0 then begin
-        pf "chaos: %d/%d seeds FAILED (details in %s)\n" !failures seeds out;
+        pf "%s: %d/%d seeds FAILED (details in %s)\n" name !failures seeds out;
         1
       end
       else begin
-        (match gr_mode with
-         | `Both ->
-           pf
-             "chaos: all %d seeds quiesced violation-free with graceful \
-              restart strictly reducing blackhole-seconds (%s)\n"
-             seeds out
-         | `One _ ->
-           pf "chaos: all %d seeds quiesced violation-free (%s)\n" seeds out);
+        pf "%s: all %d seeds %s (%s)\n" name seeds passed out;
         0
       end)
 
@@ -657,201 +580,132 @@ let with_mgmt_profile cmd name k =
     Printf.eprintf "%s: unknown profile %S (none | flaky | hostile)\n" cmd name;
     1
 
-(* Controller HA failover sweep: kill the leader mid-rollout at a
-   per-seed phase offset, let a standby take over from the journal under
-   a higher fencing epoch, and assert bit-identical convergence plus a
-   clean dual-leader / stale-epoch-write audit
-   (ISSUE: `centralium chaos --ha`). *)
-let chaos_ha_sweep seeds base_seed profile_name members crash_at out =
-  with_mgmt_profile "chaos" profile_name @@ fun profile ->
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let failures = ref 0 in
-      for k = 0 to seeds - 1 do
-        let seed = base_seed + k in
-        (* Stagger the kill across seeds so the sweep exercises crashes
-           at different phase offsets of the same rollout. *)
-        let offset = crash_at +. (0.007 *. float_of_int k) in
-        let c =
-          Experiments.Scenarios.Failover.crash_vs_uninterrupted ~seed
-            ~profile ~members ~leader_crash_offsets:[ offset ] ()
-        in
-        let i = c.Experiments.Scenarios.Failover.interrupted in
-        let u = c.Experiments.Scenarios.Failover.uninterrupted in
-        let violations (r : Experiments.Scenarios.Failover.result) =
-          List.length r.ha_violations
-          + List.length r.phase_violations
-          + List.length r.final_violations
-        in
-        let ok =
-          c.Experiments.Scenarios.Failover.digests_match
-          && i.outcome = "completed"
-          && u.outcome = "completed"
-          && i.elections >= 2 (* the kill forced a real takeover *)
-          && violations i = 0 && violations u = 0
-        in
-        if not ok then incr failures;
-        pf
-          "seed %d: %s — crash@%.0fms: %s by member %s after %d \
-           elections (takeover %s ms), uninterrupted %s, violations \
-           %d/%d, digests %s\n"
-          seed
-          (if ok then "OK" else "FAIL")
-          (offset *. 1000.) i.outcome
-          (match i.completed_by with
-           | Some m -> string_of_int m
-           | None -> "-")
-          i.elections
-          (String.concat ","
-             (List.map (Printf.sprintf "%.1f") i.takeover_ms))
-          u.outcome (violations i) (violations u)
-          (if c.Experiments.Scenarios.Failover.digests_match then "match"
-           else "DIFFER");
-        let line =
-          Obs.Json.Obj
-            [
-              ("type", Obs.Json.String "chaos_ha_seed");
-              ("seed", Obs.Json.Int seed);
-              ("ok", Obs.Json.Bool ok);
-              ("profile", Obs.Json.String profile_name);
-              ("members", Obs.Json.Int members);
-              ("crash_at_s", Obs.Json.Float offset);
-              ("interrupted_outcome", Obs.Json.String i.outcome);
-              ("uninterrupted_outcome", Obs.Json.String u.outcome);
-              ( "completed_by",
-                match i.completed_by with
-                | Some m -> Obs.Json.Int m
-                | None -> Obs.Json.Null );
-              ("elections", Obs.Json.Int i.elections);
-              ( "takeover_ms",
-                Obs.Json.List
-                  (List.map (fun t -> Obs.Json.Float t) i.takeover_ms) );
-              ("fenced_attempts", Obs.Json.Int i.fenced_attempts);
-              ("dead_members", Obs.Json.Int i.dead_members);
-              ("applied", Obs.Json.Int i.applied);
-              ("skipped_in_sync", Obs.Json.Int i.skipped_in_sync);
-              ( "journal_status",
-                match i.journal_status with
-                | Some s -> Obs.Json.String s
-                | None -> Obs.Json.Null );
-              ("ha_violations", Obs.Json.Int (List.length i.ha_violations));
-              ("violations_interrupted", Obs.Json.Int (violations i));
-              ("violations_uninterrupted", Obs.Json.Int (violations u));
-              ( "digests_match",
-                Obs.Json.Bool c.Experiments.Scenarios.Failover.digests_match
-              );
-              ("fib_digest", Obs.Json.String i.fib_digest);
-            ]
-        in
-        output_string oc (Obs.Json.to_string line);
-        output_char oc '\n'
-      done;
-      if !failures > 0 then begin
-        pf "chaos --ha: %d/%d seeds FAILED (details in %s)\n" !failures
-          seeds out;
-        1
-      end
-      else begin
-        pf
-          "chaos --ha: all %d seeds failed over deterministically — \
-           standby takeovers, bit-identical forwarding state, zero \
-           dual-leader/stale-epoch violations (%s)\n"
-          seeds out;
-        0
-      end)
+let digests_word matched = if matched then "match" else "DIFFER"
+
+(* Management-plane chaos: deploy under RPC and NSDB faults, crash the
+   controller mid-rollout, resume from the journal, and compare with an
+   uninterrupted run. *)
+let faulted_deploy_seed profile_name profile crash_after _k seed =
+  let module F = Experiments.Scenarios.Faulted_deploy in
+  let c =
+    F.crash_vs_uninterrupted ~seed ~profile ?crash_after_ops:crash_after ()
+  in
+  let i = c.F.interrupted and u = c.F.uninterrupted in
+  let ok = F.passed c in
+  ( ok,
+    Printf.sprintf
+      "crash+resume %s (applied %d, retries %d, backoffs %d), uninterrupted \
+       %s, violations %d/%d, digests %s"
+      i.F.outcome i.F.applied i.F.retries
+      (List.length i.F.backoff_seconds)
+      u.F.outcome (F.violations i) (F.violations u)
+      (digests_word c.F.digests_match),
+    [
+      ("ok", Obs.Json.Bool ok)
+      :: ("profile", Obs.Json.String profile_name)
+      :: F.comparison_json c;
+    ] )
+
+(* Data-plane chaos: session liveness and graceful restart under the
+   severe message-fault profile, with blackhole-seconds accounting. Both
+   modes at each seed, one record per mode. *)
+let chaos_gr_seed _k seed =
+  let module C = Experiments.Scenarios.Chaos in
+  let r = C.run ~seed () in
+  let on = r.C.gr_on and off = r.C.gr_off in
+  let ok = C.passed r in
+  ( ok,
+    Printf.sprintf
+      "blackhole-seconds GR on %.6f vs off %.6f (loss %.6f vs %.6f), final \
+       violations %d/%d"
+      on.C.blackhole_seconds off.C.blackhole_seconds on.C.loss_seconds
+      off.C.loss_seconds
+      (List.length on.C.final_violations)
+      (List.length off.C.final_violations),
+    List.map
+      (fun m ->
+        ("gr", Obs.Json.Bool m.C.gr)
+        :: ("ok", Obs.Json.Bool ok)
+        :: C.mode_json m)
+      [ on; off ] )
+
+(* One graceful-restart mode per seed; it writes no records. *)
+let chaos_mode_seed gr _k seed =
+  let module C = Experiments.Scenarios.Chaos in
+  let m = C.run_mode ~seed ~gr () in
+  ( C.quiesced m,
+    Printf.sprintf
+      "gr=%b blackhole-seconds %.6f loss-seconds %.6f (hold expiries %d, \
+       stale sweeps %d, final violations %d)"
+      gr m.C.blackhole_seconds m.C.loss_seconds m.C.hold_expiries
+      m.C.stale_sweeps
+      (List.length m.C.final_violations),
+    [] )
+
+(* Controller HA failover: kill the leader mid-rollout, let a standby take
+   over from the journal under a higher fencing epoch, and compare with
+   an uninterrupted run. *)
+let failover_seed profile_name profile members crash_at k seed =
+  let module F = Experiments.Scenarios.Failover in
+  (* Stagger the kill across seeds so the sweep exercises crashes at
+     different phase offsets of the same rollout. *)
+  let offset = crash_at +. (0.007 *. float_of_int k) in
+  let c =
+    F.crash_vs_uninterrupted ~seed ~profile ~members
+      ~leader_crash_offsets:[ offset ] ()
+  in
+  let i = c.F.interrupted and u = c.F.uninterrupted in
+  let ok = F.passed c in
+  ( ok,
+    Printf.sprintf
+      "crash@%.0fms: %s by member %s after %d elections (takeover %s ms), \
+       uninterrupted %s, violations %d/%d, digests %s"
+      (offset *. 1000.) i.F.outcome
+      (match i.F.completed_by with Some m -> string_of_int m | None -> "-")
+      i.F.elections
+      (String.concat "," (List.map (Printf.sprintf "%.1f") i.F.takeover_ms))
+      u.F.outcome (F.violations i) (F.violations u)
+      (digests_word c.F.digests_match),
+    [
+      ("ok", Obs.Json.Bool ok)
+      :: ("profile", Obs.Json.String profile_name)
+      :: ("members", Obs.Json.Int members)
+      :: ("crash_at_s", Obs.Json.Float offset)
+      :: F.comparison_json c;
+    ] )
 
 let chaos_cmd =
   let run seeds base_seed profile_name crash_after gr ha members crash_at out =
-    if ha then chaos_ha_sweep seeds base_seed profile_name members crash_at out
+    let sweep = sweep seeds base_seed out in
+    if ha then
+      with_mgmt_profile "chaos" profile_name @@ fun profile ->
+      sweep ~name:"chaos --ha" ~record:"chaos_ha_seed"
+        ~passed:
+          "failed over deterministically — standby takeovers, bit-identical \
+           forwarding state, zero dual-leader/stale-epoch violations"
+        (failover_seed profile_name profile members crash_at)
     else
-    match gr with
-    | Some mode ->
-      (match mode with
-       | "on" -> chaos_gr_sweep seeds base_seed (`One true) out
-       | "off" -> chaos_gr_sweep seeds base_seed (`One false) out
-       | "both" -> chaos_gr_sweep seeds base_seed `Both out
-       | _ ->
-         Printf.eprintf "chaos: unknown --gr mode %S (on | off | both)\n" mode;
-         1)
-    | None ->
-    with_mgmt_profile "chaos" profile_name @@ fun profile ->
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        let failures = ref 0 in
-        for k = 0 to seeds - 1 do
-          let seed = base_seed + k in
-          let c =
-            Experiments.Scenarios.Faulted_deploy.crash_vs_uninterrupted ~seed
-              ~profile ?crash_after_ops:crash_after ()
-          in
-          let i = c.Experiments.Scenarios.Faulted_deploy.interrupted in
-          let u = c.Experiments.Scenarios.Faulted_deploy.uninterrupted in
-          let violations (r : Experiments.Scenarios.Faulted_deploy.result) =
-            List.length r.transient_violations
-            + List.length r.phase_violations
-            + List.length r.final_violations
-          in
-          let ok =
-            c.Experiments.Scenarios.Faulted_deploy.digests_match && i.crashed
-            && i.resumed
-            && i.outcome = "completed"
-            && u.outcome = "completed"
-            && violations i = 0 && violations u = 0
-          in
-          if not ok then incr failures;
-          pf
-            "seed %d: %s — crash+resume %s (applied %d, retries %d, \
-             backoffs %d), uninterrupted %s, violations %d/%d, digests %s\n"
-            seed
-            (if ok then "OK" else "FAIL")
-            i.outcome i.applied i.retries
-            (List.length i.backoff_seconds)
-            u.outcome (violations i) (violations u)
-            (if c.Experiments.Scenarios.Faulted_deploy.digests_match then
-               "match"
-             else "DIFFER");
-          let line =
-            Obs.Json.Obj
-              [
-                ("type", Obs.Json.String "chaos_seed");
-                ("seed", Obs.Json.Int seed);
-                ("ok", Obs.Json.Bool ok);
-                ("profile", Obs.Json.String profile_name);
-                ("interrupted_outcome", Obs.Json.String i.outcome);
-                ("uninterrupted_outcome", Obs.Json.String u.outcome);
-                ("crashed", Obs.Json.Bool i.crashed);
-                ("resumed", Obs.Json.Bool i.resumed);
-                ("applied", Obs.Json.Int i.applied);
-                ("retries", Obs.Json.Int i.retries);
-                ("backoffs", Obs.Json.Int (List.length i.backoff_seconds));
-                ("gave_up", Obs.Json.Int (List.length i.gave_up));
-                ("violations_interrupted", Obs.Json.Int (violations i));
-                ("violations_uninterrupted", Obs.Json.Int (violations u));
-                ( "digests_match",
-                  Obs.Json.Bool
-                    c.Experiments.Scenarios.Faulted_deploy.digests_match );
-                ("fib_digest", Obs.Json.String i.fib_digest);
-              ]
-          in
-          output_string oc (Obs.Json.to_string line);
-          output_char oc '\n'
-        done;
-        if !failures > 0 then begin
-          pf "chaos: %d/%d seeds FAILED (details in %s)\n" !failures seeds
-            out;
-          1
-        end
-        else begin
-          pf
-            "chaos: all %d seeds converged bit-identically through \
-             crash+resume with zero invariant violations (%s)\n"
-            seeds out;
-          0
-        end)
+      match gr with
+      | Some "both" ->
+        sweep ~name:"chaos" ~record:"chaos_gr_seed"
+          ~passed:
+            "quiesced violation-free with graceful restart strictly reducing \
+             blackhole-seconds"
+          chaos_gr_seed
+      | Some (("on" | "off") as mode) ->
+        sweep ~name:"chaos" ~record:"chaos_gr_seed"
+          ~passed:"quiesced violation-free"
+          (chaos_mode_seed (mode = "on"))
+      | Some mode ->
+        Printf.eprintf "chaos: unknown --gr mode %S (on | off | both)\n" mode;
+        1
+      | None ->
+        with_mgmt_profile "chaos" profile_name @@ fun profile ->
+        sweep ~name:"chaos" ~record:"chaos_seed"
+          ~passed:
+            "converged bit-identically through crash+resume with zero \
+             invariant violations"
+          (faulted_deploy_seed profile_name profile crash_after)
   in
   let seeds =
     Arg.(value & opt int 3 & info [ "seeds" ] ~doc:"number of seeds to sweep")
@@ -1087,80 +941,27 @@ let ops_cmd =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        let opt_str = function
-          | Some s -> Obs.Json.String s
-          | None -> Obs.Json.Null
+        let write fields =
+          output_string oc (Obs.Json.to_string (Obs.Json.Obj fields));
+          output_char oc '\n'
         in
         List.iter
-          (fun (j : Experiments.Scenarios.Continuous.job) ->
-            let line =
-              Obs.Json.Obj
-                [
-                  ("type", Obs.Json.String "ops_job");
-                  ("index", Obs.Json.Int j.job_index);
-                  ("name", Obs.Json.String j.job_name);
-                  ("tenant", Obs.Json.String j.job_tenant);
-                  ("class", Obs.Json.String j.job_class);
-                  ("canary", Obs.Json.Bool j.job_canary);
-                  ( "seq",
-                    match j.job_seq with
-                    | Some s -> Obs.Json.Int s
-                    | None -> Obs.Json.Null );
-                  ("shed_reason", opt_str j.job_shed_reason);
-                  ("outcome", opt_str j.job_outcome);
-                  ("queue_wait_s", Obs.Json.Float j.job_queue_wait_s);
-                  ("convergence_s", Obs.Json.Float j.job_convergence_s);
-                  ( "remediated",
-                    Obs.Json.Bool (j.job_remediation <> None) );
-                ]
-            in
-            output_string oc (Obs.Json.to_string line);
-            output_char oc '\n')
+          (fun j ->
+            write
+              (("type", Obs.Json.String "ops_job")
+               :: Experiments.Scenarios.Continuous.job_json j))
           r.jobs;
-        let report =
-          Obs.Json.Obj
-            [
-              ("type", Obs.Json.String "ops_slo");
-              ("seed", Obs.Json.Int seed);
-              ("hours", Obs.Json.Int r.hours);
-              ("members", Obs.Json.Int members);
-              ("profile", Obs.Json.String profile_name);
-              ( "crash_at_s",
+        write
+          (("type", Obs.Json.String "ops_slo")
+           :: ("seed", Obs.Json.Int seed)
+           :: ("hours", Obs.Json.Int r.hours)
+           :: ("members", Obs.Json.Int members)
+           :: ("profile", Obs.Json.String profile_name)
+           :: ( "crash_at_s",
                 match crash_at with
                 | Some t -> Obs.Json.Float t
-                | None -> Obs.Json.Null );
-              ("submitted", Obs.Json.Int r.submitted);
-              ("admitted", Obs.Json.Int r.admitted);
-              ("shed", Obs.Json.Int r.shed);
-              ("completed", Obs.Json.Int r.completed);
-              ("rolled_back", Obs.Json.Int r.rolled_back);
-              ("shed_rate", Obs.Json.Float r.shed_rate);
-              ("rollback_rate", Obs.Json.Float r.rollback_rate);
-              ("plans_per_hour", Obs.Json.Float r.plans_per_hour);
-              ("convergence_p50_s", Obs.Json.Float r.convergence_p50_s);
-              ("convergence_p99_s", Obs.Json.Float r.convergence_p99_s);
-              ("queue_wait_p99_s", Obs.Json.Float r.queue_wait_p99_s);
-              ( "blackhole_seconds_per_day",
-                Obs.Json.Float r.blackhole_seconds_per_day );
-              ("replica_lag_p99", Obs.Json.Float r.replica_lag_p99);
-              ("replica_lag_peak", Obs.Json.Int r.replica_lag_peak);
-              ("snapshot_ships", Obs.Json.Int r.snapshot_ships);
-              ("elections", Obs.Json.Int r.elections);
-              ("queue_recoveries", Obs.Json.Int r.queue_recoveries);
-              ("remediations", Obs.Json.Int r.remediations);
-              ( "unremediated_violations",
-                Obs.Json.Int r.unremediated_violations );
-              ( "queue_order",
-                Obs.Json.List
-                  (List.map (fun s -> Obs.Json.Int s) r.queue_order) );
-              ( "shed_set",
-                Obs.Json.List
-                  (List.map (fun s -> Obs.Json.Int s) r.shed_set) );
-              ("fib_digest", Obs.Json.String r.fib_digest);
-            ]
-        in
-        output_string oc (Obs.Json.to_string report);
-        output_char oc '\n';
+                | None -> Obs.Json.Null )
+           :: Experiments.Scenarios.Continuous.report_json r);
         pf
           "ops: %dh simulated day, %d submitted — %d admitted, %d shed \
            (%.1f%%), %d completed, %d rolled back, %d remediations\n"

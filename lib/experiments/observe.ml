@@ -188,27 +188,11 @@ let specs :
        session liveness on, graceful restart on vs off",
       fun ~seed ->
         let r = Scenarios.Chaos.run ~seed () in
-        let mode prefix (m : Scenarios.Chaos.mode_result) =
-          [
-            (prefix ^ "blackhole_seconds", f m.blackhole_seconds);
-            (prefix ^ "loss_seconds", f m.loss_seconds);
-            (prefix ^ "messages_dropped", i m.messages_dropped);
-            (prefix ^ "hold_expiries", i m.hold_expiries);
-            (prefix ^ "reconnects", i m.reconnects);
-            (prefix ^ "stale_sweeps", i m.stale_sweeps);
-            ( prefix ^ "transient_violations",
-              i (List.length m.transient_violations) );
-            (prefix ^ "final_violations", i (List.length m.final_violations));
-            (prefix ^ "fib_digest", Obs.Json.String m.fib_digest);
-          ]
-        in
-        ( mode "gr_on_" r.Scenarios.Chaos.gr_on
-          @ mode "gr_off_" r.gr_off
-          @ [
-              ("window", f r.gr_on.window);
-              ("keepalives_sent", i r.gr_on.keepalives_sent);
-              ("gr_wins", b r.gr_wins);
-            ],
+        ( [
+            ("gr_on", Obs.Json.Obj (Scenarios.Chaos.mode_json r.gr_on));
+            ("gr_off", Obs.Json.Obj (Scenarios.Chaos.mode_json r.gr_off));
+            ("passed", b (Scenarios.Chaos.passed r));
+          ],
           [] ) );
   ]
 

@@ -33,8 +33,11 @@ type run_summary = {
 }
 
 val scenario_names : string list
-(** Every name {!run} accepts: the figure reproductions ([fig2], [fig4],
-    [fig5], [fig9], [fig10], [fig13], [fig14]) and [faulted]. *)
+(** Every name {!run} accepts, in order: the figure reproductions
+    ([fig2], [fig4], [fig5], [fig9], [fig10], [fig13], [fig14]),
+    [faulted], [faulted_deploy] and [chaos_gr]. The [chaos_gr] headline
+    is [gr_on] and [gr_off], each {!Scenarios.Chaos.mode_json} of its
+    mode, and [passed] ({!Scenarios.Chaos.passed}). *)
 
 val git_rev : unit -> string
 (** The commit the working directory is on, resolved by reading

@@ -44,6 +44,13 @@ let report_of = function
     Some r
   | Aborted _ -> None
 
+(* Optional report fields are JSON null when absent. *)
+let json_int_opt = function Some n -> Obs.Json.Int n | None -> Obs.Json.Null
+
+let json_string_opt = function
+  | Some s -> Obs.Json.String s
+  | None -> Obs.Json.Null
+
 (* ------------------------------------------------------------------ *)
 
 module Fig2 = struct
@@ -763,6 +770,35 @@ module Faulted_deploy = struct
       uninterrupted;
       digests_match = interrupted.fib_digest = uninterrupted.fib_digest;
     }
+
+  let violations r =
+    List.length r.transient_violations
+    + List.length r.phase_violations
+    + List.length r.final_violations
+
+  let passed c =
+    let i = c.interrupted and u = c.uninterrupted in
+    c.digests_match && i.crashed && i.resumed && i.outcome = "completed"
+    && u.outcome = "completed"
+    && violations i = 0
+    && violations u = 0
+
+  let comparison_json c =
+    let i = c.interrupted and u = c.uninterrupted in
+    [
+      ("interrupted_outcome", Obs.Json.String i.outcome);
+      ("uninterrupted_outcome", Obs.Json.String u.outcome);
+      ("crashed", Obs.Json.Bool i.crashed);
+      ("resumed", Obs.Json.Bool i.resumed);
+      ("applied", Obs.Json.Int i.applied);
+      ("retries", Obs.Json.Int i.retries);
+      ("backoffs", Obs.Json.Int (List.length i.backoff_seconds));
+      ("gave_up", Obs.Json.Int (List.length i.gave_up));
+      ("violations_interrupted", Obs.Json.Int (violations i));
+      ("violations_uninterrupted", Obs.Json.Int (violations u));
+      ("digests_match", Obs.Json.Bool c.digests_match);
+      ("fib_digest", Obs.Json.String i.fib_digest);
+    ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -909,6 +945,39 @@ module Failover = struct
       uninterrupted;
       digests_match = interrupted.fib_digest = uninterrupted.fib_digest;
     }
+
+  let violations r =
+    List.length r.ha_violations
+    + List.length r.phase_violations
+    + List.length r.final_violations
+
+  let passed c =
+    let i = c.interrupted and u = c.uninterrupted in
+    c.digests_match && i.outcome = "completed" && u.outcome = "completed"
+    && i.elections >= 2 (* the kill forced a real takeover *)
+    && violations i = 0
+    && violations u = 0
+
+  let comparison_json c =
+    let i = c.interrupted and u = c.uninterrupted in
+    [
+      ("interrupted_outcome", Obs.Json.String i.outcome);
+      ("uninterrupted_outcome", Obs.Json.String u.outcome);
+      ("completed_by", json_int_opt i.completed_by);
+      ("elections", Obs.Json.Int i.elections);
+      ( "takeover_ms",
+        Obs.Json.List (List.map (fun t -> Obs.Json.Float t) i.takeover_ms) );
+      ("fenced_attempts", Obs.Json.Int i.fenced_attempts);
+      ("dead_members", Obs.Json.Int i.dead_members);
+      ("applied", Obs.Json.Int i.applied);
+      ("skipped_in_sync", Obs.Json.Int i.skipped_in_sync);
+      ("journal_status", json_string_opt i.journal_status);
+      ("ha_violations", Obs.Json.Int (List.length i.ha_violations));
+      ("violations_interrupted", Obs.Json.Int (violations i));
+      ("violations_uninterrupted", Obs.Json.Int (violations u));
+      ("digests_match", Obs.Json.Bool c.digests_match);
+      ("fib_digest", Obs.Json.String i.fib_digest);
+    ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1051,6 +1120,27 @@ module Chaos = struct
       gr_off;
       gr_wins = gr_on.blackhole_seconds < gr_off.blackhole_seconds;
     }
+
+  let quiesced m = m.final_violations = []
+
+  let passed r = r.gr_wins && quiesced r.gr_on && quiesced r.gr_off
+
+  let mode_json m =
+    [
+      ("blackhole_seconds", Obs.Json.Float m.blackhole_seconds);
+      ("loss_seconds", Obs.Json.Float m.loss_seconds);
+      ("window", Obs.Json.Float m.window);
+      ("messages_dropped", Obs.Json.Int m.messages_dropped);
+      ("keepalives_sent", Obs.Json.Int m.keepalives_sent);
+      ("hold_expiries", Obs.Json.Int m.hold_expiries);
+      ("reconnects", Obs.Json.Int m.reconnects);
+      ("stale_sweeps", Obs.Json.Int m.stale_sweeps);
+      ("speaker_restarts", Obs.Json.Int m.speaker_restarts);
+      ( "transient_violations",
+        Obs.Json.Int (List.length m.transient_violations) );
+      ("final_violations", Obs.Json.Int (List.length m.final_violations));
+      ("fib_digest", Obs.Json.String m.fib_digest);
+    ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1509,4 +1599,46 @@ module Continuous = struct
       fib_digest = Bgp.Network.fib_digest net;
       jobs;
     }
+
+  let job_json j =
+    [
+      ("index", Obs.Json.Int j.job_index);
+      ("name", Obs.Json.String j.job_name);
+      ("tenant", Obs.Json.String j.job_tenant);
+      ("class", Obs.Json.String j.job_class);
+      ("canary", Obs.Json.Bool j.job_canary);
+      ("seq", json_int_opt j.job_seq);
+      ("shed_reason", json_string_opt j.job_shed_reason);
+      ("outcome", json_string_opt j.job_outcome);
+      ("queue_wait_s", Obs.Json.Float j.job_queue_wait_s);
+      ("convergence_s", Obs.Json.Float j.job_convergence_s);
+      ("remediated", Obs.Json.Bool (j.job_remediation <> None));
+    ]
+
+  let report_json r =
+    let ints xs = Obs.Json.List (List.map (fun x -> Obs.Json.Int x) xs) in
+    [
+      ("submitted", Obs.Json.Int r.submitted);
+      ("admitted", Obs.Json.Int r.admitted);
+      ("shed", Obs.Json.Int r.shed);
+      ("completed", Obs.Json.Int r.completed);
+      ("rolled_back", Obs.Json.Int r.rolled_back);
+      ("shed_rate", Obs.Json.Float r.shed_rate);
+      ("rollback_rate", Obs.Json.Float r.rollback_rate);
+      ("plans_per_hour", Obs.Json.Float r.plans_per_hour);
+      ("convergence_p50_s", Obs.Json.Float r.convergence_p50_s);
+      ("convergence_p99_s", Obs.Json.Float r.convergence_p99_s);
+      ("queue_wait_p99_s", Obs.Json.Float r.queue_wait_p99_s);
+      ("blackhole_seconds_per_day", Obs.Json.Float r.blackhole_seconds_per_day);
+      ("replica_lag_p99", Obs.Json.Float r.replica_lag_p99);
+      ("replica_lag_peak", Obs.Json.Int r.replica_lag_peak);
+      ("snapshot_ships", Obs.Json.Int r.snapshot_ships);
+      ("elections", Obs.Json.Int r.elections);
+      ("queue_recoveries", Obs.Json.Int r.queue_recoveries);
+      ("remediations", Obs.Json.Int r.remediations);
+      ("unremediated_violations", Obs.Json.Int r.unremediated_violations);
+      ("queue_order", ints r.queue_order);
+      ("shed_set", ints r.shed_set);
+      ("fib_digest", Obs.Json.String r.fib_digest);
+    ]
 end

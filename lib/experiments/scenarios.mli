@@ -209,6 +209,20 @@ module Faulted_deploy : sig
       NSDB journal, once uninterrupted — and their final forwarding state
       compared bit for bit. [crash_after_ops] defaults to mid-flight of the
       first phase. *)
+
+  val violations : result -> int
+  (** Transient, phase-boundary and final invariant violations, summed. *)
+
+  val passed : comparison -> bool
+  (** The sweep verdict: the digests match, the interrupted run crashed
+      and resumed, both runs completed, and neither saw a violation. *)
+
+  val comparison_json : comparison -> (string * Obs.Json.t) list
+  (** The [chaos_seed] JSONL fields after the caller's context, in their
+      pinned order: [interrupted_outcome], [uninterrupted_outcome],
+      [crashed], [resumed], [applied], [retries], [backoffs], [gave_up]
+      (counts), [violations_interrupted], [violations_uninterrupted],
+      [digests_match], [fib_digest] (the interrupted run's). *)
 end
 
 (** Controller HA failover: the {!Faulted_deploy} fixture driven by an
@@ -279,6 +293,24 @@ module Failover : sig
       once with the leader killed mid-deployment (default: one crash
       20 ms in) and completed by a standby, once untouched — and the
       final forwarding state compared bit for bit. *)
+
+  val violations : result -> int
+  (** HA-audit, phase-boundary and final invariant violations, summed. *)
+
+  val passed : comparison -> bool
+  (** The sweep verdict: the digests match, both runs completed, the
+      interrupted run held at least two elections (the kill forced a real
+      takeover), and neither run saw a violation. *)
+
+  val comparison_json : comparison -> (string * Obs.Json.t) list
+  (** The [chaos_ha_seed] JSONL fields after the caller's context, in
+      their pinned order: [interrupted_outcome], [uninterrupted_outcome],
+      [completed_by], [elections], [takeover_ms], [fenced_attempts],
+      [dead_members], [applied], [skipped_in_sync], [journal_status],
+      [ha_violations] (a count), [violations_interrupted],
+      [violations_uninterrupted], [digests_match], [fib_digest]. All but
+      the uninterrupted outcome and violations and the digest match
+      describe the interrupted run; an absent value is [null]. *)
 end
 
 (** Data-plane chaos with and without graceful restart: the expansion Clos
@@ -338,6 +370,20 @@ module Chaos : sig
 
   val run : ?seed:int -> unit -> result
   (** Both GR modes at the same seed. *)
+
+  val quiesced : mode_result -> bool
+  (** No final violation: the one-mode sweep verdict. *)
+
+  val passed : result -> bool
+  (** The both-modes sweep verdict: [gr_wins], and both modes
+      {!quiesced}. *)
+
+  val mode_json : mode_result -> (string * Obs.Json.t) list
+  (** The [chaos_gr_seed] JSONL fields after the caller's context (type,
+      seed, [gr], ok), in their pinned order: [blackhole_seconds],
+      [loss_seconds], [window], [messages_dropped], [keepalives_sent],
+      [hold_expiries], [reconnects], [stale_sweeps], [speaker_restarts],
+      [transient_violations], [final_violations] (counts), [fib_digest]. *)
 end
 
 (** Section 6.4 / Figure 13: effective capacity of ECMP vs RPA-TE vs ideal
@@ -439,4 +485,16 @@ module Continuous : sig
     report
   (** Defaults: seed 42, 24 hours, 5 jobs/hour, 2 members, flaky
       management profile, no crashes. *)
+
+  val job_json : job -> (string * Obs.Json.t) list
+  (** The [ops_job] JSONL fields after the type tag, in their pinned
+      order: [index], [name], [tenant], [class], [canary], [seq],
+      [shed_reason], [outcome] ([null] when absent), [queue_wait_s],
+      [convergence_s], [remediated] (whether a remediation was recorded). *)
+
+  val report_json : report -> (string * Obs.Json.t) list
+  (** The [ops_slo] JSONL fields after the caller's context (type, seed,
+      hours, members, profile, crash offset), in their pinned order: every
+      field of {!report} from [submitted] to [fib_digest], in declaration
+      order; [jobs] is left to {!job_json}. *)
 end

@@ -106,6 +106,18 @@ let summary h = if h.h_len = 0 then None else Some (Dsim.Stats.summarize (sample
 
 (* ---------------- Export ---------------- *)
 
+let summary_fields (s : Dsim.Stats.summary) =
+  [
+    ("count", Json.Int s.count);
+    ("mean", Json.Float s.mean);
+    ("min", Json.Float s.min);
+    ("max", Json.Float s.max);
+    ("p50", Json.Float s.p50);
+    ("p90", Json.Float s.p90);
+    ("p95", Json.Float s.p95);
+    ("p99", Json.Float s.p99);
+  ]
+
 let labels_json labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
 
@@ -138,17 +150,7 @@ let snapshot t =
         let stats =
           match summary h with
           | None -> [ ("count", Json.Int 0) ]
-          | Some s ->
-            [
-              ("count", Json.Int s.Dsim.Stats.count);
-              ("mean", Json.Float s.Dsim.Stats.mean);
-              ("min", Json.Float s.Dsim.Stats.min);
-              ("max", Json.Float s.Dsim.Stats.max);
-              ("p50", Json.Float s.Dsim.Stats.p50);
-              ("p90", Json.Float s.Dsim.Stats.p90);
-              ("p95", Json.Float s.Dsim.Stats.p95);
-              ("p99", Json.Float s.Dsim.Stats.p99);
-            ]
+          | Some s -> summary_fields s
         in
         Json.Obj
           (("name", Json.String h.h_name)

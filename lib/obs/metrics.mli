@@ -68,6 +68,11 @@ val summary : histogram -> Dsim.Stats.summary option
 
 (** {1 Export} *)
 
+val summary_fields : Dsim.Stats.summary -> (string * Json.t) list
+(** [count], [mean], [min], [max], [p50], [p90], [p95], [p99], in that
+    order: how {!snapshot} exports a histogram, and how the benchmark
+    harness exports its own samples. *)
+
 val snapshot : t -> Json.t
 (** [{"counters": [...], "gauges": [...], "histograms": [...]}], each
     instrument as an object with [name], [labels], and its value(s) —

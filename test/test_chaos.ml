@@ -120,6 +120,39 @@ let test_crash_then_resume_converges_identically () =
     (List.length i.phase_violations);
   check_int "no final violations" 0 (List.length i.final_violations)
 
+(* The sweep verdict holds at the CLI's default seed, and fails when any
+   one of its conditions is flipped. *)
+let test_sweep_verdict () =
+  let module F = Experiments.Scenarios.Faulted_deploy in
+  let c = F.crash_vs_uninterrupted ~seed:42 () in
+  let i = c.F.interrupted and u = c.F.uninterrupted in
+  check_bool "sweep verdict passes" true (F.passed c);
+  List.iter
+    (fun (what, c) ->
+      check_bool ("sweep verdict fails: " ^ what) false (F.passed c))
+    [
+      ("digests differ", { c with F.digests_match = false });
+      ( "interrupted run incomplete",
+        { c with F.interrupted = { i with F.outcome = "rolled-back" } } );
+      ( "uninterrupted run incomplete",
+        { c with F.uninterrupted = { u with F.outcome = "aborted" } } );
+      ("no crash", { c with F.interrupted = { i with F.crashed = false } });
+      ("no resume", { c with F.interrupted = { i with F.resumed = false } });
+      ( "one transient violation",
+        {
+          c with
+          F.interrupted =
+            { i with F.transient_violations = [ (0.0, "blackhole") ] };
+        } );
+      ( "one phase violation",
+        {
+          c with
+          F.uninterrupted = { u with F.phase_violations = [ (1, "loop") ] };
+        } );
+      ( "one final violation",
+        { c with F.interrupted = { i with F.final_violations = [ "loop" ] } } );
+    ]
+
 let test_resume_without_journal_aborts () =
   let _, _, controller, plan = expansion_fixture () in
   match Controller.resume controller plan with
@@ -451,6 +484,7 @@ let () =
         [
           Alcotest.test_case "crash+resume converges identically" `Quick
             test_crash_then_resume_converges_identically;
+          Alcotest.test_case "sweep verdict" `Quick test_sweep_verdict;
           Alcotest.test_case "resume without journal aborts" `Quick
             test_resume_without_journal_aborts;
           Alcotest.test_case "rollout entry states" `Quick test_entry_states;

@@ -319,7 +319,35 @@ let test_failover_bit_identical_to_uninterrupted () =
     (i.final_violations = [] && i.phase_violations = []);
   check_bool "journal closed" true (i.journal_status = Some "completed");
   check_bool "forwarding state bit-identical" true
-    c.Experiments.Scenarios.Failover.digests_match
+    c.Experiments.Scenarios.Failover.digests_match;
+  (* The sweep verdict holds, and fails when any one of its conditions is
+     flipped. *)
+  let module F = Experiments.Scenarios.Failover in
+  check_bool "sweep verdict passes" true (F.passed c);
+  List.iter
+    (fun (what, c) ->
+      check_bool ("sweep verdict fails: " ^ what) false (F.passed c))
+    [
+      ("digests differ", { c with F.digests_match = false });
+      ( "interrupted run incomplete",
+        { c with F.interrupted = { i with F.outcome = "none" } } );
+      ( "uninterrupted run incomplete",
+        { c with F.uninterrupted = { u with F.outcome = "rolled-back" } } );
+      ( "a single election",
+        { c with F.interrupted = { i with F.elections = 1 } } );
+      ( "one HA violation",
+        {
+          c with
+          F.interrupted = { i with F.ha_violations = [ "dual-leader" ] };
+        } );
+      ( "one phase violation",
+        {
+          c with
+          F.uninterrupted = { u with F.phase_violations = [ (1, "loop") ] };
+        } );
+      ( "one final violation",
+        { c with F.interrupted = { i with F.final_violations = [ "loop" ] } } );
+    ]
 
 let test_failover_bit_reproducible () =
   let run () =

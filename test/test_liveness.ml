@@ -223,7 +223,23 @@ let test_chaos_gr_strictly_reduces_blackhole_seconds () =
     (List.length off.final_violations);
   check_bool "stale machinery exercised" true (on.stale_sweeps > 0);
   check_bool "hold timers exercised" true
-    (on.hold_expiries > 0 && off.hold_expiries > 0)
+    (on.hold_expiries > 0 && off.hold_expiries > 0);
+  (* The sweep verdicts hold, and fail when any one of their conditions is
+     flipped. *)
+  let module C = Experiments.Scenarios.Chaos in
+  let unclean m = { m with C.final_violations = [ (Some 1, None, "loop") ] } in
+  check_bool "both modes quiesced" true (C.quiesced on && C.quiesced off);
+  check_bool "one final violation: not quiesced" false
+    (C.quiesced (unclean on));
+  check_bool "sweep verdict passes" true (C.passed r);
+  List.iter
+    (fun (what, r) ->
+      check_bool ("sweep verdict fails: " ^ what) false (C.passed r))
+    [
+      ("GR does not win", { r with C.gr_wins = false });
+      ("a final violation with GR on", { r with C.gr_on = unclean on });
+      ("a final violation with GR off", { r with C.gr_off = unclean off });
+    ]
 
 let test_chaos_bit_reproducible () =
   let r1 = Experiments.Scenarios.Chaos.run ~seed:7 () in

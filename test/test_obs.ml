@@ -467,7 +467,26 @@ let observe_span_tree_well_formed_under_chaos () =
            match Obs.Json.member "parent" j with
            | None | Some Obs.Json.Null -> true
            | Some v -> List.mem (Option.get (Obs.Json.to_int v)) ids)
-         spans)
+         spans);
+    (* The summary line reports each GR mode with the CLI's encoder. *)
+    let headline =
+      match !lines with
+      | last :: _ ->
+        Result.to_option (Obs.Json.of_string last)
+        |> Fun.flip Option.bind (Obs.Json.member "headline")
+      | [] -> None
+    in
+    let r = Experiments.Scenarios.Chaos.run ~seed:42 () in
+    List.iter
+      (fun (key, m) ->
+        check Alcotest.(option string)
+          (key ^ " is the mode's encoding")
+          (Some
+             (Obs.Json.to_string
+                (Obs.Json.Obj (Experiments.Scenarios.Chaos.mode_json m))))
+          (Option.map Obs.Json.to_string
+             (Option.bind headline (Obs.Json.member key))))
+      [ ("gr_on", r.gr_on); ("gr_off", r.gr_off) ]
 
 let observe_unknown_scenario () =
   match
