@@ -308,9 +308,10 @@ module Failover : sig
       [completed_by], [elections], [takeover_ms], [fenced_attempts],
       [dead_members], [applied], [skipped_in_sync], [journal_status],
       [ha_violations] (a count), [violations_interrupted],
-      [violations_uninterrupted], [digests_match], [fib_digest]. All but
-      the uninterrupted outcome and violations and the digest match
-      describe the interrupted run; an absent value is [null]. *)
+      [violations_uninterrupted], [digests_match], [fib_digest].
+      [uninterrupted_outcome] and [violations_uninterrupted] describe the
+      uninterrupted run, [digests_match] both, every other field the
+      interrupted run; an absent value is [null]. *)
 end
 
 (** Data-plane chaos with and without graceful restart: the expansion Clos

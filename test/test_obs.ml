@@ -472,8 +472,9 @@ let observe_span_tree_well_formed_under_chaos () =
     let headline =
       match !lines with
       | last :: _ ->
-        Result.to_option (Obs.Json.of_string last)
-        |> Fun.flip Option.bind (Obs.Json.member "headline")
+        Option.bind
+          (Result.to_option (Obs.Json.of_string last))
+          (Obs.Json.member "headline")
       | [] -> None
     in
     let r = Experiments.Scenarios.Chaos.run ~seed:42 () in
