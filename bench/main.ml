@@ -544,8 +544,9 @@ let micro () =
   in
   let db = Centralium.Nsdb.create () in
   let nsdb_counter = ref 0 in
-  (* 256 periodic timers, as the liveness loops keep them: each run pops
-     the earliest, whose thunk reschedules it one period later. *)
+  (* The event queue's pop-and-push cycle at a steady 256 queued events:
+     each run pops the earliest, whose thunk schedules itself one period
+     later. *)
   let timers = Dsim.Event_queue.create () in
   let rec timer period () =
     Dsim.Event_queue.schedule timers ~delay:period (timer period)

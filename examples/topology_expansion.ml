@@ -24,7 +24,7 @@ let report label net x =
     (100.0 *. loss)
 
 let () =
-  let x = Topology.Clos.expansion ~fsws:4 ~ssws:4 ~fav1:4 ~edge:2 () in
+  let x = Topology.Clos.expansion () in
   (* Activate all FAv2 nodes in the graph up front so the controller can
      compile per-switch RPAs that already know about them; they attract no
      traffic until BGP converges onto them. *)

@@ -335,24 +335,28 @@ let bounce_session t a b session =
       if t.liveness <> None then heard t d ~peer:p ~session)
     [ (a, b); (b, a) ]
 
+(* Runs [f a b session] for every session over an up link, in
+   [Topology.Graph.links] order. *)
+let iter_live_sessions t f =
+  List.iter
+    (fun (link : Topology.Graph.link) ->
+      if link.Topology.Graph.up then
+        for session = 0 to link.Topology.Graph.sessions - 1 do
+          f link.a link.b session
+        done)
+    (Topology.Graph.links t.topo)
+
+let reconnect t ~all =
+  iter_live_sessions t (fun a b session ->
+      let a_up = Speaker.session_up (speaker t a) ~peer:b ~session
+      and b_up = Speaker.session_up (speaker t b) ~peer:a ~session in
+      (* [all] also bounces sessions that are nominally up: a session
+         blinded by message loss (divergent RIBs, hold timer never fired)
+         can only be repaired by a full resync. *)
+      if all || not (a_up && b_up) then bounce_session t a b session)
+
 let reestablish_sessions ?(all = false) ?delay t =
-  schedule ?delay t (fun () ->
-      List.iter
-        (fun (link : Topology.Graph.link) ->
-          if link.Topology.Graph.up then
-            for session = 0 to link.Topology.Graph.sessions - 1 do
-              let a_up =
-                Speaker.session_up (speaker t link.a) ~peer:link.b ~session
-              and b_up =
-                Speaker.session_up (speaker t link.b) ~peer:link.a ~session
-              in
-              (* [all] also bounces sessions that are nominally up: a session
-                 blinded by message loss (divergent RIBs, hold timer never
-                 fired) can only be repaired by a full resync. *)
-              if all || not (a_up && b_up) then
-                bounce_session t link.a link.b session
-            done)
-        (Topology.Graph.links t.topo))
+  schedule ?delay t (fun () -> reconnect t ~all)
 
 let enable_liveness ?(config = Liveness.default) ~until t =
   changed t;
@@ -361,7 +365,6 @@ let enable_liveness ?(config = Liveness.default) ~until t =
   if config.Liveness.graceful_restart then
     Tbl.iter (fun _ sp -> Speaker.set_graceful_restart sp true) t.speakers;
   let start = now t in
-  let links = Topology.Graph.links t.topo in
   (* Everyone has just been heard: the hold clock starts now. *)
   List.iter
     (fun (link : Topology.Graph.link) ->
@@ -369,30 +372,18 @@ let enable_liveness ?(config = Liveness.default) ~until t =
         Triple.replace t.last_heard (link.a, link.b, session) start;
         Triple.replace t.last_heard (link.b, link.a, session) start
       done)
-    links;
-  let reschedule time f =
-    if time <= t.liveness_until then
-      Dsim.Event_queue.schedule_at t.event_queue ~time f
-  in
-  (* One keepalive loop per session direction. Keepalives are ordinary
-     messages: they share the session's FIFO channel and are subject to the
-     installed fault model, which is precisely what lets hold timers detect
-     silent transport loss. *)
-  let rec keepalive_loop src dst session () =
-    (if session_alive t src dst
-     && Speaker.session_up (speaker t src) ~peer:dst ~session
-    then begin
+    (Topology.Graph.links t.topo);
+  (* Keepalives are ordinary messages: they share the session's FIFO channel
+     and are subject to the installed fault model, which is precisely what
+     lets hold timers detect silent transport loss. *)
+  let keepalive src dst session =
+    if Speaker.session_up (speaker t src) ~peer:dst ~session then begin
       Obs.Metrics.incr m_keepalives;
       dispatch t src [ (dst, session, Msg.Keepalive) ]
-    end);
-    reschedule (now t +. config.Liveness.keepalive_interval)
-      (keepalive_loop src dst session)
+    end
   in
-  (* One hold-check loop per session direction (receiver side). *)
-  let rec hold_loop device peer session () =
-    (if session_alive t device peer
-     && Speaker.session_up (speaker t device) ~peer ~session
-    then
+  let hold_check device peer session =
+    if Speaker.session_up (speaker t device) ~peer ~session then
       let last =
         Option.value
           (Triple.find_opt t.last_heard (device, peer, session))
@@ -402,40 +393,29 @@ let enable_liveness ?(config = Liveness.default) ~until t =
         Obs.Metrics.incr m_hold_expiries;
         session_loss t device ~peer ~session ~reason:"hold-expired"
           ~parent:(-1)
-      end);
-    reschedule (now t +. config.Liveness.keepalive_interval)
-      (hold_loop device peer session)
+      end
   in
-  (* One reconnect loop per link and session: torn-down sessions over a
-     healthy link are periodically re-established. *)
-  let rec reconnect_loop a b session () =
-    (if session_alive t a b then
-       let a_up = Speaker.session_up (speaker t a) ~peer:b ~session
-       and b_up = Speaker.session_up (speaker t b) ~peer:a ~session in
-       if not (a_up && b_up) then bounce_session t a b session);
-    reschedule (now t +. config.Liveness.reconnect_interval)
-      (reconnect_loop a b session)
+  (* A network timer: one queued event that runs [f], then reschedules
+     itself one [interval] later, until [liveness_until]. Nothing [f]
+     schedules lands on its own instant (messages have positive latency),
+     so when both timers fall on one instant the one queued earlier runs
+     first. *)
+  let every interval f =
+    let rec at time =
+      if time <= t.liveness_until then
+        Dsim.Event_queue.schedule_at t.event_queue ~time (fun () ->
+            f ();
+            at (now t +. interval))
+    in
+    at (start +. interval)
   in
-  List.iter
-    (fun (link : Topology.Graph.link) ->
-      for session = 0 to link.Topology.Graph.sessions - 1 do
-        reschedule
-          (start +. config.Liveness.keepalive_interval)
-          (keepalive_loop link.a link.b session);
-        reschedule
-          (start +. config.Liveness.keepalive_interval)
-          (keepalive_loop link.b link.a session);
-        reschedule
-          (start +. config.Liveness.keepalive_interval)
-          (hold_loop link.a link.b session);
-        reschedule
-          (start +. config.Liveness.keepalive_interval)
-          (hold_loop link.b link.a session);
-        reschedule
-          (start +. config.Liveness.reconnect_interval)
-          (reconnect_loop link.a link.b session)
-      done)
-    links
+  every config.Liveness.keepalive_interval (fun () ->
+      iter_live_sessions t (fun a b session ->
+          keepalive a b session;
+          keepalive b a session;
+          hold_check a b session;
+          hold_check b a session));
+  every config.Liveness.reconnect_interval (fun () -> reconnect t ~all:false)
 
 (* ---------------- Scheduled operations ---------------- *)
 

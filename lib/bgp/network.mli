@@ -120,28 +120,36 @@ val set_eval_mode : t -> Speaker.eval_mode -> unit
     session-staleness check). *)
 
 val enable_liveness : ?config:Liveness.config -> until:float -> t -> unit
-(** Starts per-session keepalive, hold-check, and reconnect timer loops on
-    the event queue. Keepalives are real {!Msg.t}s: they share FIFO
-    channels with updates and are subject to the installed fault model, so
-    enough consecutive drops expire the hold timer and tear the session
-    down ({!Trace.Session_event} ["hold-expired"]; without liveness a
-    session loss is not a trace event). Torn-down sessions over healthy
-    links are periodically re-established. When
-    [config.graceful_restart] is set, every speaker switches to RFC 4724
-    semantics (stale retention on session loss, End-of-RIB resync, bounded
-    by [config.stale_path_time]). All loops stop at [until] (simulated
-    time) so {!converge} still quiesces; sweeps scheduled before [until]
-    may fire up to one stale-path time after it. *)
+(** Starts two network timers on the event queue, one queued event each
+    whatever the number of sessions. The liveness tick, every
+    [config.keepalive_interval], walks the sessions over up links in
+    {!Topology.Graph.links} order; for each session [(a, b)] it sends the
+    a→b keepalive, then the b→a keepalive, then runs the hold check at [a],
+    then at [b]. The reconnect sweep, every [config.reconnect_interval], is
+    the walk of {!reestablish_sessions} without [~all]: it re-establishes
+    torn-down sessions over up links.
+
+    Keepalives are real {!Msg.t}s: they share FIFO channels with updates
+    and are subject to the installed fault model, so enough consecutive
+    drops expire the hold timer and tear the session down
+    ({!Trace.Session_event} ["hold-expired"]; without liveness a session
+    loss is not a trace event). When [config.graceful_restart] is set,
+    every speaker switches to RFC 4724 semantics (stale retention on
+    session loss, End-of-RIB resync, bounded by [config.stale_path_time]).
+    Both timers stop at [until] (simulated time) so {!converge} still
+    quiesces; stale-path timers started before [until] may fire up to one
+    stale-path time after it. *)
 
 val liveness : t -> Liveness.config option
 
 val reestablish_sessions : ?all:bool -> ?delay:float -> t -> unit
-(** Bounces every session over an up link where either end is down —
-    down (stale under graceful restart) then up on both ends, replaying the
-    full-table resync. [~all:true] bounces every session regardless of
-    state, which also repairs sessions blinded by message loss (divergent
-    RIBs with both ends nominally up). Used to heal a network after a
-    chaos window so it can reach a violation-free quiescent state. *)
+(** Bounces every session over an up link where either end is down, in
+    {!Topology.Graph.links} order — down (stale under graceful restart)
+    then up on both ends, replaying the full-table resync. [~all:true]
+    bounces every session regardless of state, which also repairs sessions
+    blinded by message loss (divergent RIBs with both ends nominally up).
+    Used to heal a network after a chaos window so it can reach a
+    violation-free quiescent state. *)
 
 (** {1 Fault injection}
 

@@ -130,7 +130,8 @@ type expansion = {
 let bipartite alloc layer_a layer_b =
   List.iter (fun a -> List.iter (fun b -> connect alloc a b) layer_b) layer_a
 
-let expansion ?(fsws = 4) ?(ssws = 4) ?(fav1 = 4) ?(edge = 2) () =
+let expansion () =
+  let fsws = 4 and ssws = 4 and fav1 = 4 and edge = 2 in
   let alloc = fresh (Graph.create ()) in
   let fsw_ids =
     List.init fsws (fun i ->
@@ -235,7 +236,8 @@ type wcmp_convergence = {
   dus : int list;
 }
 
-let wcmp_convergence ?(ebs = 8) ?(uus = 4) ?(dus = 1) () =
+let wcmp_convergence () =
+  let ebs = 8 and uus = 4 and dus = 1 in
   let alloc = fresh (Graph.create ()) in
   let eb_ids =
     List.init ebs (fun i ->
@@ -296,7 +298,8 @@ type rollout = {
   rfsws : int list;
 }
 
-let rollout ?(ssws = 4) ?(fsws = 4) () =
+let rollout () =
+  let ssws = 4 and fsws = 4 in
   let alloc = fresh (Graph.create ()) in
   let backbone = new_node alloc ~name:"backbone" ~layer:Node.Eb () in
   let dmag = new_node alloc ~name:"dmag" ~layer:Node.Dmag () in
@@ -340,8 +343,8 @@ type sev = {
   sfsws : int list;
 }
 
-let sev ?(ssws = 4) ?(fsws = 4) () =
-  let fas = 4 in
+let sev () =
+  let fas = 4 and ssws = 4 and fsws = 4 in
   let alloc = fresh (Graph.create ()) in
   let backbone = new_node alloc ~name:"backbone" ~layer:Node.Eb () in
   let fa_ids =

@@ -47,11 +47,10 @@ type expansion = {
   mutable fav2 : int list;  (** grows as {!add_fav2} is called *)
 }
 
-val expansion :
-  ?fsws:int -> ?ssws:int -> ?fav1:int -> ?edge:int -> unit -> expansion
-(** Initial state: FSWs - SSWs - FAv1 - Edge - backbone, with full bipartite
-    wiring between consecutive layers. The default route reaches an SSW with
-    AS-path length 3 (FAv1, Edge, BB). *)
+val expansion : unit -> expansion
+(** Initial state: 4 FSWs - 4 SSWs - 4 FAv1 - 2 Edge - backbone, with full
+    bipartite wiring between consecutive layers. The default route reaches
+    an SSW with AS-path length 3 (FAv1, Edge, BB). *)
 
 val add_fav2 : expansion -> int
 (** Activates one new FAv2 switch wired to every SSW and to the backbone,
@@ -84,10 +83,10 @@ type wcmp_convergence = {
   wgraph : Graph.t;
   ebs : int list;   (** 8 backbone devices originating the prefixes *)
   uus : int list;   (** 4 uplink units *)
-  dus : int list;   (** downlink units; two sessions per UU-DU pair *)
+  dus : int list;   (** 1 downlink unit; two sessions per UU-DU pair *)
 }
 
-val wcmp_convergence : ?ebs:int -> ?uus:int -> ?dus:int -> unit -> wcmp_convergence
+val wcmp_convergence : unit -> wcmp_convergence
 
 (** {1 Figure 9: mixed RPA / native speakers} *)
 
@@ -108,11 +107,11 @@ type rollout = {
   rbackbone : int;
   rfas : int list;   (** FA1, FA2: direct path to backbone *)
   rdmag : int;       (** backup aggregation: FA-DMAG-backbone *)
-  rssws : int list;
-  rfsws : int list;
+  rssws : int list;  (** 4, each wired to both FAs *)
+  rfsws : int list;  (** 4, each wired to every SSW *)
 }
 
-val rollout : ?ssws:int -> ?fsws:int -> unit -> rollout
+val rollout : unit -> rollout
 
 (** {1 Figure 14: SEV topology (misconfigured KeepFibWarm)} *)
 
@@ -121,11 +120,11 @@ type sev = {
   sbackbone : int;
   sfas : int list;     (** last element is the not-production-ready FA *)
   bad_fa : int;
-  sssws : int list;
-  sfsws : int list;
+  sssws : int list;    (** 4, each wired to every FA *)
+  sfsws : int list;    (** 4, each wired to every SSW *)
 }
 
-val sev : ?ssws:int -> ?fsws:int -> unit -> sev
+val sev : unit -> sev
 (** Four FAs, all connected to the SSWs below; all but [bad_fa] also
     connect to the backbone above (the bad FA is missing its backbone
     cabling). *)

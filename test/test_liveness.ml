@@ -303,6 +303,28 @@ let test_messages_counted_not_stored () =
   Alcotest.(check (list int)) "clear zeroes the counters under provenance"
     [ 0; 0; 0; 0 ] (counters traced)
 
+(* ---------------- footprint ---------------- *)
+
+let test_two_timers_whatever_the_sessions () =
+  (* Liveness runs on two network timers, a keepalive-and-hold tick and a
+     reconnect sweep: enabling it on the expansion fabric's 42 sessions
+     queues two events, not one loop per session. *)
+  let x = Topology.Clos.expansion () in
+  let g = x.Topology.Clos.xgraph in
+  check_int "sessions" 42
+    (List.fold_left
+       (fun n (l : Topology.Graph.link) -> n + l.Topology.Graph.sessions)
+       0 (Topology.Graph.links g));
+  let net = Bgp.Network.create ~seed:42 g in
+  Bgp.Network.originate net x.Topology.Clos.backbone Prefix.default_v4
+    (Attr.make ());
+  ignore (Bgp.Network.converge net);
+  let queue = Bgp.Network.queue net in
+  let before = Dsim.Event_queue.pending queue in
+  Bgp.Network.enable_liveness ~until:(Bgp.Network.now net +. 0.05) net;
+  check_int "events queued by enable_liveness" 2
+    (Dsim.Event_queue.pending queue - before)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "liveness"
@@ -333,5 +355,10 @@ let () =
         [
           quick "messages counted, not stored"
             test_messages_counted_not_stored;
+        ] );
+      ( "footprint",
+        [
+          quick "two timers, whatever the sessions"
+            test_two_timers_whatever_the_sessions;
         ] );
     ]
