@@ -123,6 +123,13 @@ let to_human d =
     (severity_to_string d.severity)
     (code_to_string d.code) loc d.message
 
+let finding d =
+  {
+    Centralium.Controller.lint_error = d.severity = Error;
+    lint_code = code_to_string d.code;
+    lint_message = to_human d;
+  }
+
 let json_opt_int = function None -> Obs.Json.Null | Some n -> Obs.Json.Int n
 
 let json_opt_str = function

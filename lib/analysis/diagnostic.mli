@@ -83,6 +83,10 @@ val has_errors : t list -> bool
 val to_human : t -> string
 (** One line: ["error[empty-signature] device 3 rpa r st s: message"]. *)
 
+val finding : t -> Centralium.Controller.lint_finding
+(** The controller's view of a diagnostic, read by its lint and verify
+    gates: error severity, {!code_to_string}, {!to_human}. *)
+
 val to_json : t -> Obs.Json.t
 (** Object with fields (in this order): [code], [severity], [device],
     [rpa], [statement], [line], [col], [message]. Absent locations render

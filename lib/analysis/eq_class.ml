@@ -34,9 +34,7 @@ let communities cls =
       Net.Community.Set.union acc attr.Net.Attr.communities)
     Net.Community.Set.empty cls.cls_origins
 
-(* Every destination selector of the RPA, split into tagged communities
-   and explicit prefixes. *)
-let rpa_selectors rpa =
+let selectors rpa =
   let fold_dest (prefixes, tags) = function
     | Destination.Prefixes ps -> (List.rev_append ps prefixes, tags)
     | Destination.Tagged c -> (prefixes, c :: tags)
@@ -84,7 +82,7 @@ let touched_by clss ~rpas =
       if has_restrictive_filter rpa then
         Array.iteri (fun i _ -> mark i) touched
       else begin
-        let prefixes, tags = rpa_selectors rpa in
+        let prefixes, tags = selectors rpa in
         List.iter
           (fun p ->
             List.iter (fun (_, i) -> mark i) (Prefix_trie.covered_by trie p))

@@ -30,6 +30,11 @@ val communities : t -> Net.Community.Set.t
 (** Union of the origination communities across the class's origins — the
     set a [Tagged] destination is matched against. *)
 
+val selectors : Centralium.Rpa.t -> Net.Prefix.t list * Net.Community.t list
+(** Every destination the RPA's path-selection and route-attribute
+    statements steer or weight: the explicit prefixes and the tagged
+    communities. Order unspecified. *)
+
 val touched_by : t list -> rpas:(int * Centralium.Rpa.t) list -> t list
 (** The classes any of the given per-device RPAs can influence — the
     delta-net re-verification set for a phase delta. Result preserves the

@@ -40,7 +40,7 @@ val check_plan :
   Centralium.Controller.plan ->
   Diagnostic.t list
 (** {!check_rpa} for every device, plus plan-level checks: phase/RPA
-    coverage, devices targeted twice, and
+    coverage, devices targeted twice or bound to more than one RPA, and
     {!Centralium.Deployment.is_safe_order} from [origination_layer]
     (default [Eb], the backbone origination of every standard-suite plan)
     in the plan's own direction ({!Centralium.Controller.direction}): a
@@ -52,7 +52,8 @@ val plans_conflict :
   Centralium.Controller.plan -> Centralium.Controller.plan -> bool
 (** Cross-plan conflict predicate for the admission queue: two plans
     conflict when they target a common device, steer/weight overlapping
-    destination prefixes, or share a tagged destination community.
+    destination prefixes, or share a tagged destination community (the
+    destinations {!Eq_class.selectors} lists).
     Loading this module registers it with
     {!Centralium.Ops.set_conflict_probe}, so queues in any binary linked
     against [analysis] serialize such pairs. *)

@@ -71,16 +71,6 @@ let origins_of_network net =
 
 let path_str path = String.concat " -> " (List.map string_of_int path)
 
-(* Rotate a cycle so its smallest device comes first: the canonical form
-   used to deduplicate the same loop discovered in several rounds or from
-   several DFS roots. *)
-let canonical_cycle cyc =
-  let arr = Array.of_list cyc in
-  let n = Array.length arr in
-  let mi = ref 0 in
-  Array.iteri (fun i x -> if x < arr.(!mi) then mi := i) arr;
-  List.init n (fun i -> arr.((i + !mi) mod n))
-
 (* All back-edge cycles of one FIB snapshot, in deterministic order (DFS
    rooted at each device in snapshot order). [color] and [adj] are work
    arrays over the frame's device positions, reused across snapshots: all
@@ -291,7 +281,7 @@ let verify ?origins ?(incremental = true) graph
       (fun edges ->
         List.iter
           (fun cyc ->
-            let cyc = canonical_cycle cyc in
+            let cyc = Dataplane.Metrics.canonical_cycle cyc in
             if not (Hashtbl.mem seen_cycles cyc) then begin
               Hashtbl.add seen_cycles cyc ();
               cycle_devices :=
@@ -527,12 +517,4 @@ let report_json r =
       ("report", D.report_json r.vr_diagnostics);
     ]
 
-let findings r =
-  List.map
-    (fun (d : D.t) ->
-      {
-        Controller.lint_error = d.D.severity = D.Error;
-        lint_code = D.code_to_string d.D.code;
-        lint_message = D.to_human d;
-      })
-    r.vr_diagnostics
+let findings r = List.map D.finding r.vr_diagnostics

@@ -175,11 +175,12 @@ let validate_plan t plan =
     with
     | Some d -> Error (Printf.sprintf "plan %s: unknown device %d" plan.plan_name d)
     | None ->
-      (match
-         List.find_opt
-           (fun d -> List.length (List.filter (Int.equal d) plan_devices) > 1)
-           plan_devices
-       with
+      (* the smallest repeated device: copies sit together in the sorted list *)
+      let rec repeated = function
+        | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+        | [] | [ _ ] -> None
+      in
+      (match repeated plan_devices with
        | Some d ->
          Error (Printf.sprintf "plan %s: device %d has multiple RPAs (merge them)"
                   plan.plan_name d)

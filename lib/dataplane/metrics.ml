@@ -19,6 +19,13 @@ let blackholed_fraction (result : Traffic.result) ~total =
 let looped_fraction (result : Traffic.result) ~total =
   if total <= 0.0 then 0.0 else result.Traffic.looped /. total
 
+let canonical_cycle cycle =
+  let arr = Array.of_list cycle in
+  let n = Array.length arr in
+  let first = ref 0 in
+  Array.iteri (fun i d -> if d < arr.(!first) then first := i) arr;
+  List.init n (fun i -> arr.((i + !first) mod n))
+
 let find_forwarding_loops ~lookup ~devices =
   (* DFS with colors; 0/absent = white, 1 = on current path, 2 = done.
      [path] holds the devices from the current one's parent back to the
@@ -26,20 +33,6 @@ let find_forwarding_loops ~lookup ~devices =
      to that node. *)
   let color = Net.Int_table.create 64 in
   let cycles = ref [] in
-  let normalize cycle =
-    (* Rotate so the smallest id leads: the same cycle found from different
-       entry points is reported once. *)
-    match cycle with
-    | [] -> []
-    | _ :: _ ->
-      let smallest = List.fold_left min max_int cycle in
-      let rec rotate n = function
-        | d :: rest when d <> smallest && n < List.length cycle ->
-          rotate (n + 1) (rest @ [ d ])
-        | rotated -> rotated
-      in
-      rotate 0 cycle
-  in
   let rec visit path device =
     match Net.Int_table.find_opt color device with
     | Some 2 -> ()
@@ -48,9 +41,8 @@ let find_forwarding_loops ~lookup ~devices =
         | [] -> []
         | d :: rest -> if d = device then [] else d :: back_to rest
       in
-      let cycle = normalize (device :: List.rev (back_to path)) in
-      if cycle <> [] && not (List.exists (List.equal Int.equal cycle) !cycles)
-      then
+      let cycle = canonical_cycle (device :: List.rev (back_to path)) in
+      if not (List.exists (List.equal Int.equal cycle) !cycles) then
         cycles := cycle :: !cycles
     | Some _ | None ->
       Net.Int_table.replace color device 1;

@@ -23,10 +23,15 @@ val blackholed_fraction : Traffic.result -> total:float -> float
 
 val looped_fraction : Traffic.result -> total:float -> float
 
+val canonical_cycle : int list -> int list
+(** The cycle rotated so its smallest device comes first: one form for a
+    loop found from several entry points or in several snapshots. *)
+
 val find_forwarding_loops :
   lookup:(int -> Bgp.Speaker.fib_state option) -> devices:int list -> int list list
 (** Cycles in the forwarding graph induced by [lookup], each reported once
-    as the list of devices on the cycle. Empty = loop-free. *)
+    as the list of devices on the cycle, in {!canonical_cycle} form. Empty
+    = loop-free. *)
 
 val max_funneling_over_timeline :
   timeline:(float * (int, Bgp.Speaker.fib_state) Hashtbl.t) list ->

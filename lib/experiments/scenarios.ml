@@ -1312,6 +1312,11 @@ module Continuous = struct
       let k = int_of_float (ceil (p *. float_of_int n)) - 1 in
       List.nth sorted (min (n - 1) (max 0 k))
 
+  (* A job's durations are differences of absolute virtual times, whose
+     last bits depend on how far the clock has run; whole nanoseconds make
+     them a function of the job alone. *)
+  let nanoseconds s = Float.round (s *. 1e9) /. 1e9
+
   (* Deliberately small so hourly bursts exercise real backpressure. *)
   let queue_config =
     { Centralium.Ops.max_queue = 4; per_tenant = 2; per_class = 3 }
@@ -1459,13 +1464,10 @@ module Continuous = struct
     let run_one seq plan =
       let start = Bgp.Network.now net in
       Centralium.Ops.mark_started !ops seq;
-      let wait =
-        start
-        -.
-        match Hashtbl.find_opt submit_times seq with
-        | Some t -> t
-        | None -> start
+      let submitted =
+        Option.value (Hashtbl.find_opt submit_times seq) ~default:start
       in
+      let wait = nanoseconds (start -. submitted) in
       Centralium.Ops.Watchdog.arm wd
         ~plan_name:plan.Centralium.Controller.plan_name;
       let _, terminal =
@@ -1473,7 +1475,7 @@ module Continuous = struct
           ~watchdog:(Centralium.Ops.Watchdog.probe wd) cluster plan
       in
       ignore (Bgp.Network.converge net);
-      let dur = Bgp.Network.now net -. start in
+      let dur = nanoseconds (Bgp.Network.now net -. start) in
       Centralium.Ops.mark_done !ops seq;
       ignore (Centralium.Ops.gc !ops);
       lag_samples :=

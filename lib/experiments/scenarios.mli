@@ -436,8 +436,10 @@ module Continuous : sig
     job_seq : int option;  (** queue ticket; [None] when shed *)
     job_shed_reason : string option;
     job_outcome : string option;  (** terminal outcome of executed jobs *)
-    job_queue_wait_s : float;  (** virtual submit-to-start wait *)
-    job_convergence_s : float;  (** virtual start-to-converged duration *)
+    job_queue_wait_s : float;
+        (** virtual submit-to-start wait, in whole nanoseconds *)
+    job_convergence_s : float;
+        (** virtual start-to-converged duration, in whole nanoseconds *)
     job_remediation : string option;
         (** the journal's remediation record when the watchdog rolled the
             job back *)

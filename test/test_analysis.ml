@@ -304,6 +304,30 @@ let test_order_rule_follows_direction () =
   check_bool "Controller.removal is clean" false
     (flagged (Controller.removal install))
 
+(* A device bound to two RPAs: the controller refuses the plan
+   ("phases do not cover exactly the plan devices"), so lint reports it. *)
+let test_repeated_binding_flagged () =
+  let x = Topology.Clos.expansion () in
+  let plan = Apps.Expansion_equalizer.plan x in
+  let d, rpa = List.hd plan.Controller.rpas in
+  let coverage plan =
+    List.filter_map
+      (fun diag ->
+        if diag.D.code = D.Plan_coverage then Some (D.to_human diag) else None)
+      (Lint.check_plan x.Topology.Clos.xgraph plan)
+  in
+  Alcotest.(check (list string)) "the plan itself is covered" [] (coverage plan);
+  Alcotest.(check (list string))
+    "its first binding repeated"
+    [
+      Printf.sprintf
+        "error[plan-coverage] device %d: device %d has 2 generated RPAs \
+         (merge them)"
+        d d;
+    ]
+    (coverage
+       { plan with Controller.rpas = (d, rpa) :: plan.Controller.rpas })
+
 let () =
   Alcotest.run "analysis"
     [
@@ -336,5 +360,6 @@ let () =
           quick "verification lint pass" test_verification_lint_pass;
           quick "order rule follows the plan's direction"
             test_order_rule_follows_direction;
+          quick "a device bound to two RPAs" test_repeated_binding_flagged;
         ] );
     ]

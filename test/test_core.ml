@@ -1196,6 +1196,43 @@ let test_controller_invalid_plan () =
   let broken = { plan with Controller.phases = [] } in
   check_bool "rejected" true (Controller.validate_plan controller broken <> Ok ())
 
+(* The three refusals of [validate_plan], in their order: coverage first,
+   then the smallest device missing from the topology, then the smallest
+   device bound to several RPAs. *)
+let test_controller_validate_plan_messages () =
+  let x, _net, controller = controller_fixture () in
+  let plan = Apps.Expansion_equalizer.plan x in
+  let refusal fmt =
+    Printf.ksprintf (fun m -> Error m) ("plan %s: " ^^ fmt)
+      plan.Controller.plan_name
+  in
+  let validate rpas phases =
+    Controller.validate_plan controller { plan with Controller.rpas; phases }
+  in
+  let check label expected actual =
+    Alcotest.(check (result unit string)) label expected actual
+  in
+  let d0, rpa = List.nth plan.Controller.rpas 0
+  and d1, _ = List.nth plan.Controller.rpas 1 in
+  let lo = min d0 d1 and hi = max d0 d1 in
+  let unknown = 10_000 in
+  check "valid" (Ok ()) (validate plan.Controller.rpas plan.Controller.phases);
+  check "a repeated or unknown binding no phase lists"
+    (refusal "phases do not cover exactly the plan devices")
+    (validate ((unknown, rpa) :: (d0, rpa) :: plan.Controller.rpas)
+       plan.Controller.phases);
+  check "unknown devices, the smallest named, before repeats"
+    (refusal "unknown device %d" unknown)
+    (validate
+       ((unknown + 1, rpa) :: (unknown, rpa) :: (unknown, rpa)
+       :: (d0, rpa) :: plan.Controller.rpas)
+       ([ unknown + 1; unknown; unknown; d0 ] :: plan.Controller.phases));
+  check "the smallest repeated device"
+    (refusal "device %d has multiple RPAs (merge them)" lo)
+    (validate
+       ((hi, rpa) :: (lo, rpa) :: plan.Controller.rpas)
+       ([ hi; lo ] :: plan.Controller.phases))
+
 let test_health_checks () =
   let x, net, _controller = controller_fixture () in
   let prefix = Net.Prefix.default_v4 in
@@ -1481,6 +1518,8 @@ let () =
           quick "deploy and remove" test_controller_deploy_and_remove;
           quick "pre-check aborts" test_controller_pre_check_aborts;
           quick "invalid plan" test_controller_invalid_plan;
+          quick "validate_plan messages and precedence"
+            test_controller_validate_plan_messages;
           quick "enforce without engine aborts"
             test_enforce_without_engine_aborts;
           quick "health checks" test_health_checks;

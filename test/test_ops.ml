@@ -437,6 +437,28 @@ let test_continuous_bit_reproducible () =
   check_bool "canaries were remediated" true
     (a.rolled_back > 0 && a.remediations >= a.rolled_back)
 
+(* Every duration an ops report carries, per job and in the SLO record,
+   is a whole number of nanoseconds, so it reads the same whatever the
+   absolute clock stood at. *)
+let test_continuous_whole_nanoseconds () =
+  let open Experiments.Scenarios.Continuous in
+  let r = run ~seed:42 ~hours:2 () in
+  let check_fields fields =
+    List.iter
+      (fun (key, v) ->
+        if String.ends_with ~suffix:"_s" key then
+          match v with
+          | Obs.Json.Float x ->
+            check_bool
+              (Printf.sprintf "%s = %.17g is whole nanoseconds" key x)
+              true
+              (Float.equal (float_of_string (Printf.sprintf "%.9f" x)) x)
+          | _ -> Alcotest.failf "%s is not a float" key)
+      fields
+  in
+  List.iter (fun j -> check_fields (job_json j)) r.jobs;
+  check_fields (report_json r)
+
 let () =
   Alcotest.run "ops"
     [
@@ -482,5 +504,7 @@ let () =
         [
           Alcotest.test_case "bit-reproducible" `Slow
             test_continuous_bit_reproducible;
+          Alcotest.test_case "durations in whole nanoseconds" `Quick
+            test_continuous_whole_nanoseconds;
         ] );
     ]

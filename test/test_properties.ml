@@ -386,6 +386,150 @@ let engine_cache_agrees_on_equal_length_paths =
                weights_a weights_b)
         calls)
 
+(* ---------------- lint ---------------- *)
+
+(* Random RPAs made to collide: block, statement and entry names from
+   pools of two, signatures from [signature_gen]'s pools, destinations
+   tagged from [tag_pool] or prefixes from a nested pool, filters with
+   mask windows that may be empty, restricted peers, and both
+   dissemination settings. *)
+let lint_rpa_gen =
+  QCheck.Gen.(
+    let name = oneofl [ "a"; "b" ] in
+    let prefix =
+      oneofl
+        (List.map Net.Prefix.of_string_exn
+           [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "10.2.0.0/16";
+             "192.168.0.0/16"; "2001:db8::/32" ])
+    in
+    let destination =
+      oneof
+        [
+          map (fun c -> Centralium.Destination.Tagged c) (oneofl tag_pool);
+          map
+            (fun ps -> Centralium.Destination.Prefixes ps)
+            (list_size (int_range 1 2) prefix);
+        ]
+    in
+    let threshold =
+      oneofl
+        [ None; Some (Centralium.Path_selection.Count 1);
+          Some (Centralium.Path_selection.Count 2);
+          Some (Centralium.Path_selection.Fraction 0.5);
+          Some (Centralium.Path_selection.Fraction 1.0) ]
+    in
+    let path_set =
+      let* name = name and* signature = signature_gen and* mnh = threshold in
+      return
+        (Centralium.Path_selection.path_set ~name ?min_next_hop:mnh signature)
+    in
+    let weight =
+      let* name = name and* signature = signature_gen
+      and* weight = int_range 1 3 in
+      return (Centralium.Route_attribute.next_hop_weight ~name signature ~weight)
+    in
+    let blocks make statement =
+      list_size (int_range 0 2)
+        (let* block = name and* sts = list_size (int_range 1 3) statement in
+         return (make ~name:block sts))
+    in
+    let ps_statement =
+      let* name = name and* dest = destination
+      and* path_sets = list_size (int_range 0 3) path_set in
+      return (Centralium.Path_selection.statement ~name ~path_sets dest)
+    in
+    let ra_statement =
+      let* name = name and* dest = destination
+      and* weights = list_size (int_range 0 3) weight in
+      return (Centralium.Route_attribute.statement ~name dest weights)
+    in
+    let rule =
+      let* covering = prefix
+      and* lo = opt (int_range 0 32)
+      and* hi = opt (int_range 0 32) in
+      return
+        (Centralium.Route_filter.prefix_rule ?min_mask_length:lo
+           ?max_mask_length:hi covering)
+    in
+    let filter =
+      oneof
+        [
+          return Centralium.Route_filter.Allow_all;
+          map
+            (fun rs -> Centralium.Route_filter.Allow_list rs)
+            (list_size (int_range 0 3) rule);
+        ]
+    in
+    let rf_statement =
+      let* name = name and* ingress = filter and* egress = filter
+      and* restricted = bool in
+      let peer =
+        if restricted then
+          { Centralium.Route_filter.any_peer with
+            peer_layers = [ Topology.Node.Ssw ] }
+        else Centralium.Route_filter.any_peer
+      in
+      return (Centralium.Route_filter.statement ~name ~ingress ~egress peer)
+    in
+    let* path_selection =
+      blocks
+        (fun ~name sts -> Centralium.Path_selection.make ~name sts)
+        ps_statement
+    and* route_attribute =
+      blocks
+        (fun ~name sts -> Centralium.Route_attribute.make ~name sts)
+        ra_statement
+    and* route_filter =
+      blocks
+        (fun ~name sts -> Centralium.Route_filter.make ~name sts)
+        rf_statement
+    and* advertise_least_favorable = bool in
+    return
+      (Centralium.Rpa.make ~path_selection ~route_attribute ~route_filter
+         ~advertise_least_favorable ()))
+
+(* A statement index as [Rpa_parser.parse_located] returns it, over the
+   same name pools, so findings of each kind may carry a position. *)
+let lint_positions_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (let* ls_kind =
+         oneofl [ `Path_selection; `Route_attribute; `Route_filter ]
+       and* ls_rpa = oneofl [ "a"; "b" ]
+       and* ls_statement = oneofl [ "a"; "b" ]
+       and* line = int_range 1 9
+       and* col = int_range 1 9 in
+       return
+         {
+           Centralium.Rpa_parser.ls_kind;
+           ls_rpa;
+           ls_statement;
+           ls_pos = { Centralium.Rpa_parser.line; col };
+         }))
+
+let lint_matches_model =
+  QCheck.Test.make ~name:"lint: check_rpa equals the per-kind model"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (device, positions, rpa) ->
+         Format.asprintf "device %d@.%s@.%a" device
+           (String.concat "; "
+              (List.map
+                 (fun ls ->
+                   Printf.sprintf "%s %s/%s %d:%d"
+                     (match ls.Centralium.Rpa_parser.ls_kind with
+                      | `Path_selection -> "path-selection"
+                      | `Route_attribute -> "route-attribute"
+                      | `Route_filter -> "route-filter")
+                     ls.ls_rpa ls.ls_statement ls.ls_pos.line ls.ls_pos.col)
+                 positions))
+           Centralium.Rpa.pp rpa)
+       QCheck.Gen.(triple (int_range 0 3) lint_positions_gen lint_rpa_gen))
+    (fun (device, positions, rpa) ->
+      let json diags = List.map Analysis.Diagnostic.to_json diags in
+      json (Analysis.Lint.check_rpa ~device ~positions rpa)
+      = json (Lint_model.check_rpa ~device ~positions rpa))
+
 (* ---------------- network convergence ---------------- *)
 
 let fabric_arb =
@@ -1067,6 +1211,8 @@ let () =
             engine_cache_transparent;
             engine_cache_agrees_on_equal_length_paths;
           ] );
+      ( "lint",
+        List.map (QCheck_alcotest.to_alcotest ~long:false) [ lint_matches_model ] );
       ( "network",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
           [ convergence_loop_free; convergence_deterministic; churn_consistency ] );
