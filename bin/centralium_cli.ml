@@ -647,9 +647,7 @@ let chaos_mode_seed gr _k seed =
    an uninterrupted run. *)
 let failover_seed profile_name profile members crash_at k seed =
   let module F = Experiments.Scenarios.Failover in
-  (* Stagger the kill across seeds so the sweep exercises crashes at
-     different phase offsets of the same rollout. *)
-  let offset = crash_at +. (0.007 *. float_of_int k) in
+  let offset = F.stagger ~crash_at k in
   let c =
     F.crash_vs_uninterrupted ~seed ~profile ~members
       ~leader_crash_offsets:[ offset ] ()

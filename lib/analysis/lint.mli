@@ -17,7 +17,7 @@
     under adversarial state blowup but never fabricates one.
 
     Loading this module registers the analyzer with
-    {!Centralium.Controller.set_linter}, which arms the [?lint] gate of
+    {!Centralium.Controller.set_linter}, which arms the lint gate of
     [Controller.deploy*], the lint gate of [Controller.remove] and the
     lint pass of [Verification.standard_suite] in any binary linked
     against [analysis]. *)
@@ -35,15 +35,14 @@ val check_rpa :
     diagnostics that name a statement. *)
 
 val check_plan :
-  ?origination_layer:Topology.Node.layer ->
   Topology.Graph.t ->
   Centralium.Controller.plan ->
   Diagnostic.t list
 (** {!check_rpa} for every device, plus plan-level checks: phase/RPA
     coverage, devices targeted twice or bound to more than one RPA, and
-    {!Centralium.Deployment.is_safe_order} from [origination_layer]
-    (default [Eb], the backbone origination of every standard-suite plan)
-    in the plan's own direction ({!Centralium.Controller.direction}): a
+    {!Centralium.Deployment.is_safe_order} from the [Eb] layer (the
+    backbone origination of every standard-suite plan) in the plan's own
+    direction ({!Centralium.Controller.direction}): a
     plan whose every RPA is empty is a removal and must start closest to
     the origination layer; any other plan is an install and must start
     furthest from it. *)

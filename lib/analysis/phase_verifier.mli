@@ -26,7 +26,7 @@
     same input.
 
     Loading the [analysis] library registers {!verify_network} with
-    {!Centralium.Controller.set_verifier}, arming the [?verify] gate of
+    {!Centralium.Controller.set_verifier}, arming the verify gate of
     [Controller.deploy*] and the verification pass of
     [Verification.qualify]. The {!Centralium.Ops.set_admission_verifier}
     probe is bound by the queue's owner instead — admission needs the

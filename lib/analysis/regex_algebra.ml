@@ -97,12 +97,14 @@ let key sets = List.map Int_set.elements sets
 
 let accepts (m : machine) set = Int_set.mem m.P.sym_accept set
 
+(* The product-state budget. It bounds the work on RPAs that lint reads
+   from files. *)
 let default_cap = 4096
 
 (* BFS over the product of [machines]; [good] decides the verdict at each
    reachable state, [keep] prunes dead states, [on_cap] is the conservative
    answer when the visited-state budget runs out. *)
-let product_search_capped ~cap ~good ~keep ~on_cap machines =
+let product_search_capped ~good ~keep ~on_cap machines =
   let reps = representatives machines in
   let start = List.map (fun m -> eps_closure m (Int_set.singleton m.P.sym_start)) machines in
   let visited = Hashtbl.create 64 in
@@ -111,7 +113,7 @@ let product_search_capped ~cap ~good ~keep ~on_cap machines =
   Queue.add start queue;
   let rec loop () =
     if Queue.is_empty queue then None
-    else if Hashtbl.length visited >= cap then Some (on_cap, true)
+    else if Hashtbl.length visited >= default_cap then Some (on_cap, true)
     else begin
       let state = Queue.pop queue in
       if good state then Some (true, false)
@@ -134,18 +136,17 @@ let product_search_capped ~cap ~good ~keep ~on_cap machines =
   (* [good] may already hold at the start state. *)
   match loop () with Some v -> v | None -> (false, false)
 
-let intersection_nonempty_capped ?(cap = default_cap) machines =
+let intersection_nonempty_capped machines =
   match machines with
   | [] -> (true, false)
   | _ ->
-    product_search_capped ~cap ~on_cap:true machines
+    product_search_capped ~on_cap:true machines
       ~good:(fun state -> List.for_all2 accepts machines state)
       ~keep:(fun state -> List.for_all (fun s -> not (Int_set.is_empty s)) state)
 
-let intersection_nonempty ?cap machines =
-  fst (intersection_nonempty_capped ?cap machines)
+let intersection_nonempty machines = fst (intersection_nonempty_capped machines)
 
-let subsumes_capped ?(cap = default_cap) sup sub =
+let subsumes_capped sup sub =
   match sup with
   | [] -> (true, false) (* universal superset *)
   | _ ->
@@ -161,7 +162,7 @@ let subsumes_capped ?(cap = default_cap) sup sub =
     in
     (* A counterexample is a word [sub] accepts but [sup] does not. *)
     let counterexample, capped =
-      product_search_capped ~cap ~on_cap:true machines
+      product_search_capped ~on_cap:true machines
         ~good:(fun state ->
           let sub_part, sup_part = split state in
           List.for_all2 accepts sub sub_part
@@ -172,4 +173,4 @@ let subsumes_capped ?(cap = default_cap) sup sub =
     in
     (not counterexample, capped)
 
-let subsumes ?cap sup sub = fst (subsumes_capped ?cap sup sub)
+let subsumes sup sub = fst (subsumes_capped sup sub)

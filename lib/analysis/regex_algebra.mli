@@ -35,22 +35,21 @@ val ends_with : int -> machine
 (** Sequences of length >= 1 whose last token is the given ASN — the
     [origin_asn] conjunct. *)
 
-val intersection_nonempty : ?cap:int -> machine list -> bool
+val intersection_nonempty : machine list -> bool
 (** Is there an ASN sequence accepted by {e every} machine? The empty list
-    is universal, hence [true]. [cap] bounds the number of product states
-    explored (default 4096); hitting it returns [true] (cannot prove
-    empty). *)
+    is universal, hence [true]. At most 4,096 product states are
+    explored; hitting that budget returns [true] (cannot prove empty). *)
 
-val subsumes : ?cap:int -> machine list -> machine list -> bool
+val subsumes : machine list -> machine list -> bool
 (** [subsumes sup sub]: is the intersection language of [sub] contained in
-    the intersection language of [sup]? Hitting [cap] returns [false]
-    (cannot prove containment). *)
+    the intersection language of [sup]? Hitting the state budget returns
+    [false] (cannot prove containment). *)
 
-val intersection_nonempty_capped : ?cap:int -> machine list -> bool * bool
+val intersection_nonempty_capped : machine list -> bool * bool
 (** Like {!intersection_nonempty}, also reporting whether the state budget
     was hit: [(verdict, capped)]. A [capped = true] verdict is the
     conservative answer, so the caller can surface the suppression (an
     [analysis-capped] diagnostic) instead of staying silent. *)
 
-val subsumes_capped : ?cap:int -> machine list -> machine list -> bool * bool
+val subsumes_capped : machine list -> machine list -> bool * bool
 (** Like {!subsumes}, also reporting whether the state budget was hit. *)

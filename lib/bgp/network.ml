@@ -355,8 +355,8 @@ let reconnect t ~all =
          can only be repaired by a full resync. *)
       if all || not (a_up && b_up) then bounce_session t a b session)
 
-let reestablish_sessions ?(all = false) ?delay t =
-  schedule ?delay t (fun () -> reconnect t ~all)
+let reestablish_sessions ?(all = false) t =
+  schedule t (fun () -> reconnect t ~all)
 
 let enable_liveness ?(config = Liveness.default) ~until t =
   changed t;
@@ -454,8 +454,8 @@ let set_link ?delay t a b ~up =
 let configured t device peer note =
   Trace.configured t.trace_log ~time:(now t) ~device ~peer note
 
-let set_hooks ?delay t device hooks =
-  schedule ?delay t (fun () ->
+let set_hooks t device hooks =
+  schedule t (fun () ->
       configured t device (-1) "set-hooks";
       transition t device (fun sp env -> Speaker.set_hooks sp env hooks))
 
@@ -465,8 +465,8 @@ let set_egress_policy_all ?delay t device policy =
       transition t device (fun sp env ->
           Speaker.set_egress_policy_all sp env policy))
 
-let set_ingress_policy ?delay t ~node ~peer policy =
-  schedule ?delay t (fun () ->
+let set_ingress_policy t ~node ~peer policy =
+  schedule t (fun () ->
       configured t node peer "ingress-policy";
       transition t node (fun sp env ->
           Speaker.set_ingress_policy sp env ~peer policy))

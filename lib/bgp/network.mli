@@ -87,13 +87,15 @@ val withdraw_origin : ?delay:float -> t -> int -> Net.Prefix.t -> unit
 val set_link : ?delay:float -> t -> int -> int -> up:bool -> unit
 (** Brings all sessions of the link up or down (and updates the graph). *)
 
-val set_hooks : ?delay:float -> t -> int -> Rib_policy.hooks -> unit
-(** Deploys an RPA (or restores native behaviour) on one device. *)
+val set_hooks : t -> int -> Rib_policy.hooks -> unit
+(** Deploys an RPA (or restores native behaviour) on one device, as an
+    event at the current instant. *)
 
 val set_egress_policy_all : ?delay:float -> t -> int -> Policy.t -> unit
 (** E.g. applies a maintenance drain export policy on a device. *)
 
-val set_ingress_policy : ?delay:float -> t -> node:int -> peer:int -> Policy.t -> unit
+val set_ingress_policy : t -> node:int -> peer:int -> Policy.t -> unit
+(** Scheduled at the current instant, like {!set_hooks}. *)
 
 val drain_device : ?delay:float -> t -> int -> unit
 (** Shorthand: applies {!Policy.drain} as the device's global export
@@ -142,8 +144,9 @@ val enable_liveness : ?config:Liveness.config -> until:float -> t -> unit
 
 val liveness : t -> Liveness.config option
 
-val reestablish_sessions : ?all:bool -> ?delay:float -> t -> unit
-(** Bounces every session over an up link where either end is down, in
+val reestablish_sessions : ?all:bool -> t -> unit
+(** Schedules, at the current instant, a bounce of every session over an
+    up link where either end is down, in
     {!Topology.Graph.links} order — down (stale under graceful restart)
     then up on both ends, replaying the full-table resync. [~all:true]
     bounces every session regardless of state, which also repairs sessions

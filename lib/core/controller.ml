@@ -776,15 +776,11 @@ let rollout ~start ?(policy = default_retry_policy) ?fault ?fence
          journal_write c plan `Next_phase (Nsdb.Int 0));
       execute_deploy c plan ~from_phase ~resumed_from_phase)
 
-let deploy_resilient ?policy ?fault ?fence ?between_phases ?watchdog ?lint
-    ?verify t plan =
-  rollout ~start:Fresh ?policy ?fault ?fence ?between_phases ?watchdog ?lint
-    ?verify t plan
+let deploy_resilient ?policy ?fault ?fence ?between_phases ?watchdog t plan =
+  rollout ~start:Fresh ?policy ?fault ?fence ?between_phases ?watchdog t plan
 
-let resume ?policy ?fault ?fence ?between_phases ?watchdog ?lint ?verify t
-    plan =
-  rollout ~start:Resume ?policy ?fault ?fence ?between_phases ?watchdog ?lint
-    ?verify t plan
+let resume ?policy ?fault ?fence ?between_phases ?watchdog t plan =
+  rollout ~start:Resume ?policy ?fault ?fence ?between_phases ?watchdog t plan
 
 (* Single-shot rollouts run with no fault model and no fence. *)
 let single_shot_result = function

@@ -206,12 +206,10 @@ val deploy_resilient :
   ?fence:(unit -> fence_status) ->
   ?between_phases:(int -> unit) ->
   ?watchdog:(int -> [ `Ok | `Breach of string list ]) ->
-  ?lint:lint_mode ->
-  ?verify:lint_mode ->
   t ->
   plan ->
   outcome
-(** The fault-tolerant deployment loop. [fault] injects per-RPC and
+(** The fault-tolerant deployment loop, with both gates at [`Warn]. [fault] injects per-RPC and
     per-NSDB-write fates and scheduled controller crashes (attach the same
     model to the agent with {!Switch_agent.set_mgmt_fault}).
     [between_phases] runs after each phase has converged — the hook for
@@ -239,8 +237,6 @@ val resume :
   ?fence:(unit -> fence_status) ->
   ?between_phases:(int -> unit) ->
   ?watchdog:(int -> [ `Ok | `Breach of string list ]) ->
-  ?lint:lint_mode ->
-  ?verify:lint_mode ->
   t ->
   plan ->
   outcome

@@ -8,8 +8,10 @@
     segments (Appendix A.3).
 
     A {!Replicated} wrapper provides the eventual-consistency deployment
-    model of Section 5.2: writes fan out to all replicas, reads go to the
-    elected leader, and leader failure transparently re-routes reads. The
+    model of Section 5.2: every write is one replication-log entry that
+    the elected leader applies at once and the other live replicas replay
+    (at once by default, in bounded batches in async mode), reads go to
+    the leader, and leader failure transparently re-routes reads. The
     keys the controller, the admission queue and the HA layer keep there
     are spelled in {!Nsdb_schema}. *)
 
@@ -83,19 +85,21 @@ module Replicated : sig
   (** Raises [Invalid_argument] if [replicas < 1]. *)
 
   val set : t -> path:string -> value -> unit
-  (** Fans out to every live replica (publish path of Section 5.2). In
-      async mode ({!enable_async}) the write applies to the leader
-      immediately and is appended to the replication log; followers catch
-      up at the next {!flush}. *)
+  (** Appends one entry to the replication log and applies it at the
+      leader (publish path of Section 5.2). By default every live follower
+      replays it at once — fan-out is the log drained immediately; in
+      async mode ({!enable_async}) followers catch up at {!flush}. Raises
+      [Invalid_argument] on a path {!Nsdb.set} refuses, before anything is
+      logged. *)
 
   (** {2 Asynchronous replication with bounded catch-up}
 
-      [enable_async] switches the wrapper from synchronous fan-out to a
-      leader + replication-log model: every write applies to the leader at
-      once and followers consume the log in batches of at most
+      Both modes write through one replication log. By default every live
+      follower replays each entry as it is written. [enable_async] makes
+      followers consume the log instead in batches of at most
       [batch_budget] entries per {!flush} (one flush per simulation
       instant, driven by the caller on the Dsim virtual clock). Each
-      follower's lag watermark is [head - applied]; a follower beyond
+      replica's lag watermark is [head - applied]; a follower beyond
       [lag_threshold] — or whose backlog was truncated — abandons replay
       and catches up via snapshot shipping from the leader. Reads and
       compare-and-set are always served by the leader, which is current by
@@ -110,13 +114,15 @@ module Replicated : sig
   (** One replication + notification round: followers apply up to
       [batch_budget] log entries (or snapshot-ship beyond the threshold),
       the log is truncated below the slowest live replica, and every
-      batched subscriber notification is delivered. A no-op source of
-      writes in sync mode, but still flushes subscribers. Deterministic —
-      purely a function of store state. *)
+      batched subscriber notification is delivered. Before
+      {!enable_async} no live follower is behind, so only the
+      notifications move. Deterministic — purely a function of store
+      state. *)
 
   val lag : t -> int -> int
   (** Replica [i]'s lag watermark: log entries appended but not yet
-      applied there. 0 in sync mode and for the leader. *)
+      applied there. 0 for the leader, and for every live replica before
+      {!enable_async}; a dead replica's counts the writes it missed. *)
 
   val max_lag : t -> int
   (** Worst lag over the live replicas. *)
@@ -166,13 +172,14 @@ module Replicated : sig
       replica is alive. *)
 
   val delete : t -> path:string -> unit
-  (** Removes the subtree rooted at [path] from every live replica. *)
+  (** Removes the subtree rooted at [path]: one log entry, replicated
+      like {!set}. *)
 
   val compare_and_set : t -> path:string -> expected:value option -> value -> bool
   (** [compare_and_set t ~path ~expected v] atomically writes [v] at [path]
       iff the leader's current value equals [expected] ([None] = the path
       must be absent). Returns whether the write happened. On success the
-      write fans out to every live replica like {!set}. This is the
+      write is logged and replicated like {!set}. This is the
       linearization point for the HA lease protocol and for journal status
       transitions — it closes the read-modify-write race a separate
       get/set pair leaves open. Raises [Failure] if no replica is alive. *)

@@ -231,9 +231,9 @@ let shed_log t = List.rev t.sheds
 
 let submissions t = t.sub_count
 
-let gc ?(retain = 16) t =
+let gc t =
   let done_entries = List.filter (fun e -> e.e_state = Done) t.entries in
-  let excess = List.length done_entries - max 0 retain in
+  let excess = List.length done_entries - 16 in
   if excess <= 0 then 0
   else begin
     let victims = List.filteri (fun i _ -> i < excess) done_entries in

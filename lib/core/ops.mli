@@ -108,10 +108,9 @@ val shed_log : t -> (int * string * string * string) list
 val submissions : t -> int
 (** Total submit calls observed (admitted + shed), surviving recovery. *)
 
-val gc : ?retain:int -> t -> int
-(** Prunes [done] queue entries beyond the [retain] (default 16) most
-    recent, returning how many were pruned. Queued/started entries are
-    never pruned. *)
+val gc : t -> int
+(** Prunes [done] queue entries beyond the 16 most recent, returning how
+    many were pruned. Queued/started entries are never pruned. *)
 
 val set_conflict_probe :
   (Controller.plan -> Controller.plan -> bool) -> unit

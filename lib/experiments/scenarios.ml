@@ -958,6 +958,10 @@ module Failover = struct
     && violations i = 0
     && violations u = 0
 
+  (* Wrapping keeps every kill mid-rollout: from position 64 on, 7 ms per
+     position would land it after the rollout has ended. *)
+  let stagger ~crash_at k = crash_at +. (0.007 *. float_of_int (k mod 64))
+
   let comparison_json c =
     let i = c.interrupted and u = c.uninterrupted in
     [
@@ -1393,16 +1397,22 @@ module Continuous = struct
     in
     let total_jobs = hours * jobs_per_hour in
     let tenants = [| "ops"; "te"; "ml"; "edge" |] in
-    let j_name = Array.make total_jobs "" in
-    let j_tenant = Array.make total_jobs "" in
-    let j_class = Array.make total_jobs "" in
-    let j_canary = Array.make total_jobs false in
-    let j_seq = Array.make total_jobs None in
-    let j_shed = Array.make total_jobs None in
-    let j_outcome = Array.make total_jobs None in
-    let j_wait = Array.make total_jobs 0.0 in
-    let j_conv = Array.make total_jobs 0.0 in
-    let j_remediation = Array.make total_jobs None in
+    let jobs =
+      Array.init total_jobs (fun i ->
+          {
+            job_index = i;
+            job_name = "";
+            job_tenant = "";
+            job_class = "";
+            job_canary = false;
+            job_seq = None;
+            job_shed_reason = None;
+            job_outcome = None;
+            job_queue_wait_s = 0.0;
+            job_convergence_s = 0.0;
+            job_remediation = None;
+          })
+    in
     let submit_times = Hashtbl.create 64 in
     let job_of_seq = Hashtbl.create 64 in
     let queue_order = ref [] in
@@ -1434,18 +1444,27 @@ module Continuous = struct
         | 1 -> Centralium.Ops.Standard
         | _ -> Centralium.Ops.Bulk
       in
-      j_name.(i) <- name;
-      j_tenant.(i) <- tenant;
-      j_class.(i) <- Centralium.Ops.class_name cls;
-      j_canary.(i) <- canary;
+      let job =
+        {
+          (jobs.(i)) with
+          job_name = name;
+          job_tenant = tenant;
+          job_class = Centralium.Ops.class_name cls;
+          job_canary = canary;
+        }
+      in
       match Centralium.Ops.submit !ops ~tenant ~cls plan with
       | Centralium.Ops.Admitted seq ->
-        j_seq.(i) <- Some seq;
+        jobs.(i) <- { job with job_seq = Some seq };
         Hashtbl.replace submit_times seq (Bgp.Network.now net);
         Hashtbl.replace job_of_seq seq i
       | Centralium.Ops.Overloaded reason ->
-        j_shed.(i) <-
-          Some (Centralium.Ops.overload_reason_to_string reason)
+        jobs.(i) <-
+          {
+            job with
+            job_shed_reason =
+              Some (Centralium.Ops.overload_reason_to_string reason);
+          }
     in
     (* An election means a takeover: the new leader rebuilds its queue
        view from the opsq journal, exactly as a real standby would. *)
@@ -1499,14 +1518,18 @@ module Continuous = struct
         unremediated := !unremediated + List.length post;
       (match Hashtbl.find_opt job_of_seq seq with
        | Some i ->
-         j_wait.(i) <- wait;
-         j_conv.(i) <- dur;
-         j_outcome.(i) <-
-           Some
-             (match terminal with
-              | Some o -> Centralium.Controller.outcome_name o
-              | None -> "none");
-         j_remediation.(i) <- remediation
+         jobs.(i) <-
+           {
+             (jobs.(i)) with
+             job_queue_wait_s = wait;
+             job_convergence_s = dur;
+             job_outcome =
+               Some
+                 (match terminal with
+                  | Some o -> Centralium.Controller.outcome_name o
+                  | None -> "none");
+             job_remediation = remediation;
+           }
        | None -> ())
     in
     let drain () =
@@ -1543,31 +1566,10 @@ module Continuous = struct
     let sheds = Centralium.Ops.shed_log !ops in
     let shed = List.length sheds in
     let admitted = submitted - shed in
-    let waits = Array.to_list (Array.sub j_wait 0 !next) in
-    let waits =
-      List.filteri (fun i _ -> j_seq.(i) <> None) waits
-    in
-    let convs =
-      List.filteri
-        (fun i _ -> j_seq.(i) <> None)
-        (Array.to_list (Array.sub j_conv 0 !next))
-    in
-    let jobs =
-      List.init !next (fun i ->
-          {
-            job_index = i;
-            job_name = j_name.(i);
-            job_tenant = j_tenant.(i);
-            job_class = j_class.(i);
-            job_canary = j_canary.(i);
-            job_seq = j_seq.(i);
-            job_shed_reason = j_shed.(i);
-            job_outcome = j_outcome.(i);
-            job_queue_wait_s = j_wait.(i);
-            job_convergence_s = j_conv.(i);
-            job_remediation = j_remediation.(i);
-          })
-    in
+    let jobs = Array.to_list (Array.sub jobs 0 !next) in
+    let admitted_jobs = List.filter (fun j -> j.job_seq <> None) jobs in
+    let waits = List.map (fun j -> j.job_queue_wait_s) admitted_jobs in
+    let convs = List.map (fun j -> j.job_convergence_s) admitted_jobs in
     let fi = float_of_int in
     {
       hours;

@@ -302,6 +302,13 @@ module Failover : sig
       interrupted run held at least two elections (the kill forced a real
       takeover), and neither run saw a violation. *)
 
+  val stagger : crash_at:float -> int -> float
+  (** The leader-kill offset of sweep position [k] (from 0): [crash_at]
+      plus 7 ms per position, wrapping every 64 positions, so a sweep
+      kills at different phase offsets of the same rollout and the latest
+      kill lands 441 ms after [crash_at], before the rollout ends at the
+      default 20 ms base. *)
+
   val comparison_json : comparison -> (string * Obs.Json.t) list
   (** The [chaos_ha_seed] JSONL fields after the caller's context, in
       their pinned order: [interrupted_outcome], [uninterrupted_outcome],

@@ -328,6 +328,43 @@ let test_repeated_binding_flagged () =
     (coverage
        { plan with Controller.rpas = (d, rpa) :: plan.Controller.rpas })
 
+(* "^(1|2)*1" then k more hops over {1, 2}, ending at ASN 3, matches no
+   path, and its subset construction needs about 2^k states. At k = 10
+   lint proves it empty within the 4,096-state budget; at k = 11 the
+   budget runs out, and lint reports the suppressed finding instead of
+   one it cannot prove. *)
+let test_lint_state_budget_edge () =
+  let codes k =
+    let regex =
+      "^(1|2)*1" ^ String.concat "" (List.init k (fun _ -> "(1|2)")) ^ "$"
+    in
+    let rpa =
+      Rpa.make
+        ~path_selection:
+          [
+            Path_selection.make
+              [
+                Path_selection.statement ~name:"edge"
+                  ~path_sets:
+                    [
+                      Path_selection.path_set ~name:"p"
+                        (Signature.make ~as_path_regex:regex
+                           ~origin_asn:(Net.Asn.of_int 3) ());
+                    ]
+                  (Destination.Tagged (Net.Community.make 65000 1));
+              ];
+          ]
+        ()
+    in
+    List.map (fun d -> D.code_to_string d.D.code) (Lint.check_rpa rpa)
+  in
+  check_bool "k = 10 is proved empty" true
+    (List.mem "empty-signature" (codes 10));
+  let capped = codes 11 in
+  check_bool "k = 11 hits the budget" true (List.mem "analysis-capped" capped);
+  check_bool "and reports no empty signature" false
+    (List.mem "empty-signature" capped)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -341,6 +378,7 @@ let () =
           quick "emptiness" test_algebra_emptiness;
           quick "conjuncts" test_algebra_conjuncts;
           quick "subsumption" test_algebra_subsumption;
+          quick "state budget edge" test_lint_state_budget_edge;
         ] );
       ( "prefix-trie",
         [

@@ -948,6 +948,28 @@ let test_nsdb_replication () =
   check_bool "resynced" true
     (Nsdb.get_one (Nsdb.Replicated.replica r 0) ~path:"k2" = Some (Nsdb.Int 2))
 
+(* Fan-out mode replays each write on every live replica at once, from
+   the same log async mode replays in batches: a dead replica falls
+   behind by exactly the writes it missed, and recovery's resync brings
+   it to 0 without counting as a snapshot ship. *)
+let test_nsdb_dead_replica_lag () =
+  let r = Nsdb.Replicated.create ~replicas:3 in
+  Nsdb.Replicated.set r ~path:"k" (Nsdb.Int 1);
+  Nsdb.Replicated.fail_replica r 2;
+  Nsdb.Replicated.set r ~path:"k" (Nsdb.Int 2);
+  Nsdb.Replicated.set r ~path:"k2" (Nsdb.Int 3);
+  Nsdb.Replicated.delete r ~path:"k";
+  check_int "dead replica lags by the writes it missed" 3
+    (Nsdb.Replicated.lag r 2);
+  check_int "live replicas are current" 0 (Nsdb.Replicated.max_lag r);
+  Nsdb.Replicated.recover_replica r 2;
+  check_int "recovery resyncs it" 0 (Nsdb.Replicated.lag r 2);
+  check_bool "with the writes it missed" true
+    (Nsdb.snapshot (Nsdb.Replicated.replica r 2)
+    = [ ("k2", Nsdb.Int 3) ]);
+  check_int "a recovery is no snapshot ship" 0
+    (Nsdb.Replicated.snapshot_ships r)
+
 (* ---------------- Service ---------------- *)
 
 let test_service_sync_tracking () =
@@ -1497,6 +1519,8 @@ let () =
           quick "deep wildcard" test_nsdb_deep_wildcard;
           quick "snapshot restore" test_nsdb_snapshot_restore;
           quick "replication" test_nsdb_replication;
+          quick "dead replica lags by the writes it missed"
+            test_nsdb_dead_replica_lag;
         ] );
       ( "route-filter",
         [

@@ -349,6 +349,19 @@ let test_failover_bit_identical_to_uninterrupted () =
         { c with F.interrupted = { i with F.final_violations = [ "loop" ] } } );
     ]
 
+(* Sweep position 68 (seed 69 of a sweep from seed 1) wraps to position
+   4. Unwrapped, its kill landed at 0.496 s, after the rollout had ended,
+   so no takeover happened and the verdict failed. *)
+let test_failover_sweep_wraps_its_stagger () =
+  let module F = Experiments.Scenarios.Failover in
+  let offset = F.stagger ~crash_at:0.02 68 in
+  check_bool "wrapped to position 4" true
+    (Float.abs (offset -. F.stagger ~crash_at:0.02 4) < 1e-12);
+  check_bool "the kill forces a takeover and the run converges" true
+    (F.passed
+       (F.crash_vs_uninterrupted ~seed:69 ~profile:Dsim.Mgmt_fault.flaky
+          ~members:3 ~leader_crash_offsets:[ offset ] ()))
+
 let test_failover_bit_reproducible () =
   let run () =
     let r =
@@ -455,6 +468,8 @@ let () =
             test_failover_bit_identical_to_uninterrupted;
           Alcotest.test_case "bit-reproducible" `Slow
             test_failover_bit_reproducible;
+          Alcotest.test_case "sweep position 68 wraps its stagger" `Slow
+            test_failover_sweep_wraps_its_stagger;
           Alcotest.test_case "fenced fail-stop under lease partition" `Slow
             test_fenced_failstop_under_lease_partition;
         ] );

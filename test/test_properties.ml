@@ -1193,6 +1193,162 @@ let sequence_roundtrip =
       Schema.queue_seq (Schema.queue_key n field) = Some n
       && Schema.shed_index (Schema.shed n) = Some n)
 
+(* ---------------- replicated NSDB against its two-path model ---------------- *)
+
+(* What a property compares of {!Centralium.Nsdb.Replicated} and of
+   [Nsdb_model.Replicated], the parent's fan-out-or-log module. *)
+module type REPLICATED = sig
+  type t
+
+  val create : replicas:int -> t
+  val set : t -> path:string -> Centralium.Nsdb.value -> unit
+  val delete : t -> path:string -> unit
+
+  val compare_and_set :
+    t -> path:string -> expected:Centralium.Nsdb.value option ->
+    Centralium.Nsdb.value -> bool
+
+  val get : t -> path:string -> (string * Centralium.Nsdb.value) list
+  val get_one : t -> path:string -> Centralium.Nsdb.value option
+  val enable_async : ?lag_threshold:int -> ?batch_budget:int -> t -> unit
+  val flush : t -> unit
+  val fail_replica : t -> int -> unit
+  val recover_replica : t -> int -> unit
+
+  val subscribe :
+    ?limit:int -> t -> path:string ->
+    ([ `Changes of (string * Centralium.Nsdb.value option) list
+     | `Resync of (string * Centralium.Nsdb.value) list ] ->
+    unit) ->
+    int
+
+  val leader : t -> int option
+  val alive : t -> int list
+  val lag : t -> int -> int
+  val max_lag : t -> int
+  val lag_peak : t -> int
+  val snapshot_ships : t -> int
+  val overflow_resyncs : t -> int
+  val replica_snapshot : t -> int -> (string * Centralium.Nsdb.value) list
+end
+
+module Replicated_real : REPLICATED = struct
+  include Centralium.Nsdb.Replicated
+
+  let replica_snapshot t i = Centralium.Nsdb.snapshot (replica t i)
+end
+
+module Replicated_model : REPLICATED = struct
+  include Nsdb_model.Replicated
+
+  let replica_snapshot t i = Nsdb_model.snapshot (replica t i)
+end
+
+type nsdb_op =
+  | N_set of string * int
+  | N_delete of string
+  | N_cas of string * int option * int
+  | N_fail of int
+  | N_recover of int
+  | N_flush
+  | N_async of int * int  (* lag_threshold, batch_budget *)
+
+(* Nested, so deleting "a" notifies several paths. *)
+let nsdb_paths = [ "a"; "a/b"; "a/b/c"; "a/c"; "b"; "b/a" ]
+
+let nsdb_op_to_string = function
+  | N_set (p, v) -> Printf.sprintf "set %s %d" p v
+  | N_delete p -> "delete " ^ p
+  | N_cas (p, e, v) ->
+    Printf.sprintf "cas %s %s %d" p
+      (Option.fold ~none:"absent" ~some:string_of_int e)
+      v
+  | N_fail i -> Printf.sprintf "fail %d" i
+  | N_recover i -> Printf.sprintf "recover %d" i
+  | N_flush -> "flush"
+  | N_async (l, b) -> Printf.sprintf "async lag<=%d budget %d" l b
+
+(* Fleet subscriptions (pattern, limit), then 5-64 operations on 3
+   replicas. Limits of 1-4 overflow into resyncs; bounds of 1-6 and 1-3
+   make async followers lag, batch and snapshot-ship. *)
+let nsdb_case_gen =
+  QCheck.Gen.(
+    let path = oneofl nsdb_paths and value = int_range 0 3
+    and replica = int_range 0 2 in
+    let op =
+      frequency
+        [
+          (6, map2 (fun p v -> N_set (p, v)) path value);
+          (2, map (fun p -> N_delete p) path);
+          (2, map3 (fun p e v -> N_cas (p, e, v)) path (opt value) value);
+          (1, map (fun i -> N_fail i) replica);
+          (1, map (fun i -> N_recover i) replica);
+          (2, return N_flush);
+          (1, map2 (fun l b -> N_async (l, b)) (int_range 1 6) (int_range 1 3));
+        ]
+    in
+    pair
+      (list_size (int_range 0 3)
+         (pair (oneofl [ "**"; "a/**"; "a/*"; "b/*"; "*" ]) (int_range 1 4)))
+      (list_size (int_range 5 64) op))
+
+(* Everything observable after each operation: its result (a CAS verdict
+   or the [Failure] of a store with no live replica), the leader, each
+   live replica's lag, the catch-up counters, every replica's contents,
+   the leader's reads and every batch delivered so far. *)
+let nsdb_trace (module R : REPLICATED) (subs, ops) =
+  let r = R.create ~replicas:3 in
+  let delivered = ref [] in
+  List.iter
+    (fun (pattern, limit) ->
+      ignore
+        (R.subscribe ~limit r ~path:pattern (fun batch ->
+             delivered := (pattern, batch) :: !delivered)))
+    subs;
+  let guard f = try Ok (f ()) with Failure m -> Error m in
+  let int v = Centralium.Nsdb.Int v in
+  List.map
+    (fun op ->
+      let result =
+        guard (fun () ->
+            match op with
+            | N_set (path, v) -> R.set r ~path (int v); None
+            | N_delete path -> R.delete r ~path; None
+            | N_cas (path, expected, v) ->
+              Some
+                (R.compare_and_set r ~path
+                   ~expected:(Option.map int expected) (int v))
+            | N_fail i -> R.fail_replica r i; None
+            | N_recover i -> R.recover_replica r i; None
+            | N_flush -> R.flush r; None
+            | N_async (lag_threshold, batch_budget) ->
+              R.enable_async ~lag_threshold ~batch_budget r; None)
+      in
+      ( result,
+        R.leader r,
+        List.map (fun i -> (i, R.lag r i)) (R.alive r),
+        (R.max_lag r, R.lag_peak r, R.snapshot_ships r, R.overflow_resyncs r),
+        List.init 3 (R.replica_snapshot r),
+        guard (fun () -> R.get r ~path:"**"),
+        guard (fun () -> List.map (fun path -> R.get_one r ~path) nsdb_paths),
+        !delivered ))
+    ops
+
+let nsdb_matches_model =
+  QCheck.Test.make ~name:"replicated NSDB equals the two-path model"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (subs, ops) ->
+         String.concat "; "
+           (List.map (fun (p, l) -> Printf.sprintf "subscribe %s limit %d" p l)
+              subs
+           @ List.map nsdb_op_to_string ops))
+       ~shrink:QCheck.Shrink.(pair list list)
+       nsdb_case_gen)
+    (fun case ->
+      nsdb_trace (module Replicated_real) case
+      = nsdb_trace (module Replicated_model) case)
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -1242,5 +1398,10 @@ let () =
           [ te_optimal_beats_ecmp ] );
       ( "nsdb",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ lease_roundtrip; shed_roundtrip; sequence_roundtrip ] );
+          [
+            lease_roundtrip;
+            shed_roundtrip;
+            sequence_roundtrip;
+            nsdb_matches_model;
+          ] );
     ]
