@@ -398,7 +398,7 @@ let table2 () =
     List.map
       (fun route ->
         let candidates = [ route ] in
-        let native = Bgp.Decision.select ~multipath:true candidates in
+        let native = Bgp.Decision.select candidates in
         let t0 = Monotonic_clock.now () in
         ignore (Centralium.Engine.evaluate_selection engine ~ctx ~candidates ~native);
         Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6)
@@ -526,7 +526,7 @@ let micro () =
   Array.iter
     (fun route ->
       let candidates = [ route ] in
-      let native = Bgp.Decision.select ~multipath:true candidates in
+      let native = Bgp.Decision.select candidates in
       ignore
         (Centralium.Engine.evaluate_selection warm_engine ~ctx ~candidates ~native))
     routes;
@@ -535,7 +535,7 @@ let micro () =
     let route = routes.(!counter mod Array.length routes) in
     incr counter;
     let candidates = [ route ] in
-    let native = Bgp.Decision.select ~multipath:true candidates in
+    let native = Bgp.Decision.select candidates in
     ignore (Centralium.Engine.evaluate_selection engine ~ctx ~candidates ~native)
   in
   let regex = Net.Path_regex.compile_exn "^65001 .* 64001$" in

@@ -13,8 +13,7 @@ let prefix_of i = Net.Prefix.v4 10 (i / 256) (i mod 256) 0 24
 let run ~with_rpa =
   let w = Topology.Clos.wcmp_convergence () in
   let du = List.nth w.Topology.Clos.dus 0 in
-  let config = { Bgp.Speaker.default_config with wcmp = true } in
-  let net = Bgp.Network.create ~seed:7 ~config w.wgraph in
+  let net = Bgp.Network.create ~seed:7 ~wcmp:true w.wgraph in
   if with_rpa then begin
     let rpa =
       Centralium.Apps.Wcmp_freeze.rpa

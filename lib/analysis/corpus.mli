@@ -15,13 +15,11 @@ type case = {
 }
 
 val cases : case list
-(** Every case: the lint corpus followed by {!verifier_cases}. *)
-
-val verifier_cases : case list
-(** The symbolic phase-verifier plants — defects invisible to syntactic
-    lint (a mutual-steer forwarding loop, a frontier-transient
-    min-next-hop blackhole, a reachability loss behind a loop) that only
-    the forwarding model over planned deployment states exposes. *)
+(** Every case: the lint corpus followed by the symbolic phase-verifier
+    plants — defects invisible to syntactic lint (a mutual-steer
+    forwarding loop, a frontier-transient min-next-hop blackhole, a
+    reachability loss behind a loop) that only the forwarding model over
+    planned deployment states exposes. *)
 
 type result = {
   r_case : string;
@@ -33,7 +31,7 @@ type result = {
 val run : unit -> result list
 
 val run_verifier : unit -> result list
-(** {!run} restricted to {!verifier_cases} ([centralium verify-plan
-    --selftest]). *)
+(** {!run} restricted to the phase-verifier plants ([centralium
+    verify-plan --selftest]). *)
 
 val all_detected : result list -> bool

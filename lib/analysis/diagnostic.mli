@@ -49,8 +49,6 @@ type code =
 val code_to_string : code -> string
 (** Stable kebab-case slug, e.g. ["empty-signature"]. *)
 
-val severity_to_string : severity -> string
-
 type t = {
   code : code;
   severity : severity;

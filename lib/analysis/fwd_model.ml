@@ -192,7 +192,7 @@ let compile fr ~engine_of ~cls =
             else List.init sessions (Array.get paths))
           imports.(i)
       in
-      let native = Bgp.Decision.select ~multipath:true candidates in
+      let native = Bgp.Decision.select candidates in
       let selection =
         match engines.(i), ctxs.(i) with
         | Some eng, Some ctx ->

@@ -69,20 +69,6 @@ type report = {
                                            Info notes *)
 }
 
-val frontier_limit : int
-(** Mixed-frontier states modelled per phase: each of the first
-    [frontier_limit] devices of a phase (in id order) is checked deployed
-    alone ahead of its peers. Larger phases get an Info diagnostic naming
-    the unmodelled devices rather than a silent cap. *)
-
-val default_origins : Topology.Graph.t -> origin list
-(** When no origins are supplied: every device of the topmost populated
-    layer originates the v4 default route tagged
-    [backbone_default_route] — the standard-suite convention. *)
-
-val origins_of_network : Bgp.Network.t -> origin list
-(** The routes actually originated by the network's speakers. *)
-
 val verify :
   ?origins:origin list ->
   ?incremental:bool ->
@@ -91,19 +77,25 @@ val verify :
   report
 (** Verifies the plan against the topology: the baseline, every phase
     boundary, and the single-device frontier states inside each
-    multi-device phase ({!frontier_limit}). [incremental] (default
-    [true]) enables the delta-net reuse of untouched classes across
-    states; [false] recompiles every class in every state — same
-    verdicts, strictly more work (the bench's full-verification
-    reference point).
+    multi-device phase: each of the first 8 devices of a phase (in id
+    order) is checked deployed alone ahead of its peers, and a larger
+    phase gets an Info diagnostic naming the unmodelled devices rather
+    than a silent cap. Without [origins], every device of the topmost
+    populated layer originates the v4 default route tagged
+    [backbone_default_route] (the standard-suite convention).
+    [incremental] (default [true]) enables the delta-net reuse of
+    untouched classes across states; [false] recompiles every class in
+    every state — same verdicts, strictly more work (the bench's
+    full-verification reference point).
 
     Each call builds one {!Fwd_model.frame} of the graph and shares it
     across every class and state it compiles and checks; the report keeps
     no reference to it. The graph must not change during the call. *)
 
 val verify_network : Bgp.Network.t -> Centralium.Controller.plan -> report
-(** {!verify} with {!origins_of_network} (falling back to
-    {!default_origins} for a network that originates nothing yet).
+(** {!verify} with the routes the network's speakers originate (falling
+    back to {!verify}'s default origins for a network that originates
+    nothing yet).
 
     It reads only the graph's links, the speakers' origins and the plan,
     so it keeps its last report, keyed by the plan (physically equal) and

@@ -42,7 +42,7 @@ let equal_cost (a : Path.t) (b : Path.t) =
    from the Adj-RIB-In, and the equal-cost filter preserves that order, so
    the result is identical to the former sort-then-filter — without the
    O(n log n) sort on every decision. *)
-let select ~multipath candidates =
+let select candidates =
   match candidates with
   | [] -> ([], None)
   | first :: rest ->
@@ -51,10 +51,7 @@ let select ~multipath candidates =
         (fun best p -> if preference_compare p best < 0 then p else best)
         first rest
     in
-    let set =
-      if multipath then List.filter (equal_cost best) candidates else [ best ]
-    in
-    (set, Some best)
+    (List.filter (equal_cost best) candidates, Some best)
 
 let least_favorable = function
   | [] -> None

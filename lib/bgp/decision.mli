@@ -13,10 +13,10 @@ val equal_cost : Path.t -> Path.t -> bool
 (** Equal on (local-pref, AS-path length, origin, MED) — the multipath
     criterion. *)
 
-val select : multipath:bool -> Path.t list -> Path.t list * Path.t option
-(** [select ~multipath candidates] is [(forwarding_set, best)]. With
-    [multipath = false] the forwarding set is the singleton best path.
-    [([], None)] when there are no candidates. *)
+val select : Path.t list -> Path.t list * Path.t option
+(** [select candidates] is [(forwarding_set, best)]: the forwarding set is
+    every candidate of equal cost with the best path ({!equal_cost}), in
+    candidate order. [([], None)] when there are no candidates. *)
 
 val least_favorable : Path.t list -> Path.t option
 (** The path that the RPA dissemination rule advertises (Section 5.3.1):

@@ -85,8 +85,7 @@ let env t : Speaker.env =
 
 let networks_created = ref 0
 
-let create ?(seed = 42) ?(config = Speaker.default_config)
-    ?(latency = default_latency) topo =
+let create ?(seed = 42) ?(wcmp = false) ?(latency = default_latency) topo =
   incr networks_created;
   let t =
     {
@@ -114,7 +113,7 @@ let create ?(seed = 42) ?(config = Speaker.default_config)
   List.iter
     (fun node ->
       Tbl.replace t.speakers node.Topology.Node.id
-        (Speaker.create ~config node))
+        (Speaker.create ~wcmp node))
     (Topology.Graph.nodes topo);
   List.iter
     (fun (link : Topology.Graph.link) ->

@@ -11,19 +11,18 @@
 type latency_model = Dsim.Rng.t -> float
 (** Samples a one-way message latency in seconds. *)
 
-val default_latency : latency_model
-(** 100 µs base + exponential with 1 ms mean. *)
-
 type t
 
 val create :
   ?seed:int ->
-  ?config:Speaker.config ->
+  ?wcmp:bool ->
   ?latency:latency_model ->
   Topology.Graph.t ->
   t
 (** Builds a speaker per node and sessions per link (respecting the link's
-    [sessions] count). [config] applies to every speaker. *)
+    [sessions] count). [wcmp] (default false) applies to every speaker: see
+    {!Speaker.create}. [latency] defaults to 100 µs base + exponential with
+    1 ms mean. *)
 
 val graph : t -> Topology.Graph.t
 val queue : t -> Dsim.Event_queue.t

@@ -15,8 +15,6 @@ type match_clause = {
   m_as_path : Net.Path_regex.t option;  (** [None] = any *)
 }
 
-val match_any : match_clause
-
 type action =
   | Accept
   | Reject

@@ -6,14 +6,6 @@ let m_stale_marked = Obs.Metrics.counter "bgp.gr.routes_marked_stale"
 let m_stale_swept = Obs.Metrics.counter "bgp.gr.routes_swept"
 let m_eor_received = Obs.Metrics.counter "bgp.gr.eor_received"
 
-type config = {
-  multipath : bool;
-  wcmp : bool;
-  default_local_pref : int;
-}
-
-let default_config = { multipath = true; wcmp = false; default_local_pref = 100 }
-
 type fib_state = Trace.fib_state =
   | Local
   | Entries of entry list
@@ -48,10 +40,10 @@ module Triple = Net.Int_table.Triple
 
 (* Everything the speaker keeps per peer device, in one record. A record is
    created the first time a device is seen — by [add_peer], [set_session],
-   a policy, or a route received from it — and never removed, so Adj-RIB-In
-   slots can point at it. Only records with [added] set (by [add_peer] or
-   [set_session]) are advertisement targets. What each peer was last sent
-   lives in the speaker's one Adj-RIB-Out ([advert] below). *)
+   an ingress policy, or a route received from it — and never removed, so
+   Adj-RIB-In slots can point at it. Only records with [added] set (by
+   [add_peer] or [set_session]) are advertisement targets. What each peer
+   was last sent lives in the speaker's one Adj-RIB-Out ([advert] below). *)
 type peer = {
   device : int;
   mutable added : bool;
@@ -62,21 +54,19 @@ type peer = {
   (* the established sessions below [count], ascending *)
   mutable up : int list;
   mutable ingress : Policy.t option;
-  mutable egress : Policy.t;
 }
 
-(* One prefix's Adj-RIB-Out entry: [shared] is what every added peer with
-   no egress policy of its own was last sent, and [except] lists, sorted by
-   device id, the peers whose view is something else — the split-horizon
-   peer, peers the egress hook rejected, peers with their own egress policy,
-   and peers pinned when they started or stopped taking [shared]. Peer q's
-   view is its exception if it has one, else [shared] if q takes it, else
-   nothing. The entry mirrors the desired advertisement state whether a
-   peer is up or down, so a session (re-)establishment resends q's views
-   directly. *)
+(* One prefix's Adj-RIB-Out entry: [shared] is what every added peer was
+   last sent, and [withheld] lists, sorted by device id, the added peers
+   that were sent nothing instead — the split-horizon peer, peers the
+   egress hook rejected, and peers pinned by [add_peer] since the prefix
+   was last decided. The entry mirrors the desired advertisement state
+   whether a peer is up or down, so a session (re-)establishment resends a
+   peer's views directly. [shared] is stored as an option so that reading
+   a view allocates nothing. *)
 type advert = {
   shared : Net.Attr.t option;
-  except : (int * Net.Attr.t option) list;
+  withheld : int list;
 }
 
 (* One prefix's Adj-RIB-In: raw received attributes in the first [len] slots
@@ -91,7 +81,9 @@ type rib = {
 
 type t = {
   node : Topology.Node.t;
-  config : config;
+  (* weights from the link-bandwidth community, aggregate capacity
+     re-advertised downstream *)
+  wcmp : bool;
   mutable hooks : Rib_policy.hooks;
   (* prefix id -> Adj-RIB-In. A prefix whose routes are all gone keeps its
      (empty) entry: it is still a known prefix. *)
@@ -136,10 +128,10 @@ type outbox = (int * int * Msg.t) list
 
 (* Tables start at 16 buckets, the stdlib's floor, and grow by doubling: a
    speaker of the Section 6.2 fabric holds one prefix. *)
-let create ?(config = default_config) ?(hooks = Rib_policy.native) node =
+let create ?(wcmp = false) ?(hooks = Rib_policy.native) node =
   {
     node;
-    config;
+    wcmp;
     hooks;
     rib_in = Tbl.create 16;
     origin_table = None;
@@ -251,7 +243,6 @@ let peer_record t device =
         state = [||];
         up = [];
         ingress = None;
-        egress = Policy.empty;
       }
     in
     t.peer_records <-
@@ -275,42 +266,33 @@ let refresh_up r =
 
 (* ---------------- Adj-RIB-Out views ---------------- *)
 
-let no_advert = { shared = None; except = [] }
+let no_advert = { shared = None; withheld = [] }
 
-(* An added peer with no egress policy of its own takes the shared
-   advert. *)
-let takes_shared r = r.added && List.is_empty r.egress
-
-let rec view_in r shared = function
-  | (device, v) :: _ when device = r.device -> v
-  | (device, _) :: rest when device < r.device -> view_in r shared rest
-  | _ :: _ | [] -> if takes_shared r then shared else None
+(* Membership in a list sorted ascending. *)
+let rec withholds (device : int) = function
+  | d :: rest -> d = device || (d < device && withholds device rest)
+  | [] -> false
 
 (* What peer [r] was last sent for the prefix of entry [a]. *)
-let view r a = view_in r a.shared a.except
+let view r a =
+  if r.added && not (withholds r.device a.withheld) then a.shared else None
 
 let same_view = Option.equal Net.Attr.equal
 
 let same_advert a b =
-  same_view a.shared b.shared
-  && List.equal
-       (fun (d, v) (e, w) -> Int.equal d e && same_view v w)
-       a.except b.except
+  same_view a.shared b.shared && List.equal Int.equal a.withheld b.withheld
 
-let rec with_exception device v = function
-  | (d, _) :: _ as l when d = device -> l
-  | ((d, _) as e) :: rest when d < device -> e :: with_exception device v rest
-  | l -> (device, v) :: l
+let rec insert_sorted (device : int) = function
+  | d :: rest when d < device -> d :: insert_sorted device rest
+  | l -> device :: l
 
-(* Before [r] starts or stops taking the shared advert, its view of every
-   entry becomes its exception, so a view changes only when its prefix is
-   decided: a new peer hears of a prefix from that prefix's next decision,
-   which sends it the Update. *)
-let pin t r ~takes_shared_after =
-  if not (Bool.equal (takes_shared r) takes_shared_after) then
-    Tbl.filter_map_inplace
-      (fun _ a -> Some { a with except = with_exception r.device (view r a) a.except })
-      t.rib_out
+(* Before [r] is first added, every entry withholds from it, so a view
+   changes only when its prefix is decided: a new peer hears of a prefix
+   from that prefix's next decision, which sends it the Update. *)
+let pin t r =
+  Tbl.filter_map_inplace
+    (fun _ a -> Some { a with withheld = insert_sorted r.device a.withheld })
+    t.rib_out
 
 (* [r]'s views that are adverts, as (prefix id, attributes), in no
    particular order. *)
@@ -321,7 +303,7 @@ let views_of t r =
 
 let add_peer t ~peer ~sessions =
   let r = peer_record t peer in
-  pin t r ~takes_shared_after:(List.is_empty r.egress);
+  if not r.added then pin t r;
   r.added <- true;
   r.count <- sessions;
   for s = 0 to sessions - 1 do
@@ -497,7 +479,7 @@ let candidates ?env t prefix =
 (* ---------------- Weights ---------------- *)
 
 let native_weight t (path : Path.t) =
-  if t.config.wcmp then
+  if t.wcmp then
     max 1 (Option.value path.attr.Net.Attr.link_bandwidth ~default:1)
   else 1
 
@@ -514,11 +496,13 @@ let weighted_entries t ctx selected =
 
 (* ---------------- Advertisement ---------------- *)
 
+(* eBGP does not carry local-pref across: every advert resets it to the
+   default. *)
 let prepare_advert t attr ~total_weight =
   let attr = Net.Attr.with_prepended (asn t) attr in
-  let attr = Net.Attr.set_local_pref t.config.default_local_pref attr in
+  let attr = Net.Attr.set_local_pref 100 attr in
   let attr =
-    if t.config.wcmp then Net.Attr.set_link_bandwidth (Some total_weight) attr
+    if t.wcmp then Net.Attr.set_link_bandwidth (Some total_weight) attr
     else Net.Attr.set_link_bandwidth None attr
   in
   (* Interned so comparing adverts ([same_view]) is a pointer check. *)
@@ -527,57 +511,38 @@ let prepare_advert t attr ~total_weight =
 (* The Adj-RIB-Out entry one decision wants for a prefix. The advertised
    path's attributes go through [egress_all] and are prepared once, as the
    shared advert; the egress hook runs per peer only when it is not native.
-   The exceptions are the split-horizon peer and the peers the hook rejects
-   (told nothing while the others take the advert), and the peers with
-   their own egress policy, each prepared on its own. When no peer takes
-   the shared advert, it is dropped along with the exceptions that only
-   refused it, so an entry holds an advert exactly when some view is one. *)
+   The split-horizon peer and the peers the hook rejects are withheld from
+   it. When no peer takes the advert, the entry is empty, so an entry holds
+   an advert exactly when some view is one. *)
 let build_advert t ctx prefix ~(adv : Path.t option) ~total_weight =
   match adv with
   | None -> no_advert
-  | Some path ->
-    let own_asn = asn t in
-    let native = Rib_policy.is_native t.hooks in
-    let accepts r attr =
-      native || t.hooks.Rib_policy.egress_accept ctx ~peer:r.device attr
-    in
-    let shared = Policy.apply t.egress_all ~self:own_asn prefix path.Path.attr in
-    let taken = ref false in
-    let records = t.peer_records in
-    let rec from i =
-      if i >= Array.length records then []
-      else
-        let r = records.(i) in
-        if not r.added then from (i + 1)
-        else if takes_shared r then
-          match shared with
-          | None -> from (i + 1)
-          | Some attr ->
-            if r.device = path.Path.peer (* split horizon *) || not (accepts r attr)
-            then (r.device, None) :: from (i + 1)
-            else begin
-              taken := true;
-              from (i + 1)
-            end
+  | Some path -> (
+    match Policy.apply t.egress_all ~self:(asn t) prefix path.Path.attr with
+    | None -> no_advert
+    | Some attr ->
+      let native = Rib_policy.is_native t.hooks in
+      let accepts r =
+        native || t.hooks.Rib_policy.egress_accept ctx ~peer:r.device attr
+      in
+      let taken = ref false in
+      let records = t.peer_records in
+      let rec from i =
+        if i >= Array.length records then []
         else
-          let own =
-            if r.device = path.Path.peer then None
-            else
-              Option.bind (Policy.apply r.egress ~self:own_asn prefix path.Path.attr)
-                (fun attr -> Policy.apply t.egress_all ~self:own_asn prefix attr)
-          in
-          match own with
-          | Some attr when accepts r attr ->
-            let advert = prepare_advert t attr ~total_weight in
-            (r.device, Some advert) :: from (i + 1)
-          | Some _ | None -> from (i + 1)
-    in
-    let except = from 0 in
-    match shared with
-    | Some attr when !taken ->
-      { shared = Some (prepare_advert t attr ~total_weight); except }
-    | Some _ | None ->
-      { shared = None; except = List.filter (fun (_, v) -> Option.is_some v) except }
+          let r = records.(i) in
+          if not r.added then from (i + 1)
+          else if r.device = path.Path.peer (* split horizon *) || not (accepts r)
+          then r.device :: from (i + 1)
+          else begin
+            taken := true;
+            from (i + 1)
+          end
+      in
+      let withheld = from 0 in
+      if !taken then
+        { shared = Some (prepare_advert t attr ~total_weight); withheld }
+      else no_advert)
 
 (* One committed change's messages: to each added peer whose view moved, in
    device-id order, one per open session in [r.up] order. A peer with no
@@ -679,7 +644,7 @@ let compute ~commit t env p : desired =
     }
   | None ->
     let cands = post_policy_candidates t ctx p ~use_hooks:true in
-    let native = Decision.select ~multipath:t.config.multipath cands in
+    let native = Decision.select cands in
     let sel = t.hooks.Rib_policy.select ctx ~candidates:cands ~native in
     let d_fib =
       match sel.Rib_policy.selected with
@@ -708,8 +673,7 @@ let commit t p desired : outbox =
   let after = desired.d_out in
   if same_advert before after then []
   else begin
-    if Option.is_none after.shared && List.is_empty after.except then
-      Tbl.remove t.rib_out p
+    if Option.is_none after.shared then Tbl.remove t.rib_out p
     else Tbl.replace t.rib_out p after;
     send_changes t p ~before ~after
   end
@@ -1108,14 +1072,6 @@ let set_ingress_policy t env ~peer policy =
      without an Adj-RIB-In entry from it cannot change. *)
   Tbl.iter (fun p rib -> if rib_has_peer rib peer then mark_dirty t p) t.rib_in;
   batch_invalidate t;
-  evaluate_batch t env
-
-let set_egress_policy t env ~peer policy =
-  let r = peer_record t peer in
-  pin t r ~takes_shared_after:(r.added && List.is_empty policy);
-  r.egress <- policy;
-  (* An export policy can newly admit or suppress any prefix's advert. *)
-  mark_all_dirty t;
   evaluate_batch t env
 
 let set_egress_policy_all t env policy =

@@ -7,9 +7,9 @@
     out of the speaker makes unit testing the protocol logic trivial.
 
     {b Layout.} Each peer device has one record holding its session flags,
-    its list of established sessions and its ingress and egress policies.
-    The records sit in an array sorted by device id that changes only when
-    a device is first seen, and a decision's fan-out walks it in order.
+    its list of established sessions and its ingress policy. The records
+    sit in an array sorted by device id that changes only when a device is
+    first seen, and a decision's fan-out walks it in order.
     Each prefix's Adj-RIB-In is a set of parallel arrays sorted by (peer
     id, session) whose slots point at the peer records: a lookup bisects, a
     refresh replaces the slot in place, and a decision reads its candidates
@@ -17,25 +17,14 @@
     order is by device id, never by an intern id.
 
     The speaker keeps one Adj-RIB-Out, not one per peer. Per prefix it
-    holds the advert every added peer without an egress policy of its own
-    was last sent, and a short list of per-peer exceptions sorted by device
-    id: the split-horizon peer, peers the egress hook rejected, peers with
-    their own egress policy, and peers whose view was pinned when they
-    joined or changed egress policy. A peer's {e view} of a prefix is its
-    exception if it has one, else the shared advert if it takes it, else
-    nothing; a view changes only when its prefix is decided. A decision
-    prepares the shared advert once and compares the whole entry once, and
-    walks the peers only when the entry changed. *)
-
-type config = {
-  multipath : bool;  (** ECMP across equal-cost paths (default true) *)
-  wcmp : bool;
-      (** derive weights from the link-bandwidth community and re-advertise
-          aggregate capacity downstream (default false) *)
-  default_local_pref : int;
-}
-
-val default_config : config
+    holds one advert, the one every added peer was last sent, and the
+    sorted device ids of the peers withheld from it: the split-horizon
+    peer, peers the egress hook rejected, and peers added since the prefix
+    was last decided. A peer's {e view} of a prefix is the advert unless
+    the peer is withheld, in which case it is nothing; a view changes only
+    when its prefix is decided. A decision prepares the advert once and
+    compares the whole entry once, and walks the peers only when the entry
+    changed. *)
 
 (** What the FIB holds for a prefix (defined in {!Trace}, whose FIB
     events carry it). *)
@@ -52,7 +41,12 @@ val fib_state_equal : fib_state -> fib_state -> bool
 
 type t
 
-val create : ?config:config -> ?hooks:Rib_policy.hooks -> Topology.Node.t -> t
+val create : ?wcmp:bool -> ?hooks:Rib_policy.hooks -> Topology.Node.t -> t
+(** A speaker with no peers. The native decision keeps every equal-cost
+    path (ECMP), and every advert carries local-pref 100. With [~wcmp:true]
+    (default false) the native weights come from the link-bandwidth
+    community and each advert carries the aggregate capacity of its
+    forwarding set downstream. *)
 
 val node : t -> Topology.Node.t
 val id : t -> int
@@ -152,9 +146,9 @@ val reset : t -> unit
     peers their sessions dropped and, later, for re-establishing them. *)
 
 val set_ingress_policy : t -> env -> peer:int -> Policy.t -> outbox
-val set_egress_policy : t -> env -> peer:int -> Policy.t -> outbox
 val set_egress_policy_all : t -> env -> Policy.t -> outbox
-(** Applies to all current and future peers (used for drains). *)
+(** Applies to all current and future peers (used for drains). Per-peer
+    export decisions belong to the hooks' [egress_accept]. *)
 
 val set_hooks : t -> env -> Rib_policy.hooks -> outbox
 (** Deploying or removing an RPA re-evaluates every prefix. *)

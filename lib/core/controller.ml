@@ -441,11 +441,12 @@ let clear_journal t plan =
    Each completion stamps a monotonic sequence number (allocated with
    compare-and-set on journal_meta/seq, so concurrent controllers get
    distinct numbers) and GC prunes completed journal/<plan>/ subtrees
-   beyond the [retain] most recent, each with the plan's plans/<plan>/
-   intent records — keeping enough history for failover tests to inspect
-   while bounding NSDB growth. In-progress and rolled-back journals, and
-   their plans' records, are never pruned: the former is a rollout to
-   resume, the latter an audit trail operators asked to keep. *)
+   beyond the [journal_retain] most recent, each with the plan's
+   plans/<plan>/ intent records — keeping enough history for failover
+   tests to inspect while bounding NSDB growth. In-progress and
+   rolled-back journals, and their plans' records, are never pruned: the
+   former is a rollout to resume, the latter an audit trail operators
+   asked to keep. *)
 
 (* {2 Admission-queue protection}
 
@@ -480,10 +481,7 @@ let next_journal_seq t =
   in
   claim ()
 
-let journal_gc ?retain t =
-  let retain =
-    max 0 (match retain with Some r -> r | None -> t.journal_retain)
-  in
+let journal_gc t =
   let completed =
     Nsdb.Replicated.get t.state_db ~path:Nsdb_schema.journal_statuses
     |> List.filter_map (fun (path, v) ->
@@ -498,7 +496,7 @@ let journal_gc ?retain t =
            | _ -> None)
     |> List.sort compare
   in
-  let excess = List.length completed - retain in
+  let excess = List.length completed - t.journal_retain in
   if excess > 0 then
     List.iteri
       (fun i (_, name) ->

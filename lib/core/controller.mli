@@ -253,17 +253,9 @@ val journal_status : t -> plan -> string option
 (** ["in-progress"], ["completed"] or ["rolled-back"], if a journal
     exists for this plan. *)
 
-val journal_next_phase : t -> plan -> int option
-(** The journalled phase cursor: first phase not yet fully applied. *)
-
 val journal_remediation : t -> plan -> string option
 (** The remediation event a watchdog breach recorded for this plan, if
     any — kept with the (never-pruned) rolled-back journal as audit. *)
-
-val queued_in_ops : t -> string -> bool
-(** Whether the admission queue currently holds a [queued] (not yet
-    started) entry for this plan name. Such plans are protected from
-    {!journal_gc} and defer their [completed_seq] stamp on completion. *)
 
 val set_journal_retention : t -> int -> unit
 (** How many completed [journal/<plan>/] subtrees to keep (default 8).
@@ -271,13 +263,15 @@ val set_journal_retention : t -> int -> unit
     every successful deployment. In-progress and rolled-back journals are
     never pruned. *)
 
-val journal_gc : ?retain:int -> t -> int
-(** Prunes completed journals beyond the [retain] most recent (default:
-    the controller's retention setting), ordered by their completion
+val journal_gc : t -> int
+(** Prunes completed journals beyond the most recent ones the retention
+    setting keeps ({!set_journal_retention}), ordered by their completion
     sequence numbers. Returns how many journals were pruned. A pruned
     plan's [plans/<plan>/] intent records are deleted with its journal;
-    an in-progress or rolled-back plan keeps both. Also runs automatically
-    after each successful deployment. *)
+    an in-progress or rolled-back plan keeps both, and so does a plan the
+    admission queue ({!Ops}) holds queued and not yet started, which also
+    defers its completion stamp. Also runs automatically after each
+    successful deployment. *)
 
 val remove : t -> plan -> (report, string list) result
 (** Runs [removal plan] through the rollout body with {!deploy}'s

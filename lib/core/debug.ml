@@ -65,7 +65,7 @@ let trials_of ctx (st : Path_selection.statement) candidates =
   walk false [] st.Path_selection.path_sets
 
 let explain engine ~(ctx : Bgp.Rib_policy.ctx) ~candidates =
-  let native = Bgp.Decision.select ~multipath:true candidates in
+  let native = Bgp.Decision.select candidates in
   let selection = Engine.evaluate_selection engine ~ctx ~candidates ~native in
   let attrs = List.map (fun (p : Bgp.Path.t) -> p.Bgp.Path.attr) candidates in
   let statement =

@@ -34,7 +34,7 @@
     {2 Timers and determinism}
 
     All timers (member ticks, which acquire or renew the lease, and the
-    chaos schedule from {!Dsim.Mgmt_fault.ha_profile}) live on the Dsim
+    chaos schedule from {!type:Dsim.Mgmt_fault.ha_profile}) live on the Dsim
     virtual clock as a lazily-pumped agenda rather than event-queue events
     — {!Bgp.Network.converge} runs the queue to quiescence, so timer
     events there would never let it terminate. The agenda is replayed up
@@ -59,7 +59,7 @@ val create :
     member ticks every 10 ms (an acquire attempt or a renewal), and the
     ticks are staggered 0.5 ms apart so contention resolves in member-id
     order. [fault] supplies the HA chaos schedule
-    ({!Dsim.Mgmt_fault.ha_profile}: leader crashes, lease-store
+    ({!type:Dsim.Mgmt_fault.ha_profile}: leader crashes, lease-store
     partitions) and is the per-op fate model of every {!run_plan}
     attempt. *)
 

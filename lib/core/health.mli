@@ -8,8 +8,6 @@
 
 type check = { check_name : string; run : unit -> (unit, string) result }
 
-val run_all : check list -> (string * (unit, string) result) list
-
 val all_pass : check list -> bool
 
 val failures : check list -> (string * string) list

@@ -24,11 +24,6 @@
 type plan_class = Interactive | Standard | Bulk
 
 val class_name : plan_class -> string
-val class_of_string : string -> plan_class option
-
-val class_rank : plan_class -> int
-(** Dispatch priority: [Interactive] (0) before [Standard] (1) before
-    [Bulk] (2). Ties dispatch in submission order. *)
 
 type overload_reason =
   | Queue_full of { limit : int }
@@ -93,7 +88,7 @@ val next_ready : t -> (int * Controller.plan) option
 val mark_started : t -> int -> unit
 val mark_done : t -> int -> unit
 (** State transitions, mirrored to the journal. [mark_done] lifts the
-    plan's GC protection ({!Controller.queued_in_ops}). *)
+    plan's journal-GC protection (see {!Controller.journal_gc}). *)
 
 val depth : t -> int
 (** Queued + started entries. *)

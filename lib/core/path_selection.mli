@@ -53,8 +53,6 @@ val make : ?name:string -> statement list -> t
 val required_count : min_next_hop -> denominator:int -> int
 (** Resolves a threshold to an absolute count ([Fraction] rounds up). *)
 
-val min_next_hop_equal : min_next_hop -> min_next_hop -> bool
-val path_set_equal : path_set -> path_set -> bool
 val statement_equal : statement -> statement -> bool
 
 val equal : t -> t -> bool

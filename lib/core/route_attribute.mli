@@ -44,7 +44,6 @@ val weight_of : statement -> Net.Attr.t -> int
 
 val expired : statement -> now:float -> bool
 
-val next_hop_weight_equal : next_hop_weight -> next_hop_weight -> bool
 val statement_equal : statement -> statement -> bool
 
 val equal : t -> t -> bool

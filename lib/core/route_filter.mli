@@ -42,16 +42,9 @@ val statement :
 
 val make : ?name:string -> statement list -> t
 
-val peer_matches :
-  peer_signature -> peer:int -> layer:Topology.Node.layer option -> bool
-
-val filter_allows : filter -> Net.Prefix.t -> bool
-
 type direction = Ingress | Egress
 
 val peer_signature_equal : peer_signature -> peer_signature -> bool
-val prefix_rule_equal : prefix_rule -> prefix_rule -> bool
-val filter_equal : filter -> filter -> bool
 val statement_equal : statement -> statement -> bool
 
 val equal : t -> t -> bool

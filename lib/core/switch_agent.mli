@@ -36,7 +36,6 @@ val network : t -> Bgp.Network.t
 val set_intended : t -> device:int -> Rpa.t -> unit
 (** Writes the intended view once. {!Rpa.empty} intends no RPA. *)
 
-val intended_rpa : t -> device:int -> Rpa.t option
 val current_rpa : t -> device:int -> Rpa.t option
 
 val set_maintenance : t -> device:int -> bool -> unit

@@ -87,8 +87,6 @@ let crashed t =
   | None -> false
   | Some n -> t.op_count >= n
 
-let ha_profile t = t.ha
-
 let leader_crash_due t ~now =
   match t.pending_crashes with
   | next :: rest when now >= next ->

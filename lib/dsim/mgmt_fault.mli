@@ -61,18 +61,15 @@ type ha_profile = {
           expiring. *)
 }
 
-val ha_none : ha_profile
-(** No HA chaos: leaders never crash and the lease store is always
-    reachable. *)
-
 type t
 
 val create : ?crash_after_ops:int -> ?ha:ha_profile -> seed:int -> profile -> t
 (** [crash_after_ops] schedules a controller crash: once that many
     management operations have been issued, {!crashed} turns true and the
     deployment loop must stop mid-flight (to be resumed from the journal
-    by a restarted controller). [ha] (default {!ha_none}) adds the
-    time-based HA chaos schedule. *)
+    by a restarted controller). [ha] adds the time-based HA chaos
+    schedule; without it leaders never crash and the lease store is always
+    reachable. *)
 
 val profile : t -> profile
 
@@ -88,8 +85,6 @@ val nsdb_write_ok : t -> bool
 
 val crashed : t -> bool
 (** True once the scheduled crash point has been reached. *)
-
-val ha_profile : t -> ha_profile
 
 val leader_crash_due : t -> now:float -> bool
 (** [leader_crash_due t ~now] consumes and reports the next scheduled

@@ -188,8 +188,7 @@ module Fig5 = struct
     let run_case ~with_rpa =
       let w = Topology.Clos.wcmp_convergence () in
       let du = List.nth w.Topology.Clos.dus 0 in
-      let config = { Bgp.Speaker.default_config with wcmp = true } in
-      let net = Bgp.Network.create ~seed ~config w.wgraph in
+      let net = Bgp.Network.create ~seed ~wcmp:true w.wgraph in
       if with_rpa then begin
         (* Prescribe the traffic distribution a priori: every UU path
            carries weight 1 regardless of what capacity the distributed

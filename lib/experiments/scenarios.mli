@@ -227,7 +227,7 @@ end
 
 (** Controller HA failover: the {!Faulted_deploy} fixture driven by an
     {!Centralium.Ha} cluster instead of a lone controller. The fault
-    model's {!Dsim.Mgmt_fault.ha_profile} kills the leader at seeded
+    model's {!type:Dsim.Mgmt_fault.ha_profile} kills the leader at seeded
     offsets mid-rollout; the standbys race for the lease, the winner
     resumes from the shared NSDB journal under a higher fencing epoch,
     and the scenario audits the grant/commit trails with

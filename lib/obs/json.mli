@@ -23,8 +23,6 @@ val to_string : t -> string
     strings are escaped ([\uXXXX] or the named escapes), so every emitted
     line is valid JSON. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Strict parse of a single JSON value (surrounding whitespace allowed).
     Numbers without [.], [e] or [E] that fit in an OCaml [int] parse as

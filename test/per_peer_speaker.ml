@@ -129,10 +129,10 @@ type t = {
 
 type outbox = (int * int * Msg.t) list
 
-let create ?(config = default_config) ?(hooks = Rib_policy.native) node =
+let create ?(wcmp = false) ?(hooks = Rib_policy.native) node =
   {
     node;
-    config;
+    config = { default_config with wcmp };
     hooks;
     rib_in = Tbl.create 64;
     origin_table = None;
@@ -617,7 +617,7 @@ let compute ~commit t env p : desired =
     }
   | None ->
     let cands = post_policy_candidates t ctx p ~use_hooks:true in
-    let native = Decision.select ~multipath:t.config.multipath cands in
+    let native = Decision.select cands in
     let sel = t.hooks.Rib_policy.select ctx ~candidates:cands ~native in
     let d_fib =
       match sel.Rib_policy.selected with

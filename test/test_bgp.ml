@@ -42,16 +42,14 @@ let test_decision_multipath_set () =
   let candidates =
     [ path ~peer:1 [ 1; 9 ]; path ~peer:2 [ 2; 9 ]; path ~peer:3 [ 3; 4; 9 ] ]
   in
-  let selected, best = Bgp.Decision.select ~multipath:true candidates in
+  let selected, best = Bgp.Decision.select candidates in
   check_int "two equal-cost" 2 (List.length selected);
-  (match best with
-   | Some b -> check_int "best is lowest peer" 1 b.Bgp.Path.peer
-   | None -> Alcotest.fail "no best");
-  let single, _ = Bgp.Decision.select ~multipath:false candidates in
-  check_int "no multipath" 1 (List.length single)
+  match best with
+  | Some b -> check_int "best is lowest peer" 1 b.Bgp.Path.peer
+  | None -> Alcotest.fail "no best"
 
 let test_decision_empty () =
-  let selected, best = Bgp.Decision.select ~multipath:true [] in
+  let selected, best = Bgp.Decision.select [] in
   check_int "empty" 0 (List.length selected);
   check_bool "no best" true (best = None)
 
@@ -306,8 +304,7 @@ let test_wcmp_link_bandwidth () =
      and 2 aggregate different fan-ins: give node 1 two upstream links by
      adding an extra origin-adjacent node. Here we simply set an ingress
      policy on 3 that overrides the link bandwidth per peer. *)
-  let config = { Bgp.Speaker.default_config with wcmp = true } in
-  let net = Bgp.Network.create ~seed:5 ~config (diamond ()) in
+  let net = Bgp.Network.create ~seed:5 ~wcmp:true (diamond ()) in
   Bgp.Network.set_ingress_policy net ~node:3 ~peer:1
     [ Bgp.Policy.rule [ Bgp.Policy.Set_link_bandwidth (Some 3) ] ];
   Bgp.Network.set_ingress_policy net ~node:3 ~peer:2

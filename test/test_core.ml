@@ -151,7 +151,7 @@ let test_engine_equalizes_lengths () =
   let engine = equalize_engine () in
   let short = path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) in
   let long = path ~peer:2 (attr ~communities:[ bb ] [ 2; 7; 8; 9 ]) in
-  let native = Bgp.Decision.select ~multipath:true [ short; long ] in
+  let native = Bgp.Decision.select [ short; long ] in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ())
       ~candidates:[ short; long ] ~native
@@ -167,7 +167,7 @@ let test_engine_untagged_falls_back_native () =
   let engine = equalize_engine () in
   let short = path ~peer:1 (attr [ 1; 9 ]) in
   let long = path ~peer:2 (attr [ 2; 7; 8; 9 ]) in
-  let native = Bgp.Decision.select ~multipath:true [ short; long ] in
+  let native = Bgp.Decision.select [ short; long ] in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ())
       ~candidates:[ short; long ] ~native
@@ -186,7 +186,7 @@ let test_engine_pathset_priority () =
   let engine = Engine.create rpa in
   let primary = path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) in
   let backup = path ~peer:2 (attr ~communities:[ bb ] [ 2; 9 ]) in
-  let native = Bgp.Decision.select ~multipath:true [ primary; backup ] in
+  let native = Bgp.Decision.select [ primary; backup ] in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ())
       ~candidates:[ primary; backup ] ~native
@@ -195,7 +195,7 @@ let test_engine_pathset_priority () =
     "primary only" [ 1 ]
     (List.map (fun p -> p.Bgp.Path.peer) sel.Bgp.Rib_policy.selected);
   (* Primary gone -> backup set. *)
-  let native = Bgp.Decision.select ~multipath:true [ backup ] in
+  let native = Bgp.Decision.select [ backup ] in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:[ backup ]
       ~native
@@ -224,7 +224,7 @@ let test_engine_min_next_hop_count () =
   in
   let engine = Engine.create rpa in
   let one = [ path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) ] in
-  let native = Bgp.Decision.select ~multipath:true one in
+  let native = Bgp.Decision.select one in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:one ~native
   in
@@ -236,7 +236,7 @@ let test_engine_min_next_hop_count () =
       path ~peer:2 (attr ~communities:[ bb ] [ 2; 8; 9 ]);
     ]
   in
-  let native = Bgp.Decision.select ~multipath:true two in
+  let native = Bgp.Decision.select two in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:two ~native
   in
@@ -251,7 +251,7 @@ let test_engine_native_min_next_hop_violation () =
   let engine = guard_engine ~keep_fib_warm:false in
   (* 4 live peers in layer, fraction 0.75 -> need 3; only 1 candidate. *)
   let one = [ path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) ] in
-  let native = Bgp.Decision.select ~multipath:true one in
+  let native = Bgp.Decision.select one in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:one ~native
   in
@@ -261,7 +261,7 @@ let test_engine_native_min_next_hop_violation () =
 let test_engine_keep_fib_warm () =
   let engine = guard_engine ~keep_fib_warm:true in
   let one = [ path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) ] in
-  let native = Bgp.Decision.select ~multipath:true one in
+  let native = Bgp.Decision.select one in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:one ~native
   in
@@ -276,7 +276,7 @@ let test_engine_native_min_next_hop_satisfied () =
       (fun i -> path ~peer:i (attr ~communities:[ bb ] [ i; 9 ]))
       [ 1; 2; 3 ]
   in
-  let native = Bgp.Decision.select ~multipath:true three in
+  let native = Bgp.Decision.select three in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:three
       ~native
@@ -301,7 +301,7 @@ let test_engine_ablation_advertises_best () =
   let engine = Engine.create rpa in
   let short = path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) in
   let long = path ~peer:2 (attr ~communities:[ bb ] [ 2; 7; 9 ]) in
-  let native = Bgp.Decision.select ~multipath:true [ short; long ] in
+  let native = Bgp.Decision.select [ short; long ] in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ())
       ~candidates:[ short; long ] ~native
@@ -336,7 +336,7 @@ let test_engine_orthogonal_rpas_coexist () =
   let engine = Engine.create merged in
   (* A default route with 1 of 4 uplinks: guarded -> withdrawn. *)
   let default_candidate = [ path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) ] in
-  let native = Bgp.Decision.select ~multipath:true default_candidate in
+  let native = Bgp.Decision.select default_candidate in
   let sel =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ())
       ~candidates:default_candidate ~native
@@ -347,7 +347,7 @@ let test_engine_orthogonal_rpas_coexist () =
   let anycast_candidate =
     [ path ~peer:1 (attr ~communities:[ anycast ] [ 1; 8 ]) ]
   in
-  let native = Bgp.Decision.select ~multipath:true anycast_candidate in
+  let native = Bgp.Decision.select anycast_candidate in
   let sel =
     Engine.evaluate_selection engine
       ~ctx:(basic_ctx ~prefix:(Net.Prefix.of_string_exn "198.51.100.0/24") ())
@@ -471,7 +471,7 @@ let test_engine_weights_expiration () =
 let test_engine_cache_stats () =
   let engine = equalize_engine () in
   let p = path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) in
-  let native = Bgp.Decision.select ~multipath:true [ p ] in
+  let native = Bgp.Decision.select [ p ] in
   let eval () =
     ignore
       (Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:[ p ]
@@ -499,7 +499,7 @@ let test_engine_cache_disabled () =
   in
   let engine = Engine.create ~cache:false rpa in
   let p = path ~peer:1 (attr ~communities:[ bb ] [ 1; 9 ]) in
-  let native = Bgp.Decision.select ~multipath:true [ p ] in
+  let native = Bgp.Decision.select [ p ] in
   for _ = 1 to 3 do
     ignore
       (Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates:[ p ]
@@ -522,7 +522,7 @@ let test_engine_cache_equal_length_paths () =
       (fun i first -> path ~peer:(i + 1) (attr ~communities:[ bb ] [ first; 50; 9 ]))
       firsts
   in
-  let native = Bgp.Decision.select ~multipath:true candidates in
+  let native = Bgp.Decision.select candidates in
   let eval engine =
     Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates ~native
   in
@@ -561,7 +561,7 @@ let test_engine_cache_across_collections () =
           path ~peer:(i + 1) (attr ~communities:[ bb ] [ first; 3100; 9 ]))
         firsts
     in
-    let native = Bgp.Decision.select ~multipath:true candidates in
+    let native = Bgp.Decision.select candidates in
     Engine.reset_stats engine;
     ignore
       (Engine.evaluate_selection engine ~ctx:(basic_ctx ()) ~candidates ~native);

@@ -85,8 +85,8 @@ let test_journal_gc_prunes_oldest_completed () =
     (Nsdb.String "in-progress");
   Nsdb.Replicated.set nsdb ~path:"journal/audit/status"
     (Nsdb.String "rolled-back");
-  check_int "pruned the oldest three" 3
-    (Controller.journal_gc ~retain:2 controller);
+  Controller.set_journal_retention controller 2;
+  check_int "pruned the oldest three" 3 (Controller.journal_gc controller);
   check_bool "oldest completed gone" true
     (Nsdb.Replicated.get_one nsdb ~path:"journal/p1/status" = None);
   check_bool "subtree gone with it" true
@@ -102,7 +102,7 @@ let test_journal_gc_prunes_oldest_completed () =
   check_bool "rolled-back never pruned" true
     (Nsdb.Replicated.get_one nsdb ~path:"journal/audit/status"
     = Some (Nsdb.String "rolled-back"));
-  check_int "within retention: no-op" 0 (Controller.journal_gc ~retain:2 controller)
+  check_int "within retention: no-op" 0 (Controller.journal_gc controller)
 
 let test_journal_retention_knob () =
   let nsdb, controller = gc_fixture () in

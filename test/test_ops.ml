@@ -173,15 +173,15 @@ let test_gc_spares_queued_plan () =
   Nsdb.Replicated.set nsdb ~path:"opsq/00000000/plan" (Nsdb.String "p1");
   Nsdb.Replicated.set nsdb ~path:"opsq/00000000/state"
     (Nsdb.String "queued");
+  Controller.set_journal_retention controller 0;
   check_int "pruned all unprotected completed journals" 2
-    (Controller.journal_gc ~retain:0 controller);
+    (Controller.journal_gc controller);
   check_bool "queued plan's journal survives retain=0" true
     (Nsdb.Replicated.get_one nsdb ~path:"journal/p1/status"
     = Some (Nsdb.String "completed"));
   (* Once the queue entry is done the protection lifts. *)
   Nsdb.Replicated.set nsdb ~path:"opsq/00000000/state" (Nsdb.String "done");
-  check_int "prunable after mark_done" 1
-    (Controller.journal_gc ~retain:0 controller);
+  check_int "prunable after mark_done" 1 (Controller.journal_gc controller);
   check_bool "and gone" true
     (Nsdb.Replicated.get_one nsdb ~path:"journal/p1/status" = None)
 

@@ -67,7 +67,7 @@ let preference_total_order =
 let select_invariants =
   QCheck.Test.make ~name:"select: subset, best membership, equal cost"
     ~count:500 (paths_arb 8) (fun candidates ->
-      let selected, best = Bgp.Decision.select ~multipath:true candidates in
+      let selected, best = Bgp.Decision.select candidates in
       match best with
       | None -> candidates = []
       | Some b ->
@@ -214,7 +214,7 @@ let engine_paths_arb =
 let engine_selection_invariants =
   QCheck.Test.make ~name:"engine: selected subset, advertise in selected"
     ~count:500 engine_paths_arb (fun (engine, candidates) ->
-      let native = Bgp.Decision.select ~multipath:true candidates in
+      let native = Bgp.Decision.select candidates in
       let sel =
         Centralium.Engine.evaluate_selection engine ~ctx:engine_ctx ~candidates
           ~native
@@ -229,7 +229,7 @@ let engine_advertises_least_favorable =
   QCheck.Test.make
     ~name:"engine: advertised path is least favorable of selected" ~count:500
     engine_paths_arb (fun (engine, candidates) ->
-      let native = Bgp.Decision.select ~multipath:true candidates in
+      let native = Bgp.Decision.select candidates in
       let sel =
         Centralium.Engine.evaluate_selection engine ~ctx:engine_ctx ~candidates
           ~native
@@ -248,7 +248,7 @@ let engine_cache_transparent =
       let uncached =
         Centralium.Engine.create ~cache:false (Centralium.Engine.rpa engine)
       in
-      let native = Bgp.Decision.select ~multipath:true candidates in
+      let native = Bgp.Decision.select candidates in
       let a =
         Centralium.Engine.evaluate_selection engine ~ctx:engine_ctx ~candidates
           ~native
@@ -369,7 +369,7 @@ let engine_cache_agrees_on_equal_length_paths =
       let uncached = Centralium.Engine.create ~cache:false rpa in
       List.for_all
         (fun candidates ->
-          let native = Bgp.Decision.select ~multipath:true candidates in
+          let native = Bgp.Decision.select candidates in
           let eval engine =
             let sel =
               Centralium.Engine.evaluate_selection engine ~ctx:engine_ctx

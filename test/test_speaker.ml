@@ -13,8 +13,8 @@ let env =
 let node id = Topology.Node.make ~id ~name:(Printf.sprintf "r%d" id)
     ~layer:(Topology.Node.Other "R") ()
 
-let speaker ?config ?hooks id peers =
-  let sp = Bgp.Speaker.create ?config ?hooks (node id) in
+let speaker ?wcmp ?hooks id peers =
+  let sp = Bgp.Speaker.create ?wcmp ?hooks (node id) in
   List.iter (fun peer -> Bgp.Speaker.add_peer sp ~peer ~sessions:1) peers;
   sp
 
@@ -270,7 +270,7 @@ let test_egress_policy_change_triggers_withdraw () =
   ignore (Bgp.Speaker.receive sp env ~peer:1 ~session:0 (update p10));
   check_int "advertised to 2" 1
     (List.length (Bgp.Speaker.advertised_to sp ~peer:2));
-  let out = Bgp.Speaker.set_egress_policy sp env ~peer:2 Bgp.Policy.reject_all in
+  let out = Bgp.Speaker.set_egress_policy_all sp env Bgp.Policy.reject_all in
   check_bool "withdraw to 2" true
     (List.exists (fun m -> not (is_update m)) (msgs_to 2 out));
   check_int "rib-out cleared" 0
@@ -291,8 +291,7 @@ let test_advertised_attr_shape () =
   | _ -> Alcotest.fail "expected exactly one update to peer 2"
 
 let test_wcmp_advertises_total_capacity () =
-  let config = { Bgp.Speaker.default_config with wcmp = true } in
-  let sp = speaker ~config 5 [ 1; 2; 3 ] in
+  let sp = speaker ~wcmp:true 5 [ 1; 2; 3 ] in
   ignore
     (Bgp.Speaker.receive sp env ~peer:1 ~session:0
        (Bgp.Msg.Update
@@ -341,58 +340,48 @@ let in_both_modes ~peers steps =
     (List.length (Bgp.Speaker.divergences full_sp env));
   sp
 
-(* One decision fans out to peers with different egress policies: each
-   peer's advert must be what a speaker with only that peer (besides the
-   source) would send it. *)
-let test_egress_policies_per_peer () =
-  let egress = [ (2, every_route [ Bgp.Policy.Set_med 7 ]);
-                 (3, every_route [ Bgp.Policy.Prepend_self 2 ]) ] in
+(* One export policy for every peer shapes one advert, prepared once:
+   every peer but the source is sent that same canonical value, which is
+   what a speaker with only that peer (besides the source) would send it.
+   The policy may come before or after the route. *)
+let test_egress_policy_shared_by_peers () =
   let receive sp =
     Bgp.Speaker.receive sp env ~peer:1 ~session:0 (update ~lp:300 ~asns:[ 9 ] p10)
   in
-  let set_egress sp =
-    List.concat_map
-      (fun (peer, policy) -> Bgp.Speaker.set_egress_policy sp env ~peer policy)
-      egress
-  in
   let tag_all sp =
     Bgp.Speaker.set_egress_policy_all sp env
-      (every_route [ Bgp.Policy.Add_community c7 ])
+      (every_route [ Bgp.Policy.Set_med 7; Bgp.Policy.Add_community c7 ])
   in
-  let alone ~with_all peer =
-    let sp = speaker 5 [ 1; peer ] in
-    (match List.assoc_opt peer egress with
-     | Some policy -> ignore (Bgp.Speaker.set_egress_policy sp env ~peer policy)
-     | None -> ());
-    if with_all then ignore (tag_all sp);
-    ignore (receive sp);
+  let advert sp peer =
     match Bgp.Speaker.advertised_to sp ~peer with
-    | [ (_, attr) ] -> attr
-    | _ -> Alcotest.failf "peer %d alone: expected one advert" peer
+    | [ (prefix, attr) ] ->
+      check_bool "advertised prefix" true (Prefix.equal prefix p10);
+      attr
+    | _ -> Alcotest.failf "peer %d: expected one advert" peer
   in
-  let check_each ~with_all sp =
-    List.iter
-      (fun peer ->
-        match Bgp.Speaker.advertised_to sp ~peer with
-        | [ (prefix, attr) ] ->
-          check_bool "advertised prefix" true (Prefix.equal prefix p10);
-          check_bool (Printf.sprintf "peer %d advert" peer) true
-            (Attr.equal (alone ~with_all peer) attr);
-          check_bool (Printf.sprintf "peer %d advert canonical" peer) true
-            (Attr.intern attr == attr)
-        | _ -> Alcotest.failf "peer %d: expected one advert" peer)
-      [ 2; 3; 4; 5 ]
+  let alone peer =
+    let sp = speaker 5 [ 1; peer ] in
+    ignore (tag_all sp);
+    ignore (receive sp);
+    advert sp peer
   in
-  let peers = [ 1; 2; 3; 4; 5 ] in
-  let sp = in_both_modes ~peers [ set_egress; receive ] in
-  check_each ~with_all:false sp;
-  (* The policies really shaped the adverts differently. *)
-  let advert peer = snd (List.hd (Bgp.Speaker.advertised_to sp ~peer)) in
-  check_int "med on peer 2" 7 (advert 2).Attr.med;
-  check_int "padded for peer 3" 4 (As_path.length (advert 3).Attr.as_path);
-  check_bool "peers 4 and 5 share one advert" true (advert 4 == advert 5);
-  check_each ~with_all:true
-    (in_both_modes ~peers [ set_egress; tag_all; receive ])
+  List.iter
+    (fun steps ->
+      let sp = in_both_modes ~peers:[ 1; 2; 3; 4 ] steps in
+      check_int "nothing back to the source" 0
+        (List.length (Bgp.Speaker.advertised_to sp ~peer:1));
+      let shared = advert sp 2 in
+      check_bool "advert canonical" true (Attr.intern shared == shared);
+      check_int "policy set the med" 7 shared.Attr.med;
+      check_bool "policy tagged" true (Attr.has_community c7 shared);
+      List.iter
+        (fun peer ->
+          check_bool (Printf.sprintf "peer %d shares the advert" peer) true
+            (advert sp peer == shared);
+          check_bool (Printf.sprintf "peer %d advert as alone" peer) true
+            (Attr.equal (alone peer) shared))
+        [ 2; 3; 4 ])
+    [ [ tag_all; receive ]; [ receive; tag_all ] ]
 
 (* An ingress policy that rewrites attributes still yields canonical
    candidates; one that leaves them alone yields the Adj-RIB-In attribute
@@ -495,7 +484,6 @@ type model_op =
   | M_sweep of int * int * int  (* peer, session, before *)
   | M_reset
   | M_ingress of int * int  (* peer, policy *)
-  | M_egress of int * int
 
 let model_prefixes =
   [| p10; Prefix.of_string_exn "11.0.0.0/8"; Prefix.of_string_exn "12.0.0.0/8" |]
@@ -525,7 +513,6 @@ let show_model_op = function
   | M_sweep (p, s, b) -> Printf.sprintf "sweep %d.%d before %d" p s b
   | M_reset -> "reset"
   | M_ingress (p, i) -> Printf.sprintf "ingress %d policy %d" p i
-  | M_egress (p, i) -> Printf.sprintf "egress %d policy %d" p i
 
 let gen_model_case =
   let open QCheck.Gen in
@@ -549,7 +536,6 @@ let gen_model_case =
         (1, map3 (fun p s b -> M_sweep (p, s, b)) peer session (int_bound 40));
         (1, return M_reset);
         (1, map2 (fun p i -> M_ingress (p, i)) peer (int_bound 4));
-        (1, map2 (fun p i -> M_egress (p, i)) peer (int_bound 4));
       ]
   in
   pair bool (list_size (int_range 1 40) op)
@@ -659,7 +645,6 @@ let model_step m ~now = function
     }
   | M_ingress (p, i) ->
     set_mpeer m p { (mpeer m p) with ingress = Some model_policies.(i) }
-  | M_egress _ -> m
 
 let apply_model_op sp ~now op =
   let env = { env with Bgp.Speaker.now } in
@@ -683,8 +668,6 @@ let apply_model_op sp ~now op =
     []
   | M_ingress (peer, i) ->
     Bgp.Speaker.set_ingress_policy sp env ~peer model_policies.(i)
-  | M_egress (peer, i) ->
-    Bgp.Speaker.set_egress_policy sp env ~peer model_policies.(i)
 
 (* Folds the sent messages into the known mirrors; an advert toward a peer
    with no open session would never have been sent, so it forgets the
@@ -1094,7 +1077,6 @@ let test_fib_longest_match () =
 
 module type SPEAKER = sig
   type t
-  type config
 
   type env = {
     now : float;
@@ -1110,7 +1092,7 @@ module type SPEAKER = sig
 
   type outbox = (int * int * Bgp.Msg.t) list
 
-  val create : ?config:config -> ?hooks:Bgp.Rib_policy.hooks -> Topology.Node.t -> t
+  val create : ?wcmp:bool -> ?hooks:Bgp.Rib_policy.hooks -> Topology.Node.t -> t
   val set_eval_mode : t -> eval_mode -> unit
   val add_peer : t -> peer:int -> sessions:int -> unit
 
@@ -1123,7 +1105,6 @@ module type SPEAKER = sig
   val originate : t -> env -> Prefix.t -> Attr.t -> outbox
   val withdraw_origin : t -> env -> Prefix.t -> outbox
   val set_ingress_policy : t -> env -> peer:int -> Bgp.Policy.t -> outbox
-  val set_egress_policy : t -> env -> peer:int -> Bgp.Policy.t -> outbox
   val set_egress_policy_all : t -> env -> Bgp.Policy.t -> outbox
   val set_hooks : t -> env -> Bgp.Rib_policy.hooks -> outbox
   val advertised_to : t -> peer:int -> (Prefix.t * Attr.t) list
@@ -1201,7 +1182,6 @@ let gen_ao_case =
         (1, model (map3 (fun p s b -> M_sweep (p, s, b)) peer session (int_bound 40)));
         (1, model (return M_reset));
         (1, model (map2 (fun p i -> M_ingress (p, i)) peer (int_bound 4)));
-        (2, model (map2 (fun p i -> M_egress (p, i)) peer (int_bound 4)));
         (2, map (fun i -> Ao_originate i) prefix);
         (1, map (fun i -> Ao_withdraw_origin i) prefix);
         (2, map (fun i -> Ao_hooks i) (int_bound (Array.length (ao_hooks ()) - 1)));
@@ -1246,7 +1226,6 @@ module Drive (S : SPEAKER) = struct
       S.reset sp;
       []
     | Ao_model (M_ingress (peer, i)) -> S.set_ingress_policy sp env ~peer model_policies.(i)
-    | Ao_model (M_egress (peer, i)) -> S.set_egress_policy sp env ~peer model_policies.(i)
     | Ao_originate i -> S.originate sp env model_prefixes.(i) (Attr.make ())
     | Ao_withdraw_origin i -> S.withdraw_origin sp env model_prefixes.(i)
     | Ao_hooks i -> S.set_hooks sp env hooks.(i)
@@ -1390,7 +1369,7 @@ let () =
           quick "egress change withdraws" test_egress_policy_change_triggers_withdraw;
           quick "advertised attr shape" test_advertised_attr_shape;
           quick "wcmp capacity aggregation" test_wcmp_advertises_total_capacity;
-          quick "egress policies per peer" test_egress_policies_per_peer;
+          quick "egress policy shared by peers" test_egress_policy_shared_by_peers;
           quick "ingress rewrite canonical" test_ingress_rewrite_candidates_canonical;
         ] );
       ( "decision",

@@ -487,7 +487,7 @@ let naive_compile graph ~engine_of ~(cls : Eq.t) =
                   else [])
               (G.neighbors graph d)
           in
-          let native = Bgp.Decision.select ~multipath:true candidates in
+          let native = Bgp.Decision.select candidates in
           let sel =
             match engine_of d with
             | Some eng -> Engine.evaluate_selection eng ~ctx:(ctx_of d) ~candidates ~native
